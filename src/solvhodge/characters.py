@@ -219,8 +219,8 @@ def is_trivial_on_lattice(chi: CharacterExponent, lattice: LatticeBasis) -> bool
         raise ValueError("character and lattice dimensions differ")
     for gen in lattice.generators:
         exponent = chi.exponent_at(gen)
-        # purely imaginary is automatic for a unitary exponent
-        assert exponent.re.is_zero
+        if not exponent.re.is_zero:
+            raise NotUnitary("unitary character has a nonzero real exponent on the lattice")
         if not exponent.im.is_multiple_of_2pi():
             return False
     return True

@@ -190,7 +190,6 @@ def _subset_products(
     return products
 
 
-@functools.lru_cache(maxsize=None)
 def sweep_trivial_pairs(spec: SolvManifoldSpec, force_float: bool = False) -> PairSweep:
     """Sweep all 4^m fiber pairs for lattice triviality of the paired unitary character.
 
@@ -282,7 +281,9 @@ def check_condition(spec: SolvManifoldSpec, sweep: Optional[PairSweep] = None) -
     A pair (J, L) violates when the paired unitary character restricts to 1
     on the lattice while the underlying product of fiber characters (times
     the conjugates over L) is not identically 1.  The converse implication
-    holds identically and is asserted, not reported.
+    holds by construction: the unitary part is linear in the exponents, so
+    a trivial character has a trivial unitary part, which the lattice gate
+    admits.
     """
     sweep = sweep if sweep is not None else sweep_trivial_pairs(spec)
     subsets = _subsets(spec.m)
@@ -291,15 +292,11 @@ def check_condition(spec: SolvManifoldSpec, sweep: Optional[PairSweep] = None) -
     conj_products = _subset_products(
         tuple(alpha.conjugate() for alpha in spec.alphas), subsets, trivial
     )
-    violations = []
-    for J, L in sweep:
-        if not (alpha_products[J] * conj_products[L]).is_trivial:
-            violations.append((J, L, VIOLATION_REASON))
-    for J, L in product(subsets, subsets):
-        if (alpha_products[J] * conj_products[L]).is_trivial:
-            # the unitary part of a trivial character is trivial, so the
-            # lattice gate must admit this pair; anything else is a bug
-            assert (J, L) in sweep
+    violations = [
+        (J, L, VIOLATION_REASON)
+        for J, L in sweep
+        if not (alpha_products[J] * conj_products[L]).is_trivial
+    ]
     return ConditionReport(not violations, tuple(violations), len(sweep))
 
 
@@ -310,16 +307,14 @@ def hodge_symmetry(table: HodgeTable) -> bool:
 
 
 def conjugation_symmetry(spec: SolvManifoldSpec, sweep: Optional[PairSweep] = None) -> bool:
-    """Set-level symmetry: index swap is a bijection between mirror bidegrees."""
+    """Set-level symmetry: index swap is a bijection between mirror bidegrees.
+
+    Base indices are unconstrained, so the swap (I, J, K, L) -> (K, L, I, J)
+    maps the basis onto itself exactly when the admitted pairs are closed
+    under (J, L) -> (L, J).
+    """
     sweep = sweep if sweep is not None else sweep_trivial_pairs(spec)
-    dim = spec.complex_dim
-    for p in range(dim + 1):
-        for q in range(dim + 1):
-            source = basis_elements(spec, p, q, sweep)
-            target = set(basis_elements(spec, q, p, sweep))
-            if {el.swapped() for el in source} != target:
-                return False
-    return True
+    return all((L, J) in sweep for J, L in sweep)
 
 
 def serre_duality_check(table: HodgeTable) -> bool:
@@ -332,24 +327,16 @@ def serre_duality_check(table: HodgeTable) -> bool:
     )
 
 
-def betti_numbers(
-    spec: SolvManifoldSpec,
-    sweep: Optional[PairSweep] = None,
-    condition: Optional[ConditionReport] = None,
-) -> BettiNumbers:
+def betti_numbers(table: HodgeTable, condition: ConditionReport) -> BettiNumbers:
     """Anti-diagonal sums of the Hodge table.
 
     The sums equal de Rham Betti numbers exactly when the condition verdict
     holds; otherwise they are reported as first-page column sums only and
     the certification flag is cleared.
     """
-    sweep = sweep if sweep is not None else sweep_trivial_pairs(spec)
-    table = hodge_table(spec, sweep)
-    condition = condition if condition is not None else check_condition(spec, sweep)
-    dim = spec.complex_dim
-    values = []
-    for r in range(2 * dim + 1):
-        values.append(
-            sum(table.h[p][r - p] for p in range(dim + 1) if 0 <= r - p <= dim)
-        )
-    return BettiNumbers(tuple(values), condition.holds)
+    dim = table.n_plus_m
+    values = tuple(
+        sum(table.h[p][r - p] for p in range(dim + 1) if 0 <= r - p <= dim)
+        for r in range(2 * dim + 1)
+    )
+    return BettiNumbers(values, condition.holds)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .characters import CharacterExponent
-from .cohomology import BasisElement, PairSweep, all_basis_elements, sweep_trivial_pairs
+from .cohomology import BasisElement, PairSweep, sweep_trivial_pairs
 from .exact import ComplexExact
 from .manifold import SolvManifoldSpec
 
@@ -47,6 +47,7 @@ __all__ = [
     "from_frame",
     "harmonic_wedge_closure",
     "is_d_harmonic",
+    "is_dbar_coclosed",
     "is_dbar_harmonic",
     "partial",
     "to_frame",
@@ -440,21 +441,23 @@ def basis_form(
     return TwistedForm.monomial(ComplexExact.one(spec.symbols), char, word)
 
 
-def is_dbar_harmonic(form: TwistedForm, spec: SolvManifoldSpec) -> bool:
-    """Closed and co-closed for the antiholomorphic differential, exactly.
+def is_dbar_coclosed(form: TwistedForm, spec: SolvManifoldSpec) -> bool:
+    """Co-closed for the antiholomorphic differential, exactly.
 
     Co-closedness is decided through the star: the adjoint differs from
     star-dbar-star only by a sign and an invertible operator, so only the
     vanishing of dbar applied to the starred form is consumed.
     """
+    return from_frame(bar_star(to_frame(form, spec), spec), spec).dbar().is_zero
+
+
+def is_dbar_harmonic(form: TwistedForm, spec: SolvManifoldSpec) -> bool:
+    """Closed and co-closed for the antiholomorphic differential, exactly."""
     if form.is_zero:
         return True
     if form.bidegree() is None:
         raise ValueError("harmonicity is only defined for homogeneous forms")
-    if not form.dbar().is_zero:
-        return False
-    starred = from_frame(bar_star(to_frame(form, spec), spec), spec)
-    return starred.dbar().is_zero
+    return form.dbar().is_zero and is_dbar_coclosed(form, spec)
 
 
 def _c_linear_star(form: TwistedForm, spec: SolvManifoldSpec) -> TwistedForm:
@@ -484,30 +487,34 @@ class WedgeClosureReport:
     first_failure: Optional[tuple[BasisElement, BasisElement]]
 
 
-def wedge_closure_report(spec: SolvManifoldSpec, max_dim: int = MAX_FORMS_DIM) -> WedgeClosureReport:
+def _mask(indices: tuple[int, ...]) -> int:
+    return sum(1 << (i - 1) for i in indices)
+
+
+def wedge_closure_report(
+    spec: SolvManifoldSpec, max_dim: int = MAX_FORMS_DIM, sweep: Optional[PairSweep] = None
+) -> WedgeClosureReport:
     """Check that products of basis monomials stay in the exact span of the basis.
 
-    Basis monomials have pairwise distinct (character, word) keys, so exact
-    membership of a product in their span reduces to every term key of the
-    product appearing among the basis keys.
+    The wedge of two basis monomials vanishes unless their index sets are
+    disjoint, and is then, up to sign, the monomial of the union quadruple,
+    whose character is that of the union fiber pair.  Base indices are free,
+    so the span is closed exactly when the admitted pairs are closed under
+    disjoint union; a failure is witnessed by two elements with empty base
+    indices.
     """
     if spec.complex_dim > max_dim:
         raise DimensionCapExceeded(
             f"wedge sweep refused for dimension {spec.complex_dim} > {max_dim}"
         )
-    sweep = sweep_trivial_pairs(spec)
-    elements = all_basis_elements(spec, sweep)
-    forms = {el: basis_form(spec, el, sweep) for el in elements}
-    span_keys = set()
-    for form in forms.values():
-        for _, char, word in form.terms:
-            span_keys.add((char, word))
-    for el1 in elements:
-        for el2 in elements:
-            product = forms[el1].wedge(forms[el2])
-            for _, char, word in product.terms:
-                if (char, word) not in span_keys:
-                    return WedgeClosureReport(False, (el1, el2))
+    sweep = sweep if sweep is not None else sweep_trivial_pairs(spec)
+    masked = [(_mask(J), _mask(L), J, L) for J, L in sweep]
+    admitted = {(j, l) for j, l, _, _ in masked}
+    for j1, l1, J1, L1 in masked:
+        for j2, l2, J2, L2 in masked:
+            if not (j1 & j2 or l1 & l2) and (j1 | j2, l1 | l2) not in admitted:
+                witnesses = (BasisElement((), J1, (), L1), BasisElement((), J2, (), L2))
+                return WedgeClosureReport(False, witnesses)
     return WedgeClosureReport(True, None)
 
 

@@ -100,7 +100,8 @@ def _integer_determinant(mat: Sequence[Sequence[int]]) -> int:
             factor = work[r][col] / pivot
             for c in range(col, size):
                 work[r][c] -= factor * work[col][c]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise ValueError("determinant of an integer matrix is not an integer")
     return int(det)
 
 

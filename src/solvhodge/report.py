@@ -14,7 +14,7 @@ from .cohomology import (
     all_basis_elements,
     sweep_trivial_pairs,
 )
-from .forms import basis_form, bar_star, from_frame, is_d_harmonic, to_frame
+from .forms import basis_form, is_d_harmonic, is_dbar_coclosed
 from .kahler import KaehlerVerdict
 from .manifold import SolvManifoldSpec, ValidationReport
 
@@ -173,6 +173,10 @@ class HarmonicRow:
     co_closed: bool
     d_harmonic: bool
 
+    @property
+    def dbar_harmonic(self) -> bool:
+        return self.dbar_closed and self.co_closed
+
 
 def harmonic_rows(spec: SolvManifoldSpec, sweep: Optional[PairSweep] = None) -> tuple[HarmonicRow, ...]:
     """Per basis element: closedness, co-closedness and full harmonicity flags."""
@@ -180,11 +184,10 @@ def harmonic_rows(spec: SolvManifoldSpec, sweep: Optional[PairSweep] = None) -> 
     rows = []
     for element in all_basis_elements(spec, sweep):
         form = basis_form(spec, element, sweep)
-        dbar_closed = form.dbar().is_zero
-        starred = from_frame(bar_star(to_frame(form, spec), spec), spec)
-        co_closed = starred.dbar().is_zero
         rows.append(
-            HarmonicRow(element, dbar_closed, co_closed, is_d_harmonic(form, spec))
+            HarmonicRow(
+                element, form.dbar().is_zero, is_dbar_coclosed(form, spec), is_d_harmonic(form, spec)
+            )
         )
     return tuple(rows)
 
@@ -201,9 +204,7 @@ def render_harmonic_text(name: str, rows: tuple[HarmonicRow, ...]) -> str:
                 row.dbar_closed, row.co_closed, row.d_harmonic,
             )
         )
-    lines.append(
-        "all dbar-harmonic: %s" % all(r.dbar_closed and r.co_closed for r in rows)
-    )
+    lines.append("all dbar-harmonic: %s" % all(r.dbar_harmonic for r in rows))
     return "\n".join(lines) + "\n"
 
 
@@ -225,5 +226,5 @@ def harmonic_rows_json(name: str, rows: tuple[HarmonicRow, ...]) -> dict:
             }
             for row in rows
         ],
-        "all_dbar_harmonic": all(r.dbar_closed and r.co_closed for r in rows),
+        "all_dbar_harmonic": all(r.dbar_harmonic for r in rows),
     }

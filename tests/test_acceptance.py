@@ -54,7 +54,7 @@ def test_criterion_01_torus_tables():
             for p in range(dim + 1):
                 for q in range(dim + 1):
                     assert table.h[p][q] == comb(dim, p) * comb(dim, q), (n, m, p, q)
-            betti = sh.betti_numbers(spec)
+            betti = sh.betti_numbers(table, sh.check_condition(spec))
             assert betti.values == tuple(comb(2 * dim, r) for r in range(2 * dim + 1))
             assert betti.certified_de_rham
     done("criterion 1: torus tables are pure binomials")
@@ -96,7 +96,7 @@ def test_criterion_02_example1_against_brute_force():
     for p in range(4):
         for q in range(4):
             assert len(basis_elements(spec, p, q, sweep)) == table.h[p][q]
-    betti = sh.betti_numbers(spec)
+    betti = sh.betti_numbers(table, sh.check_condition(spec, sweep))
     assert betti.values == EXAMPLE1_BETTI
     assert betti.certified_de_rham
     done("criterion 2: example 1 table equals the 4096-fold brute force")
@@ -118,13 +118,14 @@ def test_criterion_03_condition_dichotomy():
 def test_criterion_04_symmetry_and_decomposition_pipeline():
     for spec in corpus_specs():
         sweep = sweep_trivial_pairs(spec)
-        if not sh.check_condition(spec, sweep).holds:
+        condition = sh.check_condition(spec, sweep)
+        if not condition.holds:
             continue
         table = sh.hodge_table(spec, sweep)
         assert sh.hodge_symmetry(table), spec.name
         assert sh.conjugation_symmetry(spec, sweep), spec.name
         assert sh.serre_duality_check(table), spec.name
-        betti = sh.betti_numbers(spec, sweep)
+        betti = sh.betti_numbers(table, condition)
         dim = spec.complex_dim
         for r in range(2 * dim + 1):
             column_sum = sum(

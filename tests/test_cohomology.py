@@ -246,24 +246,29 @@ class TestSymmetryChecks:
             assert serre_duality_check(hodge_table(spec)), spec.name
 
 
+def betti_of(spec):
+    sweep = sweep_trivial_pairs(spec)
+    return betti_numbers(hodge_table(spec, sweep), check_condition(spec, sweep))
+
+
 class TestBetti:
     def test_example1_values(self):
-        betti = betti_numbers(sh.example1([1], "symbolic"))
+        betti = betti_of(sh.example1([1], "symbolic"))
         assert betti.values == (1, 2, 5, 8, 5, 2, 1)
         assert betti.certified_de_rham
 
     def test_torus_values(self):
-        betti = betti_numbers(sh.torus(1, 1))
+        betti = betti_of(sh.torus(1, 1))
         assert betti.values == tuple(comb(4, r) for r in range(5))
         assert betti.certified_de_rham
 
     def test_rational_pi_not_certified(self):
-        betti = betti_numbers(sh.example1([1], "rational_pi(1,1)"))
+        betti = betti_of(sh.example1([1], "rational_pi(1,1)"))
         assert not betti.certified_de_rham
 
     def test_euler_characteristic_vanishes(self):
         for spec in corpus_specs():
-            betti = betti_numbers(spec)
+            betti = betti_of(spec)
             assert sum((-1) ** r * b for r, b in enumerate(betti.values)) == 0, spec.name
 
 
@@ -271,13 +276,14 @@ class TestPipelineInvariant:
     def test_condition_implies_full_symmetry(self):
         for spec in corpus_specs():
             sweep = sweep_trivial_pairs(spec)
-            if not check_condition(spec, sweep).holds:
+            condition = check_condition(spec, sweep)
+            if not condition.holds:
                 continue
             table = hodge_table(spec, sweep)
             assert hodge_symmetry(table), spec.name
             assert conjugation_symmetry(spec, sweep), spec.name
             assert serre_duality_check(table), spec.name
-            assert betti_numbers(spec, sweep).certified_de_rham, spec.name
+            assert betti_numbers(table, condition).certified_de_rham, spec.name
 
     def test_all_elements_cover_table(self):
         for spec in corpus_specs():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import solvhodge as sh
+from solvhodge import cli
 from solvhodge.cli import (
     EXIT_CHECK_FAILED,
     EXIT_MALFORMED,
@@ -119,6 +120,15 @@ class TestAnalyze:
         assert report.mode == "float_fallback"
 
     def test_forms_cap_raises(self):
+        with pytest.raises(sh.DimensionCapExceeded):
+            analyze(sh.torus(4, 3))
+
+    def test_forms_cap_checked_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("work started before the forms cap was checked")
+
+        monkeypatch.setattr(cli, "validate", refuse)
+        monkeypatch.setattr(cli, "sweep_trivial_pairs", refuse)
         with pytest.raises(sh.DimensionCapExceeded):
             analyze(sh.torus(4, 3))
 
