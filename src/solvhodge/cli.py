@@ -53,14 +53,19 @@ class AnalyzeOptions:
     max_dim: int = MAX_FORMS_DIM
 
 
-def analyze(source: Union[str, Path, SolvManifoldSpec], options: Optional[AnalyzeOptions] = None) -> RunReport:
-    """Run the full pipeline on a manifold description (path or in-memory)."""
-    options = options or AnalyzeOptions()
-    spec = source if isinstance(source, SolvManifoldSpec) else load_spec(source)
+def _check_counting_cap(spec: SolvManifoldSpec):
+    """Refuse, before any work, a manifold whose pair sweep and tables would not finish."""
     if spec.complex_dim > MAX_COUNTING_DIM:
         raise DimensionCapExceeded(
             f"dimension {spec.complex_dim} exceeds the counting cap {MAX_COUNTING_DIM}"
         )
+
+
+def analyze(source: Union[str, Path, SolvManifoldSpec], options: Optional[AnalyzeOptions] = None) -> RunReport:
+    """Run the full pipeline on a manifold description (path or in-memory)."""
+    options = options or AnalyzeOptions()
+    spec = source if isinstance(source, SolvManifoldSpec) else load_spec(source)
+    _check_counting_cap(spec)
     if not options.skip_forms and spec.complex_dim > options.max_dim:
         raise DimensionCapExceeded(
             f"dimension {spec.complex_dim} exceeds the forms cap {options.max_dim};"
@@ -212,6 +217,7 @@ def _cmd_emit(args) -> int:
 
 def _cmd_check_harmonic(args) -> int:
     spec = load_spec(args.file)
+    _check_counting_cap(spec)
     if spec.complex_dim > args.max_dim:
         raise DimensionCapExceeded(
             f"dimension {spec.complex_dim} exceeds the forms cap {args.max_dim}"

@@ -24,10 +24,10 @@ normalisation is fixed to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .characters import CharacterExponent
-from .cohomology import BasisElement, PairSweep, sweep_trivial_pairs
+from .cohomology import BasisElement, MultiIndex, PairSweep, sweep_trivial_pairs
 from .exact import ComplexExact
 from .manifold import SolvManifoldSpec
 
@@ -35,6 +35,7 @@ __all__ = [
     "DimensionCapExceeded",
     "FrameForm",
     "Generator",
+    "PairSupportMasks",
     "TwistedForm",
     "WedgeClosureReport",
     "bar_star",
@@ -49,6 +50,7 @@ __all__ = [
     "is_d_harmonic",
     "is_dbar_coclosed",
     "is_dbar_harmonic",
+    "pair_support_masks",
     "partial",
     "to_frame",
     "volume_form",
@@ -407,6 +409,15 @@ def bar_star(form: FrameForm, spec: SolvManifoldSpec) -> FrameForm:
     return FrameForm(out)
 
 
+def _basis_character(spec: SolvManifoldSpec, J: MultiIndex, L: MultiIndex) -> CharacterExponent:
+    char = CharacterExponent.trivial(spec.symbols, spec.n)
+    for j in J:
+        char = char * spec.alphas[j - 1].decompose().hol.inverse()
+    for l in L:
+        char = char * spec.alphas[l - 1].conjugate().decompose().hol.inverse()
+    return char
+
+
 def basis_form(
     spec: SolvManifoldSpec, element: BasisElement, sweep: Optional[PairSweep] = None
 ) -> TwistedForm:
@@ -427,11 +438,7 @@ def basis_form(
     ):
         if indices and indices[-1] > bound:
             raise ValueError(f"{label} index exceeds {bound}")
-    char = CharacterExponent.trivial(spec.symbols, spec.n)
-    for j in element.J:
-        char = char * spec.alphas[j - 1].decompose().hol.inverse()
-    for l in element.L:
-        char = char * spec.alphas[l - 1].conjugate().decompose().hol.inverse()
+    char = _basis_character(spec, element.J, element.L)
     word = (
         tuple(dz(i) for i in element.I)
         + tuple(dw(j) for j in element.J)
@@ -481,14 +488,86 @@ def is_d_harmonic(form: TwistedForm, spec: SolvManifoldSpec) -> bool:
     return _c_linear_star(form, spec).d().is_zero
 
 
+def _mask(indices: Iterable[int]) -> int:
+    return sum(1 << (i - 1) for i in indices)
+
+
+def _support(vector: tuple[ComplexExact, ...]) -> int:
+    return _mask(i for i, c in enumerate(vector, start=1) if not c.is_zero)
+
+
+class PairSupportMasks(NamedTuple):
+    """Supports over the base indices 1..n (bit i-1 for index i) that decide the flags of a pair."""
+
+    a: int
+    b: int
+    co_b: int
+    lin_a: int
+    lin_b: int
+
+    def flags(self, I: MultiIndex, K: MultiIndex) -> tuple[bool, bool, bool]:
+        """(dbar-closed, dbar-co-closed, d-harmonic) of the basis monomial (I, J, K, L)."""
+        i_mask, k_mask = _mask(I), _mask(K)
+        dbar_closed = not self.b & ~k_mask
+        d_harmonic = (
+            dbar_closed
+            and not self.a & ~i_mask
+            and not self.lin_a & k_mask
+            and not self.lin_b & i_mask
+        )
+        return dbar_closed, not self.co_b & k_mask, d_harmonic
+
+
+def pair_support_masks(spec: SolvManifoldSpec, J: MultiIndex, L: MultiIndex) -> PairSupportMasks:
+    """Harmonicity of every basis monomial over the fiber pair (J, L), as five bitmasks.
+
+    The monomial u = chi * dz_I ^ dw_J ^ dzbar_K ^ dwbar_L has coefficient 1
+    and chi = chi_{J,L} of :func:`basis_form`.  Its differentials are
+
+        dbar u = sum_j b_j(chi) dzbar_j ^ (word),  partial u = sum_j a_j(chi) dz_j ^ (word),
+
+    whose terms carry distinct words, so they cancel nowhere: dbar u = 0
+    exactly when supp b(chi) lies in K, and d u = 0 when moreover supp a(chi)
+    lies in I.  Both stars map u to one monomial with coefficient +-1:
+
+    - to_frame, bar_star, from_frame give the character
+      chi_co = conj(chi alpha_J conj(alpha)_L) alpha_{J^c}^-1 conj(alpha)_{L^c}^-1
+      on the word dz_{I^c} ^ dw_{J^c} ^ dzbar_{K^c} ^ dwbar_{L^c}, so u is
+      dbar-co-closed exactly when supp b(chi_co) misses K;
+    - the C-linear star (the anti-linear star of conj u) gives
+      chi_lin = chi alpha_J conj(alpha)_L alpha_{L^c}^-1 conj(alpha)_{J^c}^-1
+      on dz_{K^c} ^ dw_{L^c} ^ dzbar_{I^c} ^ dwbar_{J^c}, which is d-closed
+      exactly when supp a(chi_lin) misses K and supp b(chi_lin) misses I.
+
+    The complements X^c are taken in 1..m for fiber indices and 1..n for
+    base indices.  Only characters are multiplied (their exponents add), so
+    no symbol product is formed and the masks are exact.
+    """
+    alphas = spec.alphas
+    bars = tuple(alpha.conjugate() for alpha in alphas)
+    chi = _basis_character(spec, J, L)
+    framed = chi
+    for j in J:
+        framed = framed * alphas[j - 1]
+    for l in L:
+        framed = framed * bars[l - 1]
+    co, lin = framed.conjugate(), framed
+    for j in range(1, spec.m + 1):
+        if j not in J:
+            co = co * alphas[j - 1].inverse()
+            lin = lin * bars[j - 1].inverse()
+        if j not in L:
+            co = co * bars[j - 1].inverse()
+            lin = lin * alphas[j - 1].inverse()
+    return PairSupportMasks(
+        _support(chi.a), _support(chi.b), _support(co.b), _support(lin.a), _support(lin.b)
+    )
+
+
 @dataclass(frozen=True)
 class WedgeClosureReport:
     closed: bool
     first_failure: Optional[tuple[BasisElement, BasisElement]]
-
-
-def _mask(indices: tuple[int, ...]) -> int:
-    return sum(1 << (i - 1) for i in indices)
 
 
 def wedge_closure_report(

@@ -14,7 +14,7 @@ from .cohomology import (
     all_basis_elements,
     sweep_trivial_pairs,
 )
-from .forms import basis_form, is_d_harmonic, is_dbar_coclosed
+from .forms import pair_support_masks
 from .kahler import KaehlerVerdict
 from .manifold import SolvManifoldSpec, ValidationReport
 
@@ -179,17 +179,17 @@ class HarmonicRow:
 
 
 def harmonic_rows(spec: SolvManifoldSpec, sweep: Optional[PairSweep] = None) -> tuple[HarmonicRow, ...]:
-    """Per basis element: closedness, co-closedness and full harmonicity flags."""
+    """Per basis element: closedness, co-closedness and full harmonicity flags.
+
+    The flags are decided once per admitted pair by :func:`pair_support_masks`;
+    each element then costs a containment test on its base indices.
+    """
     sweep = sweep if sweep is not None else sweep_trivial_pairs(spec)
-    rows = []
-    for element in all_basis_elements(spec, sweep):
-        form = basis_form(spec, element, sweep)
-        rows.append(
-            HarmonicRow(
-                element, form.dbar().is_zero, is_dbar_coclosed(form, spec), is_d_harmonic(form, spec)
-            )
-        )
-    return tuple(rows)
+    masks = {(J, L): pair_support_masks(spec, J, L) for J, L in sweep}
+    return tuple(
+        HarmonicRow(element, *masks[element.J, element.L].flags(element.I, element.K))
+        for element in all_basis_elements(spec, sweep)
+    )
 
 
 def render_harmonic_text(name: str, rows: tuple[HarmonicRow, ...]) -> str:

@@ -1,13 +1,15 @@
 """Pair-level verdicts against the literal enumerations they replace.
 
-Conjugation symmetry and wedge closure are decided on the admitted fiber
-pairs alone.  The literal checks below enumerate basis elements (and, for
-the wedge, every product of two basis forms); they are kept here as
-differential oracles, together with the 4^m walk behind the converse half
-of the condition check.
+Conjugation symmetry, wedge closure and the harmonicity flags are decided
+on the admitted fiber pairs alone.  The literal checks below enumerate
+basis elements (building, for the wedge, every product of two basis forms
+and, for harmonicity, every basis form and its stars); they are kept here
+as differential oracles, together with the 4^m walk behind the converse
+half of the condition check.
 """
 
 import ast
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -24,9 +26,12 @@ from solvhodge.cohomology import (
     conjugation_symmetry,
     sweep_trivial_pairs,
 )
-from solvhodge.forms import basis_form, wedge_closure_report
+from solvhodge.forms import basis_form, is_d_harmonic, is_dbar_coclosed, wedge_closure_report
+from solvhodge.report import harmonic_rows
 
-from conftest import corpus_specs
+from conftest import corpus_specs, forms_corpus_specs
+
+FLAG_NAMES = ("dbar_closed", "co_closed", "d_harmonic")
 
 
 def literal_conjugation_symmetry(spec, sweep) -> bool:
@@ -50,6 +55,21 @@ def literal_wedge_closure(spec, sweep) -> bool:
         for f2 in basis
         for _, char, word in f1.wedge(f2).terms
     )
+
+
+def literal_harmonic_flags(spec, sweep):
+    """Per basis element, the flags read off its exact form and the form's stars."""
+    flags = []
+    for element in all_basis_elements(spec, sweep):
+        form = basis_form(spec, element, sweep)
+        flags.append(
+            (element, form.dbar().is_zero, is_dbar_coclosed(form, spec), is_d_harmonic(form, spec))
+        )
+    return flags
+
+
+def row_flags(rows):
+    return [(row.element, row.dbar_closed, row.co_closed, row.d_harmonic) for row in rows]
 
 
 def all_pairs(m):
@@ -119,6 +139,63 @@ class TestAgainstLiteralEnumeration:
                 verdicts["symmetry"].add(symmetric)
                 verdicts["wedge"].add(wedge.closed)
         assert verdicts == {"symmetry": {True, False}, "wedge": {True, False}}
+
+
+class TestHarmonicRowsAgainstForms:
+    def test_forms_corpus(self):
+        for spec in forms_corpus_specs():
+            sweep = sweep_trivial_pairs(spec)
+            assert row_flags(harmonic_rows(spec, sweep)) == literal_harmonic_flags(
+                spec, sweep
+            ), spec.name
+
+    def test_random_stub_sweeps(self, rng):
+        # Stubs admit pairs the lattice gate rejects, whose characters are
+        # nontrivial on the base, so d-harmonicity fails on some of them.
+        # The builders' alphas are real (conj(alpha) = alpha) and multiply to
+        # a unitary character, which makes every basis form co-closed.  Both
+        # generic specs have complex alphas; only the second multiplies to a
+        # unitary character.  The basis characters are holomorphic, so
+        # dbar-closedness never fails.
+        table = sh.SymbolTable.base()
+
+        def complex_char(a_re, a_im, b_re, b_im):
+            a = sh.ComplexExact.make(table, re=Fraction(a_re), im=Fraction(a_im))
+            b = sh.ComplexExact.make(table, re=Fraction(b_re), im=Fraction(b_im))
+            return sh.CharacterExponent(table, (a,), (b,))
+
+        def generic(name, *alphas):
+            return sh.SolvManifoldSpec(
+                name=name,
+                n=1,
+                m=2,
+                alphas=alphas,
+                lattice=sh.torus(1, 2).lattice,
+                lattice_fiber=sh.torus(1, 2).lattice_fiber,
+                symbols=table,
+            )
+
+        first = complex_char(1, "1/2", "1/2", -1)
+        specs = (
+            sh.torus(1, 1),
+            sh.torus(2, 1),
+            sh.example1([1], "rational_pi(1,1)"),
+            sh.example2_n1([[2, 1], [1, 1]]),
+            generic("generic", first, complex_char("-1/3", 1, 2, "-1/2")),
+            generic("generic_unitary_product", first, complex_char(-1, 1, "-1/2", "5/2")),
+        )
+        assert (first * specs[-1].alphas[1]).is_unitary
+        false_flags = set()
+        for trial in range(60):
+            spec = specs[trial % len(specs)]
+            chosen = [pair for pair in all_pairs(spec.m) if rng.random() < 0.5]
+            stub = PairSweep(tuple(sorted(chosen)), certified=True)
+            rows = row_flags(harmonic_rows(spec, stub))
+            assert rows == literal_harmonic_flags(spec, stub), (spec.name, stub)
+            false_flags |= {
+                name for row in rows for name, flag in zip(FLAG_NAMES, row[1:]) if not flag
+            }
+        assert false_flags == {"co_closed", "d_harmonic"}
 
 
 class TestTrivialCharactersAdmitted:

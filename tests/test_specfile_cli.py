@@ -3,7 +3,7 @@ import json
 import pytest
 
 import solvhodge as sh
-from solvhodge import cli
+from solvhodge import cli, cohomology, report
 from solvhodge.cli import (
     EXIT_CHECK_FAILED,
     EXIT_MALFORMED,
@@ -192,6 +192,18 @@ class TestCli:
         save_spec(sh.torus(0, 13), path)
         assert self.run("analyze", str(path), "--skip-forms") == EXIT_TOO_LARGE
         capsys.readouterr()
+
+    def test_check_harmonic_counting_cap_exit_3(self, tmp_path, monkeypatch, capsys):
+        # a raised --max-dim must not let m = 12 through to a 4^12 pair sweep
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the pair sweep started before the counting cap was checked")
+
+        for module in (cli, cohomology, report):
+            monkeypatch.setattr(module, "sweep_trivial_pairs", refuse)
+        path = tmp_path / "wide.json"
+        save_spec(sh.torus(1, 12), path)
+        assert self.run("check-harmonic", str(path), "--max-dim", "20") == EXIT_TOO_LARGE
+        assert "counting cap" in capsys.readouterr().err
 
     def test_max_dim_flag(self, tmp_path, capsys):
         path = tmp_path / "t12.json"
