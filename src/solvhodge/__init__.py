@@ -50,7 +50,6 @@ from .forms import (
     bar_star,
     basis_form,
     from_frame,
-    harmonic_wedge_closure,
     is_d_harmonic,
     is_dbar_harmonic,
     to_frame,
@@ -100,7 +99,6 @@ __all__ = [
     "example1",
     "example2_n1",
     "from_frame",
-    "harmonic_wedge_closure",
     "hodge_symmetry",
     "hodge_table",
     "is_d_harmonic",

@@ -13,6 +13,7 @@ from typing import Optional, Union
 from . import __version__
 from .cohomology import (
     FiberTooLarge,
+    PairSweep,
     betti_numbers,
     check_condition,
     conjugation_symmetry,
@@ -61,6 +62,10 @@ def _check_counting_cap(spec: SolvManifoldSpec):
         )
 
 
+def _mode(sweep: PairSweep) -> str:
+    return "exact" if sweep.certified else "float_fallback"
+
+
 def analyze(source: Union[str, Path, SolvManifoldSpec], options: Optional[AnalyzeOptions] = None) -> RunReport:
     """Run the full pipeline on a manifold description (path or in-memory)."""
     options = options or AnalyzeOptions()
@@ -93,7 +98,7 @@ def analyze(source: Union[str, Path, SolvManifoldSpec], options: Optional[Analyz
     harmonic = None
     if not options.skip_forms:
         start = time.perf_counter()
-        wedge_closure = wedge_closure_report(spec, options.max_dim, sweep).closed
+        wedge_closure = wedge_closure_report(spec, sweep, options.max_dim).closed
         rows = harmonic_rows(spec, sweep)
         harmonic = all(r.dbar_harmonic for r in rows)
         if condition.holds:
@@ -102,7 +107,7 @@ def analyze(source: Union[str, Path, SolvManifoldSpec], options: Optional[Analyz
     kaehler = clock("kaehler", kaehler_obstruction, spec)
     return RunReport(
         name=spec.name,
-        mode="exact" if sweep.certified else "float_fallback",
+        mode=_mode(sweep),
         validation=validation,
         hodge=table,
         betti=betti,
@@ -222,11 +227,12 @@ def _cmd_check_harmonic(args) -> int:
         raise DimensionCapExceeded(
             f"dimension {spec.complex_dim} exceeds the forms cap {args.max_dim}"
         )
-    rows = harmonic_rows(spec)
+    sweep = sweep_trivial_pairs(spec)
+    rows = harmonic_rows(spec, sweep)
     if args.format == "json":
-        print(json.dumps(harmonic_rows_json(spec.name, rows), indent=2))
+        print(json.dumps(harmonic_rows_json(spec.name, _mode(sweep), rows), indent=2))
     else:
-        print(render_harmonic_text(spec.name, rows), end="")
+        print(render_harmonic_text(spec.name, _mode(sweep), rows), end="")
     return EXIT_OK if all(r.dbar_harmonic for r in rows) else EXIT_CHECK_FAILED
 
 

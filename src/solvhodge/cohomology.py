@@ -18,7 +18,6 @@ import functools
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Optional
 
 from .characters import CharacterExponent, is_trivial_on_lattice, is_trivial_on_lattice_float
 from .exact import SymbolProductUnrepresentable
@@ -38,6 +37,7 @@ __all__ = [
     "hodge_symmetry",
     "hodge_table",
     "serre_duality_check",
+    "subset_product_tables",
     "sweep_trivial_pairs",
     "trivial_pairs",
 ]
@@ -52,13 +52,6 @@ class FiberTooLarge(ValueError):
 
 
 MultiIndex = tuple[int, ...]
-
-
-def _check_multi_index(indices: MultiIndex, bound: int, label: str):
-    if list(indices) != sorted(set(indices)):
-        raise ValueError(f"{label} must be strictly increasing")
-    if indices and (indices[0] < 1 or indices[-1] > bound):
-        raise ValueError(f"{label} entries must lie in 1..{bound}")
 
 
 @dataclass(frozen=True)
@@ -171,15 +164,6 @@ def _subsets(m: int) -> tuple[MultiIndex, ...]:
     return tuple(out)
 
 
-def unitary_factors(
-    spec: SolvManifoldSpec,
-) -> tuple[tuple[CharacterExponent, ...], tuple[CharacterExponent, ...]]:
-    """Per fiber character: unitary part, and unitary part of the conjugate."""
-    betas = tuple(alpha.decompose().unit for alpha in spec.alphas)
-    gammas = tuple(alpha.conjugate_unitary_part() for alpha in spec.alphas)
-    return betas, gammas
-
-
 def _subset_products(
     factors: tuple[CharacterExponent, ...], subsets: tuple[MultiIndex, ...], trivial: CharacterExponent
 ) -> dict[MultiIndex, CharacterExponent]:
@@ -188,6 +172,21 @@ def _subset_products(
         if subset:
             products[subset] = products[subset[:-1]] * factors[subset[-1] - 1]
     return products
+
+
+def subset_product_tables(
+    spec: SolvManifoldSpec,
+) -> tuple[dict[MultiIndex, CharacterExponent], dict[MultiIndex, CharacterExponent]]:
+    """The products A_S of the alpha_s and Abar_S of the conj(alpha_s) over s in S, for every S.
+
+    Every character attached to a fiber pair (J, L) is read off these two
+    tables.  ``decompose`` is a homomorphism, so the holomorphic and unitary
+    parts of A_J Abar_L are products of the parts of A_J and of Abar_L.
+    """
+    subsets = _subsets(spec.m)
+    trivial = CharacterExponent.trivial(spec.symbols, spec.n)
+    bars = tuple(alpha.conjugate() for alpha in spec.alphas)
+    return _subset_products(spec.alphas, subsets, trivial), _subset_products(bars, subsets, trivial)
 
 
 def sweep_trivial_pairs(spec: SolvManifoldSpec, force_float: bool = False) -> PairSweep:
@@ -199,15 +198,13 @@ def sweep_trivial_pairs(spec: SolvManifoldSpec, force_float: bool = False) -> Pa
     """
     if spec.m > MAX_FIBER_DIM:
         raise FiberTooLarge(f"fiber dimension {spec.m} exceeds the cap {MAX_FIBER_DIM}")
-    betas, gammas = unitary_factors(spec)
-    subsets = _subsets(spec.m)
-    trivial = CharacterExponent.trivial(spec.symbols, spec.n)
-    beta_products = _subset_products(betas, subsets, trivial)
-    gamma_products = _subset_products(gammas, subsets, trivial)
+    alpha, alpha_bar = subset_product_tables(spec)
+    units = {S: chi.decompose().unit for S, chi in alpha.items()}
+    bar_units = {S: chi.decompose().unit for S, chi in alpha_bar.items()}
     pairs: list[tuple[MultiIndex, MultiIndex]] = []
     certified = True
-    for J, L in product(subsets, subsets):
-        chi = beta_products[J] * gamma_products[L]
+    for J, L in product(units, bar_units):
+        chi = units[J] * bar_units[L]
         if force_float:
             certified = False
             accept = is_trivial_on_lattice_float(chi, spec.lattice)
@@ -229,13 +226,12 @@ def trivial_pairs(spec: SolvManifoldSpec) -> frozenset:
 
 
 def basis_elements(
-    spec: SolvManifoldSpec, p: int, q: int, sweep: Optional[PairSweep] = None
+    spec: SolvManifoldSpec, p: int, q: int, sweep: PairSweep
 ) -> tuple[BasisElement, ...]:
     """All basis monomials of bidegree (p, q), in lexicographic order."""
     dim = spec.complex_dim
     if not (0 <= p <= dim and 0 <= q <= dim):
         raise ValueError(f"bidegree ({p}, {q}) out of range for dimension {dim}")
-    sweep = sweep if sweep is not None else sweep_trivial_pairs(spec)
     elements = []
     for J, L in sweep:
         if len(J) > p or len(L) > q:
@@ -249,9 +245,8 @@ def basis_elements(
     return tuple(elements)
 
 
-def all_basis_elements(spec: SolvManifoldSpec, sweep: Optional[PairSweep] = None) -> tuple[BasisElement, ...]:
+def all_basis_elements(spec: SolvManifoldSpec, sweep: PairSweep) -> tuple[BasisElement, ...]:
     """Every basis monomial across all bidegrees."""
-    sweep = sweep if sweep is not None else sweep_trivial_pairs(spec)
     dim = spec.complex_dim
     out = []
     for p in range(dim + 1):
@@ -260,9 +255,8 @@ def all_basis_elements(spec: SolvManifoldSpec, sweep: Optional[PairSweep] = None
     return tuple(out)
 
 
-def hodge_table(spec: SolvManifoldSpec, sweep: Optional[PairSweep] = None) -> HodgeTable:
+def hodge_table(spec: SolvManifoldSpec, sweep: PairSweep) -> HodgeTable:
     """Model dimensions by the closed binomial count over admissible pairs."""
-    sweep = sweep if sweep is not None else sweep_trivial_pairs(spec)
     dim = spec.complex_dim
     rows = []
     for p in range(dim + 1):
@@ -275,7 +269,7 @@ def hodge_table(spec: SolvManifoldSpec, sweep: Optional[PairSweep] = None) -> Ho
     return HodgeTable(dim, tuple(rows))
 
 
-def check_condition(spec: SolvManifoldSpec, sweep: Optional[PairSweep] = None) -> ConditionReport:
+def check_condition(spec: SolvManifoldSpec, sweep: PairSweep) -> ConditionReport:
     """Test whether every lattice-trivial pair has a globally trivial character.
 
     A pair (J, L) violates when the paired unitary character restricts to 1
@@ -285,17 +279,11 @@ def check_condition(spec: SolvManifoldSpec, sweep: Optional[PairSweep] = None) -
     a trivial character has a trivial unitary part, which the lattice gate
     admits.
     """
-    sweep = sweep if sweep is not None else sweep_trivial_pairs(spec)
-    subsets = _subsets(spec.m)
-    trivial = CharacterExponent.trivial(spec.symbols, spec.n)
-    alpha_products = _subset_products(spec.alphas, subsets, trivial)
-    conj_products = _subset_products(
-        tuple(alpha.conjugate() for alpha in spec.alphas), subsets, trivial
-    )
+    alpha, alpha_bar = subset_product_tables(spec)
     violations = [
         (J, L, VIOLATION_REASON)
         for J, L in sweep
-        if not (alpha_products[J] * conj_products[L]).is_trivial
+        if not (alpha[J] * alpha_bar[L]).is_trivial
     ]
     return ConditionReport(not violations, tuple(violations), len(sweep))
 
@@ -306,14 +294,13 @@ def hodge_symmetry(table: HodgeTable) -> bool:
     return all(table.h[p][q] == table.h[q][p] for p in range(size) for q in range(size))
 
 
-def conjugation_symmetry(spec: SolvManifoldSpec, sweep: Optional[PairSweep] = None) -> bool:
+def conjugation_symmetry(spec: SolvManifoldSpec, sweep: PairSweep) -> bool:
     """Set-level symmetry: index swap is a bijection between mirror bidegrees.
 
     Base indices are unconstrained, so the swap (I, J, K, L) -> (K, L, I, J)
     maps the basis onto itself exactly when the admitted pairs are closed
     under (J, L) -> (L, J).
     """
-    sweep = sweep if sweep is not None else sweep_trivial_pairs(spec)
     return all((L, J) in sweep for J, L in sweep)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .characters import CharacterExponent
-from .cohomology import BasisElement, MultiIndex, PairSweep, sweep_trivial_pairs
+from .cohomology import BasisElement, MultiIndex, PairSweep, subset_product_tables
 from .exact import ComplexExact
 from .manifold import SolvManifoldSpec
 
@@ -46,7 +46,6 @@ __all__ = [
     "dz",
     "dzbar",
     "from_frame",
-    "harmonic_wedge_closure",
     "is_d_harmonic",
     "is_dbar_coclosed",
     "is_dbar_harmonic",
@@ -419,7 +418,7 @@ def _basis_character(spec: SolvManifoldSpec, J: MultiIndex, L: MultiIndex) -> Ch
 
 
 def basis_form(
-    spec: SolvManifoldSpec, element: BasisElement, sweep: Optional[PairSweep] = None
+    spec: SolvManifoldSpec, element: BasisElement, sweep: PairSweep
 ) -> TwistedForm:
     """Realise a basis element as a twisted monomial with coefficient 1.
 
@@ -427,7 +426,6 @@ def basis_form(
     fiber characters over J and of their conjugates over L; the word is
     dz_I ^ dw_J ^ dzbar_K ^ dwbar_L.
     """
-    sweep = sweep if sweep is not None else sweep_trivial_pairs(spec)
     if (element.J, element.L) not in sweep:
         raise ValueError(f"{element!r} is not admitted by the lattice gate")
     for label, indices, bound in (
@@ -500,34 +498,36 @@ class PairSupportMasks(NamedTuple):
     """Supports over the base indices 1..n (bit i-1 for index i) that decide the flags of a pair."""
 
     a: int
-    b: int
-    co_b: int
     lin_a: int
     lin_b: int
 
-    def flags(self, I: MultiIndex, K: MultiIndex) -> tuple[bool, bool, bool]:
-        """(dbar-closed, dbar-co-closed, d-harmonic) of the basis monomial (I, J, K, L)."""
+    def flags(self, I: MultiIndex, K: MultiIndex, co_b: int) -> tuple[bool, bool, bool]:
+        """(dbar-closed, dbar-co-closed, d-harmonic) of the basis monomial (I, J, K, L).
+
+        ``co_b`` is the per-spec mask that :func:`pair_support_masks` returns;
+        dbar-closedness always holds, because the basis characters are holomorphic.
+        """
         i_mask, k_mask = _mask(I), _mask(K)
-        dbar_closed = not self.b & ~k_mask
         d_harmonic = (
-            dbar_closed
-            and not self.a & ~i_mask
+            not self.a & ~i_mask
             and not self.lin_a & k_mask
             and not self.lin_b & i_mask
         )
-        return dbar_closed, not self.co_b & k_mask, d_harmonic
+        return True, not co_b & k_mask, d_harmonic
 
 
-def pair_support_masks(spec: SolvManifoldSpec, J: MultiIndex, L: MultiIndex) -> PairSupportMasks:
-    """Harmonicity of every basis monomial over the fiber pair (J, L), as five bitmasks.
+def pair_support_masks(
+    spec: SolvManifoldSpec, sweep: PairSweep
+) -> tuple[int, dict[tuple[MultiIndex, MultiIndex], PairSupportMasks]]:
+    """Harmonicity of every basis monomial, as one mask per spec and three per admitted pair.
 
     The monomial u = chi * dz_I ^ dw_J ^ dzbar_K ^ dwbar_L has coefficient 1
     and chi = chi_{J,L} of :func:`basis_form`.  Its differentials are
 
         dbar u = sum_j b_j(chi) dzbar_j ^ (word),  partial u = sum_j a_j(chi) dz_j ^ (word),
 
-    whose terms carry distinct words, so they cancel nowhere: dbar u = 0
-    exactly when supp b(chi) lies in K, and d u = 0 when moreover supp a(chi)
+    whose terms carry distinct words, so they cancel nowhere.  chi is
+    holomorphic, so dbar u = 0 always, and d u = 0 exactly when supp a(chi)
     lies in I.  Both stars map u to one monomial with coefficient +-1:
 
     - to_frame, bar_star, from_frame give the character
@@ -539,29 +539,29 @@ def pair_support_masks(spec: SolvManifoldSpec, J: MultiIndex, L: MultiIndex) -> 
       on dz_{K^c} ^ dw_{L^c} ^ dzbar_{I^c} ^ dwbar_{J^c}, which is d-closed
       exactly when supp a(chi_lin) misses K and supp b(chi_lin) misses I.
 
+    With the tables A, Abar of :func:`subset_product_tables`,
+    chi = (hol(A_J) hol(Abar_L))^-1 and chi A_J Abar_L is the gate character
+    unit(A_J) unit(Abar_L), so chi_lin = unit(A_J) unit(Abar_L) (Abar_{J^c} A_{L^c})^-1.
+    The gate character is unitary (its conjugate is its inverse) and has the
+    b of A_J Abar_L, so b(chi_co) = -b(A_{1..m} Abar_{1..m}) for every pair:
+    that support is the mask returned once per spec.
+
     The complements X^c are taken in 1..m for fiber indices and 1..n for
     base indices.  Only characters are multiplied (their exponents add), so
     no symbol product is formed and the masks are exact.
     """
-    alphas = spec.alphas
-    bars = tuple(alpha.conjugate() for alpha in alphas)
-    chi = _basis_character(spec, J, L)
-    framed = chi
-    for j in J:
-        framed = framed * alphas[j - 1]
-    for l in L:
-        framed = framed * bars[l - 1]
-    co, lin = framed.conjugate(), framed
-    for j in range(1, spec.m + 1):
-        if j not in J:
-            co = co * alphas[j - 1].inverse()
-            lin = lin * bars[j - 1].inverse()
-        if j not in L:
-            co = co * bars[j - 1].inverse()
-            lin = lin * alphas[j - 1].inverse()
-    return PairSupportMasks(
-        _support(chi.a), _support(chi.b), _support(co.b), _support(lin.a), _support(lin.b)
-    )
+    alpha, alpha_bar = subset_product_tables(spec)
+    parts = {S: chi.decompose() for S, chi in alpha.items()}
+    bar_parts = {S: chi.decompose() for S, chi in alpha_bar.items()}
+    everything = tuple(range(1, spec.m + 1))
+    rest = {S: tuple(s for s in everything if s not in S) for S in alpha}
+    masks = {}
+    for J, L in sweep:
+        chi = (parts[J].hol * bar_parts[L].hol).inverse()
+        gate = parts[J].unit * bar_parts[L].unit
+        lin = gate * (alpha_bar[rest[J]] * alpha[rest[L]]).inverse()
+        masks[J, L] = PairSupportMasks(_support(chi.a), _support(lin.a), _support(lin.b))
+    return _support((alpha[everything] * alpha_bar[everything]).b), masks
 
 
 @dataclass(frozen=True)
@@ -571,7 +571,7 @@ class WedgeClosureReport:
 
 
 def wedge_closure_report(
-    spec: SolvManifoldSpec, max_dim: int = MAX_FORMS_DIM, sweep: Optional[PairSweep] = None
+    spec: SolvManifoldSpec, sweep: PairSweep, max_dim: int = MAX_FORMS_DIM
 ) -> WedgeClosureReport:
     """Check that products of basis monomials stay in the exact span of the basis.
 
@@ -586,7 +586,6 @@ def wedge_closure_report(
         raise DimensionCapExceeded(
             f"wedge sweep refused for dimension {spec.complex_dim} > {max_dim}"
         )
-    sweep = sweep if sweep is not None else sweep_trivial_pairs(spec)
     masked = [(_mask(J), _mask(L), J, L) for J, L in sweep]
     admitted = {(j, l) for j, l, _, _ in masked}
     for j1, l1, J1, L1 in masked:
@@ -596,6 +595,3 @@ def wedge_closure_report(
                 return WedgeClosureReport(False, witnesses)
     return WedgeClosureReport(True, None)
 
-
-def harmonic_wedge_closure(spec: SolvManifoldSpec, max_dim: int = MAX_FORMS_DIM) -> bool:
-    return wedge_closure_report(spec, max_dim).closed

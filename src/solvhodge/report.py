@@ -12,7 +12,6 @@ from .cohomology import (
     HodgeTable,
     PairSweep,
     all_basis_elements,
-    sweep_trivial_pairs,
 )
 from .forms import pair_support_masks
 from .kahler import KaehlerVerdict
@@ -178,22 +177,21 @@ class HarmonicRow:
         return self.dbar_closed and self.co_closed
 
 
-def harmonic_rows(spec: SolvManifoldSpec, sweep: Optional[PairSweep] = None) -> tuple[HarmonicRow, ...]:
+def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> tuple[HarmonicRow, ...]:
     """Per basis element: closedness, co-closedness and full harmonicity flags.
 
     The flags are decided once per admitted pair by :func:`pair_support_masks`;
     each element then costs a containment test on its base indices.
     """
-    sweep = sweep if sweep is not None else sweep_trivial_pairs(spec)
-    masks = {(J, L): pair_support_masks(spec, J, L) for J, L in sweep}
+    co_b, masks = pair_support_masks(spec, sweep)
     return tuple(
-        HarmonicRow(element, *masks[element.J, element.L].flags(element.I, element.K))
+        HarmonicRow(element, *masks[element.J, element.L].flags(element.I, element.K, co_b))
         for element in all_basis_elements(spec, sweep)
     )
 
 
-def render_harmonic_text(name: str, rows: tuple[HarmonicRow, ...]) -> str:
-    lines = [f"manifold: {name}"]
+def render_harmonic_text(name: str, mode: str, rows: tuple[HarmonicRow, ...]) -> str:
+    lines = [f"manifold: {name}", f"mode: {mode}"]
     for row in rows:
         el = row.element
         lines.append(
@@ -208,10 +206,11 @@ def render_harmonic_text(name: str, rows: tuple[HarmonicRow, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def harmonic_rows_json(name: str, rows: tuple[HarmonicRow, ...]) -> dict:
+def harmonic_rows_json(name: str, mode: str, rows: tuple[HarmonicRow, ...]) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "name": name,
+        "mode": mode,
         "elements": [
             {
                 "p": row.element.p,

@@ -17,10 +17,10 @@ from solvhodge.forms import (
     Generator,
     basis_form,
     bar_star,
-    harmonic_wedge_closure,
     is_d_harmonic,
     is_dbar_harmonic,
     volume_form,
+    wedge_closure_report,
 )
 from solvhodge.kahler import INCONCLUSIVE, OBSTRUCTED, kaehler_obstruction
 from solvhodge.manifold import validate
@@ -50,11 +50,12 @@ def test_criterion_01_torus_tables():
                 continue
             spec = sh.torus(n, m)
             dim = n + m
-            table = sh.hodge_table(spec)
+            sweep = sweep_trivial_pairs(spec)
+            table = sh.hodge_table(spec, sweep)
             for p in range(dim + 1):
                 for q in range(dim + 1):
                     assert table.h[p][q] == comb(dim, p) * comb(dim, q), (n, m, p, q)
-            betti = sh.betti_numbers(table, sh.check_condition(spec))
+            betti = sh.betti_numbers(table, sh.check_condition(spec, sweep))
             assert betti.values == tuple(comb(2 * dim, r) for r in range(2 * dim + 1))
             assert betti.certified_de_rham
     done("criterion 1: torus tables are pure binomials")
@@ -89,10 +90,10 @@ def brute_force_example1_table():
 
 def test_criterion_02_example1_against_brute_force():
     spec = sh.example1([1], "symbolic")
-    table = sh.hodge_table(spec)
+    sweep = sweep_trivial_pairs(spec)
+    table = sh.hodge_table(spec, sweep)
     assert table.rows() == EXAMPLE1_HODGE
     assert brute_force_example1_table() == EXAMPLE1_HODGE
-    sweep = sweep_trivial_pairs(spec)
     for p in range(4):
         for q in range(4):
             assert len(basis_elements(spec, p, q, sweep)) == table.h[p][q]
@@ -104,11 +105,11 @@ def test_criterion_02_example1_against_brute_force():
 
 def test_criterion_03_condition_dichotomy():
     symbolic = sh.example1([1], "symbolic")
-    assert sh.check_condition(symbolic).holds
+    assert sh.check_condition(symbolic, sweep_trivial_pairs(symbolic)).holds
     symbolic_pairs = sh.trivial_pairs(symbolic)
     for r, s in ((1, 1), (2, 1), (3, 1)):
         resonant = sh.example1([1], f"rational_pi({r},{s})")
-        report = sh.check_condition(resonant)
+        report = sh.check_condition(resonant, sweep_trivial_pairs(resonant))
         assert not report.holds, (r, s)
         assert ((1,), (1,), "trivial_restriction_but_alpha_nontrivial") in report.violations
         assert symbolic_pairs < sh.trivial_pairs(resonant), (r, s)
@@ -150,7 +151,7 @@ def test_criterion_05_harmonicity_certificates():
 
 def test_criterion_06_wedge_closure():
     for spec in forms_corpus_specs():
-        assert harmonic_wedge_closure(spec), spec.name
+        assert wedge_closure_report(spec, sweep_trivial_pairs(spec)).closed, spec.name
     done("criterion 6: harmonic wedge closure on the corpus")
 
 

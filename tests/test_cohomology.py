@@ -1,8 +1,11 @@
+import json
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 import solvhodge as sh
+from solvhodge import cli
 from solvhodge.cohomology import (
     BasisElement,
     FiberTooLarge,
@@ -34,6 +37,29 @@ EXAMPLE1_PAIRS = {
 EXAMPLE1_HODGE = ((1, 1, 1, 1), (1, 3, 3, 1), (1, 3, 3, 1), (1, 1, 1, 1))
 
 
+def complex_character_spec():
+    """n = 1, m = 2 with complex alphas: the gate admits ([1], [2]) but not ([2], [1])."""
+    table = sh.SymbolTable.base()
+
+    def char(a_re, a_im, b_re, b_im):
+        a = sh.ComplexExact.make(table, re=Fraction(a_re), im=Fraction(a_im))
+        b = sh.ComplexExact.make(table, re=Fraction(b_re), im=Fraction(b_im))
+        return sh.CharacterExponent(table, (a,), (b,))
+
+    # unit(alpha_1) unit(conj alpha_2) is trivial because b_1 = -conj(a_2)
+    alphas = (char(1, "1/2", "1/2", -1), char("-1/2", -1, 2, "-1/2"))
+    torus = sh.torus(1, 2)
+    return sh.SolvManifoldSpec(
+        name="complex_characters",
+        n=1,
+        m=2,
+        alphas=alphas,
+        lattice=torus.lattice,
+        lattice_fiber=torus.lattice_fiber,
+        symbols=table,
+    )
+
+
 class TestTrivialPairs:
     def test_torus_all_pairs(self):
         assert len(trivial_pairs(sh.torus(1, 1))) == 4
@@ -62,27 +88,27 @@ class TestTrivialPairs:
                 assert {(L, J) for J, L in pairs} == pairs, spec.name
 
     def test_matches_direct_lattice_test(self):
-        # the sweep must agree with testing each pair directly
+        # the sweep must agree with testing each pair directly, one factor at a time
         from itertools import combinations, product
 
-        spec = sh.example1([1], "rational_pi(1,1)")
-        betas = [alpha.decompose().unit for alpha in spec.alphas]
-        gammas = [alpha.conjugate_unitary_part() for alpha in spec.alphas]
-        subsets = [
-            tuple(s)
-            for size in range(3)
-            for s in combinations(range(1, 3), size)
-        ]
-        expected = set()
-        for J, L in product(subsets, subsets):
-            chi = sh.CharacterExponent.trivial(spec.symbols, 1)
-            for j in J:
-                chi = chi * betas[j - 1]
-            for l in L:
-                chi = chi * gammas[l - 1]
-            if sh.is_trivial_on_lattice(chi, spec.lattice):
-                expected.add((J, L))
-        assert trivial_pairs(spec) == expected
+        for spec in corpus_specs() + [complex_character_spec()]:
+            betas = [alpha.decompose().unit for alpha in spec.alphas]
+            gammas = [alpha.conjugate_unitary_part() for alpha in spec.alphas]
+            subsets = [
+                tuple(s)
+                for size in range(spec.m + 1)
+                for s in combinations(range(1, spec.m + 1), size)
+            ]
+            expected = set()
+            for J, L in product(subsets, subsets):
+                chi = sh.CharacterExponent.trivial(spec.symbols, spec.n)
+                for j in J:
+                    chi = chi * betas[j - 1]
+                for l in L:
+                    chi = chi * gammas[l - 1]
+                if sh.is_trivial_on_lattice(chi, spec.lattice):
+                    expected.add((J, L))
+            assert trivial_pairs(spec) == expected, spec.name
 
 
 class TestFloatFallback:
@@ -124,31 +150,50 @@ class TestFloatFallback:
         assert not sweep.certified
         assert sweep.pair_set == trivial_pairs(spec)
 
+    def test_check_harmonic_reports_mode(self, tmp_path, capsys):
+        # check-harmonic decides its rows on the sweep, so it must flag float
+        # witnesses as analyze does
+        cases = ((self.symbolic_exponent_spec(), "float_fallback"), (sh.torus(1, 1), "exact"))
+        for spec, mode in cases:
+            path = tmp_path / f"{spec.name}.json"
+            sh.save_spec(spec, path)
+            cli.main(["check-harmonic", str(path), "--format", "json"])
+            data = json.loads(capsys.readouterr().out)
+            assert list(data)[:3] == ["schema_version", "name", "mode"]
+            assert data["mode"] == mode, spec.name
+            cli.main(["check-harmonic", str(path)])
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[:2] == [f"manifold: {spec.name}", f"mode: {mode}"]
+
 
 class TestBasisElements:
     def test_torus_bidegree_one_zero(self):
-        got = basis_elements(sh.torus(1, 1), 1, 0)
+        got = basis_elements(sh.torus(1, 1), 1, 0, sweep_trivial_pairs(sh.torus(1, 1)))
         assert got == (
             BasisElement((), (1,), (), ()),
             BasisElement((1,), (), (), ()),
         )
 
     def test_example1_one_zero(self):
-        got = basis_elements(sh.example1([1], "symbolic"), 1, 0)
+        spec = sh.example1([1], "symbolic")
+        got = basis_elements(spec, 1, 0, sweep_trivial_pairs(spec))
         assert got == (BasisElement((1,), (), (), ()),)
 
     def test_example1_one_one(self):
-        got = basis_elements(sh.example1([1], "symbolic"), 1, 1)
+        spec = sh.example1([1], "symbolic")
+        got = basis_elements(spec, 1, 1, sweep_trivial_pairs(spec))
         assert len(got) == 3
         assert BasisElement((1,), (), (1,), ()) in got
         assert BasisElement((), (1,), (), (2,)) in got
         assert BasisElement((), (2,), (), (1,)) in got
 
     def test_out_of_range_rejected(self):
+        spec = sh.torus(1, 1)
+        sweep = sweep_trivial_pairs(spec)
         with pytest.raises(ValueError):
-            basis_elements(sh.torus(1, 1), 3, 0)
+            basis_elements(spec, 3, 0, sweep)
         with pytest.raises(ValueError):
-            basis_elements(sh.torus(1, 1), 0, -1)
+            basis_elements(spec, 0, -1, sweep)
 
     def test_unsorted_indices_rejected(self):
         with pytest.raises(ValueError):
@@ -158,24 +203,28 @@ class TestBasisElements:
 
     def test_deterministic_order(self):
         spec = sh.example1([1], "symbolic")
-        assert basis_elements(spec, 1, 1) == basis_elements(spec, 1, 1)
+        sweep = sweep_trivial_pairs(spec)
+        assert basis_elements(spec, 1, 1, sweep) == basis_elements(spec, 1, 1, sweep)
 
 
 class TestHodgeTable:
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (0, 2), (3, 0), (2, 2)])
     def test_torus_binomials(self, n, m):
-        table = hodge_table(sh.torus(n, m))
+        spec = sh.torus(n, m)
+        table = hodge_table(spec, sweep_trivial_pairs(spec))
         dim = n + m
         for p in range(dim + 1):
             for q in range(dim + 1):
                 assert table.h[p][q] == comb(dim, p) * comb(dim, q)
 
     def test_example1_table(self):
-        assert hodge_table(sh.example1([1], "symbolic")).rows() == EXAMPLE1_HODGE
+        spec = sh.example1([1], "symbolic")
+        assert hodge_table(spec, sweep_trivial_pairs(spec)).rows() == EXAMPLE1_HODGE
 
     def test_example1_23_one_zero(self):
         # no nonempty exponent selection sums to zero with one pick
-        table = hodge_table(sh.example1([2, 3], "symbolic"))
+        spec = sh.example1([2, 3], "symbolic")
+        table = hodge_table(spec, sweep_trivial_pairs(spec))
         assert table.h[1][0] == 1
 
     def test_counting_matches_enumeration(self):
@@ -193,7 +242,7 @@ class TestHodgeTable:
 
     def test_binomial_upper_bound(self):
         for spec in corpus_specs():
-            table = hodge_table(spec)
+            table = hodge_table(spec, sweep_trivial_pairs(spec))
             dim = spec.complex_dim
             for p in range(dim + 1):
                 for q in range(dim + 1):
@@ -208,29 +257,34 @@ class TestHodgeTable:
 
 class TestCondition:
     def test_example1_symbolic_holds(self):
-        report = check_condition(sh.example1([1], "symbolic"))
+        spec = sh.example1([1], "symbolic")
+        report = check_condition(spec, sweep_trivial_pairs(spec))
         assert report.holds and report.violations == ()
         assert report.checked_pairs == 6
 
     def test_example1_rational_pi_fails(self):
-        report = check_condition(sh.example1([1], "rational_pi(1,1)"))
+        spec = sh.example1([1], "rational_pi(1,1)")
+        report = check_condition(spec, sweep_trivial_pairs(spec))
         assert not report.holds
         assert ((1,), (1,), "trivial_restriction_but_alpha_nontrivial") in report.violations
 
     def test_torus_holds(self):
-        assert check_condition(sh.torus(2, 2)).holds
+        spec = sh.torus(2, 2)
+        assert check_condition(spec, sweep_trivial_pairs(spec)).holds
 
 
 class TestSymmetryChecks:
     def test_example1_both_symmetries(self):
         spec = sh.example1([1], "symbolic")
-        assert hodge_symmetry(hodge_table(spec))
-        assert conjugation_symmetry(spec)
+        sweep = sweep_trivial_pairs(spec)
+        assert hodge_symmetry(hodge_table(spec, sweep))
+        assert conjugation_symmetry(spec, sweep)
 
     def test_torus(self):
         spec = sh.torus(1, 2)
-        assert hodge_symmetry(hodge_table(spec))
-        assert conjugation_symmetry(spec)
+        sweep = sweep_trivial_pairs(spec)
+        assert hodge_symmetry(hodge_table(spec, sweep))
+        assert conjugation_symmetry(spec, sweep)
 
     def test_asymmetric_stub_breaks_symmetry(self):
         # a deliberately swap-open pair set: (J, L) admitted, (L, J) not
@@ -243,7 +297,7 @@ class TestSymmetryChecks:
 
     def test_serre_on_corpus(self):
         for spec in corpus_specs():
-            assert serre_duality_check(hodge_table(spec)), spec.name
+            assert serre_duality_check(hodge_table(spec, sweep_trivial_pairs(spec))), spec.name
 
 
 def betti_of(spec):

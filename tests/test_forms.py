@@ -19,7 +19,6 @@ from solvhodge.forms import (
     dz,
     dzbar,
     from_frame,
-    harmonic_wedge_closure,
     is_d_harmonic,
     is_dbar_harmonic,
     to_frame,
@@ -86,8 +85,9 @@ class TestWedge:
         # both sides carry dw_1, so the product dies on the repeated letter
         spec = sh.example1([1], "symbolic")
         el = BasisElement((), (1,), (), (2,))
-        f = basis_form(spec, el)
-        g = basis_form(spec, el.swapped()).conjugate()
+        sweep = sweep_trivial_pairs(spec)
+        f = basis_form(spec, el, sweep)
+        g = basis_form(spec, el.swapped(), sweep).conjugate()
         assert f.wedge(g).is_zero
 
     def test_graded_commutativity(self, torus11, rng):
@@ -295,13 +295,13 @@ class TestBasisForm:
     def test_pure_base_element(self):
         spec = sh.example1([1], "symbolic")
         el = BasisElement((1,), (), (), ())
-        assert basis_form(spec, el) == monomial(spec, (dz(1),))
+        assert basis_form(spec, el, sweep_trivial_pairs(spec)) == monomial(spec, (dz(1),))
 
     def test_twisted_pair_element(self):
         # J = L = {1} in the resonant lattice: the twist is exp(-2z)
         spec = sh.example1([1], "rational_pi(1,1)")
         el = BasisElement((), (1,), (), (1,))
-        form = basis_form(spec, el)
+        form = basis_form(spec, el, sweep_trivial_pairs(spec))
         expected = monomial(
             spec, (dw(1), dwbar(1)), char=holomorphic_char(spec.symbols, 1, [-2])
         )
@@ -319,7 +319,7 @@ class TestBasisForm:
     def test_rejected_outside_basis(self):
         spec = sh.example1([1], "symbolic")
         with pytest.raises(ValueError):
-            basis_form(spec, BasisElement((), (1,), (), (1,)))
+            basis_form(spec, BasisElement((), (1,), (), (1,)), sweep_trivial_pairs(spec))
 
 
 class TestHarmonicity:
@@ -380,18 +380,22 @@ class TestHarmonicity:
 
 class TestWedgeClosure:
     def test_torus(self, torus11):
-        assert harmonic_wedge_closure(torus11)
+        assert wedge_closure_report(torus11, sweep_trivial_pairs(torus11)).closed
 
     def test_example1(self):
-        assert harmonic_wedge_closure(sh.example1([1], "symbolic"))
+        spec = sh.example1([1], "symbolic")
+        assert wedge_closure_report(spec, sweep_trivial_pairs(spec)).closed
 
     def test_example1_two_pairs(self):
-        assert harmonic_wedge_closure(sh.example1([2, 3], "symbolic"), max_dim=5)
+        spec = sh.example1([2, 3], "symbolic")
+        assert wedge_closure_report(spec, sweep_trivial_pairs(spec), max_dim=5).closed
 
     def test_report_carries_no_failure(self):
-        report = wedge_closure_report(sh.example1([1], "rational_pi(1,1)"))
+        spec = sh.example1([1], "rational_pi(1,1)")
+        report = wedge_closure_report(spec, sweep_trivial_pairs(spec))
         assert report.closed and report.first_failure is None
 
     def test_dimension_cap(self):
+        spec = sh.torus(3, 4)
         with pytest.raises(DimensionCapExceeded):
-            harmonic_wedge_closure(sh.torus(3, 4))
+            wedge_closure_report(spec, sweep_trivial_pairs(spec))

@@ -153,9 +153,10 @@ class TestHarmonicRowsAgainstForms:
         # Stubs admit pairs the lattice gate rejects, whose characters are
         # nontrivial on the base, so d-harmonicity fails on some of them.
         # The builders' alphas are real (conj(alpha) = alpha) and multiply to
-        # a unitary character, which makes every basis form co-closed.  Both
+        # a unitary character, which makes every basis form co-closed.  The
         # generic specs have complex alphas; only the second multiplies to a
-        # unitary character.  The basis characters are holomorphic, so
+        # unitary character, and the third (n = 2) puts the supports on base
+        # index 2 as well as 1.  The basis characters are holomorphic, so
         # dbar-closedness never fails.
         table = sh.SymbolTable.base()
 
@@ -164,14 +165,19 @@ class TestHarmonicRowsAgainstForms:
             b = sh.ComplexExact.make(table, re=Fraction(b_re), im=Fraction(b_im))
             return sh.CharacterExponent(table, (a,), (b,))
 
-        def generic(name, *alphas):
+        def joined(*chars):
+            return sh.CharacterExponent(
+                table, sum((c.a for c in chars), ()), sum((c.b for c in chars), ())
+            )
+
+        def generic(name, *alphas, n=1):
             return sh.SolvManifoldSpec(
                 name=name,
-                n=1,
+                n=n,
                 m=2,
                 alphas=alphas,
-                lattice=sh.torus(1, 2).lattice,
-                lattice_fiber=sh.torus(1, 2).lattice_fiber,
+                lattice=sh.torus(n, 2).lattice,
+                lattice_fiber=sh.torus(n, 2).lattice_fiber,
                 symbols=table,
             )
 
@@ -183,8 +189,14 @@ class TestHarmonicRowsAgainstForms:
             sh.example2_n1([[2, 1], [1, 1]]),
             generic("generic", first, complex_char("-1/3", 1, 2, "-1/2")),
             generic("generic_unitary_product", first, complex_char(-1, 1, "-1/2", "5/2")),
+            generic(
+                "generic_n2",
+                joined(first, complex_char(0, 0, "1/2", 1)),
+                joined(complex_char("-1/3", 1, 2, "-1/2"), complex_char(1, -1, 0, 0)),
+                n=2,
+            ),
         )
-        assert (first * specs[-1].alphas[1]).is_unitary
+        assert (first * specs[-2].alphas[1]).is_unitary
         false_flags = set()
         for trial in range(60):
             spec = specs[trial % len(specs)]
@@ -219,8 +231,8 @@ class TestTrivialCharactersAdmitted:
 
 
 class TestOneSweepPerAnalyze:
-    @pytest.mark.parametrize("force_float", [False, True])
-    def test_sweep_runs_once(self, monkeypatch, force_float):
+    @staticmethod
+    def count_sweeps(monkeypatch) -> list:
         calls = []
 
         def counted(*args, **kwargs):
@@ -228,13 +240,26 @@ class TestOneSweepPerAnalyze:
             return sweep_trivial_pairs(*args, **kwargs)
 
         for module in (cli, cohomology, forms, report):
-            monkeypatch.setattr(module, "sweep_trivial_pairs", counted)
+            monkeypatch.setattr(module, "sweep_trivial_pairs", counted, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("force_float", [False, True])
+    def test_sweep_runs_once(self, monkeypatch, force_float):
+        calls = self.count_sweeps(monkeypatch)
         result = cli.analyze(
             sh.example1([1], "symbolic"), cli.AnalyzeOptions(force_float=force_float)
         )
         assert len(calls) == 1
         assert result.wedge_closure and result.harmonic_certified
         assert result.mode == ("float_fallback" if force_float else "exact")
+
+    def test_check_harmonic_sweeps_once(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "example1.json"
+        sh.save_spec(sh.example1([1], "symbolic"), path)
+        calls = self.count_sweeps(monkeypatch)
+        assert cli.main(["check-harmonic", str(path)]) == cli.EXIT_OK
+        assert len(calls) == 1
+        assert "all dbar-harmonic: True" in capsys.readouterr().out
 
 
 def test_no_assert_statements_in_package():

@@ -199,7 +199,7 @@ class TestCli:
             raise RuntimeError("the pair sweep started before the counting cap was checked")
 
         for module in (cli, cohomology, report):
-            monkeypatch.setattr(module, "sweep_trivial_pairs", refuse)
+            monkeypatch.setattr(module, "sweep_trivial_pairs", refuse, raising=False)
         path = tmp_path / "wide.json"
         save_spec(sh.torus(1, 12), path)
         assert self.run("check-harmonic", str(path), "--max-dim", "20") == EXIT_TOO_LARGE
