@@ -33,7 +33,6 @@ from .cohomology import (
     hodge_table,
     serre_duality_check,
     sweep_trivial_pairs,
-    trivial_pairs,
 )
 from .exact import (
     ComplexExact,
@@ -113,7 +112,6 @@ __all__ = [
     "sweep_trivial_pairs",
     "to_frame",
     "torus",
-    "trivial_pairs",
     "validate",
     "volume_form",
     "wedge_closure_report",

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .exact import ComplexExact, ExactScalar, SymbolTable, TableMismatch
 
@@ -34,10 +33,13 @@ __all__ = [
     "NotUnitary",
     "is_trivial_on_lattice",
     "is_trivial_on_lattice_float",
+    "smallest_singular_value",
 ]
 
 RANK_TOLERANCE = 1e-9
 FLOAT_TRIVIALITY_TOLERANCE = 1e-9
+# one-sided Jacobi converges quadratically; small witness matrices need a few sweeps
+MAX_JACOBI_SWEEPS = 60
 
 
 class NotUnitary(ValueError):
@@ -189,21 +191,52 @@ class LatticeBasis:
             if len(gen) != self.n:
                 raise ValueError("generator has wrong length")
 
-    def real_matrix(self) -> np.ndarray:
+    def real_matrix(self) -> tuple[tuple[float, ...], ...]:
         """Witness matrix, one row per generator: (Re g_1..Re g_n, Im g_1..Im g_n)."""
-        rows = []
-        for gen in self.generators:
-            rows.append(
-                [c.re.float_value() for c in gen] + [c.im.float_value() for c in gen]
-            )
-        return np.array(rows, dtype=float).reshape(2 * self.n, 2 * self.n)
+        return tuple(
+            tuple(c.re.float_value() for c in gen) + tuple(c.im.float_value() for c in gen)
+            for gen in self.generators
+        )
 
     def rank_certificate(self, tol: float = RANK_TOLERANCE) -> tuple[bool, float]:
         """Full-rank check on the witness matrix; returns (ok, smallest singular value)."""
         if self.n == 0:
             return True, math.inf
-        smallest = float(np.linalg.svd(self.real_matrix(), compute_uv=False).min())
+        smallest = smallest_singular_value(self.real_matrix())
         return smallest > tol, smallest
+
+
+def smallest_singular_value(rows: Sequence[Sequence[float]]) -> float:
+    """Smallest singular value of a square float matrix by one-sided (Hestenes) Jacobi.
+
+    Plane rotations orthogonalise the columns in place; the column norms are
+    then the singular values.  Working on the matrix itself, not on M^T M,
+    keeps the absolute error near machine precision times the norm of M, so
+    values near ``RANK_TOLERANCE`` are resolved.
+    """
+    columns = [list(col) for col in zip(*rows)]
+    size = len(columns)
+    threshold = size * sys.float_info.epsilon
+    for _ in range(MAX_JACOBI_SWEEPS):
+        rotated = False
+        for i in range(size - 1):
+            for j in range(i + 1, size):
+                x, y = columns[i], columns[j]
+                alpha = math.fsum(v * v for v in x)
+                beta = math.fsum(v * v for v in y)
+                gamma = math.fsum(u * v for u, v in zip(x, y))
+                if abs(gamma) <= threshold * math.sqrt(alpha) * math.sqrt(beta):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                columns[i] = [c * u - s * v for u, v in zip(x, y)]
+                columns[j] = [s * u + c * v for u, v in zip(x, y)]
+        if not rotated:
+            break
+    return min(math.hypot(*col) for col in columns)
 
 
 def is_trivial_on_lattice(chi: CharacterExponent, lattice: LatticeBasis) -> bool:

@@ -15,6 +15,7 @@ hold them against each other.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -39,7 +40,6 @@ __all__ = [
     "serre_duality_check",
     "subset_product_tables",
     "sweep_trivial_pairs",
-    "trivial_pairs",
 ]
 
 MAX_FIBER_DIM = 12
@@ -220,11 +220,6 @@ def sweep_trivial_pairs(spec: SolvManifoldSpec, force_float: bool = False) -> Pa
     return PairSweep(tuple(pairs), certified)
 
 
-def trivial_pairs(spec: SolvManifoldSpec) -> frozenset:
-    """The set of fiber pairs (J, L) admitted by the lattice-triviality gate."""
-    return sweep_trivial_pairs(spec).pair_set
-
-
 def basis_elements(
     spec: SolvManifoldSpec, p: int, q: int, sweep: PairSweep
 ) -> tuple[BasisElement, ...]:
@@ -256,17 +251,25 @@ def all_basis_elements(spec: SolvManifoldSpec, sweep: PairSweep) -> tuple[BasisE
 
 
 def hodge_table(spec: SolvManifoldSpec, sweep: PairSweep) -> HodgeTable:
-    """Model dimensions by the closed binomial count over admissible pairs."""
+    """Model dimensions by the closed binomial count over admissible pairs.
+
+    h[p][q] = sum over admitted (J, L) of C(n, p - |J|) C(n, q - |L|) depends
+    on each pair only through (|J|, |L|), so the pairs are first counted by
+    that size and the histogram is convolved with the base binomials.
+    """
     dim = spec.complex_dim
-    rows = []
-    for p in range(dim + 1):
-        row = []
-        for q in range(dim + 1):
-            row.append(
-                sum(_binomial(spec.n, p - len(J)) * _binomial(spec.n, q - len(L)) for J, L in sweep)
+    sizes = Counter((len(J), len(L)) for J, L in sweep)
+    rows = tuple(
+        tuple(
+            sum(
+                count * _binomial(spec.n, p - j) * _binomial(spec.n, q - l)
+                for (j, l), count in sizes.items()
             )
-        rows.append(tuple(row))
-    return HodgeTable(dim, tuple(rows))
+            for q in range(dim + 1)
+        )
+        for p in range(dim + 1)
+    )
+    return HodgeTable(dim, rows)
 
 
 def check_condition(spec: SolvManifoldSpec, sweep: PairSweep) -> ConditionReport:

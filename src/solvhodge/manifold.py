@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .characters import CharacterExponent, LatticeBasis
 from .exact import ComplexExact, ExactScalar, SymbolTable, TableMismatch
 
@@ -105,16 +103,42 @@ def _integer_determinant(mat: Sequence[Sequence[int]]) -> int:
     return int(det)
 
 
-def _realified_diagonal(values: Sequence[complex]) -> np.ndarray:
-    """Realification of diag(values) acting on C^m, in (Re..., Im...) block layout."""
+def _fiber_coefficients(
+    basis: Sequence[Sequence[float]], values: Sequence[complex]
+) -> Optional[list[list[float]]]:
+    """Solve W C = D W for C, where W has the realified fiber generators as columns.
+
+    ``basis`` is W, in (Re..., Im...) block layout, and D is the realification
+    of diag(values), so row k of D W mixes only rows k and m + k of W.  The
+    solve is Gaussian elimination with partial pivoting; None means a pivot
+    vanished or the solution is not finite (numerically singular basis).
+    """
     m = len(values)
-    out = np.zeros((2 * m, 2 * m))
+    size = 2 * m
+    work = [list(row) for row in basis]  # augmented [W | D W]
     for k, v in enumerate(values):
-        out[k, k] = v.real
-        out[k, m + k] = -v.imag
-        out[m + k, k] = v.imag
-        out[m + k, m + k] = v.real
-    return out
+        top, bottom = basis[k], basis[m + k]
+        work[k] += [v.real * x - v.imag * y for x, y in zip(top, bottom)]
+        work[m + k] += [v.imag * x + v.real * y for x, y in zip(top, bottom)]
+    for col in range(size):
+        pivot_row = max(range(col, size), key=lambda r: abs(work[r][col]))
+        if work[pivot_row][col] == 0.0:
+            return None
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot = work[col]
+        for r in range(col + 1, size):
+            factor = work[r][col] / pivot[col]
+            work[r] = [x - factor * p for x, p in zip(work[r], pivot)]
+    coeff: list[list[float]] = [[] for _ in range(size)]
+    for r in range(size - 1, -1, -1):
+        row = work[r]
+        coeff[r] = [
+            (row[size + c] - sum(row[k] * coeff[k][c] for k in range(r + 1, size))) / row[r]
+            for c in range(size)
+        ]
+    if not all(math.isfinite(x) for row in coeff for x in row):
+        return None
+    return coeff
 
 
 def validate(spec: SolvManifoldSpec) -> ValidationReport:
@@ -142,26 +166,24 @@ def _check_fiber_preservation(spec: SolvManifoldSpec, details: list[str]) -> str
     if spec.m == 0:
         details.append("fiber lattice empty; preservation holds vacuously")
         return FIBER_OK
-    basis = spec.lattice_fiber.real_matrix().T  # columns = realified generators
+    basis = tuple(zip(*spec.lattice_fiber.real_matrix()))  # columns = realified generators
     status = FIBER_OK
     for gi, gen in enumerate(spec.lattice.generators, start=1):
         point = [c.complex_value() for c in gen]
-        action = _realified_diagonal([alpha.value_at(point) for alpha in spec.alphas])
-        try:
-            coeff = np.linalg.solve(basis, action @ basis)
-        except np.linalg.LinAlgError:
+        coeff = _fiber_coefficients(basis, [alpha.value_at(point) for alpha in spec.alphas])
+        if coeff is None:
             details.append(f"base generator {gi}: fiber basis is numerically singular")
             status = FIBER_VIOLATED
             continue
-        nearest = np.rint(coeff)
-        residual = float(np.abs(coeff - nearest).max())
+        nearest = [[round(x) for x in row] for row in coeff]
+        residual = max(abs(x - k) for row, ints in zip(coeff, nearest) for x, k in zip(row, ints))
         if residual > INTEGRALITY_TOLERANCE:
             details.append(
                 f"base generator {gi}: image not in the integer span, residual {residual:.3e}"
             )
             status = FIBER_VIOLATED
             continue
-        det = _integer_determinant(nearest.astype(int).tolist())
+        det = _integer_determinant(nearest)
         if abs(det) != 1:
             details.append(
                 f"base generator {gi}: integer matrix has determinant {det}, not a lattice automorphism"
@@ -302,15 +324,16 @@ def example2_n1(matrix: Sequence[Sequence[int]]) -> SolvManifoldSpec:
     lam_sub = 1.0 / lam_dom
     # a12 != 0 for hyperbolic unimodular integer matrices, so the columns
     # (a12, lam - a11) are honest eigenvectors
-    eig = np.array([[a12, a12], [lam_dom - a11, lam_sub - a11]], dtype=float)
-    dual = np.linalg.inv(eig)
+    (e11, e12), (e21, e22) = (float(a12), float(a12)), (lam_dom - a11, lam_sub - a11)
+    eig_det = e11 * e22 - e12 * e21
+    dual = ((e22 / eig_det, -e12 / eig_det), (-e21 / eig_det, e11 / eig_det))  # closed-form inverse
 
     table = SymbolTable.base().with_symbol("logeps", math.log((abs(trace) + disc) / 2.0))
     table = table.with_symbol("c1", math.sqrt(2.0))
     entry_names = (("g11", "g12"), ("g21", "g22"))
     for r in range(2):
         for c in range(2):
-            table = table.with_symbol(entry_names[r][c], float(dual[r, c]))
+            table = table.with_symbol(entry_names[r][c], dual[r][c])
 
     def column(c: int, imaginary: bool) -> tuple[ComplexExact, ...]:
         parts = []

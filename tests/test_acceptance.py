@@ -106,13 +106,13 @@ def test_criterion_02_example1_against_brute_force():
 def test_criterion_03_condition_dichotomy():
     symbolic = sh.example1([1], "symbolic")
     assert sh.check_condition(symbolic, sweep_trivial_pairs(symbolic)).holds
-    symbolic_pairs = sh.trivial_pairs(symbolic)
+    symbolic_pairs = sweep_trivial_pairs(symbolic).pair_set
     for r, s in ((1, 1), (2, 1), (3, 1)):
         resonant = sh.example1([1], f"rational_pi({r},{s})")
         report = sh.check_condition(resonant, sweep_trivial_pairs(resonant))
         assert not report.holds, (r, s)
         assert ((1,), (1,), "trivial_restriction_but_alpha_nontrivial") in report.violations
-        assert symbolic_pairs < sh.trivial_pairs(resonant), (r, s)
+        assert symbolic_pairs < sweep_trivial_pairs(resonant).pair_set, (r, s)
     done("criterion 3: the resonance dichotomy and the growing pair set")
 
 
@@ -244,7 +244,7 @@ def test_criterion_10_example2_validation():
     assert report.fiber_preserved == "ok"
 
     # independent recomputation of the integrality data
-    basis = spec.lattice_fiber.real_matrix().T
+    basis = np.array(spec.lattice_fiber.real_matrix()).T
     for gen in spec.lattice.generators:
         point = [c.complex_value() for c in gen]
         values = [alpha.value_at(point) for alpha in spec.alphas]

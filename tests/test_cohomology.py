@@ -20,7 +20,6 @@ from solvhodge.cohomology import (
     hodge_table,
     serre_duality_check,
     sweep_trivial_pairs,
-    trivial_pairs,
 )
 
 from conftest import corpus_specs
@@ -62,14 +61,14 @@ def complex_character_spec():
 
 class TestTrivialPairs:
     def test_torus_all_pairs(self):
-        assert len(trivial_pairs(sh.torus(1, 1))) == 4
+        assert len(sweep_trivial_pairs(sh.torus(1, 1)).pair_set) == 4
 
     def test_example1_symbolic(self):
-        assert trivial_pairs(sh.example1([1], "symbolic")) == frozenset(EXAMPLE1_PAIRS)
+        assert sweep_trivial_pairs(sh.example1([1], "symbolic")).pair_set == frozenset(EXAMPLE1_PAIRS)
 
     def test_example1_rational_pi_strictly_grows(self):
-        symbolic = trivial_pairs(sh.example1([1], "symbolic"))
-        pi_pairs = trivial_pairs(sh.example1([1], "rational_pi(1,1)"))
+        symbolic = sweep_trivial_pairs(sh.example1([1], "symbolic")).pair_set
+        pi_pairs = sweep_trivial_pairs(sh.example1([1], "rational_pi(1,1)")).pair_set
         assert symbolic < pi_pairs
         assert ((1,), (1,)) in pi_pairs
 
@@ -84,7 +83,7 @@ class TestTrivialPairs:
     def test_swap_closed_for_real_valued_actions(self):
         for spec in corpus_specs():
             if all(alpha.is_real_valued for alpha in spec.alphas):
-                pairs = trivial_pairs(spec)
+                pairs = sweep_trivial_pairs(spec).pair_set
                 assert {(L, J) for J, L in pairs} == pairs, spec.name
 
     def test_matches_direct_lattice_test(self):
@@ -108,7 +107,7 @@ class TestTrivialPairs:
                     chi = chi * gammas[l - 1]
                 if sh.is_trivial_on_lattice(chi, spec.lattice):
                     expected.add((J, L))
-            assert trivial_pairs(spec) == expected, spec.name
+            assert sweep_trivial_pairs(spec).pair_set == expected, spec.name
 
 
 class TestFloatFallback:
@@ -148,7 +147,7 @@ class TestFloatFallback:
         spec = sh.torus(1, 1)
         sweep = sweep_trivial_pairs(spec, force_float=True)
         assert not sweep.certified
-        assert sweep.pair_set == trivial_pairs(spec)
+        assert sweep.pair_set == sweep_trivial_pairs(spec).pair_set
 
     def test_check_harmonic_reports_mode(self, tmp_path, capsys):
         # check-harmonic decides its rows on the sweep, so it must flag float

@@ -1,16 +1,18 @@
 """Pair-level verdicts against the literal enumerations they replace.
 
 Conjugation symmetry, wedge closure and the harmonicity flags are decided
-on the admitted fiber pairs alone.  The literal checks below enumerate
-basis elements (building, for the wedge, every product of two basis forms
-and, for harmonicity, every basis form and its stars); they are kept here
-as differential oracles, together with the 4^m walk behind the converse
-half of the condition check.
+on the admitted fiber pairs alone, and the Hodge table on their histogram
+by (|J|, |L|).  The literal checks below enumerate basis elements
+(building, for the wedge, every product of two basis forms and, for
+harmonicity, every basis form and its stars) or sum over every admitted
+pair; they are kept here as differential oracles, together with the 4^m
+walk behind the converse half of the condition check.
 """
 
 import ast
 from fractions import Fraction
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ from solvhodge.cohomology import (
     all_basis_elements,
     basis_elements,
     conjugation_symmetry,
+    hodge_table,
     sweep_trivial_pairs,
 )
 from solvhodge.forms import basis_form, is_d_harmonic, is_dbar_coclosed, wedge_closure_report
@@ -66,6 +69,19 @@ def literal_harmonic_flags(spec, sweep):
             (element, form.dbar().is_zero, is_dbar_coclosed(form, spec), is_d_harmonic(form, spec))
         )
     return flags
+
+
+def literal_hodge_rows(spec, sweep):
+    """h[p][q] as the sum over every admitted pair of C(n, p - |J|) C(n, q - |L|)."""
+
+    def binomial(k):
+        return comb(spec.n, k) if 0 <= k <= spec.n else 0
+
+    dim = spec.complex_dim
+    return tuple(
+        tuple(sum(binomial(p - len(J)) * binomial(q - len(L)) for J, L in sweep) for q in range(dim + 1))
+        for p in range(dim + 1)
+    )
 
 
 def row_flags(rows):
@@ -139,6 +155,22 @@ class TestAgainstLiteralEnumeration:
                 verdicts["symmetry"].add(symmetric)
                 verdicts["wedge"].add(wedge.closed)
         assert verdicts == {"symmetry": {True, False}, "wedge": {True, False}}
+
+
+class TestHodgeTableAgainstPerPairSum:
+    def test_corpus(self):
+        for spec in corpus_specs():
+            for force_float in (False, True):
+                sweep = sweep_trivial_pairs(spec, force_float)
+                assert hodge_table(spec, sweep).rows() == literal_hodge_rows(spec, sweep), spec.name
+
+    def test_random_stub_sweeps(self, rng):
+        for spec in (sh.torus(0, 3), sh.torus(1, 2), sh.torus(2, 2), sh.torus(3, 1)):
+            pairs = all_pairs(spec.m)
+            for _ in range(15):
+                chosen = {pair for pair in pairs if rng.random() < 0.4} | {((), ())}
+                stub = PairSweep(tuple(sorted(chosen)), certified=True)
+                assert hodge_table(spec, stub).rows() == literal_hodge_rows(spec, stub), stub
 
 
 class TestHarmonicRowsAgainstForms:

@@ -1,0 +1,204 @@
+"""The float-witness linear algebra of ``manifold.validate`` against numpy.
+
+The package computes its advisory witness diagnostics (lattice rank
+certificate, fiber-lattice preservation, the eigenvector inverse of
+``example2_n1``) in pure Python and never imports numpy; numpy serves here
+only as the reference implementation.
+"""
+
+import itertools
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import solvhodge as sh
+from solvhodge.characters import RANK_TOLERANCE, smallest_singular_value
+from solvhodge.manifold import FIBER_OK, FIBER_VIOLATED, INTEGRALITY_TOLERANCE, _fiber_coefficients
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+HYPERBOLIC = [
+    ((a, b), (c, d))
+    for a, b, c, d in itertools.product(range(-4, 5), repeat=4)
+    if a * d - b * c == 1 and abs(a + d) > 2
+]
+
+
+def realified_diagonal(values):
+    m = len(values)
+    out = np.zeros((2 * m, 2 * m))
+    for k, v in enumerate(values):
+        out[k, k] = out[m + k, m + k] = v.real
+        out[k, m + k] = -v.imag
+        out[m + k, k] = v.imag
+    return out
+
+
+def random_orthogonal(gen, size):
+    q, r = np.linalg.qr(gen.standard_normal((size, size)))
+    return q * np.sign(np.diag(r))
+
+
+def assert_matches_svd(matrix):
+    matrix = np.asarray(matrix, dtype=float)
+    expected = float(np.linalg.svd(matrix, compute_uv=False).min())
+    got = smallest_singular_value(matrix.tolist())
+    scale = max(1.0, float(np.linalg.norm(matrix, 2)))
+    assert abs(got - expected) <= 1e-12 * scale, (got, expected)
+    assert (got > RANK_TOLERANCE) == (expected > RANK_TOLERANCE), (got, expected)
+    return got
+
+
+class TestSmallestSingularValue:
+    def test_random_matrices(self):
+        gen = np.random.default_rng(20261018)
+        for n in range(1, 7):
+            for _ in range(20):
+                size = 2 * n
+                assert_matches_svd(gen.uniform(-3.0, 3.0, (size, size)))
+                assert_matches_svd(gen.integers(-4, 5, (size, size)))
+
+    def test_near_singular_matrices(self):
+        gen = np.random.default_rng(7)
+        verdicts = set()
+        for n in range(1, 7):
+            size = 2 * n
+            # eight targets from 1e-10 to 1e-8; none sits on RANK_TOLERANCE itself,
+            # where the verdict is float noise for any SVD
+            for target in np.logspace(-10, -8, 8):
+                sigma = np.sort(gen.uniform(0.5, 3.0, size))[::-1]
+                sigma[-1] = target
+                matrix = random_orthogonal(gen, size) @ np.diag(sigma) @ random_orthogonal(gen, size).T
+                verdicts.add(assert_matches_svd(matrix) > RANK_TOLERANCE)
+        assert verdicts == {True, False}
+
+    def test_exactly_degenerate_matrices(self):
+        gen = np.random.default_rng(3)
+        for n in range(1, 7):
+            size = 2 * n
+            for kind in range(3):
+                matrix = gen.integers(-4, 5, (size, size)).astype(float)
+                if kind == 0:
+                    matrix[-1] = matrix[0]
+                elif kind == 1:
+                    matrix[-1] = 0.0
+                elif size > 2:
+                    matrix[-1] = matrix[0] + 2.0 * matrix[1]
+                else:
+                    matrix[:, -1] = 3.0 * matrix[:, 0]
+                assert assert_matches_svd(matrix) <= RANK_TOLERANCE
+
+    def test_lattice_rank_certificate(self):
+        for A in HYPERBOLIC[:8]:
+            fiber = sh.example2_n1(A).lattice_fiber
+            ok, smallest = fiber.rank_certificate()
+            assert ok and smallest == assert_matches_svd(fiber.real_matrix())
+        assert sh.torus(0, 1).lattice.rank_certificate() == (True, math.inf)
+
+
+class TestFiberCoefficients:
+    def test_hyperbolic_matrices(self):
+        assert len(HYPERBOLIC) == 72
+        for A in HYPERBOLIC:
+            spec = sh.example2_n1(A)
+            report = sh.validate(spec)
+            assert report.fiber_preserved == FIBER_OK, A
+            basis_rows = spec.lattice_fiber.real_matrix()
+            basis = np.array(basis_rows).T
+            for gen, detail in zip(spec.lattice.generators, report.details):
+                point = [c.complex_value() for c in gen]
+                values = [alpha.value_at(point) for alpha in spec.alphas]
+                expected = np.linalg.solve(basis, realified_diagonal(values) @ basis)
+                got = np.array(_fiber_coefficients(tuple(zip(*basis_rows)), values))
+                assert np.abs(got - expected).max() < 1e-12, A
+                nearest = np.rint(expected)
+                assert np.abs(expected - nearest).max() < 1e-12, A
+                assert np.abs(got - np.rint(got)).max() < 1e-12, A
+                det = round(np.linalg.det(nearest))
+                assert abs(det) == 1
+                assert detail.endswith(f"determinant {det}"), (A, detail)
+                residual = float(detail.split("residual ")[1].split(",")[0])
+                assert residual < 1e-12 and residual <= INTEGRALITY_TOLERANCE
+
+    def test_random_complex_actions(self):
+        # the builders' characters act by real scalars; complex values exercise
+        # the mixing of the Re and Im blocks
+        gen = np.random.default_rng(11)
+        for m in range(1, 7):
+            for _ in range(10):
+                basis = gen.uniform(-2.0, 2.0, (2 * m, 2 * m))
+                values = [complex(*gen.uniform(-2.0, 2.0, 2)) for _ in range(m)]
+                expected = np.linalg.solve(basis, realified_diagonal(values) @ basis)
+                got = np.array(_fiber_coefficients(basis.tolist(), values))
+                scale = np.linalg.cond(basis) * max(1.0, np.abs(expected).max())
+                assert np.abs(got - expected).max() <= 1e-12 * scale, (m, values)
+
+    def test_pivoting(self):
+        # a zero and a tiny leading entry both need a row exchange
+        for corner in (0.0, 1e-20):
+            basis = np.array([[corner, 1.0], [1.0, 1.0]])
+            values = [2.0 + 0.5j]
+            expected = np.linalg.solve(basis, realified_diagonal(values) @ basis)
+            got = np.array(_fiber_coefficients(basis.tolist(), values))
+            assert np.abs(got - expected).max() <= 1e-14, (corner, got, expected)
+
+    def test_singular_basis(self):
+        torus = sh.torus(1, 1)
+        gen = torus.lattice_fiber.generators[0]
+        spec = sh.SolvManifoldSpec(
+            name="singular_fiber",
+            n=1,
+            m=1,
+            alphas=torus.alphas,
+            lattice=torus.lattice,
+            lattice_fiber=sh.LatticeBasis(1, (gen, gen)),
+            symbols=torus.symbols,
+        )
+        basis = np.array(spec.lattice_fiber.real_matrix()).T
+        try:
+            np.linalg.solve(basis, basis)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            raise AssertionError("numpy solved a singular system")
+        assert _fiber_coefficients(tuple(zip(*spec.lattice_fiber.real_matrix())), [1.0]) is None
+        report = sh.validate(spec)
+        assert report.fiber_preserved == FIBER_VIOLATED
+        assert "base generator 1: fiber basis is numerically singular" in report.details
+
+
+class TestExample2Inverse:
+    def test_dual_matrix_inverts_eigenvectors(self):
+        for A in HYPERBOLIC:
+            spec = sh.example2_n1(A)
+            dual = np.array([[spec.symbols.witness(f"g{r}{c}") for c in (1, 2)] for r in (1, 2)])
+            (a11, a12), (a21, a22) = A
+            trace = a11 + a22
+            disc = math.sqrt(trace * trace - 4)
+            lam = (trace + disc) / 2.0 if trace > 0 else (trace - disc) / 2.0
+            eig = np.array([[a12, a12], [lam - a11, 1.0 / lam - a11]], dtype=float)
+            np.testing.assert_allclose(dual, np.linalg.inv(eig), rtol=1e-14, atol=1e-15)
+
+
+def test_cli_never_imports_numpy(tmp_path):
+    # one fresh interpreter runs every subcommand that touches the witness code
+    script = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+import solvhodge
+from solvhodge.cli import main
+tmp = {str(tmp_path)!r}
+assert main(["emit-example", "torus", "--n", "1", "--m", "2", "--out", tmp + "/torus.json"]) == 0
+assert main(["emit-example", "example2_n1", "--out", tmp + "/ex2.json"]) == 0
+assert main(["emit-example", "example2_n1"]) == 0
+for name in ("torus.json", "ex2.json"):
+    assert main(["analyze", tmp + "/" + name, "--format", "json"]) == 0
+    assert main(["check-harmonic", tmp + "/" + name]) == 0
+print("numpy" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
