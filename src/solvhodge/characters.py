@@ -198,12 +198,12 @@ class LatticeBasis:
             for gen in self.generators
         )
 
-    def rank_certificate(self, tol: float = RANK_TOLERANCE) -> tuple[bool, float]:
+    def rank_certificate(self) -> tuple[bool, float]:
         """Full-rank check on the witness matrix; returns (ok, smallest singular value)."""
         if self.n == 0:
             return True, math.inf
         smallest = smallest_singular_value(self.real_matrix())
-        return smallest > tol, smallest
+        return smallest > RANK_TOLERANCE, smallest
 
 
 def smallest_singular_value(rows: Sequence[Sequence[float]]) -> float:
@@ -259,11 +259,7 @@ def is_trivial_on_lattice(chi: CharacterExponent, lattice: LatticeBasis) -> bool
     return True
 
 
-def is_trivial_on_lattice_float(
-    chi: CharacterExponent,
-    lattice: LatticeBasis,
-    tol: float = FLOAT_TRIVIALITY_TOLERANCE,
-) -> bool:
+def is_trivial_on_lattice_float(chi: CharacterExponent, lattice: LatticeBasis) -> bool:
     """Witness-based fallback for lattice data outside the exact layer.
 
     Not a certificate: accepts when exp(exponent) is 1 within tolerance at
@@ -271,6 +267,7 @@ def is_trivial_on_lattice_float(
     """
     if not chi.is_unitary:
         raise NotUnitary("lattice triviality is only defined for unitary characters")
+    tol = FLOAT_TRIVIALITY_TOLERANCE
     for gen in lattice.generators:
         w = chi.exponent_at_point([c.complex_value() for c in gen])
         if abs(w.real) > tol or abs(math.sin(w.imag / 2.0)) > tol:

@@ -162,11 +162,6 @@ class ExactScalar:
     def pi_multiple(cls, table: SymbolTable, coeff) -> "ExactScalar":
         return cls.make(table, {"pi": _as_fraction(coeff)})
 
-    @classmethod
-    def from_literal(cls, table: SymbolTable, literal: Mapping[str, str]) -> "ExactScalar":
-        """Build from the file syntax, a map of symbol names to "p/q" strings."""
-        return cls.make(table, {name: parse_rational(text) for name, text in literal.items()})
-
     def to_literal(self) -> dict[str, str]:
         return {name: str(coeff) for name, coeff in self.coeffs}
 
@@ -286,12 +281,6 @@ class ComplexExact:
     @classmethod
     def one(cls, table: SymbolTable) -> "ComplexExact":
         return cls.make(table, re=1)
-
-    @classmethod
-    def from_literal(cls, table: SymbolTable, literal: Mapping) -> "ComplexExact":
-        re_lit = literal.get("re", {})
-        im_lit = literal.get("im", {})
-        return cls(ExactScalar.from_literal(table, re_lit), ExactScalar.from_literal(table, im_lit))
 
     def to_literal(self) -> dict:
         return {"re": self.re.to_literal(), "im": self.im.to_literal()}

@@ -40,6 +40,7 @@ __all__ = [
     "WedgeClosureReport",
     "bar_star",
     "basis_form",
+    "coclosed_mask",
     "dbar",
     "dw",
     "dwbar",
@@ -494,32 +495,43 @@ def _support(vector: tuple[ComplexExact, ...]) -> int:
     return _mask(i for i, c in enumerate(vector, start=1) if not c.is_zero)
 
 
+def _coclosed_vector(spec: SolvManifoldSpec) -> tuple[ComplexExact, ...]:
+    total = CharacterExponent.trivial(spec.symbols, spec.n)
+    for alpha in spec.alphas:
+        total = total * alpha * alpha.conjugate()
+    return total.b
+
+
+def coclosed_mask(spec: SolvManifoldSpec) -> int:
+    """Support of c = b(A_{1..m} Abar_{1..m}), where K must miss for dbar-co-closedness.
+
+    ((), ()) is always admitted and meets every K, so the basis is harmonic in
+    both senses of :func:`pair_support_masks` (d under the condition) exactly when c = 0.
+    """
+    return _support(_coclosed_vector(spec))
+
+
 class PairSupportMasks(NamedTuple):
     """Supports over the base indices 1..n (bit i-1 for index i) that decide the flags of a pair."""
 
     a: int
-    lin_a: int
     lin_b: int
 
-    def flags(self, I: MultiIndex, K: MultiIndex, co_b: int) -> tuple[bool, bool, bool]:
-        """(dbar-closed, dbar-co-closed, d-harmonic) of the basis monomial (I, J, K, L).
+    def flags(self, I: MultiIndex, K: MultiIndex, co_b: int) -> tuple[bool, bool]:
+        """(dbar-co-closed, d-harmonic) of the basis monomial (I, J, K, L).
 
-        ``co_b`` is the per-spec mask that :func:`pair_support_masks` returns;
-        dbar-closedness always holds, because the basis characters are holomorphic.
+        ``co_b`` is :func:`coclosed_mask`; dbar-closedness always holds,
+        because the basis characters are holomorphic.
         """
-        i_mask, k_mask = _mask(I), _mask(K)
-        d_harmonic = (
-            not self.a & ~i_mask
-            and not self.lin_a & k_mask
-            and not self.lin_b & i_mask
-        )
-        return True, not co_b & k_mask, d_harmonic
+        i_mask = _mask(I)
+        co_closed = not co_b & _mask(K)
+        return co_closed, co_closed and not self.a & ~i_mask and not self.lin_b & i_mask
 
 
 def pair_support_masks(
     spec: SolvManifoldSpec, sweep: PairSweep
-) -> tuple[int, dict[tuple[MultiIndex, MultiIndex], PairSupportMasks]]:
-    """Harmonicity of every basis monomial, as one mask per spec and three per admitted pair.
+) -> dict[tuple[MultiIndex, MultiIndex], PairSupportMasks]:
+    """Harmonicity of every basis monomial, as two masks per admitted pair.
 
     The monomial u = chi * dz_I ^ dw_J ^ dzbar_K ^ dwbar_L has coefficient 1
     and chi = chi_{J,L} of :func:`basis_form`.  Its differentials are
@@ -539,29 +551,30 @@ def pair_support_masks(
       on dz_{K^c} ^ dw_{L^c} ^ dzbar_{I^c} ^ dwbar_{J^c}, which is d-closed
       exactly when supp a(chi_lin) misses K and supp b(chi_lin) misses I.
 
-    With the tables A, Abar of :func:`subset_product_tables`,
-    chi = (hol(A_J) hol(Abar_L))^-1 and chi A_J Abar_L is the gate character
-    unit(A_J) unit(Abar_L), so chi_lin = unit(A_J) unit(Abar_L) (Abar_{J^c} A_{L^c})^-1.
-    The gate character is unitary (its conjugate is its inverse) and has the
-    b of A_J Abar_L, so b(chi_co) = -b(A_{1..m} Abar_{1..m}) for every pair:
-    that support is the mask returned once per spec.
+    With A_S, Abar_S the products of the alpha_s, conj(alpha_s) over s in S
+    and c = b(A_{1..m} Abar_{1..m}): chi A_J Abar_L is the unitary gate
+    character unit(A_J) unit(Abar_L), ``decompose`` is a homomorphism and
+    J, J^c and L, L^c split 1..m, so for every pair
 
-    The complements X^c are taken in 1..m for fiber indices and 1..n for
-    base indices.  Only characters are multiplied (their exponents add), so
-    no symbol product is formed and the masks are exact.
+    - b(chi_co) = -c and a(chi_lin) = -conj(c): u is dbar-co-closed exactly
+      when supp c misses K (:func:`coclosed_mask`), and d-harmonic implies it;
+    - b(chi_lin) = -conj(a(chi)) - c, so chi_lin is never formed;
+    - A_J Abar_L = 1 (every admitted pair, once the condition holds) gives
+      chi = 1, so u is then d-harmonic exactly when dbar-co-closed.
+
+    The masks are supp a(chi) and supp(conj(a(chi)) + c), complements taken in 1..m
+    or 1..n; characters only multiply (exponents add), so the masks are exact.
     """
     alpha, alpha_bar = subset_product_tables(spec)
-    parts = {S: chi.decompose() for S, chi in alpha.items()}
-    bar_parts = {S: chi.decompose() for S, chi in alpha_bar.items()}
-    everything = tuple(range(1, spec.m + 1))
-    rest = {S: tuple(s for s in everything if s not in S) for S in alpha}
+    hol = {S: chi.decompose().hol for S, chi in alpha.items()}
+    bar_hol = {S: chi.decompose().hol for S, chi in alpha_bar.items()}
+    c = _coclosed_vector(spec)
     masks = {}
     for J, L in sweep:
-        chi = (parts[J].hol * bar_parts[L].hol).inverse()
-        gate = parts[J].unit * bar_parts[L].unit
-        lin = gate * (alpha_bar[rest[J]] * alpha[rest[L]]).inverse()
-        masks[J, L] = PairSupportMasks(_support(chi.a), _support(lin.a), _support(lin.b))
-    return _support((alpha[everything] * alpha_bar[everything]).b), masks
+        a = (hol[J] * bar_hol[L]).inverse().a
+        lin_b = tuple(x.conjugate() + y for x, y in zip(a, c))
+        masks[J, L] = PairSupportMasks(_support(a), _support(lin_b))
+    return masks
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from .cohomology import (
     PairSweep,
     all_basis_elements,
 )
-from .forms import pair_support_masks
+from .forms import coclosed_mask, pair_support_masks
 from .kahler import KaehlerVerdict
 from .manifold import SolvManifoldSpec, ValidationReport
 
@@ -67,8 +67,8 @@ def failed_checks(report: RunReport) -> list[str]:
     return failures
 
 
-def run_report_json(report: RunReport, include_timings: bool = True) -> dict:
-    data = {
+def run_report_json(report: RunReport) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
         "name": report.name,
         "mode": report.mode,
@@ -97,10 +97,8 @@ def run_report_json(report: RunReport, include_timings: bool = True) -> dict:
             "witnesses": list(report.kaehler.witnesses),
             "completely_solvable": report.kaehler.completely_solvable,
         },
+        "timings_ms": dict(report.timings_ms),
     }
-    if include_timings:
-        data["timings_ms"] = dict(report.timings_ms)
-    return data
 
 
 def _flag(value: Optional[bool]) -> str:
@@ -167,23 +165,21 @@ def render_latex(report: RunReport) -> str:
 
 @dataclass(frozen=True)
 class HarmonicRow:
+    """Flags of one basis element; dbar-closedness always holds, so co-closed means dbar-harmonic."""
+
     element: BasisElement
-    dbar_closed: bool
     co_closed: bool
     d_harmonic: bool
 
-    @property
-    def dbar_harmonic(self) -> bool:
-        return self.dbar_closed and self.co_closed
-
 
 def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> tuple[HarmonicRow, ...]:
-    """Per basis element: closedness, co-closedness and full harmonicity flags.
+    """Per basis element: co-closedness and full harmonicity flags.
 
-    The flags are decided once per admitted pair by :func:`pair_support_masks`;
-    each element then costs a containment test on its base indices.
+    The flags are decided by :func:`coclosed_mask` once per spec and by
+    :func:`pair_support_masks` once per admitted pair; each element then
+    costs a containment test on its base indices.
     """
-    co_b, masks = pair_support_masks(spec, sweep)
+    co_b, masks = coclosed_mask(spec), pair_support_masks(spec, sweep)
     return tuple(
         HarmonicRow(element, *masks[element.J, element.L].flags(element.I, element.K, co_b))
         for element in all_basis_elements(spec, sweep)
@@ -195,14 +191,14 @@ def render_harmonic_text(name: str, mode: str, rows: tuple[HarmonicRow, ...]) ->
     for row in rows:
         el = row.element
         lines.append(
-            "(%d,%d) I=%s J=%s K=%s L=%s dbar_closed=%s co_closed=%s d_harmonic=%s"
+            "(%d,%d) I=%s J=%s K=%s L=%s dbar_closed=True co_closed=%s d_harmonic=%s"
             % (
                 el.p, el.q,
                 list(el.I), list(el.J), list(el.K), list(el.L),
-                row.dbar_closed, row.co_closed, row.d_harmonic,
+                row.co_closed, row.d_harmonic,
             )
         )
-    lines.append("all dbar-harmonic: %s" % all(r.dbar_harmonic for r in rows))
+    lines.append("all dbar-harmonic: %s" % all(r.co_closed for r in rows))
     return "\n".join(lines) + "\n"
 
 
@@ -219,11 +215,11 @@ def harmonic_rows_json(name: str, mode: str, rows: tuple[HarmonicRow, ...]) -> d
                 "J": list(row.element.J),
                 "K": list(row.element.K),
                 "L": list(row.element.L),
-                "dbar_closed": row.dbar_closed,
+                "dbar_closed": True,
                 "co_closed": row.co_closed,
                 "d_harmonic": row.d_harmonic,
             }
             for row in rows
         ],
-        "all_dbar_harmonic": all(r.dbar_harmonic for r in rows),
+        "all_dbar_harmonic": all(r.co_closed for r in rows),
     }

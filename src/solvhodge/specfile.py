@@ -121,12 +121,12 @@ def _symbol_table(node: Any, where: str) -> SymbolTable:
                  'symbol entries need "name" and "value"', here)
         name, value = entry["name"], entry["value"]
         _require(isinstance(name, str) and name, "symbol name must be a nonempty string", here)
+        _require(type(value) in (int, float), "witness must be a JSON number", f"{here}.value")
         if name in ("one", "pi"):
             expected = 1.0 if name == "one" else math.pi
             _require(value == expected, f"reserved symbol {name!r} must have witness {expected!r}", here)
             continue
-        _require(isinstance(value, (int, float)) and math.isfinite(value) and value != 0,
-                 "witness must be a finite nonzero number", here)
+        _require(math.isfinite(value) and value != 0, "witness must be a finite nonzero number", here)
         try:
             table = table.with_symbol(name, float(value))
         except ValueError as exc:
@@ -137,12 +137,24 @@ def _symbol_table(node: Any, where: str) -> SymbolTable:
 _BUILDERS = ("torus", "example1", "example2_n1")
 
 
+def _check_integers(node: Any, where: str):
+    """Reject anything but a JSON integer (a bool is not one) or nested lists of them."""
+    if isinstance(node, list):
+        for i, item in enumerate(node):
+            _check_integers(item, f"{where}[{i}]")
+    else:
+        _require(type(node) is int, "expected a JSON integer", where)
+
+
 def _build(node: Mapping, where: str) -> SolvManifoldSpec:
     name = node["builder"]
     _require(name in _BUILDERS, f"unknown builder {name!r}", f"{where}.builder")
+    for key, value in node.items():
+        if key in ("n", "m", "a", "A") or (key == "t_mode" and isinstance(value, list)):
+            _check_integers(value, f"{where}.{key}")
     try:
         if name == "torus":
-            return torus(int(node.get("n", 1)), int(node.get("m", 1)))
+            return torus(node.get("n", 1), node.get("m", 1))
         if name == "example1":
             return example1(node.get("a", []), node.get("t_mode", "symbolic"))
         return example2_n1(node.get("A", []))
@@ -159,9 +171,10 @@ def load_spec_dict(data: Any, where: str = "$") -> SolvManifoldSpec:
         _require(key in data, f'missing required field "{key}"', where)
     name = data["name"]
     _require(isinstance(name, str) and name, '"name" must be a nonempty string', f"{where}.name")
+    for key in ("n", "m"):
+        _require(type(data[key]) is int, "expected a JSON integer", f"{where}.{key}")
     n, m = data["n"], data["m"]
-    _require(isinstance(n, int) and isinstance(m, int) and n >= 0 and m >= 0 and n + m >= 1,
-             "need integer n, m >= 0 with n + m >= 1", where)
+    _require(n >= 0 and m >= 0 and n + m >= 1, "need integer n, m >= 0 with n + m >= 1", where)
     table = _symbol_table(data.get("symbols"), f"{where}.symbols")
     alphas_node = data["alphas"]
     _require(isinstance(alphas_node, list) and len(alphas_node) == m,
@@ -196,17 +209,11 @@ def load_spec(path: Union[str, Path]) -> SolvManifoldSpec:
 def spec_to_dict(spec: SolvManifoldSpec) -> dict:
     """Serialise to the schema in a form that reloads to an equal manifold."""
 
-    def scalar(s: ExactScalar) -> dict:
-        return s.to_literal()
-
-    def cplx(c: ComplexExact) -> dict:
-        return {"re": scalar(c.re), "im": scalar(c.im)}
-
     def character(chi: CharacterExponent) -> dict:
-        return {"a": [cplx(c) for c in chi.a], "b": [cplx(c) for c in chi.b]}
+        return {"a": [c.to_literal() for c in chi.a], "b": [c.to_literal() for c in chi.b]}
 
     def lattice(basis: LatticeBasis) -> list:
-        return [[cplx(c) for c in gen] for gen in basis.generators]
+        return [[c.to_literal() for c in gen] for gen in basis.generators]
 
     return {
         "schema_version": 1,

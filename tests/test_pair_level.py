@@ -1,8 +1,8 @@
 """Pair-level verdicts against the literal enumerations they replace.
 
 Conjugation symmetry, wedge closure and the harmonicity flags are decided
-on the admitted fiber pairs alone, and the Hodge table on their histogram
-by (|J|, |L|).  The literal checks below enumerate basis elements
+on the admitted fiber pairs alone, the Hodge table on their histogram by
+(|J|, |L|), and analyze's harmonicity verdict on one character per spec.  The literal checks below enumerate basis elements
 (building, for the wedge, every product of two basis forms and, for
 harmonicity, every basis form and its stars) or sum over every admitted
 pair; they are kept here as differential oracles, together with the 4^m
@@ -25,16 +25,23 @@ from solvhodge.cohomology import (
     _subsets,
     all_basis_elements,
     basis_elements,
+    check_condition,
     conjugation_symmetry,
     hodge_table,
     sweep_trivial_pairs,
 )
-from solvhodge.forms import basis_form, is_d_harmonic, is_dbar_coclosed, wedge_closure_report
+from solvhodge.forms import (
+    basis_form,
+    is_d_harmonic,
+    is_dbar_coclosed,
+    is_dbar_harmonic,
+    wedge_closure_report,
+)
 from solvhodge.report import harmonic_rows
 
 from conftest import corpus_specs, forms_corpus_specs
 
-FLAG_NAMES = ("dbar_closed", "co_closed", "d_harmonic")
+FLAG_NAMES = ("co_closed", "d_harmonic")
 
 
 def literal_conjugation_symmetry(spec, sweep) -> bool:
@@ -61,13 +68,16 @@ def literal_wedge_closure(spec, sweep) -> bool:
 
 
 def literal_harmonic_flags(spec, sweep):
-    """Per basis element, the flags read off its exact form and the form's stars."""
+    """Per basis element, the flags read off its exact form and the form's stars.
+
+    The rows print dbar-closedness as a constant, so every form is checked
+    to be dbar-closed here.
+    """
     flags = []
     for element in all_basis_elements(spec, sweep):
         form = basis_form(spec, element, sweep)
-        flags.append(
-            (element, form.dbar().is_zero, is_dbar_coclosed(form, spec), is_d_harmonic(form, spec))
-        )
+        assert form.dbar().is_zero, (spec.name, element)
+        flags.append((element, is_dbar_coclosed(form, spec), is_d_harmonic(form, spec)))
     return flags
 
 
@@ -85,7 +95,7 @@ def literal_hodge_rows(spec, sweep):
 
 
 def row_flags(rows):
-    return [(row.element, row.dbar_closed, row.co_closed, row.d_harmonic) for row in rows]
+    return [(row.element, row.co_closed, row.d_harmonic) for row in rows]
 
 
 def all_pairs(m):
@@ -240,6 +250,112 @@ class TestHarmonicRowsAgainstForms:
                 name for row in rows for name, flag in zip(FLAG_NAMES, row[1:]) if not flag
             }
         assert false_flags == {"co_closed", "d_harmonic"}
+
+
+CHARACTER_FAMILIES = ("trivial", "holomorphic", "antiholomorphic", "unitary", "real", "generic")
+
+
+def random_family_character(table, n, family, rng):
+    """A character of one of CHARACTER_FAMILIES, with exponent entries in {0, 1, -1, i, -i}."""
+    units = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+
+    def vector():
+        return tuple(sh.ComplexExact.make(table, *rng.choice(units)) for _ in range(n))
+
+    zero = (sh.ComplexExact.zero(table),) * n
+    a, b = vector(), vector()
+    if family == "trivial":
+        a = b = zero
+    elif family == "holomorphic":
+        b = zero
+    elif family == "antiholomorphic":
+        a = zero
+    elif family == "unitary":
+        a = tuple(-c.conjugate() for c in b)
+    elif family == "real":
+        b = tuple(c.conjugate() for c in a)
+    return sh.CharacterExponent(table, a, b)
+
+
+def random_family_specs(rng, count):
+    """Seeded specs with n + m <= 3 over the Gaussian lattice, each alpha from a random family."""
+    table = sh.SymbolTable.base()
+    specs = []
+    for index in range(count):
+        n, m = rng.choice(((1, 1), (1, 2), (2, 1)))
+        alphas = tuple(
+            random_family_character(table, n, rng.choice(CHARACTER_FAMILIES), rng)
+            for _ in range(m)
+        )
+        specs.append(
+            sh.SolvManifoldSpec(
+                name=f"random_{index}",
+                n=n,
+                m=m,
+                alphas=alphas,
+                lattice=sh.torus(n, m).lattice,
+                lattice_fiber=None,
+                symbols=table,
+            )
+        )
+    return specs
+
+
+def literal_harmonic_verdict(spec, sweep) -> bool:
+    """Every basis form dbar-harmonic and, when the condition holds, d-harmonic."""
+    condition = check_condition(spec, sweep).holds
+    return all(
+        is_dbar_harmonic(form, spec) and (not condition or is_d_harmonic(form, spec))
+        for form in (basis_form(spec, el, sweep) for el in all_basis_elements(spec, sweep))
+    )
+
+
+class TestPairCharacterIdentities:
+    """The identities behind pair_support_masks, on chi, chi_co and chi_lin formed literally."""
+
+    def test_corpus_and_random_specs(self, rng):
+        for spec in forms_corpus_specs() + random_family_specs(rng, 20):
+            alphas = spec.alphas
+            bars = tuple(alpha.conjugate() for alpha in alphas)
+            trivial = sh.CharacterExponent.trivial(spec.symbols, spec.n)
+
+            def product_over(factors, indices):
+                out = trivial
+                for i in indices:
+                    out = out * factors[i - 1]
+                return out
+
+            everything = tuple(range(1, spec.m + 1))
+            c = (product_over(alphas, everything) * product_over(bars, everything)).b
+            for J, L in all_pairs(spec.m):
+                Jc = tuple(s for s in everything if s not in J)
+                Lc = tuple(s for s in everything if s not in L)
+                chi = forms._basis_character(spec, J, L)
+                gate = chi * product_over(alphas, J) * product_over(bars, L)
+                chi_co = gate.conjugate() * (product_over(alphas, Jc) * product_over(bars, Lc)).inverse()
+                chi_lin = gate * (product_over(bars, Jc) * product_over(alphas, Lc)).inverse()
+                assert chi_co.b == tuple(-x for x in c), (spec.name, J, L)
+                assert chi_lin.a == tuple(-x.conjugate() for x in c), (spec.name, J, L)
+                assert chi_lin.b == tuple(-x.conjugate() - y for x, y in zip(chi.a, c))
+                if (gate * chi.inverse()).is_trivial:
+                    assert chi.is_trivial, (spec.name, J, L)
+
+
+class TestHarmonicVerdictAgainstForms:
+    """analyze's one-character verdict against every basis form and its stars."""
+
+    def test_corpus_and_random_specs(self, rng):
+        seen = set()
+        for spec in forms_corpus_specs() + random_family_specs(rng, 60):
+            oracle = {}
+            for force_float in (False, True):
+                result = cli.analyze(spec, cli.AnalyzeOptions(force_float=force_float))
+                sweep = sweep_trivial_pairs(spec, force_float)
+                if sweep.pairs not in oracle:
+                    oracle[sweep.pairs] = literal_harmonic_verdict(spec, sweep)
+                assert result.harmonic_certified == oracle[sweep.pairs], (spec.name, force_float)
+                seen.add((result.condition.holds, result.harmonic_certified))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestTrivialCharactersAdmitted:

@@ -14,7 +14,7 @@ from solvhodge.cli import (
     emit_example,
     main,
 )
-from solvhodge.report import run_report_json
+from solvhodge.report import failed_checks, run_report_json
 from solvhodge.specfile import SpecFileError, load_spec, load_spec_dict, save_spec, spec_to_dict
 
 from conftest import corpus_specs
@@ -25,6 +25,20 @@ def report_canon(report):
     data = run_report_json(report)
     data.pop("timings_ms", None)
     return data
+
+
+def lone_expanding_character():
+    """n = 1 with the single fiber character e^x: the characters do not multiply to 1."""
+    table = sh.SymbolTable.base()
+    return sh.SolvManifoldSpec(
+        name="lone_expanding",
+        n=1,
+        m=1,
+        alphas=(sh.CharacterExponent.from_real_exponent(table, [1]),),
+        lattice=sh.torus(1, 1).lattice,
+        lattice_fiber=None,
+        symbols=table,
+    )
 
 
 class TestSpecFileRoundTrip:
@@ -95,6 +109,40 @@ class TestSpecFileErrors:
             load_spec_dict(data)
 
 
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            ({"builder": "example1", "a": [1.5, -2]}, "$.a[0]"),
+            ({"builder": "example1", "a": [1], "t_mode": [1.5, 2]}, "$.t_mode[0]"),
+            ({"builder": "torus", "n": 2.7}, "$.n"),
+            ({"builder": "torus", "n": "2"}, "$.n"),
+            ({"builder": "torus", "m": True}, "$.m"),
+            ({"builder": "example2_n1", "A": [[2.5, 1], [1, 1]]}, "$.A[0][0]"),
+        ],
+        ids=["example1_a_float", "t_mode_float", "torus_n_float", "torus_n_string",
+             "torus_m_bool", "example2_entry_float"],
+    )
+    def test_builder_numbers_must_be_integers(self, data, where):
+        with pytest.raises(SpecFileError) as err:
+            load_spec_dict(data)
+        assert err.value.where == where
+
+    def test_full_form_n_must_not_be_bool(self):
+        data = spec_to_dict(sh.torus(1, 1))
+        data["n"] = True
+        with pytest.raises(SpecFileError) as err:
+            load_spec_dict(data)
+        assert err.value.where == "$.n"
+
+    def test_witness_must_not_be_bool(self):
+        data = spec_to_dict(sh.example1([1], "symbolic"))
+        index = next(i for i, entry in enumerate(data["symbols"]) if entry["name"] == "t")
+        data["symbols"][index]["value"] = True
+        with pytest.raises(SpecFileError) as err:
+            load_spec_dict(data)
+        assert err.value.where == f"$.symbols[{index}].value"
+
+
 class TestAnalyze:
     def test_example1_report(self):
         report = analyze(sh.example1([1], "symbolic"))
@@ -131,6 +179,11 @@ class TestAnalyze:
         monkeypatch.setattr(cli, "sweep_trivial_pairs", refuse)
         with pytest.raises(sh.DimensionCapExceeded):
             analyze(sh.torus(4, 3))
+
+    def test_lone_expanding_character_is_not_harmonic(self):
+        report = analyze(lone_expanding_character())
+        assert report.harmonic_certified is False
+        assert "harmonicity" in failed_checks(report)
 
     def test_rational_pi_still_passes_checks(self):
         report = analyze(sh.example1([1], "rational_pi(1,1)"))
@@ -229,6 +282,18 @@ class TestCli:
         save_spec(spec, path)
         assert self.run("analyze", str(path)) == EXIT_CHECK_FAILED
         capsys.readouterr()
+
+    def test_not_harmonic_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "lone.json"
+        save_spec(lone_expanding_character(), path)
+        assert self.run("analyze", str(path)) == EXIT_CHECK_FAILED
+        assert "harmonic basis certified: NO" in capsys.readouterr().out
+
+    def test_coerced_number_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "float_exponent.json"
+        path.write_text(json.dumps({"builder": "example1", "a": [1.5, -2]}))
+        assert self.run("analyze", str(path)) == EXIT_MALFORMED
+        assert "$.a[0]" in capsys.readouterr().err
 
     def test_emit_round_trip(self, tmp_path, capsys):
         path = tmp_path / "em.json"
