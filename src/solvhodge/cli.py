@@ -22,13 +22,12 @@ from .cohomology import (
     serre_duality_check,
     sweep_trivial_pairs,
 )
-from .forms import MAX_FORMS_DIM, DimensionCapExceeded, coclosed_mask, wedge_closure_report
+from .forms import MAX_FORMS_DIM, DimensionCapExceeded, coclosed_mask, harmonic_rows, wedge_closure_report
 from .kahler import kaehler_obstruction
 from .manifold import SolvManifoldSpec, example1, example2_n1, torus, validate
 from .report import (
     RunReport,
     failed_checks,
-    harmonic_rows,
     harmonic_rows_json,
     render_harmonic_text,
     render_latex,
@@ -255,7 +254,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_MALFORMED
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_MALFORMED
     except (FiberTooLarge, DimensionCapExceeded) as exc:

@@ -24,10 +24,16 @@ normalisation is fixed to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .characters import CharacterExponent
-from .cohomology import BasisElement, MultiIndex, PairSweep, subset_product_tables
+from .cohomology import (
+    BasisElement,
+    MultiIndex,
+    PairSweep,
+    all_basis_elements,
+    subset_product_tables,
+)
 from .exact import ComplexExact
 from .manifold import SolvManifoldSpec
 
@@ -35,7 +41,7 @@ __all__ = [
     "DimensionCapExceeded",
     "FrameForm",
     "Generator",
-    "PairSupportMasks",
+    "HarmonicRow",
     "TwistedForm",
     "WedgeClosureReport",
     "bar_star",
@@ -47,10 +53,10 @@ __all__ = [
     "dz",
     "dzbar",
     "from_frame",
+    "harmonic_rows",
     "is_d_harmonic",
     "is_dbar_coclosed",
     "is_dbar_harmonic",
-    "pair_support_masks",
     "partial",
     "to_frame",
     "volume_form",
@@ -506,34 +512,24 @@ def coclosed_mask(spec: SolvManifoldSpec) -> int:
     """Support of c = b(A_{1..m} Abar_{1..m}), where K must miss for dbar-co-closedness.
 
     ((), ()) is always admitted and meets every K, so the basis is harmonic in
-    both senses of :func:`pair_support_masks` (d under the condition) exactly when c = 0.
+    both senses of :func:`harmonic_rows` (d under the condition) exactly when c = 0.
     """
     return _support(_coclosed_vector(spec))
 
 
-class PairSupportMasks(NamedTuple):
-    """Supports over the base indices 1..n (bit i-1 for index i) that decide the flags of a pair."""
+@dataclass(frozen=True)
+class HarmonicRow:
+    """Flags of one basis element; dbar-closedness always holds, so co-closed means dbar-harmonic."""
 
-    a: int
-    lin_b: int
-
-    def flags(self, I: MultiIndex, K: MultiIndex, co_b: int) -> tuple[bool, bool]:
-        """(dbar-co-closed, d-harmonic) of the basis monomial (I, J, K, L).
-
-        ``co_b`` is :func:`coclosed_mask`; dbar-closedness always holds,
-        because the basis characters are holomorphic.
-        """
-        i_mask = _mask(I)
-        co_closed = not co_b & _mask(K)
-        return co_closed, co_closed and not self.a & ~i_mask and not self.lin_b & i_mask
+    element: BasisElement
+    co_closed: bool
+    d_harmonic: bool
 
 
-def pair_support_masks(
-    spec: SolvManifoldSpec, sweep: PairSweep
-) -> dict[tuple[MultiIndex, MultiIndex], PairSupportMasks]:
-    """Harmonicity of every basis monomial, as two masks per admitted pair.
+def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> tuple[HarmonicRow, ...]:
+    """Co-closedness and full harmonicity of every basis element, no form built.
 
-    The monomial u = chi * dz_I ^ dw_J ^ dzbar_K ^ dwbar_L has coefficient 1
+    The element u = chi * dz_I ^ dw_J ^ dzbar_K ^ dwbar_L has coefficient 1
     and chi = chi_{J,L} of :func:`basis_form`.  Its differentials are
 
         dbar u = sum_j b_j(chi) dzbar_j ^ (word),  partial u = sum_j a_j(chi) dz_j ^ (word),
@@ -554,7 +550,7 @@ def pair_support_masks(
     With A_S, Abar_S the products of the alpha_s, conj(alpha_s) over s in S
     and c = b(A_{1..m} Abar_{1..m}): chi A_J Abar_L is the unitary gate
     character unit(A_J) unit(Abar_L), ``decompose`` is a homomorphism and
-    J, J^c and L, L^c split 1..m, so for every pair
+    J, J^c and L, L^c split 1..m, so for every element
 
     - b(chi_co) = -c and a(chi_lin) = -conj(c): u is dbar-co-closed exactly
       when supp c misses K (:func:`coclosed_mask`), and d-harmonic implies it;
@@ -562,19 +558,25 @@ def pair_support_masks(
     - A_J Abar_L = 1 (every admitted pair, once the condition holds) gives
       chi = 1, so u is then d-harmonic exactly when dbar-co-closed.
 
-    The masks are supp a(chi) and supp(conj(a(chi)) + c), complements taken in 1..m
-    or 1..n; characters only multiply (exponents add), so the masks are exact.
+    So supp c, and supp a(chi), supp(conj(a(chi)) + c) per admitted pair, decide every
+    row; characters only multiply (exponents add), so the flags are exact.
     """
     alpha, alpha_bar = subset_product_tables(spec)
     hol = {S: chi.decompose().hol for S, chi in alpha.items()}
     bar_hol = {S: chi.decompose().hol for S, chi in alpha_bar.items()}
     c = _coclosed_vector(spec)
-    masks = {}
+    co_b = _support(c)
+    supports = {}
     for J, L in sweep:
         a = (hol[J] * bar_hol[L]).inverse().a
-        lin_b = tuple(x.conjugate() + y for x, y in zip(a, c))
-        masks[J, L] = PairSupportMasks(_support(a), _support(lin_b))
-    return masks
+        supports[J, L] = _support(a), _support(tuple(x.conjugate() + y for x, y in zip(a, c)))
+    rows = []
+    for element in all_basis_elements(spec, sweep):
+        a, lin_b = supports[element.J, element.L]
+        i_mask = _mask(element.I)
+        co_closed = not co_b & _mask(element.K)
+        rows.append(HarmonicRow(element, co_closed, co_closed and not a & ~i_mask and not lin_b & i_mask))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

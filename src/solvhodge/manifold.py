@@ -73,13 +73,9 @@ class ValidationReport:
     fiber_preserved: str  # FIBER_OK | FIBER_VIOLATED | FIBER_NOT_CHECKED
     details: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return self.lattice_rank_ok and self.fiber_preserved != FIBER_VIOLATED
-
 
 def _integer_determinant(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a small integer matrix (fraction-free elimination)."""
+    """Exact determinant of a small integer matrix (Gaussian elimination over Fractions)."""
     size = len(mat)
     if size == 0:
         return 1
@@ -208,8 +204,16 @@ def _standard_lattice(table: SymbolTable, n: int) -> LatticeBasis:
     return LatticeBasis(n, tuple(generators))
 
 
+def _integer(value, name: str) -> int:
+    """``value`` itself if it is an int (a bool is not one), else ValueError naming the parameter."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+    return value
+
+
 def torus(n: int, m: int) -> SolvManifoldSpec:
     """Complex torus baseline: trivial action, standard lattices."""
+    n, m = _integer(n, "n"), _integer(m, "m")
     if n < 0 or m < 0 or n + m < 1:
         raise ValueError("need n, m >= 0 with n + m >= 1")
     table = SymbolTable.base()
@@ -232,20 +236,16 @@ def _parse_t_mode(t_mode) -> Optional[tuple[int, int]]:
     """None means the symbolic regime; otherwise (r, s) with t = (r/s)*pi."""
     if t_mode == "symbolic":
         return None
-    if isinstance(t_mode, str):
-        match = _T_MODE_PATTERN.match(t_mode.strip())
-        if match:
-            r, s = int(match.group(1)), int(match.group(2))
-            if s <= 0 or r == 0:
-                raise ValueError("rational_pi(r, s) needs r != 0 and s > 0")
-            return r, s
+    match = _T_MODE_PATTERN.match(t_mode.strip()) if isinstance(t_mode, str) else None
+    if match:
+        r, s = int(match.group(1)), int(match.group(2))
+    elif isinstance(t_mode, (tuple, list)) and len(t_mode) == 2:
+        r, s = (_integer(v, f"t_mode[{i}]") for i, v in enumerate(t_mode))
+    else:
         raise ValueError(f"unknown t_mode {t_mode!r}")
-    if isinstance(t_mode, (tuple, list)) and len(t_mode) == 2:
-        r, s = int(t_mode[0]), int(t_mode[1])
-        if s <= 0 or r == 0:
-            raise ValueError("rational_pi(r, s) needs r != 0 and s > 0")
-        return r, s
-    raise ValueError(f"unknown t_mode {t_mode!r}")
+    if s <= 0 or r == 0:
+        raise ValueError("rational_pi(r, s) needs r != 0 and s > 0")
+    return r, s
 
 
 # log of the leading eigenvalue of [[2,1],[1,1]]; a convenient transcendental
@@ -260,7 +260,7 @@ def example1(a: Sequence[int], t_mode="symbolic") -> SolvManifoldSpec:
     one imaginary generator i*t; t is either a fresh independent symbol or
     the rational multiple (r/s)*pi of pi.  No fiber lattice is attached.
     """
-    exponents = [int(v) for v in a]
+    exponents = [_integer(v, f"a[{i}]") for i, v in enumerate(a)]
     if not exponents:
         raise ValueError("need at least one fiber exponent")
     if any(v == 0 for v in exponents):
@@ -307,10 +307,12 @@ def example2_n1(matrix: Sequence[Sequence[int]]) -> SolvManifoldSpec:
     leading eigenvalue modulus gives the real base generator.  The
     imaginary base generator is a fresh irrational parameter.
     """
-    rows = [list(map(int, row)) for row in matrix]
+    rows = [list(row) for row in matrix]
     if len(rows) != 2 or any(len(row) != 2 for row in rows):
         raise ValueError("expected a 2x2 integer matrix")
-    (a11, a12), (a21, a22) = rows
+    (a11, a12), (a21, a22) = (
+        [_integer(v, f"matrix[{r}][{c}]") for c, v in enumerate(row)] for r, row in enumerate(rows)
+    )
     trace = a11 + a22
     det = a11 * a22 - a12 * a21
     if det != 1:

@@ -1,30 +1,21 @@
-"""Run reports: assembly of all verdicts plus text, JSON and LaTeX rendering."""
+"""Run reports: the verdicts of one run and their text, JSON and LaTeX rendering."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .cohomology import (
-    BasisElement,
-    BettiNumbers,
-    ConditionReport,
-    HodgeTable,
-    PairSweep,
-    all_basis_elements,
-)
-from .forms import coclosed_mask, pair_support_masks
+from .cohomology import BettiNumbers, ConditionReport, HodgeTable
+from .forms import HarmonicRow
 from .kahler import KaehlerVerdict
-from .manifold import SolvManifoldSpec, ValidationReport
+from .manifold import ValidationReport
 
 SCHEMA_VERSION = 1
 
 __all__ = [
-    "HarmonicRow",
     "RunReport",
     "SCHEMA_VERSION",
     "failed_checks",
-    "harmonic_rows",
     "harmonic_rows_json",
     "render_harmonic_text",
     "render_latex",
@@ -161,29 +152,6 @@ def render_latex(report: RunReport) -> str:
         lines.append(" & ".join(cells) + " \\\\")
     lines.append("\\end{tabular}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class HarmonicRow:
-    """Flags of one basis element; dbar-closedness always holds, so co-closed means dbar-harmonic."""
-
-    element: BasisElement
-    co_closed: bool
-    d_harmonic: bool
-
-
-def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> tuple[HarmonicRow, ...]:
-    """Per basis element: co-closedness and full harmonicity flags.
-
-    The flags are decided by :func:`coclosed_mask` once per spec and by
-    :func:`pair_support_masks` once per admitted pair; each element then
-    costs a containment test on its base indices.
-    """
-    co_b, masks = coclosed_mask(spec), pair_support_masks(spec, sweep)
-    return tuple(
-        HarmonicRow(element, *masks[element.J, element.L].flags(element.I, element.K, co_b))
-        for element in all_basis_elements(spec, sweep)
-    )
 
 
 def render_harmonic_text(name: str, mode: str, rows: tuple[HarmonicRow, ...]) -> str:

@@ -9,11 +9,12 @@ A file either spells out the full data
       "lattice_fiber": [[complex, ...], ...] | null }
 
 or delegates to a builder: { "builder": "example1", "a": [1, -2],
-"t_mode": "symbolic" }.  Characters are either explicit exponent vectors
-{"a": [complex...], "b": [complex...]} or the real shorthand
-{"real_exp": [scalar...]} for exp(sum c_j x_j).  A complex number is
-{"re": scalar, "im": scalar} and a scalar maps symbol names to rational
-strings "p" or "p/q".
+"t_mode": "symbolic" }.  Any other key is refused, except a top-level
+"schema_version", which emitted files carry.  Characters are either
+explicit exponent vectors {"a": [complex...], "b": [complex...]} or the
+real shorthand {"real_exp": [scalar...]} for exp(sum c_j x_j).  A complex
+number is {"re": scalar, "im": scalar} and a scalar maps symbol names to
+rational strings "p" or "p/q".
 
 Loading errors carry the JSON path of the offending node so command-line
 users get position-annotated diagnostics.
@@ -119,6 +120,7 @@ def _symbol_table(node: Any, where: str) -> SymbolTable:
         here = f"{where}[{si}]"
         _require(isinstance(entry, Mapping) and {"name", "value"} <= set(entry),
                  'symbol entries need "name" and "value"', here)
+        _check_keys(entry, ("name", "value"), here)
         name, value = entry["name"], entry["value"]
         _require(isinstance(name, str) and name, "symbol name must be a nonempty string", here)
         _require(type(value) in (int, float), "witness must be a JSON number", f"{here}.value")
@@ -134,7 +136,13 @@ def _symbol_table(node: Any, where: str) -> SymbolTable:
     return table
 
 
-_BUILDERS = ("torus", "example1", "example2_n1")
+_FIELDS = ("name", "n", "m", "symbols", "alphas", "lattice", "lattice_fiber", "schema_version")
+_BUILDERS = {"torus": ("n", "m"), "example1": ("a", "t_mode"), "example2_n1": ("A",)}
+
+
+def _check_keys(node: Mapping, allowed: tuple[str, ...], where: str):
+    for key in node:
+        _require(key in allowed, f"unknown field {key!r}", f"{where}.{key}")
 
 
 def _check_integers(node: Any, where: str):
@@ -146,12 +154,13 @@ def _check_integers(node: Any, where: str):
         _require(type(node) is int, "expected a JSON integer", where)
 
 
-def _build(node: Mapping, where: str) -> SolvManifoldSpec:
+def _build(node: Mapping) -> SolvManifoldSpec:
     name = node["builder"]
-    _require(name in _BUILDERS, f"unknown builder {name!r}", f"{where}.builder")
+    _require(isinstance(name, str) and name in _BUILDERS, f"unknown builder {name!r}", "$.builder")
+    _check_keys(node, ("builder",) + _BUILDERS[name], "$")
     for key, value in node.items():
         if key in ("n", "m", "a", "A") or (key == "t_mode" and isinstance(value, list)):
-            _check_integers(value, f"{where}.{key}")
+            _check_integers(value, f"$.{key}")
     try:
         if name == "torus":
             return torus(node.get("n", 1), node.get("m", 1))
@@ -159,51 +168,59 @@ def _build(node: Mapping, where: str) -> SolvManifoldSpec:
             return example1(node.get("a", []), node.get("t_mode", "symbolic"))
         return example2_n1(node.get("A", []))
     except (TypeError, ValueError) as exc:
-        raise SpecFileError(f"builder {name!r} rejected its parameters: {exc}", where)
+        raise SpecFileError(f"builder {name!r} rejected its parameters: {exc}", "$")
 
 
-def load_spec_dict(data: Any, where: str = "$") -> SolvManifoldSpec:
+def load_spec_dict(data: Any) -> SolvManifoldSpec:
     """Build a manifold from already parsed JSON data."""
-    _require(isinstance(data, Mapping), "top level must be an object", where)
+    _require(isinstance(data, Mapping), "top level must be an object", "$")
     if "builder" in data:
-        return _build(data, where)
+        return _build(data)
+    _check_keys(data, _FIELDS, "$")
     for key in ("name", "n", "m", "alphas", "lattice"):
-        _require(key in data, f'missing required field "{key}"', where)
+        _require(key in data, f'missing required field "{key}"', "$")
     name = data["name"]
-    _require(isinstance(name, str) and name, '"name" must be a nonempty string', f"{where}.name")
+    _require(isinstance(name, str) and name, '"name" must be a nonempty string', "$.name")
     for key in ("n", "m"):
-        _require(type(data[key]) is int, "expected a JSON integer", f"{where}.{key}")
+        _require(type(data[key]) is int, "expected a JSON integer", f"$.{key}")
     n, m = data["n"], data["m"]
-    _require(n >= 0 and m >= 0 and n + m >= 1, "need integer n, m >= 0 with n + m >= 1", where)
-    table = _symbol_table(data.get("symbols"), f"{where}.symbols")
+    _require(n >= 0 and m >= 0 and n + m >= 1, "need integer n, m >= 0 with n + m >= 1", "$")
+    table = _symbol_table(data.get("symbols"), "$.symbols")
     alphas_node = data["alphas"]
     _require(isinstance(alphas_node, list) and len(alphas_node) == m,
-             f'"alphas" must list {m} characters', f"{where}.alphas")
+             f'"alphas" must list {m} characters', "$.alphas")
     alphas = tuple(
-        _character(table, n, node, f"{where}.alphas[{i}]") for i, node in enumerate(alphas_node)
+        _character(table, n, node, f"$.alphas[{i}]") for i, node in enumerate(alphas_node)
     )
-    lattice = _lattice(table, n, data["lattice"], f"{where}.lattice")
+    lattice = _lattice(table, n, data["lattice"], "$.lattice")
     fiber_node = data.get("lattice_fiber")
-    fiber = None if fiber_node is None else _lattice(table, m, fiber_node, f"{where}.lattice_fiber")
+    fiber = None if fiber_node is None else _lattice(table, m, fiber_node, "$.lattice_fiber")
     try:
         return SolvManifoldSpec(
             name=name, n=n, m=m, alphas=alphas, lattice=lattice,
             lattice_fiber=fiber, symbols=table,
         )
     except ValueError as exc:
-        raise SpecFileError(str(exc), where)
+        raise SpecFileError(str(exc), "$")
 
 
 def load_spec(path: Union[str, Path]) -> SolvManifoldSpec:
-    """Load a manifold description file; raises SpecFileError on any defect."""
-    text = Path(path).read_text()
+    """Load a manifold description file; raises SpecFileError on any defect.
+
+    A file that cannot be opened or read raises the ``OSError`` of the attempt.
+    """
     try:
-        data = json.loads(text)
+        return load_spec_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"not UTF-8 text: {exc.reason}", f"byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise SpecFileError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
         )
-    return load_spec_dict(data)
+    except RecursionError:
+        # from the decoder, or (where it nests deeper than Python recurses, as
+        # from 3.12 on) from the schema walk or the repr in a diagnostic
+        raise SpecFileError("nested too deeply")
 
 
 def spec_to_dict(spec: SolvManifoldSpec) -> dict:

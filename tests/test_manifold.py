@@ -220,3 +220,23 @@ class TestSpecInvariants:
                 lattice_fiber=None,
                 symbols=table,
             )
+
+
+class TestBuilderIntegers:
+    @pytest.mark.parametrize(
+        "build, parameter",
+        [
+            (lambda: example1([1.5]), "a[0]"),
+            (lambda: example1([1], [1.5, 2]), "t_mode[0]"),
+            (lambda: example2_n1([[2.5, 1], [1, 1]]), "matrix[0][0]"),
+            (lambda: torus(True, 1), "n"),
+            (lambda: torus(2.7, 1), "n"),
+        ],
+        ids=["example1_a_float", "t_mode_float", "example2_entry_float", "torus_n_bool",
+             "torus_n_float"],
+    )
+    def test_non_integer_refused(self, build, parameter):
+        # never rounded into a manifold with a coerced name or parameter
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value).startswith(f"{parameter} must be an integer")

@@ -32,12 +32,12 @@ from solvhodge.cohomology import (
 )
 from solvhodge.forms import (
     basis_form,
+    harmonic_rows,
     is_d_harmonic,
     is_dbar_coclosed,
     is_dbar_harmonic,
     wedge_closure_report,
 )
-from solvhodge.report import harmonic_rows
 
 from conftest import corpus_specs, forms_corpus_specs
 
@@ -311,7 +311,7 @@ def literal_harmonic_verdict(spec, sweep) -> bool:
 
 
 class TestPairCharacterIdentities:
-    """The identities behind pair_support_masks, on chi, chi_co and chi_lin formed literally."""
+    """The identities behind harmonic_rows, on chi, chi_co and chi_lin formed literally."""
 
     def test_corpus_and_random_specs(self, rng):
         for spec in forms_corpus_specs() + random_family_specs(rng, 20):

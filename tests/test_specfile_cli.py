@@ -14,6 +14,8 @@ from solvhodge.cli import (
     emit_example,
     main,
 )
+from solvhodge.cohomology import sweep_trivial_pairs
+from solvhodge.forms import coclosed_mask, harmonic_rows
 from solvhodge.report import failed_checks, run_report_json
 from solvhodge.specfile import SpecFileError, load_spec, load_spec_dict, save_spec, spec_to_dict
 
@@ -89,6 +91,11 @@ class TestSpecFileErrors:
         with pytest.raises(SpecFileError):
             load_spec_dict({"builder": "moebius"})
 
+    def test_builder_name_must_be_a_string(self):
+        with pytest.raises(SpecFileError) as err:
+            load_spec_dict({"builder": [["torus"]]})
+        assert err.value.where == "$.builder"
+
     def test_undeclared_symbol(self):
         data = spec_to_dict(sh.torus(1, 1))
         data["lattice"][0][0]["re"] = {"ghost": "1"}
@@ -133,6 +140,35 @@ class TestSpecFileErrors:
         with pytest.raises(SpecFileError) as err:
             load_spec_dict(data)
         assert err.value.where == "$.n"
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            ({"builder": "torus", "n": 2, "mm": 3}, "$.mm"),
+            ({"builder": "example1", "a": [1], "n": 1}, "$.n"),
+            ({"builder": "example2_n1", "A": [[2, 1], [1, 1]], "schema_version": 1},
+             "$.schema_version"),
+        ],
+        ids=["torus_mm", "example1_foreign_parameter", "builder_schema_version"],
+    )
+    def test_unknown_builder_key(self, data, where):
+        with pytest.raises(SpecFileError) as err:
+            load_spec_dict(data)
+        assert err.value.where == where
+
+    def test_unknown_top_level_key(self):
+        data = spec_to_dict(sh.example2_n1([[2, 1], [1, 1]]))
+        data["lattice_fibre"] = data.pop("lattice_fiber")
+        with pytest.raises(SpecFileError) as err:
+            load_spec_dict(data)
+        assert err.value.where == "$.lattice_fibre"
+
+    def test_unknown_symbol_key(self):
+        data = spec_to_dict(sh.example1([1], "symbolic"))
+        data["symbols"][2]["witness"] = 1.0
+        with pytest.raises(SpecFileError) as err:
+            load_spec_dict(data)
+        assert err.value.where == "$.symbols[2].witness"
 
     def test_witness_must_not_be_bool(self):
         data = spec_to_dict(sh.example1([1], "symbolic"))
@@ -184,6 +220,11 @@ class TestAnalyze:
         report = analyze(lone_expanding_character())
         assert report.harmonic_certified is False
         assert "harmonicity" in failed_checks(report)
+
+    def test_rows_agree_with_coclosed_mask(self):
+        for spec in corpus_specs() + [lone_expanding_character()]:
+            rows = harmonic_rows(spec, sweep_trivial_pairs(spec))
+            assert all(row.co_closed for row in rows) == (coclosed_mask(spec) == 0), spec.name
 
     def test_rational_pi_still_passes_checks(self):
         report = analyze(sh.example1([1], "rational_pi(1,1)"))
@@ -295,6 +336,32 @@ class TestCli:
         assert self.run("analyze", str(path)) == EXIT_MALFORMED
         assert "$.a[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "check-harmonic"])
+    def test_directory_exit_2(self, tmp_path, capsys, command):
+        assert self.run(command, str(tmp_path)) == EXIT_MALFORMED
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"builder": "torus"}'.encode("utf-16-le"))
+        assert self.run("analyze", str(path)) == EXIT_MALFORMED
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, '{"builder": "example1", "a": ' + "[" * 1200 + "]" * 1200 + "}"],
+        ids=["unclosed", "deep_builder_parameter"],
+    )
+    def test_deep_nesting_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert self.run("analyze", str(path)) == EXIT_MALFORMED
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_emit_out_directory_exit_2(self, tmp_path, capsys):
+        assert self.run("emit-example", "torus", "--out", str(tmp_path)) == EXIT_MALFORMED
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_emit_round_trip(self, tmp_path, capsys):
         path = tmp_path / "em.json"
         code = self.run(
@@ -342,6 +409,16 @@ class TestCli:
         twisted = [el for el in data["elements"] if el["J"] == [1] and el["L"] == [1]]
         assert twisted and all(not el["d_harmonic"] for el in twisted)
         assert all(el["dbar_closed"] and el["co_closed"] for el in data["elements"])
+
+    def test_check_harmonic_not_harmonic_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "lone.json"
+        save_spec(lone_expanding_character(), path)
+        assert self.run("check-harmonic", str(path)) == EXIT_CHECK_FAILED
+        assert "all dbar-harmonic: False" in capsys.readouterr().out
+        assert self.run("check-harmonic", str(path), "--format", "json") == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert '"all_dbar_harmonic": false' in out
+        assert any(not el["co_closed"] for el in json.loads(out)["elements"])
 
     def test_check_harmonic_json(self, tmp_path, capsys):
         path = tmp_path / "e.json"
