@@ -20,11 +20,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import ComplexExact, ExactScalar, SymbolTable, TableMismatch
+from .exact import ComplexExact, ExactScalar, Immutable, SymbolTable, TableMismatch
 
 __all__ = [
     "CharacterExponent",
@@ -51,20 +50,31 @@ class HolomorphicUnitaryParts(NamedTuple):
     unit: "CharacterExponent"
 
 
-@dataclass(frozen=True)
-class CharacterExponent:
+class CharacterExponent(Immutable):
     """Exponent data (a, b) of the character exp(sum a_j z_j + b_j conj(z_j))."""
 
+    __slots__ = ("table", "a", "b")
     table: SymbolTable
     a: tuple[ComplexExact, ...]
     b: tuple[ComplexExact, ...]
 
-    def __post_init__(self):
+    def __init__(self, table, a, b):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         if len(self.a) != len(self.b):
             raise ValueError("exponent vectors must have equal length")
         for entry in self.a + self.b:
             if entry.table != self.table:
                 raise TableMismatch("exponent entry declared over a different table")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.table, self.a, self.b) == (other.table, other.a, other.b)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.table, self.a, self.b))
 
     @classmethod
     def trivial(cls, table: SymbolTable, n: int) -> "CharacterExponent":
@@ -177,19 +187,29 @@ class CharacterExponent:
         return f"Char(a={list(self.a)}, b={list(self.b)})"
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(Immutable):
     """2n real-independent generators of a lattice in C^n."""
 
+    __slots__ = ("n", "generators")
     n: int
     generators: tuple[tuple[ComplexExact, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, n, generators):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "generators", generators)
         if len(self.generators) != 2 * self.n:
             raise ValueError(f"expected {2 * self.n} generators, got {len(self.generators)}")
         for gen in self.generators:
             if len(gen) != self.n:
                 raise ValueError("generator has wrong length")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.generators) == (other.n, other.generators)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.generators))
 
     def real_matrix(self) -> tuple[tuple[float, ...], ...]:
         """Witness matrix, one row per generator: (Re g_1..Re g_n, Im g_1..Im g_n)."""

@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -22,6 +21,7 @@ from .cohomology import (
     serre_duality_check,
     sweep_trivial_pairs,
 )
+from .exact import Immutable, capped
 from .forms import MAX_FORMS_DIM, DimensionCapExceeded, coclosed_mask, harmonic_rows, wedge_closure_report
 from .kahler import kaehler_obstruction
 from .manifold import SolvManifoldSpec, example1, example2_n1, torus, validate
@@ -46,11 +46,16 @@ EXIT_TOO_LARGE = 3
 MAX_COUNTING_DIM = 12
 
 
-@dataclass
-class AnalyzeOptions:
-    skip_forms: bool = False
-    force_float: bool = False
-    max_dim: int = MAX_FORMS_DIM
+class AnalyzeOptions(Immutable):
+    __slots__ = ("skip_forms", "force_float", "max_dim")
+    skip_forms: bool
+    force_float: bool
+    max_dim: int
+
+    def __init__(self, skip_forms=False, force_float=False, max_dim=MAX_FORMS_DIM):
+        object.__setattr__(self, "skip_forms", skip_forms)
+        object.__setattr__(self, "force_float", force_float)
+        object.__setattr__(self, "max_dim", max_dim)
 
 
 def _check_counting_cap(spec: SolvManifoldSpec):
@@ -126,7 +131,7 @@ def emit_example(name: str, params: dict, out_path: Optional[Union[str, Path]]) 
     elif name == "example2_n1":
         spec = example2_n1(params.get("A", [[2, 1], [1, 1]]))
     else:
-        raise ValueError(f"unknown builder {name!r}")
+        raise ValueError(f"unknown builder {capped(repr(name))}")
     if out_path is not None:
         save_spec(spec, out_path)
     return spec

@@ -14,14 +14,12 @@ hold them against each other.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
 from .characters import CharacterExponent, is_trivial_on_lattice, is_trivial_on_lattice_float
-from .exact import SymbolProductUnrepresentable
+from .exact import Immutable, SymbolProductUnrepresentable
 from .manifold import SolvManifoldSpec
 
 __all__ = [
@@ -54,19 +52,31 @@ class FiberTooLarge(ValueError):
 MultiIndex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(Immutable):
     """One basis monomial, indexed by (I, J, K, L)."""
 
+    __slots__ = ("I", "J", "K", "L")
     I: MultiIndex
     J: MultiIndex
     K: MultiIndex
     L: MultiIndex
 
-    def __post_init__(self):
+    def __init__(self, I, J, K, L):
+        object.__setattr__(self, "I", I)
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "L", L)
         for label, indices in (("I", self.I), ("J", self.J), ("K", self.K), ("L", self.L)):
             if list(indices) != sorted(set(indices)):
                 raise ValueError(f"{label} must be strictly increasing")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.I, self.J, self.K, self.L) == (other.I, other.J, other.K, other.L)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.I, self.J, self.K, self.L))
 
     @property
     def p(self) -> int:
@@ -84,12 +94,22 @@ class BasisElement:
         return f"BasisElement(I={list(self.I)}, J={list(self.J)}, K={list(self.K)}, L={list(self.L)})"
 
 
-@dataclass(frozen=True)
-class PairSweep:
-    """Result of the fiber pair sweep: the admissible (J, L) and a certification flag."""
+class PairSweep(Immutable):
+    """Result of the fiber pair sweep: the admissible (J, L) and a certification flag.
 
+    ``pair_set`` holds the same pairs as a frozenset for membership tests;
+    it is built with the sweep, since every ``analyze`` tests membership.
+    """
+
+    __slots__ = ("pairs", "certified", "pair_set")
     pairs: tuple[tuple[MultiIndex, MultiIndex], ...]
     certified: bool
+    pair_set: frozenset
+
+    def __init__(self, pairs, certified):
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "pair_set", frozenset(pairs))
 
     def __iter__(self):
         return iter(self.pairs)
@@ -100,19 +120,17 @@ class PairSweep:
     def __contains__(self, pair) -> bool:
         return pair in self.pair_set
 
-    @functools.cached_property
-    def pair_set(self) -> frozenset:
-        return frozenset(self.pairs)
 
-
-@dataclass(frozen=True)
-class HodgeTable:
+class HodgeTable(Immutable):
     """Square table of model dimensions indexed by bidegree."""
 
+    __slots__ = ("n_plus_m", "h")
     n_plus_m: int
     h: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, n_plus_m, h):
+        object.__setattr__(self, "n_plus_m", n_plus_m)
+        object.__setattr__(self, "h", h)
         size = self.n_plus_m + 1
         if len(self.h) != size or any(len(row) != size for row in self.h):
             raise ValueError("table has the wrong shape")
@@ -130,21 +148,30 @@ class HodgeTable:
         return self.h
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Immutable):
     """Verdict on the matching of lattice-trivial pairs and globally trivial characters."""
 
+    __slots__ = ("holds", "violations", "checked_pairs")
     holds: bool
     violations: tuple[tuple[MultiIndex, MultiIndex, str], ...]
     checked_pairs: int
 
+    def __init__(self, holds, violations, checked_pairs):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "checked_pairs", checked_pairs)
 
-@dataclass(frozen=True)
-class BettiNumbers:
+
+class BettiNumbers(Immutable):
     """Anti-diagonal sums of the Hodge table, with a de Rham certification flag."""
 
+    __slots__ = ("values", "certified_de_rham")
     values: tuple[int, ...]
     certified_de_rham: bool
+
+    def __init__(self, values, certified_de_rham):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "certified_de_rham", certified_de_rham)
 
     def __iter__(self):
         return iter(self.values)

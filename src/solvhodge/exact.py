@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -46,13 +45,39 @@ class SymbolProductUnrepresentable(ArithmeticError):
     """
 
 
+class Immutable:
+    """Base of the package's value types: fields live in slots and are set once, by ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # pickle and copy hand back (None, {slot: value}) of a checked instance
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+ECHO_LIMIT = 60
+
+
+def capped(text: str) -> str:
+    """``text`` cut to ``ECHO_LIMIT`` characters plus "...", so that a diagnostic
+    echoing a piece of malformed input stays one short line."""
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
+
+
 _RATIONAL_LITERAL = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal ``"p"`` or ``"p/q"`` with q > 0."""
     if not isinstance(text, str) or not _RATIONAL_LITERAL.match(text.strip()):
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {capped(repr(text))}")
     return Fraction(text.strip())
 
 
@@ -66,17 +91,18 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class SymbolTable:
+class SymbolTable(Immutable):
     """Ordered family of named real constants with float witnesses.
 
     The names are treated as linearly independent over Q; ``one`` and
     ``pi`` are always present with witnesses 1.0 and math.pi.
     """
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[str, float], ...]
 
-    def __post_init__(self):
+    def __init__(self, entries):
+        object.__setattr__(self, "entries", entries)
         names = [name for name, _ in self.entries]
         if len(set(names)) != len(names):
             raise ValueError("duplicate symbol names")
@@ -91,6 +117,14 @@ class SymbolTable:
             if not math.isfinite(witness) or witness == 0.0:
                 raise ValueError(f"witness of {name!r} must be finite and nonzero")
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.entries,) == (other.entries,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
+
     @classmethod
     def base(cls) -> "SymbolTable":
         return cls((("one", 1.0), ("pi", math.pi)))
@@ -98,7 +132,7 @@ class SymbolTable:
     def with_symbol(self, name: str, witness: float) -> "SymbolTable":
         """Return a new table extending this one by a fresh symbol."""
         if name in self:
-            raise ValueError(f"symbol {name!r} already declared")
+            raise ValueError(f"symbol {capped(repr(name))} already declared")
         return SymbolTable(self.entries + ((name, float(witness)),))
 
     def witness(self, name: str) -> float:
@@ -118,18 +152,20 @@ class SymbolTable:
         return "SymbolTable(%s)" % ", ".join(self.names)
 
 
-@dataclass(frozen=True)
-class ExactScalar:
+class ExactScalar(Immutable):
     """A rational linear combination of the table's constants.
 
     Zero coefficients are never stored, so equality of the coefficient
     tuples is equality of scalars.
     """
 
+    __slots__ = ("table", "coeffs")
     table: SymbolTable
     coeffs: tuple[tuple[str, Fraction], ...]
 
-    def __post_init__(self):
+    def __init__(self, table, coeffs):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "coeffs", coeffs)
         previous = None
         for name, coeff in self.coeffs:
             if name not in self.table:
@@ -139,6 +175,14 @@ class ExactScalar:
             if previous is not None and name <= previous:
                 raise ValueError("coefficients must be sorted by symbol name")
             previous = name
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.table, self.coeffs) == (other.table, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.table, self.coeffs))
 
     @classmethod
     def make(cls, table: SymbolTable, coeffs: Mapping[str, Fraction | int | str]) -> "ExactScalar":
@@ -252,16 +296,26 @@ class ExactScalar:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class ComplexExact:
+class ComplexExact(Immutable):
     """A complex number with exact real and imaginary parts."""
 
+    __slots__ = ("re", "im")
     re: ExactScalar
     im: ExactScalar
 
-    def __post_init__(self):
+    def __init__(self, re, im):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
         if self.re.table != self.im.table:
             raise TableMismatch("real and imaginary parts use different tables")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.re, self.im) == (other.re, other.im)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     @classmethod
     def make(cls, table: SymbolTable, re=0, im=0) -> "ComplexExact":

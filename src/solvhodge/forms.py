@@ -23,7 +23,6 @@ normalisation is fixed to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .characters import CharacterExponent
@@ -34,7 +33,7 @@ from .cohomology import (
     all_basis_elements,
     subset_product_tables,
 )
-from .exact import ComplexExact
+from .exact import ComplexExact, Immutable
 from .manifold import SolvManifoldSpec
 
 __all__ = [
@@ -81,18 +80,28 @@ class DimensionCapExceeded(ValueError):
     """A forms-level sweep was refused because n + m exceeds the cap."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Immutable):
     """One coordinate codifferential (or frame coframe letter)."""
 
+    __slots__ = ("kind", "index")
     kind: str
     index: int
 
-    def __post_init__(self):
+    def __init__(self, kind, index):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
         if self.kind not in _KIND_RANK:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.index < 1:
             raise ValueError("generator indices are 1-based")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.index) == (other.kind, other.index)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.index))
 
     @property
     def is_holomorphic(self) -> bool:
@@ -154,7 +163,7 @@ def _term_sort_key(term: Term):
     return (len(word), tuple(g.sort_key() for g in word), char.sort_key())
 
 
-class _Form:
+class _Form(Immutable):
     """Shared normalisation and algebra for both alphabets."""
 
     __slots__ = ("terms",)
@@ -184,9 +193,6 @@ class _Form:
         ]
         cleaned.sort(key=_term_sort_key)
         object.__setattr__(self, "terms", tuple(cleaned))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("forms are immutable")
 
     @classmethod
     def zero(cls):
@@ -517,13 +523,18 @@ def coclosed_mask(spec: SolvManifoldSpec) -> int:
     return _support(_coclosed_vector(spec))
 
 
-@dataclass(frozen=True)
-class HarmonicRow:
+class HarmonicRow(Immutable):
     """Flags of one basis element; dbar-closedness always holds, so co-closed means dbar-harmonic."""
 
+    __slots__ = ("element", "co_closed", "d_harmonic")
     element: BasisElement
     co_closed: bool
     d_harmonic: bool
+
+    def __init__(self, element, co_closed, d_harmonic):
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "co_closed", co_closed)
+        object.__setattr__(self, "d_harmonic", d_harmonic)
 
 
 def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> tuple[HarmonicRow, ...]:
@@ -579,10 +590,14 @@ def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> tuple[HarmonicRow
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class WedgeClosureReport:
+class WedgeClosureReport(Immutable):
+    __slots__ = ("closed", "first_failure")
     closed: bool
     first_failure: Optional[tuple[BasisElement, BasisElement]]
+
+    def __init__(self, closed, first_failure):
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "first_failure", first_failure)
 
 
 def wedge_closure_report(

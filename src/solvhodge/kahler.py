@@ -9,8 +9,7 @@ criterion has no positive direction here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .exact import Immutable
 from .manifold import SolvManifoldSpec
 
 __all__ = ["KaehlerVerdict", "OBSTRUCTED", "INCONCLUSIVE", "kaehler_obstruction"]
@@ -19,11 +18,16 @@ OBSTRUCTED = "obstructed"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class KaehlerVerdict:
+class KaehlerVerdict(Immutable):
+    __slots__ = ("status", "witnesses", "completely_solvable")
     status: str
     witnesses: tuple[int, ...]  # 1-based indices of non-unitary fiber characters
     completely_solvable: bool
+
+    def __init__(self, status, witnesses, completely_solvable):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "completely_solvable", completely_solvable)
 
 
 def kaehler_obstruction(spec: SolvManifoldSpec) -> KaehlerVerdict:

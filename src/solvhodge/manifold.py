@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .characters import CharacterExponent, LatticeBasis
-from .exact import ComplexExact, ExactScalar, SymbolTable, TableMismatch
+from .exact import ComplexExact, ExactScalar, Immutable, SymbolTable, TableMismatch, capped
 
 __all__ = [
     "SolvManifoldSpec",
@@ -35,10 +34,10 @@ FIBER_VIOLATED = "violated"
 FIBER_NOT_CHECKED = "not_checked"
 
 
-@dataclass(frozen=True)
-class SolvManifoldSpec:
+class SolvManifoldSpec(Immutable):
     """Complete description of one manifold: characters, lattices, symbols."""
 
+    __slots__ = ("name", "n", "m", "alphas", "lattice", "lattice_fiber", "symbols")
     name: str
     n: int
     m: int
@@ -47,7 +46,14 @@ class SolvManifoldSpec:
     lattice_fiber: Optional[LatticeBasis]
     symbols: SymbolTable
 
-    def __post_init__(self):
+    def __init__(self, name, n, m, alphas, lattice, lattice_fiber, symbols):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "lattice_fiber", lattice_fiber)
+        object.__setattr__(self, "symbols", symbols)
         if self.n < 0 or self.m < 0 or self.n + self.m < 1:
             raise ValueError("need n, m >= 0 with n + m >= 1")
         if len(self.alphas) != self.m:
@@ -62,16 +68,32 @@ class SolvManifoldSpec:
         if self.lattice_fiber is not None and self.lattice_fiber.n != self.m:
             raise ValueError("fiber lattice dimension mismatch")
 
+    def _fields(self):
+        return (self.name, self.n, self.m, self.alphas, self.lattice, self.lattice_fiber, self.symbols)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
     @property
     def complex_dim(self) -> int:
         return self.n + self.m
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Immutable):
+    __slots__ = ("lattice_rank_ok", "fiber_preserved", "details")
     lattice_rank_ok: bool
     fiber_preserved: str  # FIBER_OK | FIBER_VIOLATED | FIBER_NOT_CHECKED
     details: tuple[str, ...]
+
+    def __init__(self, lattice_rank_ok, fiber_preserved, details):
+        object.__setattr__(self, "lattice_rank_ok", lattice_rank_ok)
+        object.__setattr__(self, "fiber_preserved", fiber_preserved)
+        object.__setattr__(self, "details", details)
 
 
 def _integer_determinant(mat: Sequence[Sequence[int]]) -> int:
@@ -242,7 +264,7 @@ def _parse_t_mode(t_mode) -> Optional[tuple[int, int]]:
     elif isinstance(t_mode, (tuple, list)) and len(t_mode) == 2:
         r, s = (_integer(v, f"t_mode[{i}]") for i, v in enumerate(t_mode))
     else:
-        raise ValueError(f"unknown t_mode {t_mode!r}")
+        raise ValueError(f"unknown t_mode {capped(repr(t_mode))}")
     if s <= 0 or r == 0:
         raise ValueError("rational_pi(r, s) needs r != 0 and s > 0")
     return r, s

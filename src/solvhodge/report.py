@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .cohomology import BettiNumbers, ConditionReport, HodgeTable
+from .exact import Immutable
 from .forms import HarmonicRow
 from .kahler import KaehlerVerdict
 from .manifold import ValidationReport
@@ -24,8 +24,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(Immutable):
+    __slots__ = (
+        "name", "mode", "validation", "hodge", "betti", "condition", "symmetry", "serre",
+        "wedge_closure", "harmonic_certified", "kaehler", "timings_ms",
+    )
     name: str
     mode: str  # "exact" | "float_fallback"
     validation: ValidationReport
@@ -38,6 +41,23 @@ class RunReport:
     harmonic_certified: Optional[bool]
     kaehler: KaehlerVerdict
     timings_ms: dict[str, float]
+
+    def __init__(
+        self, name, mode, validation, hodge, betti, condition, symmetry, serre,
+        wedge_closure, harmonic_certified, kaehler, timings_ms,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "validation", validation)
+        object.__setattr__(self, "hodge", hodge)
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "symmetry", symmetry)
+        object.__setattr__(self, "serre", serre)
+        object.__setattr__(self, "wedge_closure", wedge_closure)
+        object.__setattr__(self, "harmonic_certified", harmonic_certified)
+        object.__setattr__(self, "kaehler", kaehler)
+        object.__setattr__(self, "timings_ms", timings_ms)
 
 
 def failed_checks(report: RunReport) -> list[str]:

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Mapping, Union
 
 from .characters import CharacterExponent, LatticeBasis
-from .exact import ComplexExact, ExactScalar, SymbolTable, parse_rational
+from .exact import ComplexExact, ExactScalar, SymbolTable, capped, parse_rational
 from .manifold import SolvManifoldSpec, example1, example2_n1, torus
 
 __all__ = ["SpecFileError", "load_spec", "load_spec_dict", "save_spec", "spec_to_dict"]
@@ -51,11 +51,13 @@ def _scalar(table: SymbolTable, node: Any, where: str) -> ExactScalar:
     _require(isinstance(node, Mapping), "scalar literal must be an object", where)
     coeffs = {}
     for name, text in node.items():
-        _require(name in table, f"undeclared symbol {name!r}", where)
+        _require(name in table, f"undeclared symbol {capped(repr(name))}", where)
         try:
             coeffs[name] = parse_rational(text)
         except (TypeError, ValueError):
-            raise SpecFileError(f"bad rational literal {text!r}", f"{where}.{name}")
+            raise SpecFileError(
+                f"bad rational literal {capped(repr(text))}", f"{where}.{capped(name)}"
+            )
     return ExactScalar.make(table, coeffs)
 
 
@@ -142,7 +144,7 @@ _BUILDERS = {"torus": ("n", "m"), "example1": ("a", "t_mode"), "example2_n1": ("
 
 def _check_keys(node: Mapping, allowed: tuple[str, ...], where: str):
     for key in node:
-        _require(key in allowed, f"unknown field {key!r}", f"{where}.{key}")
+        _require(key in allowed, f"unknown field {capped(repr(key))}", f"{where}.{capped(key)}")
 
 
 def _check_integers(node: Any, where: str):
@@ -156,7 +158,9 @@ def _check_integers(node: Any, where: str):
 
 def _build(node: Mapping) -> SolvManifoldSpec:
     name = node["builder"]
-    _require(isinstance(name, str) and name in _BUILDERS, f"unknown builder {name!r}", "$.builder")
+    _require(
+        isinstance(name, str) and name in _BUILDERS, f"unknown builder {capped(repr(name))}", "$.builder"
+    )
     _check_keys(node, ("builder",) + _BUILDERS[name], "$")
     for key, value in node.items():
         if key in ("n", "m", "a", "A") or (key == "t_mode" and isinstance(value, list)):

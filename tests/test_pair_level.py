@@ -10,6 +10,8 @@ walk behind the converse half of the condition check.
 """
 
 import ast
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -419,3 +421,26 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_no_dataclass_in_package():
+    package = Path(sh.__file__).parent
+    offenders = [
+        path.name for path in sorted(package.glob("*.py")) if "dataclass" in path.read_text()
+    ]
+    assert offenders == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # a fresh interpreter, so that modules the test session loaded do not hide an import
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import solvhodge.cli; print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(sh.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, timeout=60, check=True
+    )
+    added = done.stdout.split()
+    assert "solvhodge.cli" in added
+    assert "dataclasses" not in added and "inspect" not in added

@@ -358,6 +358,37 @@ class TestCli:
         assert self.run("analyze", str(path)) == EXIT_MALFORMED
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"builder": "[" * 1200 + "]" * 1200},
+            {"builder": '"' + "x" * 3000 + '"'},
+            {"builder": '"example1"', "a": "[1]", "t_mode": '"' + "y" * 3000 + '"'},
+            {"builder": '"torus"', "z" * 3000: "1"},
+            {"name": '"x"', "n": "1", "m": "0", "alphas": "[]",
+             "lattice": '[[{"re": {"one": "' + "9" * 3000 + '."}}], [{"im": {"one": "1"}}]]'},
+            {"name": '"x"', "n": "1", "m": "0", "alphas": "[]",
+             "lattice": '[[{"re": {"' + "q" * 3000 + '": "1"}}], [{"im": {"one": "1"}}]]'},
+            {"name": '"x"', "n": "1", "m": "0", "alphas": "[]", "lattice": "[[{}], [{}]]",
+             "symbols": '[{"name": "' + "s" * 3000 + '", "value": 2}, {"name": "' + "s" * 3000
+             + '", "value": 3}]'},
+        ],
+        ids=["deep_builder", "long_builder", "long_t_mode", "long_field", "long_literal",
+             "long_symbol", "repeated_long_symbol"],
+    )
+    def test_echoed_value_is_capped_exit_2(self, tmp_path, capsys, data):
+        path = tmp_path / "long.json"
+        path.write_text("{" + ", ".join(f'"{key}": {value}' for key, value in data.items()) + "}")
+        assert self.run("analyze", str(path)) == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert len(err) < 200, err
+
+    def test_short_echo_unchanged(self):
+        with pytest.raises(SpecFileError) as err:
+            load_spec_dict({"builder": "moebius"})
+        assert str(err.value) == "$.builder: unknown builder 'moebius'"
+
     def test_emit_out_directory_exit_2(self, tmp_path, capsys):
         assert self.run("emit-example", "torus", "--out", str(tmp_path)) == EXIT_MALFORMED
         assert capsys.readouterr().err.startswith("error:")

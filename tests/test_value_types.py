@@ -1,0 +1,199 @@
+"""Value semantics of the package's immutable types.
+
+Equal values compare and hash equal, no field can be assigned or deleted
+after construction, and every construction-time check refuses bad data.
+"""
+
+import copy
+import math
+import pickle
+from fractions import Fraction
+
+import pytest
+
+import solvhodge as sh
+from solvhodge.exact import ComplexExact, ExactScalar, SymbolTable, TableMismatch
+from solvhodge.forms import dw, dz
+
+
+def table():
+    return SymbolTable.base().with_symbol("t", 2.0)
+
+
+def other_table():
+    return SymbolTable.base().with_symbol("u", 3.0)
+
+
+def scalar(symbols, **coeffs):
+    return ExactScalar.make(symbols, coeffs)
+
+
+def cplx(t, re=0, im=0):
+    return ComplexExact.make(t, re=re, im=im)
+
+
+def character(t, shift=0):
+    return sh.CharacterExponent(t, (cplx(t, 1 + shift, "1/2"),), (cplx(t, 0, -1),))
+
+
+def lattice(t, scale=1):
+    return sh.LatticeBasis(1, ((cplx(t, scale),), (cplx(t, 0, scalar(t, t=1)),)))
+
+
+def spec(t, name="demo"):
+    return sh.SolvManifoldSpec(
+        name=name, n=1, m=1, alphas=(character(t),), lattice=lattice(t),
+        lattice_fiber=sh.torus(0, 1).lattice_fiber, symbols=t,
+    )
+
+
+# Each builder makes a fresh instance; ``same`` builds an equal one from
+# separately built parts, ``other`` an unequal one.
+VALUES = {
+    "SymbolTable": (table, lambda: SymbolTable.base().with_symbol("t", 2.0), other_table),
+    "ExactScalar": (
+        lambda: scalar(table(), one="1/2", t=-3),
+        lambda: ExactScalar(table(), (("one", Fraction(1, 2)), ("t", Fraction(-3)))),
+        lambda: scalar(table(), one="1/2", t=3),
+    ),
+    "ComplexExact": (
+        lambda: cplx(table(), 1, scalar(table(), pi=2)),
+        lambda: ComplexExact(scalar(table(), one=1), scalar(table(), pi=2)),
+        lambda: cplx(table(), 1, scalar(table(), pi=-2)),
+    ),
+    "CharacterExponent": (
+        lambda: character(table()),
+        lambda: character(table()),
+        lambda: character(table(), shift=1),
+    ),
+    "LatticeBasis": (lambda: lattice(table()), lambda: lattice(table()), lambda: lattice(table(), 2)),
+    "SolvManifoldSpec": (
+        lambda: spec(table()),
+        lambda: spec(table()),
+        lambda: spec(table(), name="renamed"),
+    ),
+    "Generator": (lambda: sh.Generator("dw", 2), lambda: sh.Generator("dw", 2), lambda: sh.Generator("dwbar", 2)),
+    "BasisElement": (
+        lambda: sh.BasisElement((1,), (1, 2), (), (2,)),
+        lambda: sh.BasisElement((1,), (1, 2), (), (2,)),
+        lambda: sh.BasisElement((1,), (1, 2), (2,), ()),
+    ),
+    "TwistedForm": (
+        lambda: sh.TwistedForm.monomial(cplx(table(), 2), character(table()), (dz(1), dw(1))),
+        lambda: sh.TwistedForm.monomial(cplx(table(), -2), character(table()), (dw(1), dz(1))),
+        lambda: sh.TwistedForm.monomial(cplx(table(), 2), character(table()), (dz(1),)),
+    ),
+}
+
+FIELDS = {
+    "SymbolTable": ("entries",),
+    "ExactScalar": ("table", "coeffs"),
+    "ComplexExact": ("re", "im"),
+    "CharacterExponent": ("table", "a", "b"),
+    "LatticeBasis": ("n", "generators"),
+    "SolvManifoldSpec": ("name", "n", "m", "alphas", "lattice", "lattice_fiber", "symbols"),
+    "Generator": ("kind", "index"),
+    "BasisElement": ("I", "J", "K", "L"),
+    "TwistedForm": ("terms",),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_equal_values_compare_and_hash_equal(kind):
+    make, same, other = VALUES[kind]
+    first, second, different = make(), same(), other()
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert first != different and not first == different
+    assert len({first, second, different}) == 2
+    assert first != object()
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_fields_cannot_be_assigned_or_deleted(kind):
+    value = VALUES[kind][0]()
+    for field in FIELDS[kind]:
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
+    with pytest.raises(AttributeError):
+        value.not_a_field = 1
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_pickle_and_copy_keep_the_value(kind):
+    value = VALUES[kind][0]()
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert twin == value and hash(twin) == hash(value)
+
+
+t = table()
+u = other_table()
+one = cplx(t, 1)
+alpha = character(t)
+
+REFUSED = {
+    "SymbolTable duplicate name": (ValueError, lambda: SymbolTable((("one", 1.0), ("pi", math.pi), ("one", 1.0)))),
+    "SymbolTable without one": (ValueError, lambda: SymbolTable((("pi", math.pi),))),
+    "SymbolTable wrong one": (ValueError, lambda: SymbolTable((("one", 2.0), ("pi", math.pi)))),
+    "SymbolTable without pi": (ValueError, lambda: SymbolTable((("one", 1.0),))),
+    "SymbolTable empty name": (ValueError, lambda: SymbolTable((("one", 1.0), ("pi", math.pi), ("", 2.0)))),
+    "SymbolTable non-string name": (ValueError, lambda: SymbolTable((("one", 1.0), ("pi", math.pi), (7, 2.0)))),
+    "SymbolTable zero witness": (ValueError, lambda: SymbolTable((("one", 1.0), ("pi", math.pi), ("t", 0.0)))),
+    "SymbolTable infinite witness": (ValueError, lambda: SymbolTable((("one", 1.0), ("pi", math.pi), ("t", math.inf)))),
+    "ExactScalar undeclared symbol": (ValueError, lambda: ExactScalar(t, (("u", Fraction(1)),))),
+    "ExactScalar zero coefficient": (ValueError, lambda: ExactScalar(t, (("one", Fraction(0)),))),
+    "ExactScalar int coefficient": (ValueError, lambda: ExactScalar(t, (("one", 1),))),
+    "ExactScalar unsorted": (ValueError, lambda: ExactScalar(t, (("pi", Fraction(1)), ("one", Fraction(1))))),
+    "ExactScalar repeated symbol": (ValueError, lambda: ExactScalar(t, (("one", Fraction(1)), ("one", Fraction(2))))),
+    "ComplexExact mixed tables": (TableMismatch, lambda: ComplexExact(scalar(t, one=1), scalar(u, one=1))),
+    "CharacterExponent lengths": (ValueError, lambda: sh.CharacterExponent(t, (one,), ())),
+    "CharacterExponent foreign entry": (TableMismatch, lambda: sh.CharacterExponent(u, (one,), (cplx(u),))),
+    "LatticeBasis generator count": (ValueError, lambda: sh.LatticeBasis(1, ((one,),))),
+    "LatticeBasis generator length": (ValueError, lambda: sh.LatticeBasis(1, ((one,), (one, one)))),
+    "SolvManifoldSpec negative n": (
+        ValueError,
+        lambda: sh.SolvManifoldSpec("x", -1, 1, (alpha,), lattice(t), None, t),
+    ),
+    "SolvManifoldSpec empty": (
+        ValueError,
+        lambda: sh.SolvManifoldSpec("x", 0, 0, (), sh.LatticeBasis(0, ()), None, t),
+    ),
+    "SolvManifoldSpec character count": (
+        ValueError,
+        lambda: sh.SolvManifoldSpec("x", 1, 2, (alpha,), lattice(t), None, t),
+    ),
+    "SolvManifoldSpec character dimension": (
+        ValueError,
+        lambda: sh.SolvManifoldSpec("x", 1, 1, (sh.CharacterExponent.trivial(t, 2),), lattice(t), None, t),
+    ),
+    "SolvManifoldSpec foreign character": (
+        TableMismatch,
+        lambda: sh.SolvManifoldSpec("x", 1, 1, (sh.CharacterExponent.trivial(u, 1),), lattice(t), None, t),
+    ),
+    "SolvManifoldSpec lattice dimension": (
+        ValueError,
+        lambda: sh.SolvManifoldSpec("x", 1, 1, (alpha,), sh.torus(2, 1).lattice, None, t),
+    ),
+    "SolvManifoldSpec fiber dimension": (
+        ValueError,
+        lambda: sh.SolvManifoldSpec("x", 1, 1, (alpha,), lattice(t), sh.torus(0, 2).lattice_fiber, t),
+    ),
+    "Generator kind": (ValueError, lambda: sh.Generator("dx", 1)),
+    "Generator index": (ValueError, lambda: sh.Generator("dz", 0)),
+    "BasisElement I order": (ValueError, lambda: sh.BasisElement((2, 1), (), (), ())),
+    "BasisElement J repeat": (ValueError, lambda: sh.BasisElement((), (1, 1), (), ())),
+    "BasisElement K order": (ValueError, lambda: sh.BasisElement((), (), (3, 2), ())),
+    "BasisElement L repeat": (ValueError, lambda: sh.BasisElement((), (), (), (2, 2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_construction_checks_refuse(case):
+    error, build = REFUSED[case]
+    with pytest.raises(error):
+        build()
