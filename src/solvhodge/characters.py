@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import ComplexExact, ExactScalar, Immutable, SymbolTable, TableMismatch
+from .exact import ComplexExact, ExactScalar, Immutable, SymbolTable, TableMismatch, Value
 
 __all__ = [
     "CharacterExponent",
@@ -58,6 +58,7 @@ class CharacterExponent(Immutable):
     a: tuple[ComplexExact, ...]
     b: tuple[ComplexExact, ...]
 
+    # own __init__/__eq__/__hash__, not Value's: the 4^m pair sweep builds these on every operation
     def __init__(self, table, a, b):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "a", a)
@@ -148,15 +149,6 @@ class CharacterExponent(Immutable):
         hol = CharacterExponent(self.table, hol_a, (zero,) * self.n)
         return HolomorphicUnitaryParts(hol, unit)
 
-    def conjugate_unitary_part(self) -> "CharacterExponent":
-        """Unitary factor of the conjugate character.
-
-        Closed form: a' = -a, b' = conj(a).
-        """
-        a = tuple(-c for c in self.a)
-        b = tuple(c.conjugate() for c in self.a)
-        return CharacterExponent(self.table, a, b)
-
     def exponent_at(self, v: Sequence[ComplexExact]) -> ComplexExact:
         """Exact value of the exponent at the point v."""
         if len(v) != self.n:
@@ -187,29 +179,19 @@ class CharacterExponent(Immutable):
         return f"Char(a={list(self.a)}, b={list(self.b)})"
 
 
-class LatticeBasis(Immutable):
+class LatticeBasis(Value):
     """2n real-independent generators of a lattice in C^n."""
 
     __slots__ = ("n", "generators")
     n: int
     generators: tuple[tuple[ComplexExact, ...], ...]
 
-    def __init__(self, n, generators):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "generators", generators)
+    def _check(self):
         if len(self.generators) != 2 * self.n:
             raise ValueError(f"expected {2 * self.n} generators, got {len(self.generators)}")
         for gen in self.generators:
             if len(gen) != self.n:
                 raise ValueError("generator has wrong length")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.generators) == (other.n, other.generators)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.generators))
 
     def real_matrix(self) -> tuple[tuple[float, ...], ...]:
         """Witness matrix, one row per generator: (Re g_1..Re g_n, Im g_1..Im g_n)."""

@@ -21,10 +21,10 @@ from .cohomology import (
     serre_duality_check,
     sweep_trivial_pairs,
 )
-from .exact import Immutable, capped
+from .exact import capped
 from .forms import MAX_FORMS_DIM, DimensionCapExceeded, coclosed_mask, harmonic_rows, wedge_closure_report
 from .kahler import kaehler_obstruction
-from .manifold import SolvManifoldSpec, example1, example2_n1, torus, validate
+from .manifold import SolvManifoldSpec, validate
 from .report import (
     RunReport,
     failed_checks,
@@ -34,9 +34,9 @@ from .report import (
     render_text,
     run_report_json,
 )
-from .specfile import SpecFileError, load_spec, save_spec, spec_to_dict
+from .specfile import _BUILDERS, SpecFileError, load_spec, save_spec, spec_to_dict
 
-__all__ = ["AnalyzeOptions", "analyze", "emit_example", "main"]
+__all__ = ["analyze", "emit_example", "main"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,18 +44,6 @@ EXIT_MALFORMED = 2
 EXIT_TOO_LARGE = 3
 
 MAX_COUNTING_DIM = 12
-
-
-class AnalyzeOptions(Immutable):
-    __slots__ = ("skip_forms", "force_float", "max_dim")
-    skip_forms: bool
-    force_float: bool
-    max_dim: int
-
-    def __init__(self, skip_forms=False, force_float=False, max_dim=MAX_FORMS_DIM):
-        object.__setattr__(self, "skip_forms", skip_forms)
-        object.__setattr__(self, "force_float", force_float)
-        object.__setattr__(self, "max_dim", max_dim)
 
 
 def _check_counting_cap(spec: SolvManifoldSpec):
@@ -70,14 +58,16 @@ def _mode(sweep: PairSweep) -> str:
     return "exact" if sweep.certified else "float_fallback"
 
 
-def analyze(source: Union[str, Path, SolvManifoldSpec], options: Optional[AnalyzeOptions] = None) -> RunReport:
+def analyze(
+    source: Union[str, Path, SolvManifoldSpec], *,
+    skip_forms: bool = False, force_float: bool = False, max_dim: int = MAX_FORMS_DIM,
+) -> RunReport:
     """Run the full pipeline on a manifold description (path or in-memory)."""
-    options = options or AnalyzeOptions()
     spec = source if isinstance(source, SolvManifoldSpec) else load_spec(source)
     _check_counting_cap(spec)
-    if not options.skip_forms and spec.complex_dim > options.max_dim:
+    if not skip_forms and spec.complex_dim > max_dim:
         raise DimensionCapExceeded(
-            f"dimension {spec.complex_dim} exceeds the forms cap {options.max_dim};"
+            f"dimension {spec.complex_dim} exceeds the forms cap {max_dim};"
             " rerun with --skip-forms or raise --max-dim"
         )
     timings: dict[str, float] = {}
@@ -89,7 +79,7 @@ def analyze(source: Union[str, Path, SolvManifoldSpec], options: Optional[Analyz
         return result
 
     validation = clock("validate", validate, spec)
-    sweep = clock("pairs", sweep_trivial_pairs, spec, options.force_float)
+    sweep = clock("pairs", sweep_trivial_pairs, spec, force_float)
     table = clock("hodge", hodge_table, spec, sweep)
     condition = clock("condition", check_condition, spec, sweep)
     symmetry = clock(
@@ -100,9 +90,9 @@ def analyze(source: Union[str, Path, SolvManifoldSpec], options: Optional[Analyz
     betti = clock("betti", betti_numbers, table, condition)
     wedge_closure = None
     harmonic = None
-    if not options.skip_forms:
+    if not skip_forms:
         start = time.perf_counter()
-        wedge_closure = wedge_closure_report(spec, sweep, options.max_dim).closed
+        wedge_closure = wedge_closure_report(spec, sweep, max_dim).closed
         harmonic = not coclosed_mask(spec)
         timings["forms"] = (time.perf_counter() - start) * 1000.0
     kaehler = clock("kaehler", kaehler_obstruction, spec)
@@ -124,14 +114,11 @@ def analyze(source: Union[str, Path, SolvManifoldSpec], options: Optional[Analyz
 
 def emit_example(name: str, params: dict, out_path: Optional[Union[str, Path]]) -> SolvManifoldSpec:
     """Build a named example and write it in the file schema."""
-    if name == "torus":
-        spec = torus(params.get("n", 1), params.get("m", 1))
-    elif name == "example1":
-        spec = example1(params.get("a", [1]), params.get("t_mode", "symbolic"))
-    elif name == "example2_n1":
-        spec = example2_n1(params.get("A", [[2, 1], [1, 1]]))
-    else:
+    if not (isinstance(name, str) and name in _BUILDERS):
         raise ValueError(f"unknown builder {capped(repr(name))}")
+    builder, keys = _BUILDERS[name]
+    values = {"n": 1, "m": 1, "a": [1], "t_mode": "symbolic", "A": [[2, 1], [1, 1]], **params}
+    spec = builder(*(values[key] for key in keys))
     if out_path is not None:
         save_spec(spec, out_path)
     return spec
@@ -162,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_emit = sub.add_parser("emit-example", help="write a built-in example as a manifold file")
-    p_emit.add_argument("name", choices=("torus", "example1", "example2_n1"))
+    p_emit.add_argument("name", choices=tuple(_BUILDERS))
     p_emit.add_argument("--n", type=int, default=1, help="torus: base dimension")
     p_emit.add_argument("--m", type=int, default=1, help="torus: fiber dimension")
     p_emit.add_argument(
@@ -190,10 +177,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    options = AnalyzeOptions(
-        skip_forms=args.skip_forms, force_float=args.force_float, max_dim=args.max_dim
+    report = analyze(
+        args.file, skip_forms=args.skip_forms, force_float=args.force_float, max_dim=args.max_dim
     )
-    report = analyze(args.file, options)
     if args.format == "json":
         print(json.dumps(run_report_json(report), indent=2))
     elif args.format == "latex":
@@ -268,3 +254,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         sys.exit(code)
     return code
+
+
+if __name__ == "__main__":
+    main()

@@ -19,7 +19,7 @@ from itertools import combinations, product
 from math import comb
 
 from .characters import CharacterExponent, is_trivial_on_lattice, is_trivial_on_lattice_float
-from .exact import Immutable, SymbolProductUnrepresentable
+from .exact import Immutable, SymbolProductUnrepresentable, Value
 from .manifold import SolvManifoldSpec
 
 __all__ = [
@@ -52,7 +52,7 @@ class FiberTooLarge(ValueError):
 MultiIndex = tuple[int, ...]
 
 
-class BasisElement(Immutable):
+class BasisElement(Value):
     """One basis monomial, indexed by (I, J, K, L)."""
 
     __slots__ = ("I", "J", "K", "L")
@@ -61,22 +61,10 @@ class BasisElement(Immutable):
     K: MultiIndex
     L: MultiIndex
 
-    def __init__(self, I, J, K, L):
-        object.__setattr__(self, "I", I)
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "L", L)
+    def _check(self):
         for label, indices in (("I", self.I), ("J", self.J), ("K", self.K), ("L", self.L)):
             if list(indices) != sorted(set(indices)):
                 raise ValueError(f"{label} must be strictly increasing")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.I, self.J, self.K, self.L) == (other.I, other.J, other.K, other.L)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.I, self.J, self.K, self.L))
 
     @property
     def p(self) -> int:
@@ -128,9 +116,7 @@ class HodgeTable(Immutable):
     n_plus_m: int
     h: tuple[tuple[int, ...], ...]
 
-    def __init__(self, n_plus_m, h):
-        object.__setattr__(self, "n_plus_m", n_plus_m)
-        object.__setattr__(self, "h", h)
+    def _check(self):
         size = self.n_plus_m + 1
         if len(self.h) != size or any(len(row) != size for row in self.h):
             raise ValueError("table has the wrong shape")
@@ -156,11 +142,6 @@ class ConditionReport(Immutable):
     violations: tuple[tuple[MultiIndex, MultiIndex, str], ...]
     checked_pairs: int
 
-    def __init__(self, holds, violations, checked_pairs):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "checked_pairs", checked_pairs)
-
 
 class BettiNumbers(Immutable):
     """Anti-diagonal sums of the Hodge table, with a de Rham certification flag."""
@@ -168,10 +149,6 @@ class BettiNumbers(Immutable):
     __slots__ = ("values", "certified_de_rham")
     values: tuple[int, ...]
     certified_de_rham: bool
-
-    def __init__(self, values, certified_de_rham):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "certified_de_rham", certified_de_rham)
 
     def __iter__(self):
         return iter(self.values)

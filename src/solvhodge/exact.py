@@ -46,9 +46,32 @@ class SymbolProductUnrepresentable(ArithmeticError):
 
 
 class Immutable:
-    """Base of the package's value types: fields live in slots and are set once, by ``__init__``."""
+    """Base of the package's types: fields live in slots and are set once, by ``__init__``.
+
+    The shared constructor takes the fields, positionally or by keyword, in
+    the order of the class's own ``__slots__``, then runs ``_check``.
+    """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        kind = type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{kind}() takes {len(names)} arguments but {len(args)} were given")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{kind}() missing required argument {name!r}")
+            object.__setattr__(self, name, kwargs.pop(name))
+        for name in kwargs:
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{kind}() got {problem} argument {name!r}")
+        self._check()
+
+    def _check(self):
+        """Refuse bad field values; runs after the constructor has stored them."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -60,6 +83,25 @@ class Immutable:
         # pickle and copy hand back (None, {slot: value}) of a checked instance
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
+
+
+class Value(Immutable):
+    """An :class:`Immutable` that compares and hashes as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other is self:  # scalars of one spec share a SymbolTable, compared on every + and *
+            return True
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 ECHO_LIMIT = 60
@@ -91,7 +133,7 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational, got {type(value).__name__}")
 
 
-class SymbolTable(Immutable):
+class SymbolTable(Value):
     """Ordered family of named real constants with float witnesses.
 
     The names are treated as linearly independent over Q; ``one`` and
@@ -101,8 +143,7 @@ class SymbolTable(Immutable):
     __slots__ = ("entries",)
     entries: tuple[tuple[str, float], ...]
 
-    def __init__(self, entries):
-        object.__setattr__(self, "entries", entries)
+    def _check(self):
         names = [name for name, _ in self.entries]
         if len(set(names)) != len(names):
             raise ValueError("duplicate symbol names")
@@ -116,14 +157,6 @@ class SymbolTable(Immutable):
                 raise ValueError(f"bad symbol name: {name!r}")
             if not math.isfinite(witness) or witness == 0.0:
                 raise ValueError(f"witness of {name!r} must be finite and nonzero")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.entries,) == (other.entries,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.entries,))
 
     @classmethod
     def base(cls) -> "SymbolTable":
@@ -163,6 +196,7 @@ class ExactScalar(Immutable):
     table: SymbolTable
     coeffs: tuple[tuple[str, Fraction], ...]
 
+    # own __init__/__eq__/__hash__, not Value's: the 4^m pair sweep builds these on every operation
     def __init__(self, table, coeffs):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "coeffs", coeffs)
@@ -303,6 +337,7 @@ class ComplexExact(Immutable):
     re: ExactScalar
     im: ExactScalar
 
+    # own __init__/__eq__/__hash__, not Value's: the 4^m pair sweep builds these on every operation
     def __init__(self, re, im):
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)

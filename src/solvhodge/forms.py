@@ -33,7 +33,7 @@ from .cohomology import (
     all_basis_elements,
     subset_product_tables,
 )
-from .exact import ComplexExact, Immutable
+from .exact import ComplexExact, Immutable, Value
 from .manifold import SolvManifoldSpec
 
 __all__ = [
@@ -80,28 +80,18 @@ class DimensionCapExceeded(ValueError):
     """A forms-level sweep was refused because n + m exceeds the cap."""
 
 
-class Generator(Immutable):
+class Generator(Value):
     """One coordinate codifferential (or frame coframe letter)."""
 
     __slots__ = ("kind", "index")
     kind: str
     index: int
 
-    def __init__(self, kind, index):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
+    def _check(self):
         if self.kind not in _KIND_RANK:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.index < 1:
             raise ValueError("generator indices are 1-based")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.index) == (other.kind, other.index)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.index))
 
     @property
     def is_holomorphic(self) -> bool:
@@ -163,7 +153,7 @@ def _term_sort_key(term: Term):
     return (len(word), tuple(g.sort_key() for g in word), char.sort_key())
 
 
-class _Form(Immutable):
+class _Form(Value):
     """Shared normalisation and algebra for both alphabets."""
 
     __slots__ = ("terms",)
@@ -206,11 +196,9 @@ class _Form(Immutable):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.terms))
+    def _fields(self):
+        # the subclasses add no slots, so Value's own-__slots__ lookup would find none
+        return (self.terms,)
 
     def __add__(self, other):
         if type(self) is not type(other):
@@ -531,11 +519,6 @@ class HarmonicRow(Immutable):
     co_closed: bool
     d_harmonic: bool
 
-    def __init__(self, element, co_closed, d_harmonic):
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "co_closed", co_closed)
-        object.__setattr__(self, "d_harmonic", d_harmonic)
-
 
 def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> tuple[HarmonicRow, ...]:
     """Co-closedness and full harmonicity of every basis element, no form built.
@@ -594,10 +577,6 @@ class WedgeClosureReport(Immutable):
     __slots__ = ("closed", "first_failure")
     closed: bool
     first_failure: Optional[tuple[BasisElement, BasisElement]]
-
-    def __init__(self, closed, first_failure):
-        object.__setattr__(self, "closed", closed)
-        object.__setattr__(self, "first_failure", first_failure)
 
 
 def wedge_closure_report(

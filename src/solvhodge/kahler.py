@@ -24,11 +24,6 @@ class KaehlerVerdict(Immutable):
     witnesses: tuple[int, ...]  # 1-based indices of non-unitary fiber characters
     completely_solvable: bool
 
-    def __init__(self, status, witnesses, completely_solvable):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "completely_solvable", completely_solvable)
-
 
 def kaehler_obstruction(spec: SolvManifoldSpec) -> KaehlerVerdict:
     """Report non-unitary fiber characters; they rule a Kaehler metric out."""

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .characters import CharacterExponent, LatticeBasis
-from .exact import ComplexExact, ExactScalar, Immutable, SymbolTable, TableMismatch, capped
+from .exact import ComplexExact, ExactScalar, Immutable, SymbolTable, TableMismatch, Value, capped
 
 __all__ = [
     "SolvManifoldSpec",
@@ -34,7 +34,7 @@ FIBER_VIOLATED = "violated"
 FIBER_NOT_CHECKED = "not_checked"
 
 
-class SolvManifoldSpec(Immutable):
+class SolvManifoldSpec(Value):
     """Complete description of one manifold: characters, lattices, symbols."""
 
     __slots__ = ("name", "n", "m", "alphas", "lattice", "lattice_fiber", "symbols")
@@ -46,14 +46,7 @@ class SolvManifoldSpec(Immutable):
     lattice_fiber: Optional[LatticeBasis]
     symbols: SymbolTable
 
-    def __init__(self, name, n, m, alphas, lattice, lattice_fiber, symbols):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "lattice_fiber", lattice_fiber)
-        object.__setattr__(self, "symbols", symbols)
+    def _check(self):
         if self.n < 0 or self.m < 0 or self.n + self.m < 1:
             raise ValueError("need n, m >= 0 with n + m >= 1")
         if len(self.alphas) != self.m:
@@ -68,17 +61,6 @@ class SolvManifoldSpec(Immutable):
         if self.lattice_fiber is not None and self.lattice_fiber.n != self.m:
             raise ValueError("fiber lattice dimension mismatch")
 
-    def _fields(self):
-        return (self.name, self.n, self.m, self.alphas, self.lattice, self.lattice_fiber, self.symbols)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
     @property
     def complex_dim(self) -> int:
         return self.n + self.m
@@ -89,11 +71,6 @@ class ValidationReport(Immutable):
     lattice_rank_ok: bool
     fiber_preserved: str  # FIBER_OK | FIBER_VIOLATED | FIBER_NOT_CHECKED
     details: tuple[str, ...]
-
-    def __init__(self, lattice_rank_ok, fiber_preserved, details):
-        object.__setattr__(self, "lattice_rank_ok", lattice_rank_ok)
-        object.__setattr__(self, "fiber_preserved", fiber_preserved)
-        object.__setattr__(self, "details", details)
 
 
 def _integer_determinant(mat: Sequence[Sequence[int]]) -> int:

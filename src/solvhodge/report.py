@@ -42,23 +42,6 @@ class RunReport(Immutable):
     kaehler: KaehlerVerdict
     timings_ms: dict[str, float]
 
-    def __init__(
-        self, name, mode, validation, hodge, betti, condition, symmetry, serre,
-        wedge_closure, harmonic_certified, kaehler, timings_ms,
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "validation", validation)
-        object.__setattr__(self, "hodge", hodge)
-        object.__setattr__(self, "betti", betti)
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "symmetry", symmetry)
-        object.__setattr__(self, "serre", serre)
-        object.__setattr__(self, "wedge_closure", wedge_closure)
-        object.__setattr__(self, "harmonic_certified", harmonic_certified)
-        object.__setattr__(self, "kaehler", kaehler)
-        object.__setattr__(self, "timings_ms", timings_ms)
-
 
 def failed_checks(report: RunReport) -> list[str]:
     """Names of certified checks that did not pass (drives the CI exit code)."""

@@ -139,7 +139,12 @@ def _symbol_table(node: Any, where: str) -> SymbolTable:
 
 
 _FIELDS = ("name", "n", "m", "symbols", "alphas", "lattice", "lattice_fiber", "schema_version")
-_BUILDERS = {"torus": ("n", "m"), "example1": ("a", "t_mode"), "example2_n1": ("A",)}
+# builder name -> (builder, its parameters in call order); the CLI's emit-example reads it too
+_BUILDERS = {
+    "torus": (torus, ("n", "m")),
+    "example1": (example1, ("a", "t_mode")),
+    "example2_n1": (example2_n1, ("A",)),
+}
 
 
 def _check_keys(node: Mapping, allowed: tuple[str, ...], where: str):
@@ -161,16 +166,14 @@ def _build(node: Mapping) -> SolvManifoldSpec:
     _require(
         isinstance(name, str) and name in _BUILDERS, f"unknown builder {capped(repr(name))}", "$.builder"
     )
-    _check_keys(node, ("builder",) + _BUILDERS[name], "$")
+    builder, keys = _BUILDERS[name]
+    _check_keys(node, ("builder",) + keys, "$")
     for key, value in node.items():
         if key in ("n", "m", "a", "A") or (key == "t_mode" and isinstance(value, list)):
             _check_integers(value, f"$.{key}")
+    values = {"n": 1, "m": 1, "a": [], "t_mode": "symbolic", "A": [], **node}
     try:
-        if name == "torus":
-            return torus(node.get("n", 1), node.get("m", 1))
-        if name == "example1":
-            return example1(node.get("a", []), node.get("t_mode", "symbolic"))
-        return example2_n1(node.get("A", []))
+        return builder(*(values[key] for key in keys))
     except (TypeError, ValueError) as exc:
         raise SpecFileError(f"builder {name!r} rejected its parameters: {exc}", "$")
 
@@ -214,13 +217,19 @@ def load_spec(path: Union[str, Path]) -> SolvManifoldSpec:
     A file that cannot be opened or read raises the ``OSError`` of the attempt.
     """
     try:
-        return load_spec_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        text = Path(path).read_text(encoding="utf-8")
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SpecFileError(
+                f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
+            )
+        except ValueError as exc:
+            # an integer literal longer than the interpreter's int-string digit limit
+            raise SpecFileError(f"invalid JSON: {capped(str(exc))}")
+        return load_spec_dict(data)
     except UnicodeDecodeError as exc:
         raise SpecFileError(f"not UTF-8 text: {exc.reason}", f"byte {exc.start}")
-    except json.JSONDecodeError as exc:
-        raise SpecFileError(
-            f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
-        )
     except RecursionError:
         # from the decoder, or (where it nests deeper than Python recurses, as
         # from 3.12 on) from the schema walk or the repr in a diagnostic

@@ -137,25 +137,29 @@ class TestDecompose:
                 assert abs(abs(unit.value_at([z])) - 1) < 1e-9
 
     def test_conjugate_unitary_part_matches_decomposition(self, table, rng):
+        # closed form of the conjugate's unitary part: a' = -a, b' = conj(a)
         for _ in range(100):
             chi = random_character(table, 2, rng)
-            assert chi.conjugate_unitary_part() == chi.conjugate().decompose().unit
+            closed_form = CharacterExponent(
+                table, tuple(-c for c in chi.a), tuple(c.conjugate() for c in chi.a)
+            )
+            assert closed_form == chi.conjugate().decompose().unit
 
     def test_conjugate_unitary_part_real_character(self, table):
         # for a real-valued character both unitary parts coincide
         chi = real_char(table, 2)
-        gamma = chi.conjugate_unitary_part()
+        gamma = chi.conjugate().decompose().unit
         assert gamma == chi.decompose().unit
         assert gamma == unitary_y_char(table, -2)
 
     def test_conjugate_unitary_part_of_unitary(self, table, rng):
         for _ in range(30):
             chi = random_unitary_character(table, 2, rng)
-            assert chi.conjugate_unitary_part() == chi.conjugate()
+            assert chi.conjugate().decompose().unit == chi.conjugate()
 
     def test_conjugate_unitary_part_holomorphic(self, table):
         chi = CharacterExponent(table, (cc(table, re=1),), (ComplexExact.zero(table),))
-        gamma = chi.conjugate_unitary_part()
+        gamma = chi.conjugate().decompose().unit
         assert gamma.a == (cc(table, re=-1),)
         assert gamma.b == (cc(table, re=1),)
         quotient = chi.conjugate() * gamma.inverse()
@@ -172,7 +176,7 @@ class TestDecompose:
             units = (
                 alphas[0].decompose().unit
                 * alphas[1].decompose().unit
-                * alphas[2].conjugate_unitary_part()
+                * alphas[2].conjugate().decompose().unit
             )
             assert units.is_trivial
 

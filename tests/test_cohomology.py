@@ -92,7 +92,7 @@ class TestTrivialPairs:
 
         for spec in corpus_specs() + [complex_character_spec()]:
             betas = [alpha.decompose().unit for alpha in spec.alphas]
-            gammas = [alpha.conjugate_unitary_part() for alpha in spec.alphas]
+            gammas = [alpha.conjugate().decompose().unit for alpha in spec.alphas]
             subsets = [
                 tuple(s)
                 for size in range(spec.m + 1)

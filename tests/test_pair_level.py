@@ -351,7 +351,7 @@ class TestHarmonicVerdictAgainstForms:
         for spec in forms_corpus_specs() + random_family_specs(rng, 60):
             oracle = {}
             for force_float in (False, True):
-                result = cli.analyze(spec, cli.AnalyzeOptions(force_float=force_float))
+                result = cli.analyze(spec, force_float=force_float)
                 sweep = sweep_trivial_pairs(spec, force_float)
                 if sweep.pairs not in oracle:
                     oracle[sweep.pairs] = literal_harmonic_verdict(spec, sweep)
@@ -396,9 +396,7 @@ class TestOneSweepPerAnalyze:
     @pytest.mark.parametrize("force_float", [False, True])
     def test_sweep_runs_once(self, monkeypatch, force_float):
         calls = self.count_sweeps(monkeypatch)
-        result = cli.analyze(
-            sh.example1([1], "symbolic"), cli.AnalyzeOptions(force_float=force_float)
-        )
+        result = cli.analyze(sh.example1([1], "symbolic"), force_float=force_float)
         assert len(calls) == 1
         assert result.wedge_closure and result.harmonic_certified
         assert result.mode == ("float_fallback" if force_float else "exact")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,6 @@ from solvhodge.cli import (
     EXIT_MALFORMED,
     EXIT_OK,
     EXIT_TOO_LARGE,
-    AnalyzeOptions,
     analyze,
     emit_example,
     main,
@@ -196,11 +199,11 @@ class TestAnalyze:
         assert report_canon(analyze(path)) == report_canon(analyze(sh.example1([1], "symbolic")))
 
     def test_skip_forms(self):
-        report = analyze(sh.torus(1, 1), AnalyzeOptions(skip_forms=True))
+        report = analyze(sh.torus(1, 1), skip_forms=True)
         assert report.wedge_closure is None and report.harmonic_certified is None
 
     def test_float_mode_flag(self):
-        report = analyze(sh.torus(1, 1), AnalyzeOptions(force_float=True, skip_forms=True))
+        report = analyze(sh.torus(1, 1), force_float=True, skip_forms=True)
         assert report.mode == "float_fallback"
 
     def test_forms_cap_raises(self):
@@ -358,6 +361,16 @@ class TestCli:
         assert self.run("analyze", str(path)) == EXIT_MALFORMED
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_integer_past_digit_limit_exit_2(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for an integer literal longer
+        # than the interpreter's int-string conversion limit (4,300 digits)
+        path = tmp_path / "huge.json"
+        path.write_text('{"builder": "torus", "n": ' + "9" * 5000 + "}")
+        assert self.run("analyze", str(path)) == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert len(err) < 200, err
+
     @pytest.mark.parametrize(
         "data",
         [
@@ -463,6 +476,17 @@ class TestCli:
     def test_version(self, capsys):
         assert self.run("version") == EXIT_OK
         assert capsys.readouterr().out.strip() == f"solvhodge {sh.__version__}"
+
+    def test_version_as_module(self):
+        src = str(Path(sh.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-m", "solvhodge.cli", "version"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == EXIT_OK
+        assert done.stdout == f"solvhodge {sh.__version__}\n"
 
     def test_version_json(self, capsys):
         assert self.run("version", "--format", "json") == EXIT_OK

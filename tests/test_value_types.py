@@ -197,3 +197,47 @@ def test_construction_checks_refuse(case):
     error, build = REFUSED[case]
     with pytest.raises(error):
         build()
+
+
+# The shared constructor of a record that only stores its arguments, and of a
+# value type whose construction checks run once the fields are stored.
+SHARED = {
+    "ConditionReport": (sh.ConditionReport, {"holds": True, "violations": (), "checked_pairs": 4}),
+    "BasisElement": (sh.BasisElement, {"I": (1,), "J": (1, 2), "K": (), "L": (2,)}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHARED))
+def test_shared_constructor_refuses_bad_arguments(kind):
+    cls, fields = SHARED[kind]
+    values = tuple(fields.values())
+    first = next(iter(fields))
+    with pytest.raises(TypeError, match="missing"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match="missing"):
+        cls(**{name: value for name, value in fields.items() if name != first})
+    with pytest.raises(TypeError, match="takes"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="unexpected"):
+        cls(*values, extra=None)
+    with pytest.raises(TypeError, match="multiple values"):
+        cls(*values, **{first: values[0]})
+
+
+@pytest.mark.parametrize("kind", sorted(SHARED))
+def test_keyword_and_positional_construction_agree(kind):
+    cls, fields = SHARED[kind]
+    items = list(fields.items())
+    built = (cls(*fields.values()), cls(**fields), cls(items[0][1], **dict(items[1:])))
+    for value in built:
+        assert [getattr(value, name) for name in fields] == list(fields.values())
+    if kind == "BasisElement":
+        assert built[0] == built[1] == built[2] and hash(built[0]) == hash(built[1])
+
+
+def test_shared_constructor_runs_the_checks_on_stored_fields():
+    assert sh.BasisElement(I=(), J=(1,), K=(), L=()).p == 1
+    with pytest.raises(ValueError, match="K must be strictly increasing"):
+        sh.BasisElement(I=(), J=(), K=(2, 1), L=())
+    with pytest.raises(ValueError, match="binomial bound"):
+        sh.HodgeTable(n_plus_m=1, h=((1, 2), (0, 1)))
