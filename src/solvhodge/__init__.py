@@ -22,6 +22,7 @@ from .cohomology import (
     BasisElement,
     BettiNumbers,
     ConditionReport,
+    DimensionCapExceeded,
     FiberTooLarge,
     HodgeTable,
     PairSweep,
@@ -42,7 +43,6 @@ from .exact import (
     TableMismatch,
 )
 from .forms import (
-    DimensionCapExceeded,
     FrameForm,
     Generator,
     TwistedForm,

@@ -271,7 +271,11 @@ def is_trivial_on_lattice_float(chi: CharacterExponent, lattice: LatticeBasis) -
         raise NotUnitary("lattice triviality is only defined for unitary characters")
     tol = FLOAT_TRIVIALITY_TOLERANCE
     for gen in lattice.generators:
-        w = chi.exponent_at_point([c.complex_value() for c in gen])
-        if abs(w.real) > tol or abs(math.sin(w.imag / 2.0)) > tol:
+        try:
+            w = chi.exponent_at_point([c.complex_value() for c in gen])
+        except OverflowError:  # an exact coefficient past the float range
+            return False
+        # an overflowed exponent decides nothing, and a NaN would pass the other two tests
+        if not cmath.isfinite(w) or abs(w.real) > tol or abs(math.sin(w.imag / 2.0)) > tol:
             return False
     return True

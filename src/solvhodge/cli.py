@@ -11,18 +11,19 @@ from typing import Optional, Union
 
 from . import __version__
 from .cohomology import (
-    FiberTooLarge,
+    MAX_FORMS_DIM,
+    DimensionCapExceeded,
     PairSweep,
     betti_numbers,
+    check_caps,
     check_condition,
     conjugation_symmetry,
-    hodge_symmetry,
     hodge_table,
     serre_duality_check,
     sweep_trivial_pairs,
 )
 from .exact import capped
-from .forms import MAX_FORMS_DIM, DimensionCapExceeded, coclosed_mask, harmonic_rows, wedge_closure_report
+from .forms import coclosed_mask, harmonic_rows, wedge_closure_report
 from .kahler import kaehler_obstruction
 from .manifold import SolvManifoldSpec, validate
 from .report import (
@@ -43,16 +44,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_MALFORMED = 2
 EXIT_TOO_LARGE = 3
 
-MAX_COUNTING_DIM = 12
-
-
-def _check_counting_cap(spec: SolvManifoldSpec):
-    """Refuse, before any work, a manifold whose pair sweep and tables would not finish."""
-    if spec.complex_dim > MAX_COUNTING_DIM:
-        raise DimensionCapExceeded(
-            f"dimension {spec.complex_dim} exceeds the counting cap {MAX_COUNTING_DIM}"
-        )
-
 
 def _mode(sweep: PairSweep) -> str:
     return "exact" if sweep.certified else "float_fallback"
@@ -64,12 +55,7 @@ def analyze(
 ) -> RunReport:
     """Run the full pipeline on a manifold description (path or in-memory)."""
     spec = source if isinstance(source, SolvManifoldSpec) else load_spec(source)
-    _check_counting_cap(spec)
-    if not skip_forms and spec.complex_dim > max_dim:
-        raise DimensionCapExceeded(
-            f"dimension {spec.complex_dim} exceeds the forms cap {max_dim};"
-            " rerun with --skip-forms or raise --max-dim"
-        )
+    check_caps(spec.complex_dim, None if skip_forms else max_dim)
     timings: dict[str, float] = {}
 
     def clock(stage, function, *args, **kwargs):
@@ -82,10 +68,7 @@ def analyze(
     sweep = clock("pairs", sweep_trivial_pairs, spec, force_float)
     table = clock("hodge", hodge_table, spec, sweep)
     condition = clock("condition", check_condition, spec, sweep)
-    symmetry = clock(
-        "symmetry",
-        lambda: hodge_symmetry(table) and conjugation_symmetry(spec, sweep),
-    )
+    symmetry = clock("symmetry", conjugation_symmetry, spec, sweep)
     serre = serre_duality_check(table)
     betti = clock("betti", betti_numbers, table, condition)
     wedge_closure = None
@@ -197,6 +180,8 @@ def _cmd_emit(args) -> int:
         "t_mode": args.t_mode,
         "A": [args.matrix[:2], args.matrix[2:]],
     }
+    if args.name == "torus" and min(args.n, args.m) >= 0:
+        check_caps(args.n + args.m)
     try:
         spec = emit_example(args.name, params, args.out)
     except ValueError as exc:
@@ -209,11 +194,7 @@ def _cmd_emit(args) -> int:
 
 def _cmd_check_harmonic(args) -> int:
     spec = load_spec(args.file)
-    _check_counting_cap(spec)
-    if spec.complex_dim > args.max_dim:
-        raise DimensionCapExceeded(
-            f"dimension {spec.complex_dim} exceeds the forms cap {args.max_dim}"
-        )
+    check_caps(spec.complex_dim, args.max_dim)
     sweep = sweep_trivial_pairs(spec)
     rows = harmonic_rows(spec, sweep)
     if args.format == "json":
@@ -248,7 +229,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_MALFORMED
-    except (FiberTooLarge, DimensionCapExceeded) as exc:
+    except DimensionCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_TOO_LARGE
     if argv is None:

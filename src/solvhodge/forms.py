@@ -27,10 +27,13 @@ from typing import Iterable, Optional, Sequence
 
 from .characters import CharacterExponent
 from .cohomology import (
+    MAX_FORMS_DIM,
     BasisElement,
+    DimensionCapExceeded,
     MultiIndex,
     PairSweep,
     all_basis_elements,
+    check_caps,
     subset_product_tables,
 )
 from .exact import ComplexExact, Immutable, Value
@@ -63,8 +66,6 @@ __all__ = [
     "wedge_closure_report",
 ]
 
-MAX_FORMS_DIM = 6
-
 _KIND_RANK = {
     "dz": 0, "dw": 1, "dzbar": 2, "dwbar": 3,
     "e": 0, "f": 1, "ebar": 2, "fbar": 3,
@@ -74,10 +75,6 @@ _CONJUGATE_KIND = {
     "e": "ebar", "ebar": "e", "f": "fbar", "fbar": "f",
 }
 _HOLOMORPHIC_KINDS = frozenset({"dz", "dw", "e", "f"})
-
-
-class DimensionCapExceeded(ValueError):
-    """A forms-level sweep was refused because n + m exceeds the cap."""
 
 
 class Generator(Value):
@@ -591,10 +588,7 @@ def wedge_closure_report(
     disjoint union; a failure is witnessed by two elements with empty base
     indices.
     """
-    if spec.complex_dim > max_dim:
-        raise DimensionCapExceeded(
-            f"wedge sweep refused for dimension {spec.complex_dim} > {max_dim}"
-        )
+    check_caps(spec.complex_dim, max_dim)
     masked = [(_mask(J), _mask(L), J, L) for J, L in sweep]
     admitted = {(j, l) for j, l, _, _ in masked}
     for j1, l1, J1, L1 in masked:

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Mapping, Union
 
 from .characters import CharacterExponent, LatticeBasis
+from .cohomology import check_caps
 from .exact import ComplexExact, ExactScalar, SymbolTable, capped, parse_rational
 from .manifold import SolvManifoldSpec, example1, example2_n1, torus
 
@@ -58,7 +59,17 @@ def _scalar(table: SymbolTable, node: Any, where: str) -> ExactScalar:
             raise SpecFileError(
                 f"bad rational literal {capped(repr(text))}", f"{where}.{capped(name)}"
             )
-    return ExactScalar.make(table, coeffs)
+    scalar = ExactScalar.make(table, coeffs)
+    _require(_is_finite(scalar.float_value), "scalar literal overflows a float", where)
+    return scalar
+
+
+def _is_finite(to_float) -> bool:
+    """Whether ``to_float()`` is finite; converting an int or Fraction past the float range raises."""
+    try:
+        return math.isfinite(to_float())
+    except OverflowError:
+        return False
 
 
 def _complex(table: SymbolTable, node: Any, where: str) -> ComplexExact:
@@ -130,7 +141,8 @@ def _symbol_table(node: Any, where: str) -> SymbolTable:
             expected = 1.0 if name == "one" else math.pi
             _require(value == expected, f"reserved symbol {name!r} must have witness {expected!r}", here)
             continue
-        _require(math.isfinite(value) and value != 0, "witness must be a finite nonzero number", here)
+        _require(_is_finite(lambda: float(value)) and value != 0,
+                 "witness must be a finite nonzero number", f"{here}.value")
         try:
             table = table.with_symbol(name, float(value))
         except ValueError as exc:
@@ -172,6 +184,9 @@ def _build(node: Mapping) -> SolvManifoldSpec:
         if key in ("n", "m", "a", "A") or (key == "t_mode" and isinstance(value, list)):
             _check_integers(value, f"$.{key}")
     values = {"n": 1, "m": 1, "a": [], "t_mode": "symbolic", "A": [], **node}
+    if name == "torus" and all(isinstance(values[key], int) and values[key] >= 0 for key in keys):
+        # its lattices grow as n^2 + m^2, so refuse it before it is built
+        check_caps(values["n"] + values["m"])
     try:
         return builder(*(values[key] for key in keys))
     except (TypeError, ValueError) as exc:

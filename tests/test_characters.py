@@ -241,6 +241,11 @@ class TestLatticeTriviality:
                     chi, lattice
                 )
 
+    @pytest.mark.parametrize("c", [10**200, 10**400], ids=["exponent_overflows", "coefficient_overflows"])
+    def test_float_fallback_refuses_a_non_finite_exponent(self, table, c):
+        lattice = self.lattice(table, ExactScalar.rational(table, 10**200))
+        assert not is_trivial_on_lattice_float(unitary_y_char(table, c), lattice)
+
 
 class TestLatticeBasis:
     def test_standard_lattice_rank(self, table):

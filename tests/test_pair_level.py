@@ -29,6 +29,7 @@ from solvhodge.cohomology import (
     basis_elements,
     check_condition,
     conjugation_symmetry,
+    hodge_symmetry,
     hodge_table,
     sweep_trivial_pairs,
 )
@@ -183,6 +184,27 @@ class TestHodgeTableAgainstPerPairSum:
                 chosen = {pair for pair in pairs if rng.random() < 0.4} | {((), ())}
                 stub = PairSweep(tuple(sorted(chosen)), certified=True)
                 assert hodge_table(spec, stub).rows() == literal_hodge_rows(spec, stub), stub
+
+
+class TestSymmetryFromSwapClosure:
+    """analyze's symmetry verdict is swap closure alone: it implies h[p][q] == h[q][p]."""
+
+    def test_swap_closed_stub_has_symmetric_table(self, rng):
+        for spec in (sh.torus(0, 3), sh.torus(1, 2), sh.torus(2, 2), sh.torus(3, 1)):
+            pairs = all_pairs(spec.m)
+            for _ in range(15):
+                chosen = swap_closure({pair for pair in pairs if rng.random() < 0.3} | {((), ())})
+                stub = PairSweep(tuple(sorted(chosen)), certified=True)
+                assert conjugation_symmetry(spec, stub), stub
+                assert hodge_symmetry(hodge_table(spec, stub)), stub
+
+    def test_old_expression_agrees_on_corpus(self):
+        for spec in corpus_specs():
+            for force_float in (False, True):
+                sweep = sweep_trivial_pairs(spec, force_float)
+                old = hodge_symmetry(hodge_table(spec, sweep)) and conjugation_symmetry(spec, sweep)
+                new = cli.analyze(spec, skip_forms=True, force_float=force_float).symmetry
+                assert new == old, spec.name
 
 
 class TestHarmonicRowsAgainstForms:

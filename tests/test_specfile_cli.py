@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import solvhodge as sh
-from solvhodge import cli, cohomology, report
+from solvhodge import cli, cohomology, manifold, report
 from solvhodge.cli import (
     EXIT_CHECK_FAILED,
     EXIT_MALFORMED,
@@ -44,6 +44,17 @@ def lone_expanding_character():
         lattice_fiber=None,
         symbols=table,
     )
+
+
+def symbolic_scale_data(**fields):
+    """File data for n = m = 1 with the character e^{s x} and the lattice (1, i t); ``fields`` override."""
+    return {
+        "name": "scaled", "n": 1, "m": 1,
+        "symbols": [{"name": "s", "value": 1.5}, {"name": "t", "value": 2.5}],
+        "alphas": [{"real_exp": [{"s": "1"}]}],
+        "lattice": [[{"re": {"one": "1"}}], [{"im": {"t": "1"}}]],
+        **fields,
+    }
 
 
 class TestSpecFileRoundTrip:
@@ -301,6 +312,54 @@ class TestCli:
         save_spec(sh.torus(1, 12), path)
         assert self.run("check-harmonic", str(path), "--max-dim", "20") == EXIT_TOO_LARGE
         assert "counting cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "check-harmonic"])
+    def test_torus_node_refused_before_build(self, tmp_path, monkeypatch, capsys, command):
+        # the lattices of a torus node grow as n^2 + m^2, so the cap comes first
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the torus lattice was built before the counting cap was checked")
+
+        monkeypatch.setattr(manifold, "_standard_lattice", refuse)
+        path = tmp_path / "node.json"
+        path.write_text(json.dumps({"builder": "torus", "n": 6, "m": 7}))
+        assert self.run(command, str(path)) == EXIT_TOO_LARGE
+        assert "counting cap" in capsys.readouterr().err
+
+    def test_emit_torus_past_counting_cap_exit_3(self, capsys):
+        assert self.run("emit-example", "torus", "--n", "13") == EXIT_TOO_LARGE
+        out, err = capsys.readouterr()
+        assert out == "" and "counting cap" in err
+
+    @pytest.mark.parametrize(
+        "patch, where",
+        [
+            ({"symbols": [{"name": "s", "value": 10**400}]}, "$.symbols[0].value"),
+            ({"lattice": [[{"re": {"one": "1" + "0" * 400}}], [{"im": {"one": "1"}}]]},
+             "$.lattice[0][0].re"),
+            ({"alphas": [{"real_exp": [{"s": "1" + "0" * 400}]}]}, "$.alphas[0].real_exp[0]"),
+        ],
+        ids=["witness", "lattice_entry", "real_exp"],
+    )
+    def test_float_overflow_at_load_exit_2(self, tmp_path, capsys, patch, where):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(symbolic_scale_data(**patch)))
+        assert self.run("analyze", str(path), "--skip-forms") == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}:") and err.count("\n") == 1
+
+    def test_float_gate_refuses_an_overflowed_exponent(self, tmp_path, capsys):
+        # finite witnesses and literals whose product overflows at the generator i*t*10^200
+        big = "1" + "0" * 200
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(symbolic_scale_data(
+            alphas=[{"real_exp": [{"s": big}]}],
+            lattice=[[{"re": {"one": "1"}}], [{"im": {"t": big}}]],
+        )))
+        # only ((), ()) is admitted, so Serre duality fails: exit 1 with a full report
+        assert self.run("analyze", str(path), "--skip-forms", "--format", "json") == EXIT_CHECK_FAILED
+        data = json.loads(capsys.readouterr().out)
+        assert data["mode"] == "float_fallback"
+        assert data["hodge"] == [[1, 1, 0], [1, 1, 0], [0, 0, 0]]
 
     def test_max_dim_flag(self, tmp_path, capsys):
         path = tmp_path / "t12.json"
