@@ -22,7 +22,6 @@ from .cohomology import (
     serre_duality_check,
     sweep_trivial_pairs,
 )
-from .exact import capped
 from .forms import coclosed_mask, harmonic_rows, wedge_closure_report
 from .kahler import kaehler_obstruction
 from .manifold import SolvManifoldSpec, validate
@@ -35,7 +34,7 @@ from .report import (
     render_text,
     run_report_json,
 )
-from .specfile import _BUILDERS, SpecFileError, load_spec, save_spec, spec_to_dict
+from .specfile import _BUILDERS, SpecFileError, load_spec, load_spec_dict, save_spec, spec_to_dict
 
 __all__ = ["analyze", "emit_example", "main"]
 
@@ -96,12 +95,8 @@ def analyze(
 
 
 def emit_example(name: str, params: dict, out_path: Optional[Union[str, Path]]) -> SolvManifoldSpec:
-    """Build a named example and write it in the file schema."""
-    if not (isinstance(name, str) and name in _BUILDERS):
-        raise ValueError(f"unknown builder {capped(repr(name))}")
-    builder, keys = _BUILDERS[name]
-    values = {"n": 1, "m": 1, "a": [1], "t_mode": "symbolic", "A": [[2, 1], [1, 1]], **params}
-    spec = builder(*(values[key] for key in keys))
+    """Build the builder node ``{"builder": name, **params}`` and write it in the file schema."""
+    spec = load_spec_dict({**params, "builder": name})
     if out_path is not None:
         save_spec(spec, out_path)
     return spec
@@ -173,20 +168,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    params = {
-        "n": args.n,
-        "m": args.m,
-        "a": args.a,
-        "t_mode": args.t_mode,
-        "A": [args.matrix[:2], args.matrix[2:]],
-    }
-    if args.name == "torus" and min(args.n, args.m) >= 0:
-        check_caps(args.n + args.m)
-    try:
-        spec = emit_example(args.name, params, args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    # argparse's n, m, a and t_mode are the builders' own parameter names
+    options = {**vars(args), "A": [args.matrix[:2], args.matrix[2:]]}
+    _, keys = _BUILDERS[args.name]
+    spec = emit_example(args.name, {key: options[key] for key in keys}, args.out)
     if args.out is None:
         print(json.dumps(spec_to_dict(spec), indent=2))
     return EXIT_OK

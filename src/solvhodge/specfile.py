@@ -173,7 +173,19 @@ def _check_integers(node: Any, where: str):
         _require(type(node) is int, "expected a JSON integer", where)
 
 
+def _dimension(name: str, values: Mapping) -> int:
+    """The n + m a builder node implies, known before it is built; 0 where its
+    parameters are malformed, which the builder then reports."""
+    if name == "example2_n1":
+        return 3
+    if name == "example1":
+        return 1 + 2 * len(values["a"]) if isinstance(values["a"], list) else 0
+    n, m = values["n"], values["m"]
+    return n + m if all(type(v) is int and v >= 0 for v in (n, m)) else 0
+
+
 def _build(node: Mapping) -> SolvManifoldSpec:
+    """The one build path for named examples: builder nodes and ``emit-example`` both come here."""
     name = node["builder"]
     _require(
         isinstance(name, str) and name in _BUILDERS, f"unknown builder {capped(repr(name))}", "$.builder"
@@ -184,9 +196,7 @@ def _build(node: Mapping) -> SolvManifoldSpec:
         if key in ("n", "m", "a", "A") or (key == "t_mode" and isinstance(value, list)):
             _check_integers(value, f"$.{key}")
     values = {"n": 1, "m": 1, "a": [], "t_mode": "symbolic", "A": [], **node}
-    if name == "torus" and all(isinstance(values[key], int) and values[key] >= 0 for key in keys):
-        # its lattices grow as n^2 + m^2, so refuse it before it is built
-        check_caps(values["n"] + values["m"])
+    check_caps(_dimension(name, values))
     try:
         return builder(*(values[key] for key in keys))
     except (TypeError, ValueError) as exc:
@@ -207,6 +217,7 @@ def load_spec_dict(data: Any) -> SolvManifoldSpec:
         _require(type(data[key]) is int, "expected a JSON integer", f"$.{key}")
     n, m = data["n"], data["m"]
     _require(n >= 0 and m >= 0 and n + m >= 1, "need integer n, m >= 0 with n + m >= 1", "$")
+    check_caps(n + m)
     table = _symbol_table(data.get("symbols"), "$.symbols")
     alphas_node = data["alphas"]
     _require(isinstance(alphas_node, list) and len(alphas_node) == m,

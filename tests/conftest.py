@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,14 @@ def corpus_specs() -> list[sh.SolvManifoldSpec]:
         sh.example1([2, 3], "symbolic"),
         sh.example2_n1([[2, 1], [1, 1]]),
     ]
+
+
+# the example2_n1 matrices: unimodular, hyperbolic, entries in -4..4
+HYPERBOLIC = [
+    [[a, b], [c, d]]
+    for a, b, c, d in itertools.product(range(-4, 5), repeat=4)
+    if a * d - b * c == 1 and abs(a + d) > 2
+]
 
 
 def forms_corpus_specs() -> list[sh.SolvManifoldSpec]:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import solvhodge as sh
-from solvhodge import cli, cohomology, manifold, report
+from solvhodge import cli, cohomology, manifold, report, specfile
 from solvhodge.cli import (
     EXIT_CHECK_FAILED,
     EXIT_MALFORMED,
@@ -329,6 +329,32 @@ class TestCli:
         assert self.run("emit-example", "torus", "--n", "13") == EXIT_TOO_LARGE
         out, err = capsys.readouterr()
         assert out == "" and "counting cap" in err
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out_file"])
+    def test_emit_example1_past_counting_cap_exit_3(self, tmp_path, capsys, out):
+        path = tmp_path / "ex7.json"
+        args = ["emit-example", "example1", "--a", "1", "2", "3", "4", "5", "6", "7"]
+        assert self.run(*args, *(["--out", str(path)] if out else [])) == EXIT_TOO_LARGE
+        assert capsys.readouterr() == ("", "error: dimension 15 exceeds the counting cap 12\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "check-harmonic"])
+    def test_example1_node_refused_before_build(self, tmp_path, monkeypatch, capsys, command):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("example1 was built before the counting cap was checked")
+
+        _, keys = specfile._BUILDERS["example1"]
+        monkeypatch.setitem(specfile._BUILDERS, "example1", (refuse, keys))
+        path = tmp_path / "node.json"
+        path.write_text(json.dumps({"builder": "example1", "a": list(range(1, 20001))}))
+        assert self.run(command, str(path)) == EXIT_TOO_LARGE
+        assert "dimension 40001 exceeds the counting cap" in capsys.readouterr().err
+
+    def test_explicit_file_refused_before_parsing(self):
+        # the alphas and lattice are never read, so their defects go unreported
+        data = {"name": "wide", "n": 6, "m": 7, "alphas": "not read", "lattice": None}
+        with pytest.raises(cohomology.DimensionCapExceeded, match="dimension 13 exceeds the counting cap"):
+            load_spec_dict(data)
 
     @pytest.mark.parametrize(
         "patch, where",
