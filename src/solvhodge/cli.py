@@ -26,13 +26,13 @@ from .forms import coclosed_mask, harmonic_rows, wedge_closure_report
 from .kahler import kaehler_obstruction
 from .manifold import SolvManifoldSpec, validate
 from .report import (
-    RunReport,
+    SCHEMA_VERSION,
     failed_checks,
     harmonic_rows_json,
     render_harmonic_text,
     render_latex,
     render_text,
-    run_report_json,
+    run_report,
 )
 from .specfile import _BUILDERS, SpecFileError, load_spec, load_spec_dict, save_spec, spec_to_dict
 
@@ -51,8 +51,8 @@ def _mode(sweep: PairSweep) -> str:
 def analyze(
     source: Union[str, Path, SolvManifoldSpec], *,
     skip_forms: bool = False, force_float: bool = False, max_dim: int = MAX_FORMS_DIM,
-) -> RunReport:
-    """Run the full pipeline on a manifold description (path or in-memory)."""
+) -> dict:
+    """Run the full pipeline on a spec or a file path; returns the record ``--format json`` prints."""
     spec = source if isinstance(source, SolvManifoldSpec) else load_spec(source)
     check_caps(spec.complex_dim, None if skip_forms else max_dim)
     timings: dict[str, float] = {}
@@ -78,19 +78,9 @@ def analyze(
         harmonic = not coclosed_mask(spec)
         timings["forms"] = (time.perf_counter() - start) * 1000.0
     kaehler = clock("kaehler", kaehler_obstruction, spec)
-    return RunReport(
-        name=spec.name,
-        mode=_mode(sweep),
-        validation=validation,
-        hodge=table,
-        betti=betti,
-        condition=condition,
-        symmetry=symmetry,
-        serre=serre,
-        wedge_closure=wedge_closure,
-        harmonic_certified=harmonic,
-        kaehler=kaehler,
-        timings_ms=timings,
+    return run_report(
+        spec.name, _mode(sweep), validation, table, betti, condition, symmetry, serre,
+        wedge_closure, harmonic, kaehler, timings,
     )
 
 
@@ -100,6 +90,17 @@ def emit_example(name: str, params: dict, out_path: Optional[Union[str, Path]]) 
     if out_path is not None:
         save_spec(spec, out_path)
     return spec
+
+
+def _forms_cap(text: str) -> int:
+    """``--max-dim``: an int of at least 1, since a smaller cap refuses every n + m >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="force the float fallback for lattice triviality (mode flag set in the report)",
     )
     p_analyze.add_argument(
-        "--max-dim", type=int, default=MAX_FORMS_DIM,
+        "--max-dim", type=_forms_cap, default=MAX_FORMS_DIM,
         help=f"cap on n+m for forms-level certification (default {MAX_FORMS_DIM})",
     )
 
@@ -147,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_harm = sub.add_parser("check-harmonic", help="per-basis-element harmonicity flags")
     p_harm.add_argument("file", help="manifold description file (JSON)")
     p_harm.add_argument("--format", choices=("text", "json"), default="text")
-    p_harm.add_argument("--max-dim", type=int, default=MAX_FORMS_DIM)
+    p_harm.add_argument("--max-dim", type=_forms_cap, default=MAX_FORMS_DIM)
 
     p_version = sub.add_parser("version", help="print the package version")
     p_version.add_argument("--format", choices=("text", "json"), default="text")
@@ -159,7 +160,7 @@ def _cmd_analyze(args) -> int:
         args.file, skip_forms=args.skip_forms, force_float=args.force_float, max_dim=args.max_dim
     )
     if args.format == "json":
-        print(json.dumps(run_report_json(report), indent=2))
+        print(json.dumps(report, indent=2))
     elif args.format == "latex":
         print(render_latex(report), end="")
     else:
@@ -181,17 +182,18 @@ def _cmd_check_harmonic(args) -> int:
     spec = load_spec(args.file)
     check_caps(spec.complex_dim, args.max_dim)
     sweep = sweep_trivial_pairs(spec)
-    rows = harmonic_rows(spec, sweep)
+    record = harmonic_rows_json(spec.name, _mode(sweep), harmonic_rows(spec, sweep))
     if args.format == "json":
-        print(json.dumps(harmonic_rows_json(spec.name, _mode(sweep), rows), indent=2))
+        print(json.dumps(record, indent=2))
     else:
-        print(render_harmonic_text(spec.name, _mode(sweep), rows), end="")
-    return EXIT_OK if all(r.co_closed for r in rows) else EXIT_CHECK_FAILED
+        print(render_harmonic_text(record), end="")
+    return EXIT_OK if record["all_dbar_harmonic"] else EXIT_CHECK_FAILED
 
 
 def _cmd_version(args) -> int:
     if args.format == "json":
-        print(json.dumps({"schema_version": 1, "name": "solvhodge", "version": __version__}))
+        record = {"schema_version": SCHEMA_VERSION, "name": "solvhodge", "version": __version__}
+        print(json.dumps(record))
     else:
         print(f"solvhodge {__version__}")
     return EXIT_OK

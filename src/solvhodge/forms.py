@@ -43,7 +43,6 @@ __all__ = [
     "DimensionCapExceeded",
     "FrameForm",
     "Generator",
-    "HarmonicRow",
     "TwistedForm",
     "WedgeClosureReport",
     "bar_star",
@@ -508,17 +507,11 @@ def coclosed_mask(spec: SolvManifoldSpec) -> int:
     return _support(_coclosed_vector(spec))
 
 
-class HarmonicRow(Immutable):
-    """Flags of one basis element; dbar-closedness always holds, so co-closed means dbar-harmonic."""
+def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> list[dict]:
+    """The ``check-harmonic`` schema row of every basis element, no form built.
 
-    __slots__ = ("element", "co_closed", "d_harmonic")
-    element: BasisElement
-    co_closed: bool
-    d_harmonic: bool
-
-
-def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> tuple[HarmonicRow, ...]:
-    """Co-closedness and full harmonicity of every basis element, no form built.
+    A row holds p, q, I, J, K, L and the flags dbar_closed (always True, see
+    below), co_closed (so also dbar-harmonic) and d_harmonic.
 
     The element u = chi * dz_I ^ dw_J ^ dzbar_K ^ dwbar_L has coefficient 1
     and chi = chi_{J,L} of :func:`basis_form`.  Its differentials are
@@ -562,12 +555,17 @@ def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> tuple[HarmonicRow
         a = (hol[J] * bar_hol[L]).inverse().a
         supports[J, L] = _support(a), _support(tuple(x.conjugate() + y for x, y in zip(a, c)))
     rows = []
-    for element in all_basis_elements(spec, sweep):
-        a, lin_b = supports[element.J, element.L]
-        i_mask = _mask(element.I)
-        co_closed = not co_b & _mask(element.K)
-        rows.append(HarmonicRow(element, co_closed, co_closed and not a & ~i_mask and not lin_b & i_mask))
-    return tuple(rows)
+    for el in all_basis_elements(spec, sweep):
+        a, lin_b = supports[el.J, el.L]
+        i_mask = _mask(el.I)
+        co_closed = not co_b & _mask(el.K)
+        rows.append({
+            "p": el.p, "q": el.q,
+            "I": list(el.I), "J": list(el.J), "K": list(el.K), "L": list(el.L),
+            "dbar_closed": True, "co_closed": co_closed,
+            "d_harmonic": co_closed and not a & ~i_mask and not lin_b & i_mask,
+        })
+    return rows
 
 
 class WedgeClosureReport(Immutable):
@@ -587,8 +585,19 @@ def wedge_closure_report(
     so the span is closed exactly when the admitted pairs are closed under
     disjoint union; a failure is witnessed by two elements with empty base
     indices.
+
+    A certified sweep is closed without a pair loop.  Every one of its pairs
+    was decided exactly by the gate character unit(A_J) unit(Abar_L), and for
+    disjoint pairs A_{J1 u J2} = A_{J1} A_{J2}, the same for Abar, while unit
+    is a homomorphism.  So the union's gate exponent at each lattice
+    generator is the sum of the two pairs' exponents, two elements of
+    2 pi i Z, and the union is admitted.  An uncertified sweep keeps the
+    literal check: the float test is not additive, since two exponents
+    within its tolerance bound their sum only by twice that tolerance.
     """
     check_caps(spec.complex_dim, max_dim)
+    if sweep.certified:
+        return WedgeClosureReport(True, None)
     masked = [(_mask(J), _mask(L), J, L) for J, L in sweep]
     admitted = {(j, l) for j, l, _, _ in masked}
     for j1, l1, J1, L1 in masked:

@@ -5,7 +5,7 @@ import pytest
 
 import solvhodge as sh
 from solvhodge.characters import CharacterExponent
-from solvhodge.cohomology import BasisElement, all_basis_elements, sweep_trivial_pairs
+from solvhodge.cohomology import BasisElement, PairSweep, all_basis_elements, sweep_trivial_pairs
 from solvhodge.exact import ComplexExact
 from solvhodge.forms import (
     DimensionCapExceeded,
@@ -394,6 +394,22 @@ class TestWedgeClosure:
         spec = sh.example1([1], "rational_pi(1,1)")
         report = wedge_closure_report(spec, sweep_trivial_pairs(spec))
         assert report.closed and report.first_failure is None
+
+    def test_certified_sweep_is_closed_without_a_pair_loop(self):
+        class Unwalkable(PairSweep):
+            __slots__ = ()
+
+            def __iter__(self):
+                raise RuntimeError("the pairs were walked")
+
+        spec = sh.torus(1, 2)
+        pairs = sweep_trivial_pairs(spec).pairs
+        report = wedge_closure_report(spec, Unwalkable(pairs, True))
+        assert report.closed and report.first_failure is None
+        with pytest.raises(RuntimeError, match="walked"):
+            wedge_closure_report(spec, Unwalkable(pairs, False))
+        with pytest.raises(DimensionCapExceeded):
+            wedge_closure_report(spec, Unwalkable(pairs, True), max_dim=2)
 
     def test_dimension_cap(self):
         spec = sh.torus(3, 4)

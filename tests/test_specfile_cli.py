@@ -19,7 +19,13 @@ from solvhodge.cli import (
 )
 from solvhodge.cohomology import sweep_trivial_pairs
 from solvhodge.forms import coclosed_mask, harmonic_rows
-from solvhodge.report import failed_checks, run_report_json
+from solvhodge.report import (
+    failed_checks,
+    harmonic_rows_json,
+    render_harmonic_text,
+    render_latex,
+    render_text,
+)
 from solvhodge.specfile import SpecFileError, load_spec, load_spec_dict, save_spec, spec_to_dict
 
 from conftest import corpus_specs
@@ -27,7 +33,7 @@ from conftest import corpus_specs
 
 def report_canon(report):
     """Comparable run report: everything except timings."""
-    data = run_report_json(report)
+    data = dict(report)
     data.pop("timings_ms", None)
     return data
 
@@ -196,13 +202,14 @@ class TestSpecFileErrors:
 class TestAnalyze:
     def test_example1_report(self):
         report = analyze(sh.example1([1], "symbolic"))
-        assert report.hodge.rows() == ((1, 1, 1, 1), (1, 3, 3, 1), (1, 3, 3, 1), (1, 1, 1, 1))
-        assert report.betti.values == (1, 2, 5, 8, 5, 2, 1)
-        assert report.condition.holds
-        assert report.symmetry and report.serre
-        assert report.wedge_closure and report.harmonic_certified
-        assert report.kaehler.status == "obstructed"
-        assert report.mode == "exact"
+        hodge = tuple(map(tuple, report["hodge"]))
+        assert hodge == ((1, 1, 1, 1), (1, 3, 3, 1), (1, 3, 3, 1), (1, 1, 1, 1))
+        assert tuple(report["betti"]) == (1, 2, 5, 8, 5, 2, 1)
+        assert report["condition"]["holds"]
+        assert report["symmetry"] and report["serre"]
+        assert report["wedge_closure"] and report["harmonic_certified"]
+        assert report["kaehler"]["status"] == "obstructed"
+        assert report["mode"] == "exact"
 
     def test_file_matches_in_memory(self, tmp_path):
         path = tmp_path / "ex1.json"
@@ -211,11 +218,11 @@ class TestAnalyze:
 
     def test_skip_forms(self):
         report = analyze(sh.torus(1, 1), skip_forms=True)
-        assert report.wedge_closure is None and report.harmonic_certified is None
+        assert report["wedge_closure"] is None and report["harmonic_certified"] is None
 
     def test_float_mode_flag(self):
         report = analyze(sh.torus(1, 1), force_float=True, skip_forms=True)
-        assert report.mode == "float_fallback"
+        assert report["mode"] == "float_fallback"
 
     def test_forms_cap_raises(self):
         with pytest.raises(sh.DimensionCapExceeded):
@@ -232,20 +239,20 @@ class TestAnalyze:
 
     def test_lone_expanding_character_is_not_harmonic(self):
         report = analyze(lone_expanding_character())
-        assert report.harmonic_certified is False
+        assert report["harmonic_certified"] is False
         assert "harmonicity" in failed_checks(report)
 
     def test_rows_agree_with_coclosed_mask(self):
         for spec in corpus_specs() + [lone_expanding_character()]:
             rows = harmonic_rows(spec, sweep_trivial_pairs(spec))
-            assert all(row.co_closed for row in rows) == (coclosed_mask(spec) == 0), spec.name
+            assert all(row["co_closed"] for row in rows) == (coclosed_mask(spec) == 0), spec.name
 
     def test_rational_pi_still_passes_checks(self):
         report = analyze(sh.example1([1], "rational_pi(1,1)"))
-        assert not report.condition.holds
-        assert not report.betti.certified_de_rham
-        assert report.symmetry and report.serre
-        assert report.harmonic_certified and report.wedge_closure
+        assert not report["condition"]["holds"]
+        assert not report["certified_de_rham"]
+        assert report["symmetry"] and report["serre"]
+        assert report["harmonic_certified"] and report["wedge_closure"]
 
 
 class TestCli:
@@ -294,6 +301,32 @@ class TestCli:
         assert self.run("analyze", str(path)) == EXIT_TOO_LARGE
         assert self.run("analyze", str(path), "--skip-forms") == EXIT_OK
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["analyze", "check-harmonic"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_dim_below_one_is_a_usage_error(self, tmp_path, capsys, command, value):
+        path = tmp_path / "t.json"
+        save_spec(sh.torus(1, 1), path)
+        extra = ("--skip-forms",) if command == "analyze" else ()
+        for flags in {(), extra}:
+            with pytest.raises(SystemExit) as exc:
+                self.run(command, str(path), "--max-dim", value, *flags)
+            assert exc.value.code == EXIT_MALFORMED
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument --max-dim: must be at least 1, got {value}" in captured.err
+        with pytest.raises(SystemExit) as exc:
+            self.run(command, str(path), "--max-dim", "x")
+        assert exc.value.code == EXIT_MALFORMED
+        assert "argument --max-dim: invalid int value: 'x'" in capsys.readouterr().err
+        assert self.run(command, str(path), "--max-dim", "1") == EXIT_TOO_LARGE
+        assert self.run(command, str(path), "--max-dim", "2") == EXIT_OK
+        capsys.readouterr()
+
+    def test_library_max_dim_below_one_still_raises(self):
+        for value in (0, -1):
+            with pytest.raises(sh.DimensionCapExceeded):
+                analyze(sh.torus(1, 1), max_dim=value)
 
     def test_fiber_cap_exit_3(self, tmp_path, capsys):
         path = tmp_path / "fiber.json"
@@ -577,3 +610,40 @@ class TestCli:
         assert self.run("version", "--format", "json") == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data == {"schema_version": 1, "name": "solvhodge", "version": sh.__version__}
+
+
+class TestCliPrintsLibraryRecord:
+    """Each command prints the record its library function returns, untranslated."""
+
+    @pytest.mark.parametrize(
+        "flags", [(), ("--skip-forms",), ("--float",)], ids=["plain", "skip-forms", "float"]
+    )
+    def test_analyze(self, tmp_path, capsys, flags):
+        options = {"skip_forms": "--skip-forms" in flags, "force_float": "--float" in flags}
+        for index, spec in enumerate(corpus_specs()):
+            path = tmp_path / f"{index}.json"
+            save_spec(spec, path)
+            record = analyze(path, **options)
+            code = EXIT_CHECK_FAILED if failed_checks(record) else EXIT_OK
+            printed = {}
+            for fmt in ("json", "text", "latex"):
+                assert main(["analyze", str(path), "--format", fmt, *flags]) == code, spec.name
+                printed[fmt] = capsys.readouterr().out
+            data = json.loads(printed["json"])
+            assert data["timings_ms"].keys() == record["timings_ms"].keys(), spec.name
+            assert report_canon(data) == report_canon(record), spec.name
+            assert printed["text"] == render_text(record), spec.name
+            assert printed["latex"] == render_latex(record), spec.name
+
+    def test_check_harmonic(self, tmp_path, capsys):
+        for index, spec in enumerate(corpus_specs()):
+            path = tmp_path / f"{index}.json"
+            save_spec(spec, path)
+            sweep = sweep_trivial_pairs(spec)
+            mode = "exact" if sweep.certified else "float_fallback"
+            record = harmonic_rows_json(spec.name, mode, harmonic_rows(spec, sweep))
+            code = EXIT_OK if record["all_dbar_harmonic"] else EXIT_CHECK_FAILED
+            assert main(["check-harmonic", str(path), "--format", "json"]) == code, spec.name
+            assert json.loads(capsys.readouterr().out) == record, spec.name
+            assert main(["check-harmonic", str(path)]) == code, spec.name
+            assert capsys.readouterr().out == render_harmonic_text(record), spec.name

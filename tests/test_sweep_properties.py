@@ -14,7 +14,7 @@ matrices:
 import random
 
 import solvhodge as sh
-from solvhodge.cohomology import sweep_trivial_pairs
+from solvhodge.cohomology import PairSweep, sweep_trivial_pairs
 from solvhodge.forms import wedge_closure_report
 
 from conftest import HYPERBOLIC, random_character
@@ -95,7 +95,8 @@ def test_certified_sweeps_are_union_closed_and_float_agrees():
         certified += 1
         admitting += len(sweep) > 1
         admitting_planes += spec.n == 2 and len(sweep) > 1
-        assert wedge_closure_report(spec, sweep).closed, spec
+        # uncertified, so the literal union check runs rather than the additivity shortcut
+        assert wedge_closure_report(spec, PairSweep(sweep.pairs, False)).closed, spec
         assert sweep_trivial_pairs(spec, force_float=True).pair_set == sweep.pair_set, spec
     # the budget must exercise both claims on sweeps that admit more than ((), ()),
     # with n = 2 among them
