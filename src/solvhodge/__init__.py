@@ -7,64 +7,15 @@ It reports Hodge and Betti tables, decides the character-matching
 condition under which Hodge symmetry and decomposition hold, certifies
 harmonicity and wedge-closure of the model basis symbolically, and
 reports the Kaehler obstruction.
+
+Importing the package loads no submodule.  A name of ``__all__`` is looked
+up on first use, so loading spec files loads only ``exact``, ``characters``,
+``manifold`` and ``specfile``.
 """
 
-__version__ = "0.1.0"
+import importlib
 
-from .characters import (
-    CharacterExponent,
-    LatticeBasis,
-    NotUnitary,
-    is_trivial_on_lattice,
-    is_trivial_on_lattice_float,
-)
-from .cohomology import (
-    BasisElement,
-    BettiNumbers,
-    ConditionReport,
-    DimensionCapExceeded,
-    FiberTooLarge,
-    HodgeTable,
-    PairSweep,
-    basis_elements,
-    betti_numbers,
-    check_condition,
-    conjugation_symmetry,
-    hodge_symmetry,
-    hodge_table,
-    serre_duality_check,
-    sweep_trivial_pairs,
-)
-from .exact import (
-    ComplexExact,
-    ExactScalar,
-    SymbolProductUnrepresentable,
-    SymbolTable,
-    TableMismatch,
-)
-from .forms import (
-    FrameForm,
-    Generator,
-    TwistedForm,
-    bar_star,
-    basis_form,
-    from_frame,
-    is_d_harmonic,
-    is_dbar_harmonic,
-    to_frame,
-    volume_form,
-    wedge_closure_report,
-)
-from .kahler import KaehlerVerdict, kaehler_obstruction
-from .manifold import (
-    SolvManifoldSpec,
-    ValidationReport,
-    example1,
-    example2_n1,
-    torus,
-    validate,
-)
-from .specfile import SpecFileError, load_spec, save_spec, spec_to_dict
+__version__ = "0.1.0"
 
 __all__ = [
     "BasisElement",
@@ -116,3 +67,20 @@ __all__ = [
     "volume_form",
     "wedge_closure_report",
 ]
+
+# the submodules that export the names above, in import order: resolving a
+# name imports the modules up to the one that exports it, and none after
+_SUBMODULES = ("exact", "characters", "manifold", "specfile", "cohomology", "kahler", "forms")
+
+
+def __getattr__(name: str):
+    """Import a public name, or one of the submodules above, on first access (PEP 562)."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in __all__:
+        for short in _SUBMODULES:
+            module = importlib.import_module(f"{__name__}.{short}")
+            if name in module.__all__:
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,19 +20,17 @@ from math import comb
 
 from .characters import CharacterExponent, is_trivial_on_lattice, is_trivial_on_lattice_float
 from .exact import Immutable, SymbolProductUnrepresentable, Value
-from .manifold import SolvManifoldSpec
+from .manifold import DimensionCapExceeded, SolvManifoldSpec
 
 __all__ = [
     "BasisElement",
     "BettiNumbers",
     "ConditionReport",
-    "DimensionCapExceeded",
     "FiberTooLarge",
     "HodgeTable",
     "PairSweep",
     "basis_elements",
     "betti_numbers",
-    "check_caps",
     "check_condition",
     "conjugation_symmetry",
     "hodge_symmetry",
@@ -42,31 +40,14 @@ __all__ = [
     "sweep_trivial_pairs",
 ]
 
-# size caps on n + m (every command; the forms path) and on m (the pair sweep)
-MAX_COUNTING_DIM = 12
+# size cap on m, for the pair sweep; the caps on n + m are in manifold
 MAX_FIBER_DIM = 12
-MAX_FORMS_DIM = 6
 
 VIOLATION_REASON = "trivial_restriction_but_alpha_nontrivial"
 
 
-class DimensionCapExceeded(ValueError):
-    """A manifold was refused because its dimension exceeds a size cap."""
-
-
 class FiberTooLarge(DimensionCapExceeded):
     """The 4^m pair sweep was refused because the fiber dimension exceeds the cap."""
-
-
-def check_caps(dim: int, forms_dim: int | None = None):
-    """Refuse, before any work, n + m past the counting cap, or past ``forms_dim`` if it is given."""
-    if dim > MAX_COUNTING_DIM:
-        raise DimensionCapExceeded(f"dimension {dim} exceeds the counting cap {MAX_COUNTING_DIM}")
-    if forms_dim is not None and dim > forms_dim:
-        raise DimensionCapExceeded(
-            f"dimension {dim} exceeds the forms cap {forms_dim}"
-            " (raise --max-dim, or use --skip-forms with analyze)"
-        )
 
 
 MultiIndex = tuple[int, ...]

@@ -26,21 +26,11 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .characters import CharacterExponent
-from .cohomology import (
-    MAX_FORMS_DIM,
-    BasisElement,
-    DimensionCapExceeded,
-    MultiIndex,
-    PairSweep,
-    all_basis_elements,
-    check_caps,
-    subset_product_tables,
-)
+from .cohomology import BasisElement, MultiIndex, PairSweep, all_basis_elements, subset_product_tables
 from .exact import ComplexExact, Immutable, Value
-from .manifold import SolvManifoldSpec
+from .manifold import MAX_FORMS_DIM, SolvManifoldSpec, check_caps
 
 __all__ = [
-    "DimensionCapExceeded",
     "FrameForm",
     "Generator",
     "TwistedForm",

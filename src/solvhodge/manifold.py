@@ -19,19 +19,40 @@ from .characters import CharacterExponent, LatticeBasis
 from .exact import ComplexExact, ExactScalar, Immutable, SymbolTable, TableMismatch, Value, capped
 
 __all__ = [
+    "DimensionCapExceeded",
     "SolvManifoldSpec",
     "ValidationReport",
+    "check_caps",
     "example1",
     "example2_n1",
     "torus",
     "validate",
 ]
 
+# size caps on n + m: every command, and the forms path
+MAX_COUNTING_DIM = 12
+MAX_FORMS_DIM = 6
+
 INTEGRALITY_TOLERANCE = 1e-6
 
 FIBER_OK = "ok"
 FIBER_VIOLATED = "violated"
 FIBER_NOT_CHECKED = "not_checked"
+
+
+class DimensionCapExceeded(ValueError):
+    """A manifold was refused because its dimension exceeds a size cap."""
+
+
+def check_caps(dim: int, forms_dim: int | None = None):
+    """Refuse, before any work, n + m past the counting cap, or past ``forms_dim`` if it is given."""
+    if dim > MAX_COUNTING_DIM:
+        raise DimensionCapExceeded(f"dimension {dim} exceeds the counting cap {MAX_COUNTING_DIM}")
+    if forms_dim is not None and dim > forms_dim:
+        raise DimensionCapExceeded(
+            f"dimension {dim} exceeds the forms cap {forms_dim}"
+            " (raise --max-dim, or use --skip-forms with analyze)"
+        )
 
 
 class SolvManifoldSpec(Value):

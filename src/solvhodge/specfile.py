@@ -10,7 +10,8 @@ A file either spells out the full data
 
 or delegates to a builder: { "builder": "example1", "a": [1, -2],
 "t_mode": "symbolic" }.  Any other key is refused, except a top-level
-"schema_version", which emitted files carry.  Characters are either
+"schema_version" in a full file, which must be the integer 1 and which
+emitted files carry.  Characters are either
 explicit exponent vectors {"a": [complex...], "b": [complex...]} or the
 real shorthand {"real_exp": [scalar...]} for exp(sum c_j x_j).  A complex
 number is {"re": scalar, "im": scalar} and a scalar maps symbol names to
@@ -28,9 +29,8 @@ from pathlib import Path
 from typing import Any, Mapping, Union
 
 from .characters import CharacterExponent, LatticeBasis
-from .cohomology import check_caps
 from .exact import ComplexExact, ExactScalar, SymbolTable, capped, parse_rational
-from .manifold import SolvManifoldSpec, example1, example2_n1, torus
+from .manifold import SolvManifoldSpec, check_caps, example1, example2_n1, torus
 
 __all__ = ["SpecFileError", "load_spec", "load_spec_dict", "save_spec", "spec_to_dict"]
 
@@ -150,6 +150,7 @@ def _symbol_table(node: Any, where: str) -> SymbolTable:
     return table
 
 
+SCHEMA_VERSION = 1  # of the file schema; a full file may carry it, and no other value
 _FIELDS = ("name", "n", "m", "symbols", "alphas", "lattice", "lattice_fiber", "schema_version")
 # builder name -> (builder, its parameters in call order); the CLI's emit-example reads it too
 _BUILDERS = {
@@ -209,6 +210,9 @@ def load_spec_dict(data: Any) -> SolvManifoldSpec:
     if "builder" in data:
         return _build(data)
     _check_keys(data, _FIELDS, "$")
+    version = data.get("schema_version", SCHEMA_VERSION)
+    _require(type(version) is int and version == SCHEMA_VERSION,
+             f"schema version must be the integer {SCHEMA_VERSION}", "$.schema_version")
     for key in ("name", "n", "m", "alphas", "lattice"):
         _require(key in data, f'missing required field "{key}"', "$")
     name = data["name"]
@@ -272,7 +276,7 @@ def spec_to_dict(spec: SolvManifoldSpec) -> dict:
         return [[c.to_literal() for c in gen] for gen in basis.generators]
 
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "name": spec.name,
         "n": spec.n,
         "m": spec.m,

@@ -8,7 +8,6 @@ from solvhodge.characters import CharacterExponent
 from solvhodge.cohomology import BasisElement, PairSweep, all_basis_elements, sweep_trivial_pairs
 from solvhodge.exact import ComplexExact
 from solvhodge.forms import (
-    DimensionCapExceeded,
     FrameForm,
     Generator,
     TwistedForm,
@@ -25,6 +24,7 @@ from solvhodge.forms import (
     volume_form,
     wedge_closure_report,
 )
+from solvhodge.manifold import DimensionCapExceeded
 
 from conftest import (
     forms_corpus_specs,

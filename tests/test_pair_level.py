@@ -456,16 +456,71 @@ def test_no_dataclass_in_package():
     assert offenders == []
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # a fresh interpreter, so that modules the test session loaded do not hide an import
-    probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
-        "import solvhodge.cli; print(' '.join(sorted(set(sys.modules) - before)))"
-    )
+def _fresh(body: str, *args: str) -> str:
+    """The stdout of ``body`` run in a fresh interpreter, so that modules the
+    test session loaded do not hide an import; ``sys.argv[2:]`` holds ``args``."""
     src = str(Path(sh.__file__).parent.parent)
+    probe = "import sys; sys.path.insert(0, sys.argv[1])\n" + body
     done = subprocess.run(
-        [sys.executable, "-c", probe, src], capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", probe, src, *args], capture_output=True, text=True, timeout=60
     )
-    added = done.stdout.split()
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_PRINT_PACKAGE_MODULES = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'solvhodge')))"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    added = _fresh(
+        "before = set(sys.modules); import solvhodge.cli; print(' '.join(sorted(set(sys.modules) - before)))"
+    ).split()
     assert "solvhodge.cli" in added
     assert "dataclasses" not in added and "inspect" not in added
+
+
+def test_package_import_loads_no_submodule():
+    assert _fresh("import solvhodge\n" + _PRINT_PACKAGE_MODULES).split() == ["solvhodge"]
+
+
+def test_spec_loading_loads_four_submodules(tmp_path):
+    node, explicit = tmp_path / "node.json", tmp_path / "explicit.json"
+    node.write_text('{"builder": "example1", "a": [1, 2], "t_mode": "rational_pi(1,2)"}')
+    sh.save_spec(sh.example2_n1([[2, 1], [1, 1]]), explicit)
+    body = (
+        "from solvhodge.specfile import load_spec\n"
+        "for path in sys.argv[2:]: load_spec(path)\n" + _PRINT_PACKAGE_MODULES
+    )
+    loaded = _fresh(body, str(node), str(explicit)).split()
+    assert loaded == [f"solvhodge{suffix}" for suffix in ("", ".characters", ".exact", ".manifold", ".specfile")]
+
+
+def test_cli_import_loads_every_module():
+    loaded = _fresh("import solvhodge.cli\n" + _PRINT_PACKAGE_MODULES).split()
+    modules = ("characters", "cli", "cohomology", "exact", "forms", "kahler", "manifold", "report", "specfile")
+    assert loaded == ["solvhodge"] + [f"solvhodge.{name}" for name in modules]
+
+
+def test_lazy_namespace_resolves_each_public_name_to_its_submodule():
+    body = """
+import importlib, solvhodge
+names = solvhodge.__all__
+assert len(names) == len(set(names)) == 48, names
+for name in names:
+    value = getattr(solvhodge, name)
+    owner = importlib.import_module(value.__module__)
+    assert name in owner.__all__ and getattr(owner, name) is value, name
+star = {}
+exec("from solvhodge import *", star)
+assert set(star) - {"__builtins__"} == set(names)
+assert all(star[name] is getattr(solvhodge, name) for name in names)
+assert solvhodge.forms is importlib.import_module("solvhodge.forms")
+for name in ("no_such_name", "report", "_BUILDERS", "check_caps"):
+    try:
+        getattr(solvhodge, name)
+    except AttributeError as exc:
+        assert name in str(exc)
+    else:
+        raise AssertionError(name)
+"""
+    _fresh(body)

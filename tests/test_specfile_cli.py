@@ -154,6 +154,14 @@ class TestSpecFileErrors:
             load_spec_dict(data)
         assert err.value.where == where
 
+    @pytest.mark.parametrize("version", [99, "x", True, 1.0, None, [1]])
+    def test_full_form_schema_version_must_be_1(self, version):
+        data = spec_to_dict(sh.torus(1, 1))
+        data["schema_version"] = version
+        with pytest.raises(SpecFileError) as err:
+            load_spec_dict(data)
+        assert err.value.where == "$.schema_version"
+
     def test_full_form_n_must_not_be_bool(self):
         data = spec_to_dict(sh.torus(1, 1))
         data["n"] = True
@@ -292,6 +300,13 @@ class TestCli:
         assert self.run("analyze", str(path)) == EXIT_MALFORMED
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "check-harmonic"])
+    def test_foreign_schema_version_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "future.json"
+        path.write_text(json.dumps({**spec_to_dict(sh.torus(1, 1)), "schema_version": 99}))
+        assert self.run(command, str(path)) == EXIT_MALFORMED
+        assert "$.schema_version" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert self.run("analyze", str(tmp_path / "absent.json")) == EXIT_MALFORMED
 
@@ -386,7 +401,7 @@ class TestCli:
     def test_explicit_file_refused_before_parsing(self):
         # the alphas and lattice are never read, so their defects go unreported
         data = {"name": "wide", "n": 6, "m": 7, "alphas": "not read", "lattice": None}
-        with pytest.raises(cohomology.DimensionCapExceeded, match="dimension 13 exceeds the counting cap"):
+        with pytest.raises(manifold.DimensionCapExceeded, match="dimension 13 exceeds the counting cap"):
             load_spec_dict(data)
 
     @pytest.mark.parametrize(
