@@ -9,8 +9,10 @@ harmonicity and wedge-closure of the model basis symbolically, and
 reports the Kaehler obstruction.
 
 Importing the package loads no submodule.  A name of ``__all__`` is looked
-up on first use, so loading spec files loads only ``exact``, ``characters``,
-``manifold`` and ``specfile``.
+up on first use.  The spec's data model (characters, lattices, the manifold
+and the size gate) lives in ``model``, so loading an explicit spec file
+loads only ``exact``, ``model`` and ``specfile``; a builder node adds
+``manifold`` and what it imports.
 """
 
 import importlib
@@ -70,7 +72,9 @@ __all__ = [
 
 # the submodules that export the names above, in import order: resolving a
 # name imports the modules up to the one that exports it, and none after
-_SUBMODULES = ("exact", "characters", "manifold", "specfile", "cohomology", "kahler", "forms")
+_SUBMODULES = (
+    "exact", "model", "specfile", "characters", "manifold", "cohomology", "kahler", "forms",
+)
 
 
 def __getattr__(name: str):

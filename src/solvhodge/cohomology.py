@@ -18,9 +18,9 @@ from collections import Counter
 from itertools import combinations, product
 from math import comb
 
-from .characters import CharacterExponent, is_trivial_on_lattice, is_trivial_on_lattice_float
 from .exact import Immutable, SymbolProductUnrepresentable, Value
-from .manifold import DimensionCapExceeded, SolvManifoldSpec
+from .characters import is_trivial_on_lattice, is_trivial_on_lattice_float
+from .model import CharacterExponent, DimensionCapExceeded, SolvManifoldSpec
 
 __all__ = [
     "BasisElement",
@@ -40,7 +40,7 @@ __all__ = [
     "sweep_trivial_pairs",
 ]
 
-# size cap on m, for the pair sweep; the caps on n + m are in manifold
+# size cap on m, for the pair sweep; the caps on n + m are in model
 MAX_FIBER_DIM = 12
 
 VIOLATION_REASON = "trivial_restriction_but_alpha_nontrivial"

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .characters import CharacterExponent
 from .cohomology import BasisElement, MultiIndex, PairSweep, all_basis_elements, subset_product_tables
 from .exact import ComplexExact, Immutable, Value
-from .manifold import MAX_FORMS_DIM, SolvManifoldSpec, check_caps
+from .model import MAX_FORMS_DIM, CharacterExponent, SolvManifoldSpec, check_caps
 
 __all__ = [
     "FrameForm",

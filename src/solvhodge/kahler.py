@@ -10,7 +10,7 @@ criterion has no positive direction here.
 from __future__ import annotations
 
 from .exact import Immutable
-from .manifold import SolvManifoldSpec
+from .model import SolvManifoldSpec
 
 __all__ = ["KaehlerVerdict", "OBSTRUCTED", "INCONCLUSIVE", "kaehler_obstruction"]
 

@@ -1,11 +1,10 @@
-"""Manifold data model, structural validation, and example builders.
+"""Structural validation of manifolds, and the example builders.
 
-A manifold here is a semidirect product C^n x| C^m acted on diagonally by
-m characters of the base, together with a lattice basis for the base
-factor and, optionally, one for the fiber.  Cohomology only consumes the
-base lattice (every relevant unitary character factors through the base
-coordinates); the fiber lattice is carried solely so that the preservation
-of the fiber lattice under the action can be validated numerically.
+The data model itself (characters, lattices, :class:`SolvManifoldSpec`)
+lives in ``model``.  Here :func:`validate` checks a manifold's lattices on
+float witnesses, and the builders make the named example families; a
+spec file's builder node and ``emit-example`` reach them through
+:func:`_build`.
 """
 
 from __future__ import annotations
@@ -13,78 +12,25 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
-from .characters import CharacterExponent, LatticeBasis
-from .exact import ComplexExact, ExactScalar, Immutable, SymbolTable, TableMismatch, Value, capped
+from .exact import ComplexExact, ExactScalar, Immutable, SymbolTable, capped
+from .model import CharacterExponent, LatticeBasis, SolvManifoldSpec, check_caps
+from .specfile import SpecFileError, _check_keys, _require
 
 __all__ = [
-    "DimensionCapExceeded",
-    "SolvManifoldSpec",
     "ValidationReport",
-    "check_caps",
     "example1",
     "example2_n1",
     "torus",
     "validate",
 ]
 
-# size caps on n + m: every command, and the forms path
-MAX_COUNTING_DIM = 12
-MAX_FORMS_DIM = 6
-
 INTEGRALITY_TOLERANCE = 1e-6
 
 FIBER_OK = "ok"
 FIBER_VIOLATED = "violated"
 FIBER_NOT_CHECKED = "not_checked"
-
-
-class DimensionCapExceeded(ValueError):
-    """A manifold was refused because its dimension exceeds a size cap."""
-
-
-def check_caps(dim: int, forms_dim: int | None = None):
-    """Refuse, before any work, n + m past the counting cap, or past ``forms_dim`` if it is given."""
-    if dim > MAX_COUNTING_DIM:
-        raise DimensionCapExceeded(f"dimension {dim} exceeds the counting cap {MAX_COUNTING_DIM}")
-    if forms_dim is not None and dim > forms_dim:
-        raise DimensionCapExceeded(
-            f"dimension {dim} exceeds the forms cap {forms_dim}"
-            " (raise --max-dim, or use --skip-forms with analyze)"
-        )
-
-
-class SolvManifoldSpec(Value):
-    """Complete description of one manifold: characters, lattices, symbols."""
-
-    __slots__ = ("name", "n", "m", "alphas", "lattice", "lattice_fiber", "symbols")
-    name: str
-    n: int
-    m: int
-    alphas: tuple[CharacterExponent, ...]
-    lattice: LatticeBasis
-    lattice_fiber: Optional[LatticeBasis]
-    symbols: SymbolTable
-
-    def _check(self):
-        if self.n < 0 or self.m < 0 or self.n + self.m < 1:
-            raise ValueError("need n, m >= 0 with n + m >= 1")
-        if len(self.alphas) != self.m:
-            raise ValueError(f"expected {self.m} characters, got {len(self.alphas)}")
-        for alpha in self.alphas:
-            if alpha.n != self.n:
-                raise ValueError("character dimension differs from base dimension")
-            if alpha.table != self.symbols:
-                raise TableMismatch("character uses a foreign symbol table")
-        if self.lattice.n != self.n:
-            raise ValueError("base lattice dimension mismatch")
-        if self.lattice_fiber is not None and self.lattice_fiber.n != self.m:
-            raise ValueError("fiber lattice dimension mismatch")
-
-    @property
-    def complex_dim(self) -> int:
-        return self.n + self.m
 
 
 class ValidationReport(Immutable):
@@ -390,3 +336,50 @@ def example2_n1(matrix: Sequence[Sequence[int]]) -> SolvManifoldSpec:
         lattice_fiber=fiber,
         symbols=table,
     )
+
+
+# builder name -> (builder, its parameters in call order); the CLI's emit-example reads it too
+_BUILDERS = {
+    "torus": (torus, ("n", "m")),
+    "example1": (example1, ("a", "t_mode")),
+    "example2_n1": (example2_n1, ("A",)),
+}
+
+
+def _check_integers(node: Any, where: str):
+    """Reject anything but a JSON integer (a bool is not one) or nested lists of them."""
+    if isinstance(node, list):
+        for i, item in enumerate(node):
+            _check_integers(item, f"{where}[{i}]")
+    else:
+        _require(type(node) is int, "expected a JSON integer", where)
+
+
+def _dimension(name: str, values: Mapping) -> int:
+    """The n + m a builder node implies, known before it is built; 0 where its
+    parameters are malformed, which the builder then reports."""
+    if name == "example2_n1":
+        return 3
+    if name == "example1":
+        return 1 + 2 * len(values["a"]) if isinstance(values["a"], list) else 0
+    n, m = values["n"], values["m"]
+    return n + m if all(type(v) is int and v >= 0 for v in (n, m)) else 0
+
+
+def _build(node: Mapping) -> SolvManifoldSpec:
+    """The one build path for named examples: builder nodes and ``emit-example`` both come here."""
+    name = node["builder"]
+    _require(
+        isinstance(name, str) and name in _BUILDERS, f"unknown builder {capped(repr(name))}", "$.builder"
+    )
+    builder, keys = _BUILDERS[name]
+    _check_keys(node, ("builder",) + keys, "$")
+    for key, value in node.items():
+        if key in ("n", "m", "a", "A") or (key == "t_mode" and isinstance(value, list)):
+            _check_integers(value, f"$.{key}")
+    values = {"n": 1, "m": 1, "a": [], "t_mode": "symbolic", "A": [], **node}
+    check_caps(_dimension(name, values))
+    try:
+        return builder(*(values[key] for key in keys))
+    except (TypeError, ValueError) as exc:
+        raise SpecFileError(f"builder {name!r} rejected its parameters: {exc}", "$")

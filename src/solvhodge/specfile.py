@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Mapping, Union
+from typing import Any, Union
 
-from .characters import CharacterExponent, LatticeBasis
 from .exact import ComplexExact, ExactScalar, SymbolTable, capped, parse_rational
-from .manifold import SolvManifoldSpec, check_caps, example1, example2_n1, torus
+from .model import CharacterExponent, LatticeBasis, SolvManifoldSpec, check_caps
 
 __all__ = ["SpecFileError", "load_spec", "load_spec_dict", "save_spec", "spec_to_dict"]
 
@@ -50,6 +50,8 @@ def _require(condition: bool, message: str, where: str):
 
 def _scalar(table: SymbolTable, node: Any, where: str) -> ExactScalar:
     _require(isinstance(node, Mapping), "scalar literal must be an object", where)
+    if not node:  # most literals of a spec are zeros
+        return ExactScalar.zero(table)
     coeffs = {}
     for name, text in node.items():
         _require(name in table, f"undeclared symbol {capped(repr(name))}", where)
@@ -152,12 +154,6 @@ def _symbol_table(node: Any, where: str) -> SymbolTable:
 
 SCHEMA_VERSION = 1  # of the file schema; a full file may carry it, and no other value
 _FIELDS = ("name", "n", "m", "symbols", "alphas", "lattice", "lattice_fiber", "schema_version")
-# builder name -> (builder, its parameters in call order); the CLI's emit-example reads it too
-_BUILDERS = {
-    "torus": (torus, ("n", "m")),
-    "example1": (example1, ("a", "t_mode")),
-    "example2_n1": (example2_n1, ("A",)),
-}
 
 
 def _check_keys(node: Mapping, allowed: tuple[str, ...], where: str):
@@ -165,49 +161,12 @@ def _check_keys(node: Mapping, allowed: tuple[str, ...], where: str):
         _require(key in allowed, f"unknown field {capped(repr(key))}", f"{where}.{capped(key)}")
 
 
-def _check_integers(node: Any, where: str):
-    """Reject anything but a JSON integer (a bool is not one) or nested lists of them."""
-    if isinstance(node, list):
-        for i, item in enumerate(node):
-            _check_integers(item, f"{where}[{i}]")
-    else:
-        _require(type(node) is int, "expected a JSON integer", where)
-
-
-def _dimension(name: str, values: Mapping) -> int:
-    """The n + m a builder node implies, known before it is built; 0 where its
-    parameters are malformed, which the builder then reports."""
-    if name == "example2_n1":
-        return 3
-    if name == "example1":
-        return 1 + 2 * len(values["a"]) if isinstance(values["a"], list) else 0
-    n, m = values["n"], values["m"]
-    return n + m if all(type(v) is int and v >= 0 for v in (n, m)) else 0
-
-
-def _build(node: Mapping) -> SolvManifoldSpec:
-    """The one build path for named examples: builder nodes and ``emit-example`` both come here."""
-    name = node["builder"]
-    _require(
-        isinstance(name, str) and name in _BUILDERS, f"unknown builder {capped(repr(name))}", "$.builder"
-    )
-    builder, keys = _BUILDERS[name]
-    _check_keys(node, ("builder",) + keys, "$")
-    for key, value in node.items():
-        if key in ("n", "m", "a", "A") or (key == "t_mode" and isinstance(value, list)):
-            _check_integers(value, f"$.{key}")
-    values = {"n": 1, "m": 1, "a": [], "t_mode": "symbolic", "A": [], **node}
-    check_caps(_dimension(name, values))
-    try:
-        return builder(*(values[key] for key in keys))
-    except (TypeError, ValueError) as exc:
-        raise SpecFileError(f"builder {name!r} rejected its parameters: {exc}", "$")
-
-
 def load_spec_dict(data: Any) -> SolvManifoldSpec:
     """Build a manifold from already parsed JSON data."""
     _require(isinstance(data, Mapping), "top level must be an object", "$")
     if "builder" in data:
+        from .manifold import _build  # the builders load with the first builder node
+
         return _build(data)
     _check_keys(data, _FIELDS, "$")
     version = data.get("schema_version", SCHEMA_VERSION)

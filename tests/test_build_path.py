@@ -1,7 +1,7 @@
 """Property test of the one build path for named examples.
 
 ``emit_example`` and a builder node in a spec file both go through
-``specfile._build``.  For parameters drawn within the caps, the spec it
+``manifold._build``.  For parameters drawn within the caps, the spec it
 returns, the builder node loaded from data, the emitted schema reloaded,
 and the builder called directly are all one manifold, and the n + m the
 size gate reads before the build is the one the manifold has.
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import solvhodge as sh
 from solvhodge.cli import emit_example
-from solvhodge.specfile import _dimension, load_spec_dict, spec_to_dict
+from solvhodge.manifold import _dimension
+from solvhodge.specfile import load_spec_dict, spec_to_dict
 
 from conftest import HYPERBOLIC
 

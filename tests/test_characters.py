@@ -2,14 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from solvhodge.characters import (
-    CharacterExponent,
-    LatticeBasis,
-    NotUnitary,
-    is_trivial_on_lattice,
-    is_trivial_on_lattice_float,
-)
+from solvhodge.characters import NotUnitary, is_trivial_on_lattice, is_trivial_on_lattice_float
 from solvhodge.exact import ComplexExact, ExactScalar, SymbolTable
+from solvhodge.model import CharacterExponent, LatticeBasis
 
 from conftest import random_character, random_unitary_character
 

@@ -4,7 +4,6 @@ from itertools import product
 import pytest
 
 import solvhodge as sh
-from solvhodge.characters import CharacterExponent
 from solvhodge.cohomology import BasisElement, PairSweep, all_basis_elements, sweep_trivial_pairs
 from solvhodge.exact import ComplexExact
 from solvhodge.forms import (
@@ -24,7 +23,7 @@ from solvhodge.forms import (
     volume_form,
     wedge_closure_report,
 )
-from solvhodge.manifold import DimensionCapExceeded
+from solvhodge.model import CharacterExponent, DimensionCapExceeded
 
 from conftest import (
     forms_corpus_specs,

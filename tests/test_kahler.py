@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 import solvhodge as sh
-from solvhodge.characters import CharacterExponent
 from solvhodge.exact import ComplexExact, SymbolTable
 from solvhodge.kahler import INCONCLUSIVE, OBSTRUCTED, kaehler_obstruction
+from solvhodge.model import CharacterExponent
 
 from conftest import corpus_specs
 

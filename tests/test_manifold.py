@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from solvhodge.characters import CharacterExponent, LatticeBasis
 from solvhodge.exact import ComplexExact, ExactScalar, SymbolTable
 from solvhodge.manifold import (
     FIBER_NOT_CHECKED,
     FIBER_OK,
     FIBER_VIOLATED,
-    SolvManifoldSpec,
     example1,
     example2_n1,
     torus,
     validate,
 )
+from solvhodge.model import CharacterExponent, LatticeBasis, SolvManifoldSpec
 
 from conftest import corpus_specs
 

@@ -483,21 +483,33 @@ def test_package_import_loads_no_submodule():
     assert _fresh("import solvhodge\n" + _PRINT_PACKAGE_MODULES).split() == ["solvhodge"]
 
 
-def test_spec_loading_loads_four_submodules(tmp_path):
-    node, explicit = tmp_path / "node.json", tmp_path / "explicit.json"
-    node.write_text('{"builder": "example1", "a": [1, 2], "t_mode": "rational_pi(1,2)"}')
+def _modules_after_loading(path) -> list[str]:
+    body = "from solvhodge.specfile import load_spec\nload_spec(sys.argv[2])\n" + _PRINT_PACKAGE_MODULES
+    return _fresh(body, str(path)).split()
+
+
+def test_explicit_spec_loading_loads_three_submodules(tmp_path):
+    explicit = tmp_path / "explicit.json"
     sh.save_spec(sh.example2_n1([[2, 1], [1, 1]]), explicit)
-    body = (
-        "from solvhodge.specfile import load_spec\n"
-        "for path in sys.argv[2:]: load_spec(path)\n" + _PRINT_PACKAGE_MODULES
-    )
-    loaded = _fresh(body, str(node), str(explicit)).split()
-    assert loaded == [f"solvhodge{suffix}" for suffix in ("", ".characters", ".exact", ".manifold", ".specfile")]
+    loaded = _modules_after_loading(explicit)
+    assert loaded == [f"solvhodge{suffix}" for suffix in ("", ".exact", ".model", ".specfile")]
+
+
+def test_builder_node_loading_adds_manifold(tmp_path):
+    node = tmp_path / "node.json"
+    node.write_text('{"builder": "example1", "a": [1, 2], "t_mode": "rational_pi(1,2)"}')
+    manifold_imports = _fresh("import solvhodge.manifold\n" + _PRINT_PACKAGE_MODULES).split()
+    assert _modules_after_loading(node) == manifold_imports
+    assert manifold_imports == [
+        f"solvhodge{suffix}" for suffix in ("", ".exact", ".manifold", ".model", ".specfile")
+    ]
 
 
 def test_cli_import_loads_every_module():
     loaded = _fresh("import solvhodge.cli\n" + _PRINT_PACKAGE_MODULES).split()
-    modules = ("characters", "cli", "cohomology", "exact", "forms", "kahler", "manifold", "report", "specfile")
+    modules = (
+        "characters", "cli", "cohomology", "exact", "forms", "kahler", "manifold", "model", "report", "specfile"
+    )
     assert loaded == ["solvhodge"] + [f"solvhodge.{name}" for name in modules]
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import solvhodge as sh
-from solvhodge import cli, cohomology, manifold, report, specfile
+from solvhodge import cli, cohomology, manifold, model, report
 from solvhodge.cli import (
     EXIT_CHECK_FAILED,
     EXIT_MALFORMED,
@@ -18,6 +18,7 @@ from solvhodge.cli import (
     main,
 )
 from solvhodge.cohomology import sweep_trivial_pairs
+from solvhodge.exact import ExactScalar
 from solvhodge.forms import coclosed_mask, harmonic_rows
 from solvhodge.report import (
     failed_checks,
@@ -73,6 +74,21 @@ class TestSpecFileRoundTrip:
         path = tmp_path / "spec.json"
         save_spec(spec, path)
         assert load_spec(path) == spec
+
+    # forms_corpus_specs() is the part of corpus_specs() with n + m <= 4
+    @pytest.mark.parametrize("spec", corpus_specs(), ids=lambda s: s.name)
+    def test_corpus_file_round_trip(self, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        save_spec(spec, path)
+        assert load_spec(path) == spec
+
+    @pytest.mark.parametrize("literal", [{}, {"one": "0"}, {"one": "0/7"}], ids=["empty", "0", "0/7"])
+    def test_zero_literals_load_to_the_zero_scalar(self, literal):
+        data = spec_to_dict(sh.torus(1, 1))
+        data["lattice"][0][0]["im"] = literal
+        spec = load_spec_dict(data)
+        assert spec.lattice.generators[0][0].im == ExactScalar.zero(spec.symbols)
+        assert spec == sh.torus(1, 1)
 
     def test_builder_shorthand(self):
         data = {"builder": "example1", "a": [1, -2], "t_mode": "symbolic"}
@@ -307,6 +323,15 @@ class TestCli:
         assert self.run(command, str(path)) == EXIT_MALFORMED
         assert "$.schema_version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", [5, 0, "1", [], None], ids=repr)
+    def test_non_object_scalar_exit_2(self, tmp_path, capsys, literal):
+        data = spec_to_dict(sh.torus(1, 1))
+        data["lattice"][0][0]["re"] = literal
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps(data))
+        assert self.run("analyze", str(path)) == EXIT_MALFORMED
+        assert capsys.readouterr() == ("", "error: $.lattice[0][0].re: scalar literal must be an object\n")
+
     def test_missing_file_exit_2(self, tmp_path):
         assert self.run("analyze", str(tmp_path / "absent.json")) == EXIT_MALFORMED
 
@@ -391,8 +416,8 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise RuntimeError("example1 was built before the counting cap was checked")
 
-        _, keys = specfile._BUILDERS["example1"]
-        monkeypatch.setitem(specfile._BUILDERS, "example1", (refuse, keys))
+        _, keys = manifold._BUILDERS["example1"]
+        monkeypatch.setitem(manifold._BUILDERS, "example1", (refuse, keys))
         path = tmp_path / "node.json"
         path.write_text(json.dumps({"builder": "example1", "a": list(range(1, 20001))}))
         assert self.run(command, str(path)) == EXIT_TOO_LARGE
@@ -401,7 +426,7 @@ class TestCli:
     def test_explicit_file_refused_before_parsing(self):
         # the alphas and lattice are never read, so their defects go unreported
         data = {"name": "wide", "n": 6, "m": 7, "alphas": "not read", "lattice": None}
-        with pytest.raises(manifold.DimensionCapExceeded, match="dimension 13 exceeds the counting cap"):
+        with pytest.raises(model.DimensionCapExceeded, match="dimension 13 exceeds the counting cap"):
             load_spec_dict(data)
 
     @pytest.mark.parametrize(

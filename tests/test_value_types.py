@@ -43,7 +43,7 @@ def lattice(t, scale=1):
 def spec(t, name="demo"):
     return sh.SolvManifoldSpec(
         name=name, n=1, m=1, alphas=(character(t),), lattice=lattice(t),
-        lattice_fiber=sh.torus(0, 1).lattice_fiber, symbols=t,
+        lattice_fiber=sh.LatticeBasis(1, ((cplx(t, 1),), (cplx(t, 0, 1),))), symbols=t,
     )
 
 
@@ -182,6 +182,14 @@ REFUSED = {
     "SolvManifoldSpec fiber dimension": (
         ValueError,
         lambda: sh.SolvManifoldSpec("x", 1, 1, (alpha,), lattice(t), sh.torus(0, 2).lattice_fiber, t),
+    ),
+    "SolvManifoldSpec foreign lattice": (
+        TableMismatch,
+        lambda: sh.SolvManifoldSpec("x", 1, 1, (alpha,), sh.torus(1, 0).lattice, None, t),
+    ),
+    "SolvManifoldSpec foreign fiber lattice": (
+        TableMismatch,
+        lambda: sh.SolvManifoldSpec("x", 1, 1, (alpha,), lattice(t), sh.torus(0, 1).lattice_fiber, t),
     ),
     "Generator kind": (ValueError, lambda: sh.Generator("dx", 1)),
     "Generator index": (ValueError, lambda: sh.Generator("dz", 0)),
