@@ -40,9 +40,12 @@ def smallest_singular_value(rows: Sequence[Sequence[float]]) -> float:
     Plane rotations orthogonalise the columns in place; the column norms are
     then the singular values.  Working on the matrix itself, not on M^T M,
     keeps the absolute error near machine precision times the norm of M, so
-    values near ``RANK_TOLERANCE`` are resolved.
+    values near ``RANK_TOLERANCE`` are resolved.  The matrix is first scaled
+    by a power of two, which is exact, so that its largest entry is below 1
+    in magnitude and no sum of squares overflows.
     """
-    columns = [list(col) for col in zip(*rows)]
+    _, scale = math.frexp(max(abs(v) for row in rows for v in row))
+    columns = [[math.ldexp(v, -scale) for v in col] for col in zip(*rows)]
     size = len(columns)
     threshold = size * sys.float_info.epsilon
     for _ in range(MAX_JACOBI_SWEEPS):
@@ -64,7 +67,10 @@ def smallest_singular_value(rows: Sequence[Sequence[float]]) -> float:
                 columns[j] = [s * u + c * v for u, v in zip(x, y)]
         if not rotated:
             break
-    return min(math.hypot(*col) for col in columns)
+    try:
+        return math.ldexp(min(math.hypot(*col) for col in columns), scale)
+    except OverflowError:  # the value itself is past the float range
+        return math.inf
 
 
 def is_trivial_on_lattice(chi: CharacterExponent, lattice: LatticeBasis) -> bool:

@@ -10,18 +10,17 @@ from pathlib import Path
 from typing import Optional, Union
 
 from . import __version__
-# forms first, and exact before characters in cohomology: run from source,
-# compiling the larger modules before the others load keeps the peak memory
-# of importing the CLI lower (by about 0.5 and 0.15 MB)
-from .forms import coclosed_mask, harmonic_rows, wedge_closure_report
 from .cohomology import (
     PairSweep,
     betti_numbers,
     check_condition,
+    coclosed_mask,
     conjugation_symmetry,
+    harmonic_rows,
     hodge_table,
     serre_duality_check,
     sweep_trivial_pairs,
+    wedge_closure_report,
 )
 from .kahler import kaehler_obstruction
 from .manifold import _BUILDERS, validate

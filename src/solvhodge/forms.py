@@ -1,4 +1,4 @@
-"""Character-twisted invariant forms: wedge, differentials, star, certificates.
+"""Character-twisted invariant forms: the reference algebra for the pair-level verdicts.
 
 A form is a finite sum of terms
 
@@ -18,40 +18,33 @@ combinatorially on the frame alphabet by complementation, with the sign
 pinned by the volume word e_1^ebar_1^...^e_N^ebar_N and the requirement
 u ^ star(u) = |u|^2 vol on orthonormal monomials.  Only kernels of the
 resulting operators feed certificates, so the overall positive metric
-normalisation is fixed to 1.
+normalisation is fixed to 1.  No command loads this module.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .cohomology import BasisElement, MultiIndex, PairSweep, all_basis_elements, subset_product_tables
-from .exact import ComplexExact, Immutable, Value
-from .model import MAX_FORMS_DIM, CharacterExponent, SolvManifoldSpec, check_caps
+from .cohomology import BasisElement, MultiIndex, PairSweep
+from .exact import ComplexExact, Value
+from .model import CharacterExponent, SolvManifoldSpec
 
 __all__ = [
     "FrameForm",
     "Generator",
     "TwistedForm",
-    "WedgeClosureReport",
     "bar_star",
     "basis_form",
-    "coclosed_mask",
-    "dbar",
     "dw",
     "dwbar",
     "dz",
     "dzbar",
     "from_frame",
-    "harmonic_rows",
     "is_d_harmonic",
     "is_dbar_coclosed",
     "is_dbar_harmonic",
-    "partial",
     "to_frame",
     "volume_form",
-    "wedge",
-    "wedge_closure_report",
 ]
 
 _KIND_RANK = {
@@ -279,18 +272,6 @@ class FrameForm(_Form):
     _kinds = frozenset({"e", "f", "ebar", "fbar"})
 
 
-def wedge(f: _Form, g: _Form) -> _Form:
-    return f.wedge(g)
-
-
-def partial(f: TwistedForm) -> TwistedForm:
-    return f.partial()
-
-
-def dbar(f: TwistedForm) -> TwistedForm:
-    return f.dbar()
-
-
 _TO_FRAME_KIND = {"dz": "e", "dzbar": "ebar", "dw": "f", "dwbar": "fbar"}
 _FROM_FRAME_KIND = {v: k for k, v in _TO_FRAME_KIND.items()}
 
@@ -470,129 +451,3 @@ def is_d_harmonic(form: TwistedForm, spec: SolvManifoldSpec) -> bool:
     if not form.d().is_zero:
         return False
     return _c_linear_star(form, spec).d().is_zero
-
-
-def _mask(indices: Iterable[int]) -> int:
-    return sum(1 << (i - 1) for i in indices)
-
-
-def _support(vector: tuple[ComplexExact, ...]) -> int:
-    return _mask(i for i, c in enumerate(vector, start=1) if not c.is_zero)
-
-
-def _coclosed_vector(spec: SolvManifoldSpec) -> tuple[ComplexExact, ...]:
-    total = CharacterExponent.trivial(spec.symbols, spec.n)
-    for alpha in spec.alphas:
-        total = total * alpha * alpha.conjugate()
-    return total.b
-
-
-def coclosed_mask(spec: SolvManifoldSpec) -> int:
-    """Support of c = b(A_{1..m} Abar_{1..m}), where K must miss for dbar-co-closedness.
-
-    ((), ()) is always admitted and meets every K, so the basis is harmonic in
-    both senses of :func:`harmonic_rows` (d under the condition) exactly when c = 0.
-    """
-    return _support(_coclosed_vector(spec))
-
-
-def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> list[dict]:
-    """The ``check-harmonic`` schema row of every basis element, no form built.
-
-    A row holds p, q, I, J, K, L and the flags dbar_closed (always True, see
-    below), co_closed (so also dbar-harmonic) and d_harmonic.
-
-    The element u = chi * dz_I ^ dw_J ^ dzbar_K ^ dwbar_L has coefficient 1
-    and chi = chi_{J,L} of :func:`basis_form`.  Its differentials are
-
-        dbar u = sum_j b_j(chi) dzbar_j ^ (word),  partial u = sum_j a_j(chi) dz_j ^ (word),
-
-    whose terms carry distinct words, so they cancel nowhere.  chi is
-    holomorphic, so dbar u = 0 always, and d u = 0 exactly when supp a(chi)
-    lies in I.  Both stars map u to one monomial with coefficient +-1:
-
-    - to_frame, bar_star, from_frame give the character
-      chi_co = conj(chi alpha_J conj(alpha)_L) alpha_{J^c}^-1 conj(alpha)_{L^c}^-1
-      on the word dz_{I^c} ^ dw_{J^c} ^ dzbar_{K^c} ^ dwbar_{L^c}, so u is
-      dbar-co-closed exactly when supp b(chi_co) misses K;
-    - the C-linear star (the anti-linear star of conj u) gives
-      chi_lin = chi alpha_J conj(alpha)_L alpha_{L^c}^-1 conj(alpha)_{J^c}^-1
-      on dz_{K^c} ^ dw_{L^c} ^ dzbar_{I^c} ^ dwbar_{J^c}, which is d-closed
-      exactly when supp a(chi_lin) misses K and supp b(chi_lin) misses I.
-
-    With A_S, Abar_S the products of the alpha_s, conj(alpha_s) over s in S
-    and c = b(A_{1..m} Abar_{1..m}): chi A_J Abar_L is the unitary gate
-    character unit(A_J) unit(Abar_L), ``decompose`` is a homomorphism and
-    J, J^c and L, L^c split 1..m, so for every element
-
-    - b(chi_co) = -c and a(chi_lin) = -conj(c): u is dbar-co-closed exactly
-      when supp c misses K (:func:`coclosed_mask`), and d-harmonic implies it;
-    - b(chi_lin) = -conj(a(chi)) - c, so chi_lin is never formed;
-    - A_J Abar_L = 1 (every admitted pair, once the condition holds) gives
-      chi = 1, so u is then d-harmonic exactly when dbar-co-closed.
-
-    So supp c, and supp a(chi), supp(conj(a(chi)) + c) per admitted pair, decide every
-    row; characters only multiply (exponents add), so the flags are exact.
-    """
-    alpha, alpha_bar = subset_product_tables(spec)
-    hol = {S: chi.decompose().hol for S, chi in alpha.items()}
-    bar_hol = {S: chi.decompose().hol for S, chi in alpha_bar.items()}
-    c = _coclosed_vector(spec)
-    co_b = _support(c)
-    supports = {}
-    for J, L in sweep:
-        a = (hol[J] * bar_hol[L]).inverse().a
-        supports[J, L] = _support(a), _support(tuple(x.conjugate() + y for x, y in zip(a, c)))
-    rows = []
-    for el in all_basis_elements(spec, sweep):
-        a, lin_b = supports[el.J, el.L]
-        i_mask = _mask(el.I)
-        co_closed = not co_b & _mask(el.K)
-        rows.append({
-            "p": el.p, "q": el.q,
-            "I": list(el.I), "J": list(el.J), "K": list(el.K), "L": list(el.L),
-            "dbar_closed": True, "co_closed": co_closed,
-            "d_harmonic": co_closed and not a & ~i_mask and not lin_b & i_mask,
-        })
-    return rows
-
-
-class WedgeClosureReport(Immutable):
-    __slots__ = ("closed", "first_failure")
-    closed: bool
-    first_failure: Optional[tuple[BasisElement, BasisElement]]
-
-
-def wedge_closure_report(
-    spec: SolvManifoldSpec, sweep: PairSweep, max_dim: int = MAX_FORMS_DIM
-) -> WedgeClosureReport:
-    """Check that products of basis monomials stay in the exact span of the basis.
-
-    The wedge of two basis monomials vanishes unless their index sets are
-    disjoint, and is then, up to sign, the monomial of the union quadruple,
-    whose character is that of the union fiber pair.  Base indices are free,
-    so the span is closed exactly when the admitted pairs are closed under
-    disjoint union; a failure is witnessed by two elements with empty base
-    indices.
-
-    A certified sweep is closed without a pair loop.  Every one of its pairs
-    was decided exactly by the gate character unit(A_J) unit(Abar_L), and for
-    disjoint pairs A_{J1 u J2} = A_{J1} A_{J2}, the same for Abar, while unit
-    is a homomorphism.  So the union's gate exponent at each lattice
-    generator is the sum of the two pairs' exponents, two elements of
-    2 pi i Z, and the union is admitted.  An uncertified sweep keeps the
-    literal check: the float test is not additive, since two exponents
-    within its tolerance bound their sum only by twice that tolerance.
-    """
-    check_caps(spec.complex_dim, max_dim)
-    if sweep.certified:
-        return WedgeClosureReport(True, None)
-    masked = [(_mask(J), _mask(L), J, L) for J, L in sweep]
-    admitted = {(j, l) for j, l, _, _ in masked}
-    for j1, l1, J1, L1 in masked:
-        for j2, l2, J2, L2 in masked:
-            if not (j1 & j2 or l1 & l2) and (j1 | j2, l1 | l2) not in admitted:
-                witnesses = (BasisElement((), J1, (), L1), BasisElement((), J2, (), L2))
-                return WedgeClosureReport(False, witnesses)
-    return WedgeClosureReport(True, None)
-

@@ -132,7 +132,13 @@ def _check_fiber_preservation(spec: SolvManifoldSpec, details: list[str]) -> str
     status = FIBER_OK
     for gi, gen in enumerate(spec.lattice.generators, start=1):
         point = [c.complex_value() for c in gen]
-        coeff = _fiber_coefficients(basis, [alpha.value_at(point) for alpha in spec.alphas])
+        try:
+            values = [alpha.value_at(point) for alpha in spec.alphas]
+        except OverflowError:
+            details.append(f"base generator {gi}: a fiber character's value is past the float range")
+            status = FIBER_VIOLATED
+            continue
+        coeff = _fiber_coefficients(basis, values)
         if coeff is None:
             details.append(f"base generator {gi}: fiber basis is numerically singular")
             status = FIBER_VIOLATED

@@ -133,7 +133,7 @@ def render_latex(report: dict) -> str:
 
 
 def harmonic_rows_json(name: str, mode: str, rows: list[dict]) -> dict:
-    """The record ``check-harmonic --format json`` prints, around ``forms.harmonic_rows``."""
+    """The record ``check-harmonic --format json`` prints, around ``cohomology.harmonic_rows``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "name": name,

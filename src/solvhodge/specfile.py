@@ -54,7 +54,8 @@ def _scalar(table: SymbolTable, node: Any, where: str) -> ExactScalar:
         return ExactScalar.zero(table)
     coeffs = {}
     for name, text in node.items():
-        _require(name in table, f"undeclared symbol {capped(repr(name))}", where)
+        if name not in table:  # formats the message only for a bad literal
+            raise SpecFileError(f"undeclared symbol {capped(repr(name))}", where)
         try:
             coeffs[name] = parse_rational(text)
         except (TypeError, ValueError):
@@ -76,8 +77,8 @@ def _is_finite(to_float) -> bool:
 
 def _complex(table: SymbolTable, node: Any, where: str) -> ComplexExact:
     _require(isinstance(node, Mapping), "complex literal must be an object", where)
-    unknown = set(node) - {"re", "im"}
-    _require(not unknown, f"unknown complex fields {sorted(unknown)}", where)
+    if not node.keys() <= {"re", "im"}:
+        raise SpecFileError(f"unknown complex fields {sorted(set(node) - {'re', 'im'})}", where)
     re = _scalar(table, node.get("re", {}), f"{where}.re")
     im = _scalar(table, node.get("im", {}), f"{where}.im")
     return ComplexExact(re, im)

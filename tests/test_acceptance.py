@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 
 import solvhodge as sh
-from solvhodge.cohomology import all_basis_elements, basis_elements, sweep_trivial_pairs
+from solvhodge.cohomology import all_basis_elements, basis_elements, sweep_trivial_pairs, wedge_closure_report
 from solvhodge.exact import ComplexExact
 from solvhodge.forms import (
     FrameForm,
@@ -20,7 +20,6 @@ from solvhodge.forms import (
     is_d_harmonic,
     is_dbar_harmonic,
     volume_form,
-    wedge_closure_report,
 )
 from solvhodge.kahler import INCONCLUSIVE, OBSTRUCTED, kaehler_obstruction
 from solvhodge.manifold import validate

@@ -4,7 +4,13 @@ from itertools import product
 import pytest
 
 import solvhodge as sh
-from solvhodge.cohomology import BasisElement, PairSweep, all_basis_elements, sweep_trivial_pairs
+from solvhodge.cohomology import (
+    BasisElement,
+    PairSweep,
+    all_basis_elements,
+    sweep_trivial_pairs,
+    wedge_closure_report,
+)
 from solvhodge.exact import ComplexExact
 from solvhodge.forms import (
     FrameForm,
@@ -21,7 +27,6 @@ from solvhodge.forms import (
     is_dbar_harmonic,
     to_frame,
     volume_form,
-    wedge_closure_report,
 )
 from solvhodge.model import CharacterExponent, DimensionCapExceeded
 

@@ -156,35 +156,35 @@ class TestExample2:
             assert np.abs(image - combo).max() < 1e-6
 
 
+def scaled_fiber_spec(exponent) -> SolvManifoldSpec:
+    """n = m = 1 with standard lattices and the fiber scaled by exp(exponent * Re z)."""
+    table = SymbolTable.base()
+    one = ExactScalar.rational(table, 1)
+    standard = LatticeBasis(1, ((ComplexExact.make(table, re=one),), (ComplexExact.make(table, im=one),)))
+    return SolvManifoldSpec(
+        name="broken",
+        n=1,
+        m=1,
+        alphas=(CharacterExponent.from_real_exponent(table, [exponent]),),
+        lattice=standard,
+        lattice_fiber=standard,
+        symbols=table,
+    )
+
+
 class TestValidate:
     def test_violation_detected(self):
         # irrational scaling e * w cannot stay in the Gaussian integer span
-        table = SymbolTable.base()
-        one = ExactScalar.rational(table, 1)
-        spec = SolvManifoldSpec(
-            name="broken",
-            n=1,
-            m=1,
-            alphas=(CharacterExponent.from_real_exponent(table, [1]),),
-            lattice=LatticeBasis(
-                1,
-                (
-                    (ComplexExact.make(table, re=one),),
-                    (ComplexExact.make(table, im=one),),
-                ),
-            ),
-            lattice_fiber=LatticeBasis(
-                1,
-                (
-                    (ComplexExact.make(table, re=one),),
-                    (ComplexExact.make(table, im=one),),
-                ),
-            ),
-            symbols=table,
-        )
-        report = validate(spec)
+        report = validate(scaled_fiber_spec(1))
         assert report.fiber_preserved == FIBER_VIOLATED
         assert any("residual" in line for line in report.details)
+
+    def test_character_value_past_the_float_range(self):
+        # exp(2000) overflows a float: reported as a violation, not raised
+        report = validate(scaled_fiber_spec(2000))
+        assert report.fiber_preserved == FIBER_VIOLATED
+        assert report.details[0] == "base generator 1: a fiber character's value is past the float range"
+        assert report.details[1].startswith("base generator 2: integer matrix recovered")
 
     def test_corpus_validates_clean(self):
         for spec in corpus_specs():

@@ -17,9 +17,8 @@ from solvhodge.cli import (
     emit_example,
     main,
 )
-from solvhodge.cohomology import sweep_trivial_pairs
+from solvhodge.cohomology import coclosed_mask, harmonic_rows, sweep_trivial_pairs
 from solvhodge.exact import ExactScalar
-from solvhodge.forms import coclosed_mask, harmonic_rows
 from solvhodge.report import (
     failed_checks,
     harmonic_rows_json,

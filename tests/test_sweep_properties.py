@@ -14,8 +14,7 @@ matrices:
 import random
 
 import solvhodge as sh
-from solvhodge.cohomology import PairSweep, sweep_trivial_pairs
-from solvhodge.forms import wedge_closure_report
+from solvhodge.cohomology import PairSweep, sweep_trivial_pairs, wedge_closure_report
 
 from conftest import HYPERBOLIC, random_character
 

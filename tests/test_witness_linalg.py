@@ -91,6 +91,22 @@ class TestSmallestSingularValue:
                     matrix[:, -1] = 3.0 * matrix[:, 0]
                 assert assert_matches_svd(matrix) <= RANK_TOLERANCE
 
+    def test_entries_whose_squares_overflow(self):
+        # squares of entries from about 1e155 on are past the float range
+        gen = np.random.default_rng(11)
+        for exponent in (155, 200, 300):
+            for size in (2, 4, 6):
+                assert_matches_svd(gen.uniform(-3.0, 3.0, (size, size)) * 10.0**exponent)
+        table = sh.SymbolTable.base()
+        big, minus_big = (sh.ExactScalar.rational(table, v) for v in (10**200, -(10**200)))
+        lattice = sh.LatticeBasis(
+            1, ((sh.ComplexExact.make(table, re=big, im=big),), (sh.ComplexExact.make(table, re=minus_big, im=big),))
+        )
+        ok, smallest = lattice.rank_certificate()
+        assert ok and math.isclose(smallest, math.sqrt(2) * 1e200, rel_tol=1e-12)
+        # a smallest singular value itself past the float range reads as inf
+        assert smallest_singular_value([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]]) == math.inf
+
     def test_lattice_rank_certificate(self):
         for A in HYPERBOLIC[:8]:
             fiber = sh.example2_n1(A).lattice_fiber
