@@ -27,7 +27,6 @@ __all__ = [
     "ConditionReport",
     "DimensionCapExceeded",
     "ExactScalar",
-    "FiberTooLarge",
     "FrameForm",
     "Generator",
     "HodgeTable",

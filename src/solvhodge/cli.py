@@ -210,10 +210,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             code = _cmd_check_harmonic(args)
         else:
             code = _cmd_version(args)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_MALFORMED
-    except OSError as exc:
+    except (SpecFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_MALFORMED
     except DimensionCapExceeded as exc:

@@ -22,13 +22,12 @@ from typing import Iterable, Optional
 
 from .exact import ComplexExact, Immutable, SymbolProductUnrepresentable, Value
 from .characters import is_trivial_on_lattice, is_trivial_on_lattice_float
-from .model import MAX_FORMS_DIM, CharacterExponent, DimensionCapExceeded, SolvManifoldSpec, check_caps
+from .model import MAX_FORMS_DIM, CharacterExponent, SolvManifoldSpec, check_caps
 
 __all__ = [
     "BasisElement",
     "BettiNumbers",
     "ConditionReport",
-    "FiberTooLarge",
     "HodgeTable",
     "PairSweep",
     "WedgeClosureReport",
@@ -45,14 +44,7 @@ __all__ = [
     "wedge_closure_report",
 ]
 
-# size cap on m, for the pair sweep; the caps on n + m are in model
-MAX_FIBER_DIM = 12
-
 VIOLATION_REASON = "trivial_restriction_but_alpha_nontrivial"
-
-
-class FiberTooLarge(DimensionCapExceeded):
-    """The 4^m pair sweep was refused because the fiber dimension exceeds the cap."""
 
 
 MultiIndex = tuple[int, ...]
@@ -204,10 +196,10 @@ def sweep_trivial_pairs(spec: SolvManifoldSpec, force_float: bool = False) -> Pa
 
     Exact arithmetic is used wherever the lattice data allows it; pairs whose
     evaluation leaves the exact layer fall back to float witnesses and mark
-    the sweep as not certified.
+    the sweep as not certified.  A manifold past the counting cap is refused
+    before any work, as every command refuses it.
     """
-    if spec.m > MAX_FIBER_DIM:
-        raise FiberTooLarge(f"fiber dimension {spec.m} exceeds the cap {MAX_FIBER_DIM}")
+    check_caps(spec.complex_dim)
     alpha, alpha_bar = _subset_product_tables(spec)
     units = {S: chi.decompose().unit for S, chi in alpha.items()}
     bar_units = {S: chi.decompose().unit for S, chi in alpha_bar.items()}

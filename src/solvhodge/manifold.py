@@ -153,8 +153,11 @@ def _check_fiber_preservation(spec: SolvManifoldSpec, details: list[str]) -> str
             continue
         det = _integer_determinant(nearest)
         if abs(det) != 1:
+            from decimal import Decimal  # str(int) refuses past 4300 digits, str(Decimal) does not
+
             details.append(
-                f"base generator {gi}: integer matrix has determinant {det}, not a lattice automorphism"
+                f"base generator {gi}: integer matrix has determinant {capped(str(Decimal(det)))},"
+                " not a lattice automorphism"
             )
             status = FIBER_VIOLATED
             continue

@@ -5,10 +5,9 @@ from math import comb
 import pytest
 
 import solvhodge as sh
-from solvhodge import cli
+from solvhodge import cli, cohomology
 from solvhodge.cohomology import (
     BasisElement,
-    FiberTooLarge,
     HodgeTable,
     PairSweep,
     all_basis_elements,
@@ -77,8 +76,18 @@ class TestTrivialPairs:
             assert sweep_trivial_pairs(spec).certified, spec.name
 
     def test_fiber_cap_enforced(self):
-        with pytest.raises(FiberTooLarge):
-            sweep_trivial_pairs(sh.torus(0, 13))
+        # the sweep refuses through the one size gate, on n + m as every command does
+        for n, m in ((0, 13), (13, 0)):
+            with pytest.raises(sh.DimensionCapExceeded, match="dimension 13 exceeds the counting cap 12"):
+                sweep_trivial_pairs(sh.torus(n, m))
+
+    def test_cap_checked_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the subset tables were built before the counting cap was checked")
+
+        monkeypatch.setattr(cohomology, "_subset_product_tables", refuse)
+        with pytest.raises(sh.DimensionCapExceeded):
+            sweep_trivial_pairs(sh.torus(1, 12))
 
     def test_swap_closed_for_real_valued_actions(self):
         for spec in corpus_specs():

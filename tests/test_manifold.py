@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from solvhodge.exact import ComplexExact, ExactScalar, SymbolTable
+from solvhodge.exact import ExactScalar, SymbolTable
 from solvhodge.manifold import (
     FIBER_NOT_CHECKED,
     FIBER_OK,
@@ -13,7 +13,7 @@ from solvhodge.manifold import (
     torus,
     validate,
 )
-from solvhodge.model import CharacterExponent, LatticeBasis, SolvManifoldSpec
+from solvhodge.model import CharacterExponent, SolvManifoldSpec
 
 from conftest import corpus_specs
 
@@ -156,19 +156,17 @@ class TestExample2:
             assert np.abs(image - combo).max() < 1e-6
 
 
-def scaled_fiber_spec(exponent) -> SolvManifoldSpec:
-    """n = m = 1 with standard lattices and the fiber scaled by exp(exponent * Re z)."""
-    table = SymbolTable.base()
-    one = ExactScalar.rational(table, 1)
-    standard = LatticeBasis(1, ((ComplexExact.make(table, re=one),), (ComplexExact.make(table, im=one),)))
+def scaled_fiber_spec(exponent, m=1) -> SolvManifoldSpec:
+    """n = 1 with standard lattices and each fiber coordinate scaled by exp(exponent * Re z)."""
+    standard = torus(1, m)
     return SolvManifoldSpec(
         name="broken",
         n=1,
-        m=1,
-        alphas=(CharacterExponent.from_real_exponent(table, [exponent]),),
-        lattice=standard,
-        lattice_fiber=standard,
-        symbols=table,
+        m=m,
+        alphas=tuple(CharacterExponent.from_real_exponent(standard.symbols, [exponent]) for _ in range(m)),
+        lattice=standard.lattice,
+        lattice_fiber=standard.lattice_fiber,
+        symbols=standard.symbols,
     )
 
 
@@ -185,6 +183,15 @@ class TestValidate:
         assert report.fiber_preserved == FIBER_VIOLATED
         assert report.details[0] == "base generator 1: a fiber character's value is past the float range"
         assert report.details[1].startswith("base generator 2: integer matrix recovered")
+
+    @pytest.mark.parametrize("m", [1, 11])
+    def test_huge_determinant_is_one_short_line(self, m):
+        # exp(700) makes a determinant of about 600 m digits: one detail line
+        # must not echo all of them, nor fail past the 4300 that str(int) prints
+        report = validate(scaled_fiber_spec(700, m))
+        assert report.fiber_preserved == FIBER_VIOLATED
+        assert "not a lattice automorphism" in report.details[0]
+        assert all(len(line) < 150 for line in report.details)
 
     def test_corpus_validates_clean(self):
         for spec in corpus_specs():
