@@ -1,19 +1,15 @@
-"""Lattice triviality of smooth characters, and the witness numerics of lattices.
+"""Lattice triviality of smooth characters.
 
 A character (see :class:`solvhodge.model.CharacterExponent`) is trivial on a
 lattice when it is 1 at every generator.  For a unitary character that is a
 linear statement about its exponent data, decided exactly; the float test
 evaluates the exponent at the generators' witnesses and certifies nothing.
-:func:`smallest_singular_value` backs the rank check of
-:meth:`solvhodge.model.LatticeBasis.rank_certificate`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
-from typing import Sequence
 
 from .model import CharacterExponent, LatticeBasis
 
@@ -21,56 +17,13 @@ __all__ = [
     "NotUnitary",
     "is_trivial_on_lattice",
     "is_trivial_on_lattice_float",
-    "smallest_singular_value",
 ]
 
-RANK_TOLERANCE = 1e-9
 FLOAT_TRIVIALITY_TOLERANCE = 1e-9
-# one-sided Jacobi converges quadratically; small witness matrices need a few sweeps
-MAX_JACOBI_SWEEPS = 60
 
 
 class NotUnitary(ValueError):
     """A lattice-triviality test was asked of a non-unitary character."""
-
-
-def smallest_singular_value(rows: Sequence[Sequence[float]]) -> float:
-    """Smallest singular value of a square float matrix by one-sided (Hestenes) Jacobi.
-
-    Plane rotations orthogonalise the columns in place; the column norms are
-    then the singular values.  Working on the matrix itself, not on M^T M,
-    keeps the absolute error near machine precision times the norm of M, so
-    values near ``RANK_TOLERANCE`` are resolved.  The matrix is first scaled
-    by a power of two, which is exact, so that its largest entry is below 1
-    in magnitude and no sum of squares overflows.
-    """
-    _, scale = math.frexp(max(abs(v) for row in rows for v in row))
-    columns = [[math.ldexp(v, -scale) for v in col] for col in zip(*rows)]
-    size = len(columns)
-    threshold = size * sys.float_info.epsilon
-    for _ in range(MAX_JACOBI_SWEEPS):
-        rotated = False
-        for i in range(size - 1):
-            for j in range(i + 1, size):
-                x, y = columns[i], columns[j]
-                alpha = math.fsum(v * v for v in x)
-                beta = math.fsum(v * v for v in y)
-                gamma = math.fsum(u * v for u, v in zip(x, y))
-                if abs(gamma) <= threshold * math.sqrt(alpha) * math.sqrt(beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                columns[i] = [c * u - s * v for u, v in zip(x, y)]
-                columns[j] = [s * u + c * v for u, v in zip(x, y)]
-        if not rotated:
-            break
-    try:
-        return math.ldexp(min(math.hypot(*col) for col in columns), scale)
-    except OverflowError:  # the value itself is past the float range
-        return math.inf
 
 
 def is_trivial_on_lattice(chi: CharacterExponent, lattice: LatticeBasis) -> bool:

@@ -23,7 +23,7 @@ from .cohomology import (
     wedge_closure_report,
 )
 from .kahler import kaehler_obstruction
-from .manifold import _BUILDERS, validate
+from .manifold import validate
 from .model import MAX_FORMS_DIM, DimensionCapExceeded, SolvManifoldSpec, check_caps
 from .report import (
     SCHEMA_VERSION,
@@ -34,7 +34,7 @@ from .report import (
     render_text,
     run_report,
 )
-from .specfile import SpecFileError, load_spec, load_spec_dict, save_spec, spec_to_dict
+from .specfile import _BUILDERS, SpecFileError, load_spec, load_spec_dict, save_spec, spec_to_dict
 
 __all__ = ["analyze", "emit_example", "main"]
 
@@ -171,8 +171,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_emit(args) -> int:
     # argparse's n, m, a and t_mode are the builders' own parameter names
     options = {**vars(args), "A": [args.matrix[:2], args.matrix[2:]]}
-    _, keys = _BUILDERS[args.name]
-    spec = emit_example(args.name, {key: options[key] for key in keys}, args.out)
+    spec = emit_example(args.name, {key: options[key] for key in _BUILDERS[args.name]}, args.out)
     if args.out is None:
         print(json.dumps(spec_to_dict(spec), indent=2))
     return EXIT_OK

@@ -2,31 +2,37 @@
 
 The data model itself (characters, lattices, :class:`SolvManifoldSpec`)
 lives in ``model``.  Here :func:`validate` checks a manifold's lattices on
-float witnesses, and the builders make the named example families; a
-spec file's builder node and ``emit-example`` reach them through
-:func:`_build`.
+float witnesses, with the witness numerics it needs, and the builders make
+the named example families; each builder refuses an n + m past the
+counting cap before it builds anything.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact import ComplexExact, ExactScalar, Immutable, SymbolTable, capped
 from .model import CharacterExponent, LatticeBasis, SolvManifoldSpec, check_caps
-from .specfile import SpecFileError, _check_keys, _require
 
 __all__ = [
     "ValidationReport",
     "example1",
     "example2_n1",
+    "rank_certificate",
+    "real_matrix",
+    "smallest_singular_value",
     "torus",
     "validate",
 ]
 
 INTEGRALITY_TOLERANCE = 1e-6
+RANK_TOLERANCE = 1e-9
+# one-sided Jacobi converges quadratically; small witness matrices need a few sweeps
+MAX_JACOBI_SWEEPS = 60
 
 FIBER_OK = "ok"
 FIBER_VIOLATED = "violated"
@@ -38,6 +44,61 @@ class ValidationReport(Immutable):
     lattice_rank_ok: bool
     fiber_preserved: str  # FIBER_OK | FIBER_VIOLATED | FIBER_NOT_CHECKED
     details: tuple[str, ...]
+
+
+def smallest_singular_value(rows: Sequence[Sequence[float]]) -> float:
+    """Smallest singular value of a square float matrix by one-sided (Hestenes) Jacobi.
+
+    Plane rotations orthogonalise the columns in place; the column norms are
+    then the singular values.  Working on the matrix itself, not on M^T M,
+    keeps the absolute error near machine precision times the norm of M, so
+    values near ``RANK_TOLERANCE`` are resolved.  The matrix is first scaled
+    by a power of two, which is exact, so that its largest entry is below 1
+    in magnitude and no sum of squares overflows.
+    """
+    _, scale = math.frexp(max(abs(v) for row in rows for v in row))
+    columns = [[math.ldexp(v, -scale) for v in col] for col in zip(*rows)]
+    size = len(columns)
+    threshold = size * sys.float_info.epsilon
+    for _ in range(MAX_JACOBI_SWEEPS):
+        rotated = False
+        for i in range(size - 1):
+            for j in range(i + 1, size):
+                x, y = columns[i], columns[j]
+                alpha = math.fsum(v * v for v in x)
+                beta = math.fsum(v * v for v in y)
+                gamma = math.fsum(u * v for u, v in zip(x, y))
+                if abs(gamma) <= threshold * math.sqrt(alpha) * math.sqrt(beta):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                columns[i] = [c * u - s * v for u, v in zip(x, y)]
+                columns[j] = [s * u + c * v for u, v in zip(x, y)]
+        if not rotated:
+            break
+    try:
+        return math.ldexp(min(math.hypot(*col) for col in columns), scale)
+    except OverflowError:  # the value itself is past the float range
+        return math.inf
+
+
+def real_matrix(lattice: LatticeBasis) -> tuple[tuple[float, ...], ...]:
+    """Witness matrix, one row per generator: (Re g_1..Re g_n, Im g_1..Im g_n)."""
+    return tuple(
+        tuple(c.re.float_value() for c in gen) + tuple(c.im.float_value() for c in gen)
+        for gen in lattice.generators
+    )
+
+
+def rank_certificate(lattice: LatticeBasis) -> tuple[bool, float]:
+    """Full-rank check on the witness matrix; returns (ok, smallest singular value)."""
+    if lattice.n == 0:
+        return True, math.inf
+    smallest = smallest_singular_value(real_matrix(lattice))
+    return smallest > RANK_TOLERANCE, smallest
 
 
 def _integer_determinant(mat: Sequence[Sequence[int]]) -> int:
@@ -74,6 +135,7 @@ def _fiber_coefficients(
     of diag(values), so row k of D W mixes only rows k and m + k of W.  The
     solve is Gaussian elimination with partial pivoting; None means a pivot
     vanished or the solution is not finite (numerically singular basis).
+    OverflowError means D W itself is past the float range.
     """
     m = len(values)
     size = 2 * m
@@ -82,6 +144,8 @@ def _fiber_coefficients(
         top, bottom = basis[k], basis[m + k]
         work[k] += [v.real * x - v.imag * y for x, y in zip(top, bottom)]
         work[m + k] += [v.imag * x + v.real * y for x, y in zip(top, bottom)]
+    if not all(math.isfinite(x) for row in work for x in row):
+        raise OverflowError("the action on the fiber basis is past the float range")
     for col in range(size):
         pivot_row = max(range(col, size), key=lambda r: abs(work[r][col]))
         if work[pivot_row][col] == 0.0:
@@ -109,12 +173,12 @@ def validate(spec: SolvManifoldSpec) -> ValidationReport:
     Failures are reported, never raised; all checks run on float witnesses.
     """
     details: list[str] = []
-    rank_ok, smallest = spec.lattice.rank_certificate()
+    rank_ok, smallest = rank_certificate(spec.lattice)
     if not rank_ok:
         details.append(f"base lattice rank deficient: smallest singular value {smallest:.3e}")
     fiber_status = FIBER_NOT_CHECKED
     if spec.lattice_fiber is not None:
-        fiber_rank_ok, fiber_smallest = spec.lattice_fiber.rank_certificate()
+        fiber_rank_ok, fiber_smallest = rank_certificate(spec.lattice_fiber)
         if not fiber_rank_ok:
             details.append(
                 f"fiber lattice rank deficient: smallest singular value {fiber_smallest:.3e}"
@@ -128,17 +192,19 @@ def _check_fiber_preservation(spec: SolvManifoldSpec, details: list[str]) -> str
     if spec.m == 0:
         details.append("fiber lattice empty; preservation holds vacuously")
         return FIBER_OK
-    basis = tuple(zip(*spec.lattice_fiber.real_matrix()))  # columns = realified generators
+    basis = tuple(zip(*real_matrix(spec.lattice_fiber)))  # columns = realified generators
     status = FIBER_OK
     for gi, gen in enumerate(spec.lattice.generators, start=1):
         point = [c.complex_value() for c in gen]
+        values = None
         try:
             values = [alpha.value_at(point) for alpha in spec.alphas]
+            coeff = _fiber_coefficients(basis, values)
         except OverflowError:
-            details.append(f"base generator {gi}: a fiber character's value is past the float range")
+            past = "a fiber character's value" if values is None else "the action on the fiber basis"
+            details.append(f"base generator {gi}: {past} is past the float range")
             status = FIBER_VIOLATED
             continue
-        coeff = _fiber_coefficients(basis, values)
         if coeff is None:
             details.append(f"base generator {gi}: fiber basis is numerically singular")
             status = FIBER_VIOLATED
@@ -191,6 +257,7 @@ def torus(n: int, m: int) -> SolvManifoldSpec:
     n, m = _integer(n, "n"), _integer(m, "m")
     if n < 0 or m < 0 or n + m < 1:
         raise ValueError("need n, m >= 0 with n + m >= 1")
+    check_caps(n + m)
     table = SymbolTable.base()
     alphas = tuple(CharacterExponent.trivial(table, n) for _ in range(m))
     return SolvManifoldSpec(
@@ -236,6 +303,7 @@ def example1(a: Sequence[int], t_mode="symbolic") -> SolvManifoldSpec:
     the rational multiple (r/s)*pi of pi.  No fiber lattice is attached.
     """
     exponents = [_integer(v, f"a[{i}]") for i, v in enumerate(a)]
+    check_caps(1 + 2 * len(exponents))
     if not exponents:
         raise ValueError("need at least one fiber exponent")
     if any(v == 0 for v in exponents):
@@ -345,50 +413,3 @@ def example2_n1(matrix: Sequence[Sequence[int]]) -> SolvManifoldSpec:
         lattice_fiber=fiber,
         symbols=table,
     )
-
-
-# builder name -> (builder, its parameters in call order); the CLI's emit-example reads it too
-_BUILDERS = {
-    "torus": (torus, ("n", "m")),
-    "example1": (example1, ("a", "t_mode")),
-    "example2_n1": (example2_n1, ("A",)),
-}
-
-
-def _check_integers(node: Any, where: str):
-    """Reject anything but a JSON integer (a bool is not one) or nested lists of them."""
-    if isinstance(node, list):
-        for i, item in enumerate(node):
-            _check_integers(item, f"{where}[{i}]")
-    else:
-        _require(type(node) is int, "expected a JSON integer", where)
-
-
-def _dimension(name: str, values: Mapping) -> int:
-    """The n + m a builder node implies, known before it is built; 0 where its
-    parameters are malformed, which the builder then reports."""
-    if name == "example2_n1":
-        return 3
-    if name == "example1":
-        return 1 + 2 * len(values["a"]) if isinstance(values["a"], list) else 0
-    n, m = values["n"], values["m"]
-    return n + m if all(type(v) is int and v >= 0 for v in (n, m)) else 0
-
-
-def _build(node: Mapping) -> SolvManifoldSpec:
-    """The one build path for named examples: builder nodes and ``emit-example`` both come here."""
-    name = node["builder"]
-    _require(
-        isinstance(name, str) and name in _BUILDERS, f"unknown builder {capped(repr(name))}", "$.builder"
-    )
-    builder, keys = _BUILDERS[name]
-    _check_keys(node, ("builder",) + keys, "$")
-    for key, value in node.items():
-        if key in ("n", "m", "a", "A") or (key == "t_mode" and isinstance(value, list)):
-            _check_integers(value, f"$.{key}")
-    values = {"n": 1, "m": 1, "a": [], "t_mode": "symbolic", "A": [], **node}
-    check_caps(_dimension(name, values))
-    try:
-        return builder(*(values[key] for key in keys))
-    except (TypeError, ValueError) as exc:
-        raise SpecFileError(f"builder {name!r} rejected its parameters: {exc}", "$")

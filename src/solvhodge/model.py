@@ -22,13 +22,13 @@ character exp(c x) corresponds to a = b = c/2.  Builders accept that real
 notation via :meth:`CharacterExponent.from_real_exponent`.
 
 Loading a spec file needs only this module and ``exact``; the lattice
-tests live in ``characters``, validation and the builders in ``manifold``.
+tests live in ``characters``, validation (with the float witness numerics
+of lattices) and the builders in ``manifold``.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -210,23 +210,6 @@ class LatticeBasis(Value):
         for gen in self.generators:
             if len(gen) != self.n:
                 raise ValueError("generator has wrong length")
-
-    def real_matrix(self) -> tuple[tuple[float, ...], ...]:
-        """Witness matrix, one row per generator: (Re g_1..Re g_n, Im g_1..Im g_n)."""
-        return tuple(
-            tuple(c.re.float_value() for c in gen) + tuple(c.im.float_value() for c in gen)
-            for gen in self.generators
-        )
-
-    def rank_certificate(self) -> tuple[bool, float]:
-        """Full-rank check on the witness matrix; returns (ok, smallest singular value)."""
-        # the numerics load with validation, not with the spec
-        from .characters import RANK_TOLERANCE, smallest_singular_value
-
-        if self.n == 0:
-            return True, math.inf
-        smallest = smallest_singular_value(self.real_matrix())
-        return smallest > RANK_TOLERANCE, smallest
 
 
 class SolvManifoldSpec(Value):

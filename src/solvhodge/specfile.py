@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Any, Union
 
 from .exact import ComplexExact, ExactScalar, SymbolTable, capped, parse_rational
-from .model import CharacterExponent, LatticeBasis, SolvManifoldSpec, check_caps
+from .model import CharacterExponent, DimensionCapExceeded, LatticeBasis, SolvManifoldSpec, check_caps
 
 __all__ = ["SpecFileError", "load_spec", "load_spec_dict", "save_spec", "spec_to_dict"]
 
@@ -162,12 +162,48 @@ def _check_keys(node: Mapping, allowed: tuple[str, ...], where: str):
         _require(key in allowed, f"unknown field {capped(repr(key))}", f"{where}.{capped(key)}")
 
 
+# builder name -> its parameters, in the order the builder of that name in ``manifold`` takes them
+_BUILDERS = {"torus": ("n", "m"), "example1": ("a", "t_mode"), "example2_n1": ("A",)}
+
+
+def _check_integers(node: Any, where: str):
+    """Reject anything but a JSON integer (a bool is not one) or nested lists of them."""
+    if isinstance(node, list):
+        for i, item in enumerate(node):
+            _check_integers(item, f"{where}[{i}]")
+    else:
+        _require(type(node) is int, "expected a JSON integer", where)
+
+
+def _build(node: Mapping) -> SolvManifoldSpec:
+    """The one build path for named examples: builder nodes and ``emit-example`` both come here.
+
+    The builder itself refuses an n + m past the counting cap before it builds anything.
+    """
+    name = node["builder"]
+    _require(
+        isinstance(name, str) and name in _BUILDERS, f"unknown builder {capped(repr(name))}", "$.builder"
+    )
+    keys = _BUILDERS[name]
+    _check_keys(node, ("builder",) + keys, "$")
+    for key, value in node.items():
+        if key in ("n", "m", "a", "A") or (key == "t_mode" and isinstance(value, list)):
+            _check_integers(value, f"$.{key}")
+    from . import manifold  # the builders load with the first builder node
+
+    values = {"n": 1, "m": 1, "a": [], "t_mode": "symbolic", "A": [], **node}
+    try:
+        return getattr(manifold, name)(*(values[key] for key in keys))
+    except DimensionCapExceeded:  # a ValueError too, but exit 3, not a malformed file
+        raise
+    except (TypeError, ValueError) as exc:
+        raise SpecFileError(f"builder {name!r} rejected its parameters: {exc}", "$")
+
+
 def load_spec_dict(data: Any) -> SolvManifoldSpec:
     """Build a manifold from already parsed JSON data."""
     _require(isinstance(data, Mapping), "top level must be an object", "$")
     if "builder" in data:
-        from .manifold import _build  # the builders load with the first builder node
-
         return _build(data)
     _check_keys(data, _FIELDS, "$")
     version = data.get("schema_version", SCHEMA_VERSION)

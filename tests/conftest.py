@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import solvhodge as sh
+from solvhodge.manifold import _standard_lattice
 
 
 def corpus_specs() -> list[sh.SolvManifoldSpec]:
@@ -24,6 +25,21 @@ def corpus_specs() -> list[sh.SolvManifoldSpec]:
         sh.example1([2, 3], "symbolic"),
         sh.example2_n1([[2, 1], [1, 1]]),
     ]
+
+
+def oversized_torus(n: int, m: int) -> sh.SolvManifoldSpec:
+    """``torus(n, m)`` past the counting cap, built around the builder's own gate
+    so that the gates of the pair sweep and of the commands can be reached."""
+    table = sh.SymbolTable.base()
+    return sh.SolvManifoldSpec(
+        name=f"torus_{n}_{m}",
+        n=n,
+        m=m,
+        alphas=tuple(sh.CharacterExponent.trivial(table, n) for _ in range(m)),
+        lattice=_standard_lattice(table, n),
+        lattice_fiber=_standard_lattice(table, m),
+        symbols=table,
+    )
 
 
 # the example2_n1 matrices: unimodular, hyperbolic, entries in -4..4

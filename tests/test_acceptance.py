@@ -22,7 +22,7 @@ from solvhodge.forms import (
     volume_form,
 )
 from solvhodge.kahler import INCONCLUSIVE, OBSTRUCTED, kaehler_obstruction
-from solvhodge.manifold import validate
+from solvhodge.manifold import real_matrix, validate
 
 from conftest import (
     corpus_specs,
@@ -243,7 +243,7 @@ def test_criterion_10_example2_validation():
     assert report.fiber_preserved == "ok"
 
     # independent recomputation of the integrality data
-    basis = np.array(spec.lattice_fiber.real_matrix()).T
+    basis = np.array(real_matrix(spec.lattice_fiber)).T
     for gen in spec.lattice.generators:
         point = [c.complex_value() for c in gen]
         values = [alpha.value_at(point) for alpha in spec.alphas]

@@ -1,10 +1,9 @@
 """Property test of the one build path for named examples.
 
 ``emit_example`` and a builder node in a spec file both go through
-``manifold._build``.  For parameters drawn within the caps, the spec it
+``specfile._build``.  For parameters drawn within the caps, the spec it
 returns, the builder node loaded from data, the emitted schema reloaded,
-and the builder called directly are all one manifold, and the n + m the
-size gate reads before the build is the one the manifold has.
+and the builder called directly are all one manifold.
 """
 
 from hypothesis import given, settings
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 
 import solvhodge as sh
 from solvhodge.cli import emit_example
-from solvhodge.manifold import _dimension
 from solvhodge.specfile import load_spec_dict, spec_to_dict
 
 from conftest import HYPERBOLIC
@@ -42,4 +40,3 @@ def test_emit_example_and_builder_node_build_one_spec(node):
     assert emitted == load_spec_dict({"builder": name, **params})
     assert emitted == load_spec_dict(spec_to_dict(emitted))
     assert emitted == direct
-    assert _dimension(name, params) == emitted.complex_dim

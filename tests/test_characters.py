@@ -4,6 +4,7 @@ import pytest
 
 from solvhodge.characters import NotUnitary, is_trivial_on_lattice, is_trivial_on_lattice_float
 from solvhodge.exact import ComplexExact, ExactScalar, SymbolTable
+from solvhodge.manifold import rank_certificate
 from solvhodge.model import CharacterExponent, LatticeBasis
 
 from conftest import random_character, random_unitary_character
@@ -249,12 +250,12 @@ class TestLatticeBasis:
             1,
             ((ComplexExact.make(table, re=one),), (ComplexExact.make(table, im=one),)),
         )
-        ok, smallest = basis.rank_certificate()
+        ok, smallest = rank_certificate(basis)
         assert ok and smallest > 1e-9
 
     def test_degenerate_lattice_fails(self, table):
         gen = (ComplexExact.make(table, re=1),)
-        ok, smallest = LatticeBasis(1, (gen, gen)).rank_certificate()
+        ok, smallest = rank_certificate(LatticeBasis(1, (gen, gen)))
         assert not ok and smallest < 1e-9
 
     def test_generator_count_enforced(self, table):

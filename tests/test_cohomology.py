@@ -21,7 +21,7 @@ from solvhodge.cohomology import (
     sweep_trivial_pairs,
 )
 
-from conftest import corpus_specs
+from conftest import corpus_specs, oversized_torus
 
 EXAMPLE1_PAIRS = {
     ((), ()),
@@ -79,7 +79,7 @@ class TestTrivialPairs:
         # the sweep refuses through the one size gate, on n + m as every command does
         for n, m in ((0, 13), (13, 0)):
             with pytest.raises(sh.DimensionCapExceeded, match="dimension 13 exceeds the counting cap 12"):
-                sweep_trivial_pairs(sh.torus(n, m))
+                sweep_trivial_pairs(oversized_torus(n, m))
 
     def test_cap_checked_before_any_work(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -87,7 +87,7 @@ class TestTrivialPairs:
 
         monkeypatch.setattr(cohomology, "_subset_product_tables", refuse)
         with pytest.raises(sh.DimensionCapExceeded):
-            sweep_trivial_pairs(sh.torus(1, 12))
+            sweep_trivial_pairs(oversized_torus(1, 12))
 
     def test_swap_closed_for_real_valued_actions(self):
         for spec in corpus_specs():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from solvhodge.exact import ExactScalar, SymbolTable
+from solvhodge import manifold
+from solvhodge.exact import ComplexExact, ExactScalar, SymbolTable
 from solvhodge.manifold import (
     FIBER_NOT_CHECKED,
     FIBER_OK,
@@ -13,7 +14,7 @@ from solvhodge.manifold import (
     torus,
     validate,
 )
-from solvhodge.model import CharacterExponent, SolvManifoldSpec
+from solvhodge.model import CharacterExponent, DimensionCapExceeded, LatticeBasis, SolvManifoldSpec
 
 from conftest import corpus_specs
 
@@ -184,6 +185,21 @@ class TestValidate:
         assert report.details[0] == "base generator 1: a fiber character's value is past the float range"
         assert report.details[1].startswith("base generator 2: integer matrix recovered")
 
+    def test_action_past_the_float_range_is_not_a_singular_basis(self):
+        # e^709 is finite and the fiber basis 10 (1, i) is well-conditioned,
+        # but e^709 * 10 in D W is past the float range
+        spec = scaled_fiber_spec(709)
+        table = spec.symbols
+        fiber = LatticeBasis(1, ((ComplexExact.make(table, re=10),), (ComplexExact.make(table, im=10),)))
+        report = validate(SolvManifoldSpec(
+            name="overflowing_action", n=1, m=1, alphas=spec.alphas, lattice=spec.lattice,
+            lattice_fiber=fiber, symbols=table,
+        ))
+        assert report.lattice_rank_ok
+        assert report.fiber_preserved == FIBER_VIOLATED
+        assert report.details[0] == "base generator 1: the action on the fiber basis is past the float range"
+        assert report.details[1].startswith("base generator 2: integer matrix recovered")
+
     @pytest.mark.parametrize("m", [1, 11])
     def test_huge_determinant_is_one_short_line(self, m):
         # exp(700) makes a determinant of about 600 m digits: one detail line
@@ -198,6 +214,22 @@ class TestValidate:
             report = validate(spec)
             assert report.lattice_rank_ok, spec.name
             assert report.fiber_preserved != FIBER_VIOLATED, spec.name
+
+
+class TestBuilderCaps:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: torus(0, 13), lambda: torus(13, 0), lambda: example1([1] * 6)],
+        ids=["torus_fiber", "torus_base", "example1"],
+    )
+    def test_refused_before_any_work(self, monkeypatch, build):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the builder did work before the counting cap was checked")
+
+        monkeypatch.setattr(manifold, "_standard_lattice", refuse)
+        monkeypatch.setattr(manifold, "_parse_t_mode", refuse)
+        with pytest.raises(DimensionCapExceeded, match="dimension 13 exceeds the counting cap 12"):
+            build()
 
 
 class TestSpecInvariants:

@@ -494,10 +494,11 @@ def test_builder_node_loading_adds_manifold(tmp_path):
     node = tmp_path / "node.json"
     node.write_text('{"builder": "example1", "a": [1, 2], "t_mode": "rational_pi(1,2)"}')
     manifold_imports = _fresh("import solvhodge.manifold\n" + _PRINT_PACKAGE_MODULES).split()
-    assert _modules_after_loading(node) == manifold_imports
-    assert manifold_imports == [
-        f"solvhodge{suffix}" for suffix in ("", ".exact", ".manifold", ".model", ".specfile")
-    ]
+    assert manifold_imports == [f"solvhodge{suffix}" for suffix in ("", ".exact", ".manifold", ".model")]
+    assert _modules_after_loading(node) == sorted(manifold_imports + ["solvhodge.specfile"])
+    # the witness numerics of validate live beside it, not with the lattice gate
+    body = "from solvhodge.manifold import torus, validate\nvalidate(torus(1, 1))\n"
+    assert _fresh(body + _PRINT_PACKAGE_MODULES).split() == manifold_imports
 
 
 def test_cli_import_loads_every_module_but_forms():

@@ -28,7 +28,7 @@ from solvhodge.report import (
 )
 from solvhodge.specfile import SpecFileError, load_spec, load_spec_dict, save_spec, spec_to_dict
 
-from conftest import corpus_specs
+from conftest import corpus_specs, oversized_torus
 
 
 def report_canon(report):
@@ -369,7 +369,7 @@ class TestCli:
 
     def test_fiber_cap_exit_3(self, tmp_path, capsys):
         path = tmp_path / "fiber.json"
-        save_spec(sh.torus(0, 13), path)
+        save_spec(oversized_torus(0, 13), path)
         assert self.run("analyze", str(path), "--skip-forms") == EXIT_TOO_LARGE
         capsys.readouterr()
 
@@ -381,7 +381,7 @@ class TestCli:
         for module in (cli, cohomology, report):
             monkeypatch.setattr(module, "sweep_trivial_pairs", refuse, raising=False)
         path = tmp_path / "wide.json"
-        save_spec(sh.torus(1, 12), path)
+        save_spec(oversized_torus(1, 12), path)
         assert self.run("check-harmonic", str(path), "--max-dim", "20") == EXIT_TOO_LARGE
         assert "counting cap" in capsys.readouterr().err
 
@@ -413,14 +413,30 @@ class TestCli:
     @pytest.mark.parametrize("command", ["analyze", "check-harmonic"])
     def test_example1_node_refused_before_build(self, tmp_path, monkeypatch, capsys, command):
         def refuse(*args, **kwargs):
-            raise RuntimeError("example1 was built before the counting cap was checked")
+            raise RuntimeError("example1 read its t_mode before the counting cap was checked")
 
-        _, keys = manifold._BUILDERS["example1"]
-        monkeypatch.setitem(manifold._BUILDERS, "example1", (refuse, keys))
+        monkeypatch.setattr(manifold, "_parse_t_mode", refuse)
         path = tmp_path / "node.json"
         path.write_text(json.dumps({"builder": "example1", "a": list(range(1, 20001))}))
         assert self.run(command, str(path)) == EXIT_TOO_LARGE
         assert "dimension 40001 exceeds the counting cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "node, code, err",
+        [
+            # the cap comes before example1's nonzero check, and after torus's sign check
+            ({"builder": "example1", "a": [0] * 7}, EXIT_TOO_LARGE,
+             "error: dimension 15 exceeds the counting cap 12\n"),
+            ({"builder": "torus", "n": -1, "m": 14}, EXIT_MALFORMED,
+             "error: $: builder 'torus' rejected its parameters: need n, m >= 0 with n + m >= 1\n"),
+        ],
+        ids=["example1_zero_exponents", "torus_negative_n"],
+    )
+    def test_builder_node_error_order(self, tmp_path, capsys, node, code, err):
+        path = tmp_path / "node.json"
+        path.write_text(json.dumps(node))
+        assert self.run("analyze", str(path)) == code
+        assert capsys.readouterr() == ("", err)
 
     def test_explicit_file_refused_before_parsing(self):
         # the alphas and lattice are never read, so their defects go unreported

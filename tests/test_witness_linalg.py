@@ -15,8 +15,16 @@ from pathlib import Path
 import numpy as np
 
 import solvhodge as sh
-from solvhodge.characters import RANK_TOLERANCE, smallest_singular_value
-from solvhodge.manifold import FIBER_OK, FIBER_VIOLATED, INTEGRALITY_TOLERANCE, _fiber_coefficients
+from solvhodge.manifold import (
+    FIBER_OK,
+    FIBER_VIOLATED,
+    INTEGRALITY_TOLERANCE,
+    RANK_TOLERANCE,
+    _fiber_coefficients,
+    rank_certificate,
+    real_matrix,
+    smallest_singular_value,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -102,7 +110,7 @@ class TestSmallestSingularValue:
         lattice = sh.LatticeBasis(
             1, ((sh.ComplexExact.make(table, re=big, im=big),), (sh.ComplexExact.make(table, re=minus_big, im=big),))
         )
-        ok, smallest = lattice.rank_certificate()
+        ok, smallest = rank_certificate(lattice)
         assert ok and math.isclose(smallest, math.sqrt(2) * 1e200, rel_tol=1e-12)
         # a smallest singular value itself past the float range reads as inf
         assert smallest_singular_value([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]]) == math.inf
@@ -110,9 +118,9 @@ class TestSmallestSingularValue:
     def test_lattice_rank_certificate(self):
         for A in HYPERBOLIC[:8]:
             fiber = sh.example2_n1(A).lattice_fiber
-            ok, smallest = fiber.rank_certificate()
-            assert ok and smallest == assert_matches_svd(fiber.real_matrix())
-        assert sh.torus(0, 1).lattice.rank_certificate() == (True, math.inf)
+            ok, smallest = rank_certificate(fiber)
+            assert ok and smallest == assert_matches_svd(real_matrix(fiber))
+        assert rank_certificate(sh.torus(0, 1).lattice) == (True, math.inf)
 
 
 class TestFiberCoefficients:
@@ -122,7 +130,7 @@ class TestFiberCoefficients:
             spec = sh.example2_n1(A)
             report = sh.validate(spec)
             assert report.fiber_preserved == FIBER_OK, A
-            basis_rows = spec.lattice_fiber.real_matrix()
+            basis_rows = real_matrix(spec.lattice_fiber)
             basis = np.array(basis_rows).T
             for gen, detail in zip(spec.lattice.generators, report.details):
                 point = [c.complex_value() for c in gen]
@@ -173,14 +181,14 @@ class TestFiberCoefficients:
             lattice_fiber=sh.LatticeBasis(1, (gen, gen)),
             symbols=torus.symbols,
         )
-        basis = np.array(spec.lattice_fiber.real_matrix()).T
+        basis = np.array(real_matrix(spec.lattice_fiber)).T
         try:
             np.linalg.solve(basis, basis)
         except np.linalg.LinAlgError:
             pass
         else:
             raise AssertionError("numpy solved a singular system")
-        assert _fiber_coefficients(tuple(zip(*spec.lattice_fiber.real_matrix())), [1.0]) is None
+        assert _fiber_coefficients(tuple(zip(*real_matrix(spec.lattice_fiber))), [1.0]) is None
         report = sh.validate(spec)
         assert report.fiber_preserved == FIBER_VIOLATED
         assert "base generator 1: fiber basis is numerically singular" in report.details
