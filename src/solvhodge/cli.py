@@ -24,7 +24,7 @@ from .cohomology import (
 )
 from .kahler import kaehler_obstruction
 from .manifold import validate
-from .model import MAX_FORMS_DIM, DimensionCapExceeded, SolvManifoldSpec, check_caps
+from .model import DimensionCapExceeded, SolvManifoldSpec, check_caps
 from .report import (
     SCHEMA_VERSION,
     failed_checks,
@@ -49,12 +49,15 @@ def _mode(sweep: PairSweep) -> str:
 
 
 def analyze(
-    source: Union[str, Path, SolvManifoldSpec], *,
-    skip_forms: bool = False, force_float: bool = False, max_dim: int = MAX_FORMS_DIM,
+    source: Union[str, Path, SolvManifoldSpec], *, skip_forms: bool = False, force_float: bool = False
 ) -> dict:
-    """Run the full pipeline on a spec or a file path; returns the record ``--format json`` prints."""
+    """Run the full pipeline on a spec or a file path; returns the record ``--format json`` prints.
+
+    A forced-float sweep is never certified, so its wedge closure walks the
+    pairs, and with forms it is held to the forms cap before any work.
+    """
     spec = source if isinstance(source, SolvManifoldSpec) else load_spec(source)
-    check_caps(spec.complex_dim, None if skip_forms else max_dim)
+    check_caps(spec.complex_dim, forms=force_float and not skip_forms)
     timings: dict[str, float] = {}
 
     def clock(stage, function, *args, **kwargs):
@@ -74,7 +77,7 @@ def analyze(
     harmonic = None
     if not skip_forms:
         start = time.perf_counter()
-        wedge_closure = wedge_closure_report(spec, sweep, max_dim).closed
+        wedge_closure = wedge_closure_report(spec, sweep).closed
         harmonic = not coclosed_mask(spec)
         timings["forms"] = (time.perf_counter() - start) * 1000.0
     kaehler = clock("kaehler", kaehler_obstruction, spec)
@@ -90,17 +93,6 @@ def emit_example(name: str, params: dict, out_path: Optional[Union[str, Path]]) 
     if out_path is not None:
         save_spec(spec, out_path)
     return spec
-
-
-def _forms_cap(text: str) -> int:
-    """``--max-dim``: an int of at least 1, since a smaller cap refuses every n + m >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,10 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--float", dest="force_float", action="store_true",
         help="force the float fallback for lattice triviality (mode flag set in the report)",
-    )
-    p_analyze.add_argument(
-        "--max-dim", type=_forms_cap, default=MAX_FORMS_DIM,
-        help=f"cap on n+m for forms-level certification (default {MAX_FORMS_DIM})",
     )
 
     p_emit = sub.add_parser("emit-example", help="write a built-in example as a manifold file")
@@ -148,7 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_harm = sub.add_parser("check-harmonic", help="per-basis-element harmonicity flags")
     p_harm.add_argument("file", help="manifold description file (JSON)")
     p_harm.add_argument("--format", choices=("text", "json"), default="text")
-    p_harm.add_argument("--max-dim", type=_forms_cap, default=MAX_FORMS_DIM)
 
     p_version = sub.add_parser("version", help="print the package version")
     p_version.add_argument("--format", choices=("text", "json"), default="text")
@@ -156,9 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    report = analyze(
-        args.file, skip_forms=args.skip_forms, force_float=args.force_float, max_dim=args.max_dim
-    )
+    report = analyze(args.file, skip_forms=args.skip_forms, force_float=args.force_float)
     if args.format == "json":
         print(json.dumps(report, indent=2))
     elif args.format == "latex":
@@ -179,7 +164,7 @@ def _cmd_emit(args) -> int:
 
 def _cmd_check_harmonic(args) -> int:
     spec = load_spec(args.file)
-    check_caps(spec.complex_dim, args.max_dim)
+    check_caps(spec.complex_dim, forms=True)
     sweep = sweep_trivial_pairs(spec)
     record = harmonic_rows_json(spec.name, _mode(sweep), harmonic_rows(spec, sweep))
     if args.format == "json":

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from .exact import ComplexExact, Immutable, SymbolProductUnrepresentable, Value
 from .characters import is_trivial_on_lattice, is_trivial_on_lattice_float
-from .model import MAX_FORMS_DIM, CharacterExponent, SolvManifoldSpec, check_caps
+from .model import CharacterExponent, SolvManifoldSpec, check_caps
 
 __all__ = [
     "BasisElement",
@@ -425,9 +425,7 @@ class WedgeClosureReport(Immutable):
     first_failure: Optional[tuple[BasisElement, BasisElement]]
 
 
-def wedge_closure_report(
-    spec: SolvManifoldSpec, sweep: PairSweep, max_dim: int = MAX_FORMS_DIM
-) -> WedgeClosureReport:
+def wedge_closure_report(spec: SolvManifoldSpec, sweep: PairSweep) -> WedgeClosureReport:
     """Check that products of basis monomials stay in the exact span of the basis.
 
     The wedge of two basis monomials vanishes unless their index sets are
@@ -444,11 +442,12 @@ def wedge_closure_report(
     generator is the sum of the two pairs' exponents, two elements of
     2 pi i Z, and the union is admitted.  An uncertified sweep keeps the
     literal check: the float test is not additive, since two exponents
-    within its tolerance bound their sum only by twice that tolerance.
+    within its tolerance bound their sum only by twice that tolerance.  That
+    walk costs P^2 for P admitted pairs, so it alone is held to the forms cap.
     """
-    check_caps(spec.complex_dim, max_dim)
     if sweep.certified:
         return WedgeClosureReport(True, None)
+    check_caps(spec.complex_dim, forms=True)
     masked = [(_mask(J), _mask(L), J, L) for J, L in sweep]
     admitted = {(j, l) for j, l, _, _ in masked}
     for j1, l1, J1, L1 in masked:

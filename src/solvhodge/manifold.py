@@ -287,6 +287,12 @@ def _parse_t_mode(t_mode) -> Optional[tuple[int, int]]:
         raise ValueError(f"unknown t_mode {capped(repr(t_mode))}")
     if s <= 0 or r == 0:
         raise ValueError("rational_pi(r, s) needs r != 0 and s > 0")
+    try:
+        finite = math.isfinite(r / s * math.pi)  # the witness of t = (r/s)*pi
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("t_mode rational_pi(r, s) is past the float range")
     return r, s
 
 
@@ -362,18 +368,24 @@ def example2_n1(matrix: Sequence[Sequence[int]]) -> SolvManifoldSpec:
         raise ValueError(f"matrix must have determinant 1, got {det}")
     if abs(trace) <= 2:
         raise ValueError(f"matrix must be hyperbolic, |trace| = {abs(trace)} <= 2")
-    disc = math.sqrt(trace * trace - 4)
-    # dominant eigenvalue first so the expanding character e^x matches it;
-    # for negative traces the recovered integer matrix is -A, still unimodular
-    lam_dom = (trace + disc) / 2.0 if trace > 0 else (trace - disc) / 2.0
-    lam_sub = 1.0 / lam_dom
-    # a12 != 0 for hyperbolic unimodular integer matrices, so the columns
-    # (a12, lam - a11) are honest eigenvectors
-    (e11, e12), (e21, e22) = (float(a12), float(a12)), (lam_dom - a11, lam_sub - a11)
-    eig_det = e11 * e22 - e12 * e21
-    dual = ((e22 / eig_det, -e12 / eig_det), (-e21 / eig_det, e11 / eig_det))  # closed-form inverse
+    try:
+        disc = math.sqrt(trace * trace - 4)
+        # dominant eigenvalue first so the expanding character e^x matches it;
+        # for negative traces the recovered integer matrix is -A, still unimodular
+        lam_dom = (trace + disc) / 2.0 if trace > 0 else (trace - disc) / 2.0
+        lam_sub = 1.0 / lam_dom
+        # a12 != 0 for hyperbolic unimodular integer matrices, so the columns
+        # (a12, lam - a11) are honest eigenvectors
+        (e11, e12), (e21, e22) = (float(a12), float(a12)), (lam_dom - a11, lam_sub - a11)
+        eig_det = e11 * e22 - e12 * e21
+        dual = ((e22 / eig_det, -e12 / eig_det), (-e21 / eig_det, e11 / eig_det))  # closed-form inverse
+        log_eps = math.log((abs(trace) + disc) / 2.0)
+        if not all(math.isfinite(v) for row in dual for v in row):
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):  # eig_det is 0 when both lam - a11 round to one float
+        raise ValueError("matrix entries are too large for its float eigenvectors") from None
 
-    table = SymbolTable.base().with_symbol("logeps", math.log((abs(trace) + disc) / 2.0))
+    table = SymbolTable.base().with_symbol("logeps", log_eps)
     table = table.with_symbol("c1", math.sqrt(2.0))
     entry_names = (("g11", "g12"), ("g21", "g22"))
     for r in range(2):

@@ -43,7 +43,7 @@ __all__ = [
     "check_caps",
 ]
 
-# size caps on n + m: every command, and the forms path
+# size caps on n + m: every command, and the forms walks that grow with the basis
 MAX_COUNTING_DIM = 12
 MAX_FORMS_DIM = 6
 
@@ -52,14 +52,13 @@ class DimensionCapExceeded(ValueError):
     """A manifold was refused because its dimension exceeds a size cap."""
 
 
-def check_caps(dim: int, forms_dim: int | None = None):
-    """Refuse, before any work, n + m past the counting cap, or past ``forms_dim`` if it is given."""
+def check_caps(dim: int, forms: bool = False):
+    """Refuse n + m past the counting cap, or, for a forms walk, past the forms cap."""
     if dim > MAX_COUNTING_DIM:
         raise DimensionCapExceeded(f"dimension {dim} exceeds the counting cap {MAX_COUNTING_DIM}")
-    if forms_dim is not None and dim > forms_dim:
+    if forms and dim > MAX_FORMS_DIM:
         raise DimensionCapExceeded(
-            f"dimension {dim} exceeds the forms cap {forms_dim}"
-            " (raise --max-dim, or use --skip-forms with analyze)"
+            f"dimension {dim} exceeds the forms cap {MAX_FORMS_DIM} (use --skip-forms with analyze)"
         )
 
 

@@ -132,6 +132,7 @@ def _symbol_table(node: Any, where: str) -> SymbolTable:
     if node is None:
         return table
     _require(isinstance(node, list), "symbols must be a list", where)
+    reserved = set()
     for si, entry in enumerate(node):
         here = f"{where}[{si}]"
         _require(isinstance(entry, Mapping) and {"name", "value"} <= set(entry),
@@ -141,6 +142,8 @@ def _symbol_table(node: Any, where: str) -> SymbolTable:
         _require(isinstance(name, str) and name, "symbol name must be a nonempty string", here)
         _require(type(value) in (int, float), "witness must be a JSON number", f"{here}.value")
         if name in ("one", "pi"):
+            _require(name not in reserved, f"symbol {name!r} already declared", here)
+            reserved.add(name)
             expected = 1.0 if name == "one" else math.pi
             _require(value == expected, f"reserved symbol {name!r} must have witness {expected!r}", here)
             continue

@@ -382,6 +382,15 @@ class TestHarmonicity:
         assert not is_dbar_harmonic(f, spec)
 
 
+class Unwalkable(PairSweep):
+    """A sweep whose pairs cannot be walked: proves that a check never iterates them."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        raise RuntimeError("the pairs were walked")
+
+
 class TestWedgeClosure:
     def test_torus(self, torus11):
         assert wedge_closure_report(torus11, sweep_trivial_pairs(torus11)).closed
@@ -392,7 +401,7 @@ class TestWedgeClosure:
 
     def test_example1_two_pairs(self):
         spec = sh.example1([2, 3], "symbolic")
-        assert wedge_closure_report(spec, sweep_trivial_pairs(spec), max_dim=5).closed
+        assert wedge_closure_report(spec, sweep_trivial_pairs(spec)).closed
 
     def test_report_carries_no_failure(self):
         spec = sh.example1([1], "rational_pi(1,1)")
@@ -400,22 +409,18 @@ class TestWedgeClosure:
         assert report.closed and report.first_failure is None
 
     def test_certified_sweep_is_closed_without_a_pair_loop(self):
-        class Unwalkable(PairSweep):
-            __slots__ = ()
-
-            def __iter__(self):
-                raise RuntimeError("the pairs were walked")
-
         spec = sh.torus(1, 2)
         pairs = sweep_trivial_pairs(spec).pairs
         report = wedge_closure_report(spec, Unwalkable(pairs, True))
         assert report.closed and report.first_failure is None
         with pytest.raises(RuntimeError, match="walked"):
             wedge_closure_report(spec, Unwalkable(pairs, False))
-        with pytest.raises(DimensionCapExceeded):
-            wedge_closure_report(spec, Unwalkable(pairs, True), max_dim=2)
 
     def test_dimension_cap(self):
+        # the forms cap holds only the literal walk of an uncertified sweep, refused before it starts
         spec = sh.torus(3, 4)
-        with pytest.raises(DimensionCapExceeded):
-            wedge_closure_report(spec, sweep_trivial_pairs(spec))
+        pairs = sweep_trivial_pairs(spec).pairs
+        report = wedge_closure_report(spec, Unwalkable(pairs, True))
+        assert report.closed and report.first_failure is None
+        with pytest.raises(DimensionCapExceeded, match="exceeds the forms cap 6"):
+            wedge_closure_report(spec, Unwalkable(pairs, False))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,6 +62,26 @@ def symbolic_scale_data(**fields):
         "lattice": [[{"re": {"one": "1"}}], [{"im": {"t": "1"}}]],
         **fields,
     }
+
+
+BIG = 10**400
+# the matrices have determinant 1 and |trace| > 2; 10**20 - lam rounds to 10**20, so the
+# float eigenvectors of the second one are parallel
+_BIG_MATRICES = [[[BIG, 1], [BIG - 1, 1]], [[10**20, 1], [10**20 * (3 - 10**20) - 1, 3 - 10**20]]]
+PAST_FLOAT_RANGE = [
+    *(
+        ({"builder": "example2_n1", "A": matrix},
+         ["example2_n1", "--matrix", *(str(v) for row in matrix for v in row)],
+         "error: $: builder 'example2_n1' rejected its parameters:"
+         " matrix entries are too large for its float eigenvectors\n")
+        for matrix in _BIG_MATRICES
+    ),
+    ({"builder": "example1", "a": [1], "t_mode": [BIG, 1]},
+     ["example1", "--a", "1", "--t-mode", f"rational_pi({BIG},1)"],
+     "error: $: builder 'example1' rejected its parameters:"
+     " t_mode rational_pi(r, s) is past the float range\n"),
+]
+PAST_FLOAT_RANGE_IDS = ["example2_n1_overflow", "example2_n1_parallel_eigenvectors", "example1_t_mode"]
 
 
 class TestSpecFileRoundTrip:
@@ -213,6 +234,15 @@ class TestSpecFileErrors:
             load_spec_dict(data)
         assert err.value.where == "$.symbols[2].witness"
 
+    @pytest.mark.parametrize("name", ["x", "one", "pi"])
+    def test_repeated_symbol(self, name):
+        value = {"x": 2.0, "one": 1.0, "pi": math.pi}[name]
+        data = spec_to_dict(sh.torus(1, 1))
+        data["symbols"] = [{"name": name, "value": value}] * 2
+        with pytest.raises(SpecFileError) as err:
+            load_spec_dict(data)
+        assert str(err.value) == f"$.symbols[1]: symbol {name!r} already declared"
+
     def test_witness_must_not_be_bool(self):
         data = spec_to_dict(sh.example1([1], "symbolic"))
         index = next(i for i, entry in enumerate(data["symbols"]) if entry["name"] == "t")
@@ -248,8 +278,9 @@ class TestAnalyze:
         assert report["mode"] == "float_fallback"
 
     def test_forms_cap_raises(self):
-        with pytest.raises(sh.DimensionCapExceeded):
-            analyze(sh.torus(4, 3))
+        # a forced-float run always walks its pairs for wedge closure
+        with pytest.raises(sh.DimensionCapExceeded, match="exceeds the forms cap 6"):
+            analyze(sh.torus(4, 3), force_float=True)
 
     def test_forms_cap_checked_before_any_work(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -258,7 +289,17 @@ class TestAnalyze:
         monkeypatch.setattr(cli, "validate", refuse)
         monkeypatch.setattr(cli, "sweep_trivial_pairs", refuse)
         with pytest.raises(sh.DimensionCapExceeded):
-            analyze(sh.torus(4, 3))
+            analyze(sh.torus(4, 3), force_float=True)
+
+    @pytest.mark.parametrize(
+        "spec", [sh.torus(3, 4), sh.example1([1, 2, 3], "symbolic")], ids=lambda s: s.name
+    )
+    def test_certified_sweep_past_forms_cap_gets_full_report(self, spec):
+        # a certified sweep is wedge-closed with no pair walk, so n + m = 7 needs no cap
+        report = analyze(spec)
+        assert spec.complex_dim == 7 and report["mode"] == "exact"
+        assert report["wedge_closure"] is True and report["harmonic_certified"] is True
+        assert not failed_checks(report)
 
     def test_lone_expanding_character_is_not_harmonic(self):
         report = analyze(lone_expanding_character())
@@ -337,35 +378,38 @@ class TestCli:
     def test_too_large_exit_3(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         save_spec(sh.torus(4, 3), path)
-        assert self.run("analyze", str(path)) == EXIT_TOO_LARGE
-        assert self.run("analyze", str(path), "--skip-forms") == EXIT_OK
+        for command in (["analyze", "--float"], ["check-harmonic"]):
+            assert self.run(command[0], str(path), *command[1:]) == EXIT_TOO_LARGE
+            assert capsys.readouterr() == (
+                "", "error: dimension 7 exceeds the forms cap 6 (use --skip-forms with analyze)\n"
+            )
+        assert self.run("analyze", str(path), "--float", "--skip-forms") == EXIT_OK
         capsys.readouterr()
+
+    def test_escaping_sweep_past_forms_cap_exit_3(self, tmp_path, capsys):
+        # symbolic exponents and lattice: the sweep leaves the exact layer, so closure needs the walk
+        exponents = (1, -1, 2, -2, 3, -3)
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(symbolic_scale_data(
+            m=6, alphas=[{"real_exp": [{"s": str(v)}]} for v in exponents]
+        )))
+        assert self.run("analyze", str(path)) == EXIT_TOO_LARGE
+        assert capsys.readouterr() == (
+            "", "error: dimension 7 exceeds the forms cap 6 (use --skip-forms with analyze)\n"
+        )
+        assert self.run("analyze", str(path), "--skip-forms", "--format", "json") == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["mode"] == "float_fallback"
 
     @pytest.mark.parametrize("command", ["analyze", "check-harmonic"])
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_max_dim_below_one_is_a_usage_error(self, tmp_path, capsys, command, value):
+    def test_max_dim_is_not_an_option(self, tmp_path, capsys, command):
         path = tmp_path / "t.json"
         save_spec(sh.torus(1, 1), path)
-        extra = ("--skip-forms",) if command == "analyze" else ()
-        for flags in {(), extra}:
-            with pytest.raises(SystemExit) as exc:
-                self.run(command, str(path), "--max-dim", value, *flags)
-            assert exc.value.code == EXIT_MALFORMED
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert f"argument --max-dim: must be at least 1, got {value}" in captured.err
         with pytest.raises(SystemExit) as exc:
-            self.run(command, str(path), "--max-dim", "x")
+            self.run(command, str(path), "--max-dim", "7")
         assert exc.value.code == EXIT_MALFORMED
-        assert "argument --max-dim: invalid int value: 'x'" in capsys.readouterr().err
-        assert self.run(command, str(path), "--max-dim", "1") == EXIT_TOO_LARGE
-        assert self.run(command, str(path), "--max-dim", "2") == EXIT_OK
-        capsys.readouterr()
-
-    def test_library_max_dim_below_one_still_raises(self):
-        for value in (0, -1):
-            with pytest.raises(sh.DimensionCapExceeded):
-                analyze(sh.torus(1, 1), max_dim=value)
+        assert capsys.readouterr().out == ""
+        with pytest.raises(TypeError):
+            analyze(sh.torus(1, 1), max_dim=7)
 
     def test_fiber_cap_exit_3(self, tmp_path, capsys):
         path = tmp_path / "fiber.json"
@@ -374,7 +418,7 @@ class TestCli:
         capsys.readouterr()
 
     def test_check_harmonic_counting_cap_exit_3(self, tmp_path, monkeypatch, capsys):
-        # a raised --max-dim must not let m = 12 through to a 4^12 pair sweep
+        # the counting cap comes first, so m = 12 never reaches a 4^12 pair sweep
         def refuse(*args, **kwargs):
             raise RuntimeError("the pair sweep started before the counting cap was checked")
 
@@ -382,7 +426,7 @@ class TestCli:
             monkeypatch.setattr(module, "sweep_trivial_pairs", refuse, raising=False)
         path = tmp_path / "wide.json"
         save_spec(oversized_torus(1, 12), path)
-        assert self.run("check-harmonic", str(path), "--max-dim", "20") == EXIT_TOO_LARGE
+        assert self.run("check-harmonic", str(path)) == EXIT_TOO_LARGE
         assert "counting cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "check-harmonic"])
@@ -474,13 +518,6 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["mode"] == "float_fallback"
         assert data["hodge"] == [[1, 1, 0], [1, 1, 0], [0, 0, 0]]
-
-    def test_max_dim_flag(self, tmp_path, capsys):
-        path = tmp_path / "t12.json"
-        save_spec(sh.torus(1, 2), path)
-        assert self.run("analyze", str(path), "--max-dim", "2") == EXIT_TOO_LARGE
-        assert self.run("analyze", str(path), "--max-dim", "3") == EXIT_OK
-        capsys.readouterr()
 
     def test_failed_certificate_exit_1(self, tmp_path, capsys):
         # single expanding character over the Gaussian lattice: the fiber is
@@ -606,6 +643,20 @@ class TestCli:
     def test_emit_rejects_bad_parameters(self, capsys):
         assert self.run("emit-example", "example1", "--a", "0") == EXIT_MALFORMED
         capsys.readouterr()
+
+    @pytest.mark.parametrize("node, argv, err", PAST_FLOAT_RANGE, ids=PAST_FLOAT_RANGE_IDS)
+    def test_builder_past_float_range_exit_2(self, tmp_path, capsys, node, argv, err):
+        path = tmp_path / "node.json"
+        path.write_text(json.dumps(node))
+        assert self.run("analyze", str(path)) == EXIT_MALFORMED
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("node, argv, err", PAST_FLOAT_RANGE, ids=PAST_FLOAT_RANGE_IDS)
+    def test_emit_past_float_range_exit_2(self, tmp_path, capsys, node, argv, err):
+        path = tmp_path / "out.json"
+        assert self.run("emit-example", *argv, "--out", str(path)) == EXIT_MALFORMED
+        assert capsys.readouterr() == ("", err)
+        assert not path.exists()
 
     def test_check_harmonic_text(self, tmp_path, capsys):
         path = tmp_path / "e.json"
