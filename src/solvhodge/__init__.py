@@ -21,10 +21,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisElement",
-    "BettiNumbers",
     "CharacterExponent",
     "ComplexExact",
-    "ConditionReport",
     "DimensionCapExceeded",
     "ExactScalar",
     "FrameForm",

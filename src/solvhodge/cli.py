@@ -11,7 +11,6 @@ from typing import Optional, Union
 
 from . import __version__
 from .cohomology import (
-    PairSweep,
     betti_numbers,
     check_condition,
     coclosed_mask,
@@ -44,10 +43,6 @@ EXIT_MALFORMED = 2
 EXIT_TOO_LARGE = 3
 
 
-def _mode(sweep: PairSweep) -> str:
-    return "exact" if sweep.certified else "float_fallback"
-
-
 def analyze(
     source: Union[str, Path, SolvManifoldSpec], *, skip_forms: bool = False, force_float: bool = False
 ) -> dict:
@@ -69,20 +64,20 @@ def analyze(
     validation = clock("validate", validate, spec)
     sweep = clock("pairs", sweep_trivial_pairs, spec, force_float)
     table = clock("hodge", hodge_table, spec, sweep)
-    condition = clock("condition", check_condition, spec, sweep)
+    violations = clock("condition", check_condition, spec, sweep)
     symmetry = clock("symmetry", conjugation_symmetry, spec, sweep)
     serre = serre_duality_check(table)
-    betti = clock("betti", betti_numbers, table, condition)
+    betti = clock("betti", betti_numbers, table)
     wedge_closure = None
     harmonic = None
     if not skip_forms:
         start = time.perf_counter()
-        wedge_closure = wedge_closure_report(spec, sweep).closed
+        wedge_closure = wedge_closure_report(spec, sweep) is None
         harmonic = not coclosed_mask(spec)
         timings["forms"] = (time.perf_counter() - start) * 1000.0
     kaehler = clock("kaehler", kaehler_obstruction, spec)
     return run_report(
-        spec.name, _mode(sweep), validation, table, betti, condition, symmetry, serre,
+        spec.name, validation, sweep, table, betti, violations, symmetry, serre,
         wedge_closure, harmonic, kaehler, timings,
     )
 
@@ -166,7 +161,7 @@ def _cmd_check_harmonic(args) -> int:
     spec = load_spec(args.file)
     check_caps(spec.complex_dim, forms=True)
     sweep = sweep_trivial_pairs(spec)
-    record = harmonic_rows_json(spec.name, _mode(sweep), harmonic_rows(spec, sweep))
+    record = harmonic_rows_json(spec.name, sweep, harmonic_rows(spec, sweep))
     if args.format == "json":
         print(json.dumps(record, indent=2))
     else:

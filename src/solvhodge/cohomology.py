@@ -26,11 +26,8 @@ from .model import CharacterExponent, SolvManifoldSpec, check_caps
 
 __all__ = [
     "BasisElement",
-    "BettiNumbers",
-    "ConditionReport",
     "HodgeTable",
     "PairSweep",
-    "WedgeClosureReport",
     "basis_elements",
     "betti_numbers",
     "check_condition",
@@ -43,9 +40,6 @@ __all__ = [
     "sweep_trivial_pairs",
     "wedge_closure_report",
 ]
-
-VIOLATION_REASON = "trivial_restriction_but_alpha_nontrivial"
-
 
 MultiIndex = tuple[int, ...]
 
@@ -130,29 +124,6 @@ class HodgeTable(Immutable):
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return self.h
-
-
-class ConditionReport(Immutable):
-    """Verdict on the matching of lattice-trivial pairs and globally trivial characters."""
-
-    __slots__ = ("holds", "violations", "checked_pairs")
-    holds: bool
-    violations: tuple[tuple[MultiIndex, MultiIndex, str], ...]
-    checked_pairs: int
-
-
-class BettiNumbers(Immutable):
-    """Anti-diagonal sums of the Hodge table, with a de Rham certification flag."""
-
-    __slots__ = ("values", "certified_de_rham")
-    values: tuple[int, ...]
-    certified_de_rham: bool
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, r: int) -> int:
-        return self.values[r]
 
 
 def _binomial(n: int, k: int) -> int:
@@ -274,8 +245,10 @@ def hodge_table(spec: SolvManifoldSpec, sweep: PairSweep) -> HodgeTable:
     return HodgeTable(dim, rows)
 
 
-def check_condition(spec: SolvManifoldSpec, sweep: PairSweep) -> ConditionReport:
-    """Test whether every lattice-trivial pair has a globally trivial character.
+def check_condition(
+    spec: SolvManifoldSpec, sweep: PairSweep
+) -> tuple[tuple[MultiIndex, MultiIndex], ...]:
+    """The admitted pairs whose character is not globally trivial; empty when the condition holds.
 
     A pair (J, L) violates when the paired unitary character restricts to 1
     on the lattice while the underlying product of fiber characters (times
@@ -285,12 +258,7 @@ def check_condition(spec: SolvManifoldSpec, sweep: PairSweep) -> ConditionReport
     admits.
     """
     alpha, alpha_bar = _subset_product_tables(spec)
-    violations = [
-        (J, L, VIOLATION_REASON)
-        for J, L in sweep
-        if not (alpha[J] * alpha_bar[L]).is_trivial
-    ]
-    return ConditionReport(not violations, tuple(violations), len(sweep))
+    return tuple((J, L) for J, L in sweep if not (alpha[J] * alpha_bar[L]).is_trivial)
 
 
 def hodge_symmetry(table: HodgeTable) -> bool:
@@ -319,19 +287,17 @@ def serre_duality_check(table: HodgeTable) -> bool:
     )
 
 
-def betti_numbers(table: HodgeTable, condition: ConditionReport) -> BettiNumbers:
+def betti_numbers(table: HodgeTable) -> tuple[int, ...]:
     """Anti-diagonal sums of the Hodge table.
 
-    The sums equal de Rham Betti numbers exactly when the condition verdict
-    holds; otherwise they are reported as first-page column sums only and
-    the certification flag is cleared.
+    The sums equal de Rham Betti numbers exactly when the condition holds;
+    otherwise they are first-page column sums only.
     """
     dim = table.n_plus_m
-    values = tuple(
+    return tuple(
         sum(table.h[p][r - p] for p in range(dim + 1) if 0 <= r - p <= dim)
         for r in range(2 * dim + 1)
     )
-    return BettiNumbers(values, condition.holds)
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -419,14 +385,10 @@ def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> list[dict]:
     return rows
 
 
-class WedgeClosureReport(Immutable):
-    __slots__ = ("closed", "first_failure")
-    closed: bool
-    first_failure: Optional[tuple[BasisElement, BasisElement]]
-
-
-def wedge_closure_report(spec: SolvManifoldSpec, sweep: PairSweep) -> WedgeClosureReport:
-    """Check that products of basis monomials stay in the exact span of the basis.
+def wedge_closure_report(
+    spec: SolvManifoldSpec, sweep: PairSweep
+) -> Optional[tuple[BasisElement, BasisElement]]:
+    """The first two basis monomials whose product leaves the span of the basis, or None.
 
     The wedge of two basis monomials vanishes unless their index sets are
     disjoint, and is then, up to sign, the monomial of the union quadruple,
@@ -446,13 +408,12 @@ def wedge_closure_report(spec: SolvManifoldSpec, sweep: PairSweep) -> WedgeClosu
     walk costs P^2 for P admitted pairs, so it alone is held to the forms cap.
     """
     if sweep.certified:
-        return WedgeClosureReport(True, None)
+        return None
     check_caps(spec.complex_dim, forms=True)
     masked = [(_mask(J), _mask(L), J, L) for J, L in sweep]
     admitted = {(j, l) for j, l, _, _ in masked}
     for j1, l1, J1, L1 in masked:
         for j2, l2, J2, L2 in masked:
             if not (j1 & j2 or l1 & l2) and (j1 | j2, l1 | l2) not in admitted:
-                witnesses = (BasisElement((), J1, (), L1), BasisElement((), J2, (), L2))
-                return WedgeClosureReport(False, witnesses)
-    return WedgeClosureReport(True, None)
+                return BasisElement((), J1, (), L1), BasisElement((), J2, (), L2)
+    return None

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cohomology import BettiNumbers, ConditionReport, HodgeTable
+from .cohomology import HodgeTable, MultiIndex, PairSweep
 from .kahler import KaehlerVerdict
 from .manifold import ValidationReport
 
 SCHEMA_VERSION = 1
+VIOLATION_REASON = "trivial_restriction_but_alpha_nontrivial"
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -21,31 +22,40 @@ __all__ = [
 ]
 
 
+def _mode(sweep: PairSweep) -> str:
+    return "exact" if sweep.certified else "float_fallback"
+
+
 def run_report(
-    name: str, mode: str, validation: ValidationReport, hodge: HodgeTable, betti: BettiNumbers,
-    condition: ConditionReport, symmetry: bool, serre: bool, wedge_closure: Optional[bool],
+    name: str, validation: ValidationReport, sweep: PairSweep, hodge: HodgeTable,
+    betti: tuple[int, ...], violations: tuple[tuple[MultiIndex, MultiIndex], ...],
+    symmetry: bool, serre: bool, wedge_closure: Optional[bool],
     harmonic_certified: Optional[bool], kaehler: KaehlerVerdict, timings_ms: dict[str, float],
 ) -> dict:
-    """The record ``analyze --format json`` prints; ``mode`` is "exact" or "float_fallback"."""
+    """The record ``analyze --format json`` prints.
+
+    ``mode`` is "exact" for a certified sweep and "float_fallback" otherwise;
+    the condition holds, and the Betti sums are de Rham numbers, exactly when
+    there is no violation.
+    """
     return {
         "schema_version": SCHEMA_VERSION,
         "name": name,
-        "mode": mode,
+        "mode": _mode(sweep),
         "validation": {
             "lattice_rank_ok": validation.lattice_rank_ok,
             "fiber_preserved": validation.fiber_preserved,
             "details": list(validation.details),
         },
         "hodge": [list(row) for row in hodge.rows()],
-        "betti": list(betti.values),
-        "certified_de_rham": betti.certified_de_rham,
+        "betti": list(betti),
+        "certified_de_rham": not violations,
         "condition": {
-            "holds": condition.holds,
+            "holds": not violations,
             "violations": [
-                {"J": list(J), "L": list(L), "reason": reason}
-                for J, L, reason in condition.violations
+                {"J": list(J), "L": list(L), "reason": VIOLATION_REASON} for J, L in violations
             ],
-            "checked_pairs": condition.checked_pairs,
+            "checked_pairs": len(sweep),
         },
         "symmetry": symmetry,
         "serre": serre,
@@ -132,12 +142,12 @@ def render_latex(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def harmonic_rows_json(name: str, mode: str, rows: list[dict]) -> dict:
+def harmonic_rows_json(name: str, sweep: PairSweep, rows: list[dict]) -> dict:
     """The record ``check-harmonic --format json`` prints, around ``cohomology.harmonic_rows``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "name": name,
-        "mode": mode,
+        "mode": _mode(sweep),
         "elements": rows,
         "all_dbar_harmonic": all(row["co_closed"] for row in rows),
     }

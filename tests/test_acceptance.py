@@ -10,6 +10,7 @@ from math import comb
 import numpy as np
 
 import solvhodge as sh
+from solvhodge.cli import analyze
 from solvhodge.cohomology import all_basis_elements, basis_elements, sweep_trivial_pairs, wedge_closure_report
 from solvhodge.exact import ComplexExact
 from solvhodge.forms import (
@@ -54,9 +55,9 @@ def test_criterion_01_torus_tables():
             for p in range(dim + 1):
                 for q in range(dim + 1):
                     assert table.h[p][q] == comb(dim, p) * comb(dim, q), (n, m, p, q)
-            betti = sh.betti_numbers(table, sh.check_condition(spec, sweep))
-            assert betti.values == tuple(comb(2 * dim, r) for r in range(2 * dim + 1))
-            assert betti.certified_de_rham
+            betti = sh.betti_numbers(table)
+            assert betti == tuple(comb(2 * dim, r) for r in range(2 * dim + 1))
+            assert not sh.check_condition(spec, sweep)
     done("criterion 1: torus tables are pure binomials")
 
 
@@ -96,21 +97,22 @@ def test_criterion_02_example1_against_brute_force():
     for p in range(4):
         for q in range(4):
             assert len(basis_elements(spec, p, q, sweep)) == table.h[p][q]
-    betti = sh.betti_numbers(table, sh.check_condition(spec, sweep))
-    assert betti.values == EXAMPLE1_BETTI
-    assert betti.certified_de_rham
+    assert sh.betti_numbers(table) == EXAMPLE1_BETTI
+    assert not sh.check_condition(spec, sweep)
     done("criterion 2: example 1 table equals the 4096-fold brute force")
 
 
 def test_criterion_03_condition_dichotomy():
     symbolic = sh.example1([1], "symbolic")
-    assert sh.check_condition(symbolic, sweep_trivial_pairs(symbolic)).holds
+    assert not sh.check_condition(symbolic, sweep_trivial_pairs(symbolic))
     symbolic_pairs = sweep_trivial_pairs(symbolic).pair_set
     for r, s in ((1, 1), (2, 1), (3, 1)):
         resonant = sh.example1([1], f"rational_pi({r},{s})")
-        report = sh.check_condition(resonant, sweep_trivial_pairs(resonant))
-        assert not report.holds, (r, s)
-        assert ((1,), (1,), "trivial_restriction_but_alpha_nontrivial") in report.violations
+        violations = sh.check_condition(resonant, sweep_trivial_pairs(resonant))
+        assert violations, (r, s)
+        assert ((1,), (1,)) in violations
+        reported = analyze(resonant, skip_forms=True)["condition"]["violations"]
+        assert {"J": [1], "L": [1], "reason": "trivial_restriction_but_alpha_nontrivial"} in reported
         assert symbolic_pairs < sweep_trivial_pairs(resonant).pair_set, (r, s)
     done("criterion 3: the resonance dichotomy and the growing pair set")
 
@@ -118,28 +120,27 @@ def test_criterion_03_condition_dichotomy():
 def test_criterion_04_symmetry_and_decomposition_pipeline():
     for spec in corpus_specs():
         sweep = sweep_trivial_pairs(spec)
-        condition = sh.check_condition(spec, sweep)
-        if not condition.holds:
+        if sh.check_condition(spec, sweep):
             continue
         table = sh.hodge_table(spec, sweep)
         assert sh.hodge_symmetry(table), spec.name
         assert sh.conjugation_symmetry(spec, sweep), spec.name
         assert sh.serre_duality_check(table), spec.name
-        betti = sh.betti_numbers(table, condition)
+        betti = sh.betti_numbers(table)
         dim = spec.complex_dim
         for r in range(2 * dim + 1):
             column_sum = sum(
                 table.h[p][r - p] for p in range(dim + 1) if 0 <= r - p <= dim
             )
-            assert betti.values[r] == column_sum, (spec.name, r)
-        assert betti.certified_de_rham, spec.name
+            assert betti[r] == column_sum, (spec.name, r)
+        assert analyze(spec, skip_forms=True)["certified_de_rham"], spec.name
     done("criterion 4: symmetry, conjugation, duality and decomposition")
 
 
 def test_criterion_05_harmonicity_certificates():
     for spec in forms_corpus_specs():
         sweep = sweep_trivial_pairs(spec)
-        condition_holds = sh.check_condition(spec, sweep).holds
+        condition_holds = not sh.check_condition(spec, sweep)
         for element in all_basis_elements(spec, sweep):
             form = basis_form(spec, element, sweep)
             assert is_dbar_harmonic(form, spec), (spec.name, element)
@@ -150,7 +151,7 @@ def test_criterion_05_harmonicity_certificates():
 
 def test_criterion_06_wedge_closure():
     for spec in forms_corpus_specs():
-        assert wedge_closure_report(spec, sweep_trivial_pairs(spec)).closed, spec.name
+        assert wedge_closure_report(spec, sweep_trivial_pairs(spec)) is None, spec.name
     done("criterion 6: harmonic wedge closure on the corpus")
 
 

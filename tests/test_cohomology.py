@@ -266,19 +266,21 @@ class TestHodgeTable:
 class TestCondition:
     def test_example1_symbolic_holds(self):
         spec = sh.example1([1], "symbolic")
-        report = check_condition(spec, sweep_trivial_pairs(spec))
-        assert report.holds and report.violations == ()
-        assert report.checked_pairs == 6
+        sweep = sweep_trivial_pairs(spec)
+        assert check_condition(spec, sweep) == ()
+        assert len(sweep) == 6
 
     def test_example1_rational_pi_fails(self):
         spec = sh.example1([1], "rational_pi(1,1)")
-        report = check_condition(spec, sweep_trivial_pairs(spec))
-        assert not report.holds
-        assert ((1,), (1,), "trivial_restriction_but_alpha_nontrivial") in report.violations
+        violations = check_condition(spec, sweep_trivial_pairs(spec))
+        assert violations
+        assert ((1,), (1,)) in violations
+        reported = cli.analyze(spec, skip_forms=True)["condition"]["violations"]
+        assert {"J": [1], "L": [1], "reason": "trivial_restriction_but_alpha_nontrivial"} in reported
 
     def test_torus_holds(self):
         spec = sh.torus(2, 2)
-        assert check_condition(spec, sweep_trivial_pairs(spec)).holds
+        assert not check_condition(spec, sweep_trivial_pairs(spec))
 
 
 class TestSymmetryChecks:
@@ -309,43 +311,45 @@ class TestSymmetryChecks:
 
 
 def betti_of(spec):
+    """The Betti sums and the condition's violations, which decide their de Rham certification."""
     sweep = sweep_trivial_pairs(spec)
-    return betti_numbers(hodge_table(spec, sweep), check_condition(spec, sweep))
+    return betti_numbers(hodge_table(spec, sweep)), check_condition(spec, sweep)
 
 
 class TestBetti:
     def test_example1_values(self):
-        betti = betti_of(sh.example1([1], "symbolic"))
-        assert betti.values == (1, 2, 5, 8, 5, 2, 1)
-        assert betti.certified_de_rham
+        betti, violations = betti_of(sh.example1([1], "symbolic"))
+        assert betti == (1, 2, 5, 8, 5, 2, 1)
+        assert not violations
 
     def test_torus_values(self):
-        betti = betti_of(sh.torus(1, 1))
-        assert betti.values == tuple(comb(4, r) for r in range(5))
-        assert betti.certified_de_rham
+        betti, violations = betti_of(sh.torus(1, 1))
+        assert betti == tuple(comb(4, r) for r in range(5))
+        assert not violations
 
     def test_rational_pi_not_certified(self):
-        betti = betti_of(sh.example1([1], "rational_pi(1,1)"))
-        assert not betti.certified_de_rham
+        spec = sh.example1([1], "rational_pi(1,1)")
+        _, violations = betti_of(spec)
+        assert violations
+        assert cli.analyze(spec, skip_forms=True)["certified_de_rham"] is False
 
     def test_euler_characteristic_vanishes(self):
         for spec in corpus_specs():
-            betti = betti_of(spec)
-            assert sum((-1) ** r * b for r, b in enumerate(betti.values)) == 0, spec.name
+            betti, _ = betti_of(spec)
+            assert sum((-1) ** r * b for r, b in enumerate(betti)) == 0, spec.name
 
 
 class TestPipelineInvariant:
     def test_condition_implies_full_symmetry(self):
         for spec in corpus_specs():
             sweep = sweep_trivial_pairs(spec)
-            condition = check_condition(spec, sweep)
-            if not condition.holds:
+            if check_condition(spec, sweep):
                 continue
             table = hodge_table(spec, sweep)
             assert hodge_symmetry(table), spec.name
             assert conjugation_symmetry(spec, sweep), spec.name
             assert serre_duality_check(table), spec.name
-            assert betti_numbers(table, condition).certified_de_rham, spec.name
+            assert cli.analyze(spec, skip_forms=True)["certified_de_rham"], spec.name
 
     def test_all_elements_cover_table(self):
         for spec in corpus_specs():

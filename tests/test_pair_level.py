@@ -136,7 +136,7 @@ class TestAgainstLiteralEnumeration:
             if spec.complex_dim > 3:
                 continue
             sweep = sweep_trivial_pairs(spec)
-            got = wedge_closure_report(spec, sweep=sweep).closed
+            got = wedge_closure_report(spec, sweep=sweep) is None
             assert got == literal_wedge_closure(spec, sweep), spec.name
 
     def test_random_stub_sweeps(self, rng):
@@ -153,10 +153,10 @@ class TestAgainstLiteralEnumeration:
                 stub = PairSweep(tuple(sorted(chosen)), certified=False)
                 symmetric = conjugation_symmetry(spec, stub)
                 assert symmetric == literal_conjugation_symmetry(spec, stub), stub
-                wedge = wedge_closure_report(spec, sweep=stub)
-                assert wedge.closed == literal_wedge_closure(spec, stub), stub
-                if not wedge.closed:
-                    first, second = wedge.first_failure
+                failure = wedge_closure_report(spec, sweep=stub)
+                assert (failure is None) == literal_wedge_closure(spec, stub), stub
+                if failure is not None:
+                    first, second = failure
                     assert first.I == first.K == second.I == second.K == ()
                     union = (
                         tuple(sorted(first.J + second.J)),
@@ -166,7 +166,7 @@ class TestAgainstLiteralEnumeration:
                     assert not set(first.L) & set(second.L)
                     assert union not in stub
                 verdicts["symmetry"].add(symmetric)
-                verdicts["wedge"].add(wedge.closed)
+                verdicts["wedge"].add(failure is None)
         assert verdicts == {"symmetry": {True, False}, "wedge": {True, False}}
 
 
@@ -327,7 +327,7 @@ def random_family_specs(rng, count):
 
 def literal_harmonic_verdict(spec, sweep) -> bool:
     """Every basis form dbar-harmonic and, when the condition holds, d-harmonic."""
-    condition = check_condition(spec, sweep).holds
+    condition = not check_condition(spec, sweep)
     return all(
         is_dbar_harmonic(form, spec) and (not condition or is_d_harmonic(form, spec))
         for form in (basis_form(spec, el, sweep) for el in all_basis_elements(spec, sweep))
@@ -511,7 +511,7 @@ def test_lazy_namespace_resolves_each_public_name_to_its_submodule():
     body = """
 import importlib, solvhodge
 names = solvhodge.__all__
-assert len(names) == len(set(names)) == 47, names
+assert len(names) == len(set(names)) == 45, names
 for name in names:
     value = getattr(solvhodge, name)
     owner = importlib.import_module(value.__module__)

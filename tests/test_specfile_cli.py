@@ -746,10 +746,37 @@ class TestCliPrintsLibraryRecord:
             path = tmp_path / f"{index}.json"
             save_spec(spec, path)
             sweep = sweep_trivial_pairs(spec)
-            mode = "exact" if sweep.certified else "float_fallback"
-            record = harmonic_rows_json(spec.name, mode, harmonic_rows(spec, sweep))
+            record = harmonic_rows_json(spec.name, sweep, harmonic_rows(spec, sweep))
             code = EXIT_OK if record["all_dbar_harmonic"] else EXIT_CHECK_FAILED
             assert main(["check-harmonic", str(path), "--format", "json"]) == code, spec.name
             assert json.loads(capsys.readouterr().out) == record, spec.name
             assert main(["check-harmonic", str(path)]) == code, spec.name
             assert capsys.readouterr().out == render_harmonic_text(record), spec.name
+
+
+PINNED = Path(__file__).parent / "pinned"
+
+
+class TestPinnedRecords:
+    """Complete printed records, held as literal text so that key order, ``mode``,
+    ``checked_pairs`` and the violation ``reason`` cannot drift with the code that
+    both prints and checks them."""
+
+    @pytest.mark.parametrize(
+        "spec, options, pinned",
+        [
+            (sh.example1([1], "rational_pi(1,1)"), {}, "example1_1_pi_1_1.analyze.json"),
+            (sh.torus(1, 1), {"skip_forms": True}, "torus_1_1.analyze_skip_forms.json"),
+            (sh.example1([1, 2]), {"force_float": True}, "example1_1_2.analyze_float.json"),
+        ],
+        ids=["rational_pi_violations", "torus_skip_forms", "forced_float"],
+    )
+    def test_analyze_record(self, spec, options, pinned):
+        record = report_canon(analyze(spec, **options))
+        assert json.dumps(record, indent=2) + "\n" == (PINNED / pinned).read_text()
+
+    def test_check_harmonic_record(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        save_spec(sh.torus(1, 1), path)
+        assert main(["check-harmonic", str(path), "--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == (PINNED / "torus_1_1.check_harmonic.json").read_text()

@@ -95,7 +95,7 @@ def test_certified_sweeps_are_union_closed_and_float_agrees():
         admitting += len(sweep) > 1
         admitting_planes += spec.n == 2 and len(sweep) > 1
         # uncertified, so the literal union check runs rather than the additivity shortcut
-        assert wedge_closure_report(spec, PairSweep(sweep.pairs, False)).closed, spec
+        assert wedge_closure_report(spec, PairSweep(sweep.pairs, False)) is None, spec
         assert sweep_trivial_pairs(spec, force_float=True).pair_set == sweep.pair_set, spec
     # the budget must exercise both claims on sweeps that admit more than ((), ()),
     # with n = 2 among them

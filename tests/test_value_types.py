@@ -210,7 +210,9 @@ def test_construction_checks_refuse(case):
 # The shared constructor of a record that only stores its arguments, and of a
 # value type whose construction checks run once the fields are stored.
 SHARED = {
-    "ConditionReport": (sh.ConditionReport, {"holds": True, "violations": (), "checked_pairs": 4}),
+    "KaehlerVerdict": (
+        sh.KaehlerVerdict, {"status": "obstructed", "witnesses": (1, 2), "completely_solvable": True}
+    ),
     "BasisElement": (sh.BasisElement, {"I": (1,), "J": (1, 2), "K": (), "L": (2,)}),
 }
 
