@@ -30,20 +30,15 @@ def is_trivial_on_lattice(chi: CharacterExponent, lattice: LatticeBasis) -> bool
     """Exact test that a unitary character restricts to 1 on the lattice.
 
     Because the character is a homomorphism it suffices to check the
-    generators, where the (purely imaginary) exponent must land in
-    2*pi*i*Z.
+    generators, where the exponent must land in 2*pi*i*Z.  With b = -conj(a)
+    the exponent's real part cancels exactly, so only its imaginary part is
+    tested.
     """
     if not chi.is_unitary:
         raise NotUnitary("lattice triviality is only defined for unitary characters")
     if chi.n != lattice.n:
         raise ValueError("character and lattice dimensions differ")
-    for gen in lattice.generators:
-        exponent = chi.exponent_at(gen)
-        if not exponent.re.is_zero:
-            raise NotUnitary("unitary character has a nonzero real exponent on the lattice")
-        if not exponent.im.is_multiple_of_2pi():
-            return False
-    return True
+    return all(chi.exponent_at(gen).im.is_multiple_of_2pi() for gen in lattice.generators)
 
 
 def is_trivial_on_lattice_float(chi: CharacterExponent, lattice: LatticeBasis) -> bool:

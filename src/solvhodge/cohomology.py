@@ -119,9 +119,6 @@ class HodgeTable(Immutable):
                 if not 0 <= value <= comb(self.n_plus_m, p) * comb(self.n_plus_m, q):
                     raise ValueError(f"h[{p}][{q}] = {value} exceeds the binomial bound")
 
-    def __getitem__(self, p: int) -> tuple[int, ...]:
-        return self.h[p]
-
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return self.h
 

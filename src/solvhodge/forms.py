@@ -183,14 +183,6 @@ class _Form(Value):
             return NotImplemented
         return type(self)(self.terms + other.terms)
 
-    def __neg__(self):
-        return type(self)(tuple((-c, char, w) for c, char, w in self.terms))
-
-    def __sub__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        return self + (-other)
-
     def scaled(self, factor):
         """Multiply every coefficient by an exact complex number or rational."""
         return type(self)(tuple((c * factor, char, w) for c, char, w in self.terms))

@@ -36,25 +36,27 @@ MAX_JACOBI_SWEEPS = 60
 
 FIBER_OK = "ok"
 FIBER_VIOLATED = "violated"
+FIBER_UNDECIDED = "undecided"
 FIBER_NOT_CHECKED = "not_checked"
 
 
 class ValidationReport(Immutable):
     __slots__ = ("lattice_rank_ok", "fiber_preserved", "details")
     lattice_rank_ok: bool
-    fiber_preserved: str  # FIBER_OK | FIBER_VIOLATED | FIBER_NOT_CHECKED
+    fiber_preserved: str  # FIBER_OK | FIBER_VIOLATED | FIBER_UNDECIDED | FIBER_NOT_CHECKED
     details: tuple[str, ...]
 
 
-def smallest_singular_value(rows: Sequence[Sequence[float]]) -> float:
-    """Smallest singular value of a square float matrix by one-sided (Hestenes) Jacobi.
+def _smallest_and_condition(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
+    """Smallest singular value and condition number of a square float matrix.
 
-    Plane rotations orthogonalise the columns in place; the column norms are
-    then the singular values.  Working on the matrix itself, not on M^T M,
-    keeps the absolute error near machine precision times the norm of M, so
-    values near ``RANK_TOLERANCE`` are resolved.  The matrix is first scaled
-    by a power of two, which is exact, so that its largest entry is below 1
-    in magnitude and no sum of squares overflows.
+    One-sided (Hestenes) Jacobi: plane rotations orthogonalise the columns
+    in place, and the column norms are then the singular values.  Working on
+    the matrix itself, not on M^T M, keeps the absolute error near machine
+    precision times the norm of M, so values near ``RANK_TOLERANCE`` are
+    resolved.  The matrix is first scaled by a power of two, which is exact,
+    so that its largest entry is below 1 in magnitude and no sum of squares
+    overflows; the condition number, a ratio, is read before unscaling.
     """
     _, scale = math.frexp(max(abs(v) for row in rows for v in row))
     columns = [[math.ldexp(v, -scale) for v in col] for col in zip(*rows)]
@@ -79,10 +81,18 @@ def smallest_singular_value(rows: Sequence[Sequence[float]]) -> float:
                 columns[j] = [s * u + c * v for u, v in zip(x, y)]
         if not rotated:
             break
+    norms = [math.hypot(*col) for col in columns]
+    smallest = min(norms)
+    condition = max(norms) / smallest if smallest else math.inf
     try:
-        return math.ldexp(min(math.hypot(*col) for col in columns), scale)
+        return math.ldexp(smallest, scale), condition
     except OverflowError:  # the value itself is past the float range
-        return math.inf
+        return math.inf, condition
+
+
+def smallest_singular_value(rows: Sequence[Sequence[float]]) -> float:
+    """Smallest singular value of a square float matrix (see :func:`_smallest_and_condition`)."""
+    return _smallest_and_condition(rows)[0]
 
 
 def real_matrix(lattice: LatticeBasis) -> tuple[tuple[float, ...], ...]:
@@ -93,19 +103,22 @@ def real_matrix(lattice: LatticeBasis) -> tuple[tuple[float, ...], ...]:
     )
 
 
+def _witness_spectrum(lattice: LatticeBasis) -> tuple[float, float]:
+    """Smallest singular value and condition number of the witness matrix, from one Jacobi run."""
+    if lattice.n == 0:
+        return math.inf, 1.0
+    return _smallest_and_condition(real_matrix(lattice))
+
+
 def rank_certificate(lattice: LatticeBasis) -> tuple[bool, float]:
     """Full-rank check on the witness matrix; returns (ok, smallest singular value)."""
-    if lattice.n == 0:
-        return True, math.inf
-    smallest = smallest_singular_value(real_matrix(lattice))
+    smallest = _witness_spectrum(lattice)[0]
     return smallest > RANK_TOLERANCE, smallest
 
 
 def _integer_determinant(mat: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a small integer matrix (Gaussian elimination over Fractions)."""
     size = len(mat)
-    if size == 0:
-        return 1
     work = [[Fraction(x) for x in row] for row in mat]
     det = Fraction(1)
     for col in range(size):
@@ -121,8 +134,6 @@ def _integer_determinant(mat: Sequence[Sequence[int]]) -> int:
             factor = work[r][col] / pivot
             for c in range(col, size):
                 work[r][c] -= factor * work[col][c]
-    if det.denominator != 1:
-        raise ValueError("determinant of an integer matrix is not an integer")
     return int(det)
 
 
@@ -171,6 +182,8 @@ def validate(spec: SolvManifoldSpec) -> ValidationReport:
     """Numeric structural checks: lattice ranks and fiber preservation.
 
     Failures are reported, never raised; all checks run on float witnesses.
+    Fiber preservation is ``undecided`` where the witnesses are too coarse to
+    tell whether the action's coefficients are integers.
     """
     details: list[str] = []
     rank_ok, smallest = rank_certificate(spec.lattice)
@@ -178,17 +191,32 @@ def validate(spec: SolvManifoldSpec) -> ValidationReport:
         details.append(f"base lattice rank deficient: smallest singular value {smallest:.3e}")
     fiber_status = FIBER_NOT_CHECKED
     if spec.lattice_fiber is not None:
-        fiber_rank_ok, fiber_smallest = rank_certificate(spec.lattice_fiber)
-        if not fiber_rank_ok:
+        fiber_smallest, condition = _witness_spectrum(spec.lattice_fiber)
+        if not fiber_smallest > RANK_TOLERANCE:
             details.append(
                 f"fiber lattice rank deficient: smallest singular value {fiber_smallest:.3e}"
             )
-        rank_ok = rank_ok and fiber_rank_ok
-        fiber_status = _check_fiber_preservation(spec, details)
+            rank_ok = False
+        fiber_status = _check_fiber_preservation(spec, condition, details)
     return ValidationReport(rank_ok, fiber_status, tuple(details))
 
 
-def _check_fiber_preservation(spec: SolvManifoldSpec, details: list[str]) -> str:
+def _unimodular_action(values: Sequence[complex]) -> bool:
+    """Whether det D = prod |v_k|^2 is 1, to ``INTEGRALITY_TOLERANCE`` on sum log |v_k|.
+
+    C = W^-1 D W has the determinant of D whatever the basis W, so this holds
+    for the true C even where the computed one is too inaccurate to round.
+    """
+    return all(values) and abs(math.fsum(math.log(abs(v)) for v in values)) <= INTEGRALITY_TOLERANCE
+
+
+def _check_fiber_preservation(spec: SolvManifoldSpec, condition: float, details: list[str]) -> str:
+    """Per base generator, recover the integer matrix C of the action on the fiber basis W.
+
+    C is computed to within about cond(W) * eps * max|C|; a generator whose
+    bound reaches 1/2 cannot be rounded, and is undecided unless the
+    determinant alone refutes it.
+    """
     if spec.m == 0:
         details.append("fiber lattice empty; preservation holds vacuously")
         return FIBER_OK
@@ -211,14 +239,16 @@ def _check_fiber_preservation(spec: SolvManifoldSpec, details: list[str]) -> str
             continue
         nearest = [[round(x) for x in row] for row in coeff]
         residual = max(abs(x - k) for row, ints in zip(coeff, nearest) for x, k in zip(row, ints))
-        if residual > INTEGRALITY_TOLERANCE:
+        bound = condition * sys.float_info.epsilon * max(abs(x) for row in coeff for x in row)
+        # a rounding residual is at most 1/2, so this never fires once the bound reaches 1/2
+        if residual > max(INTEGRALITY_TOLERANCE, bound):
             details.append(
                 f"base generator {gi}: image not in the integer span, residual {residual:.3e}"
             )
             status = FIBER_VIOLATED
             continue
         det = _integer_determinant(nearest)
-        if abs(det) != 1:
+        if abs(det) != 1 and (bound < 0.5 or not _unimodular_action(values)):
             from decimal import Decimal  # str(int) refuses past 4300 digits, str(Decimal) does not
 
             details.append(
@@ -226,6 +256,13 @@ def _check_fiber_preservation(spec: SolvManifoldSpec, details: list[str]) -> str
                 " not a lattice automorphism"
             )
             status = FIBER_VIOLATED
+            continue
+        if bound >= 0.5:
+            details.append(
+                f"base generator {gi}: integrality undecided, error bound {bound:.3e} not below 1/2"
+            )
+            if status == FIBER_OK:
+                status = FIBER_UNDECIDED
             continue
         details.append(
             f"base generator {gi}: integer matrix recovered, residual {residual:.3e}, determinant {det}"

@@ -231,13 +231,9 @@ def load_spec_dict(data: Any) -> SolvManifoldSpec:
     lattice = _lattice(table, n, data["lattice"], "$.lattice")
     fiber_node = data.get("lattice_fiber")
     fiber = None if fiber_node is None else _lattice(table, m, fiber_node, "$.lattice_fiber")
-    try:
-        return SolvManifoldSpec(
-            name=name, n=n, m=m, alphas=alphas, lattice=lattice,
-            lattice_fiber=fiber, symbols=table,
-        )
-    except ValueError as exc:
-        raise SpecFileError(str(exc), "$")
+    return SolvManifoldSpec(
+        name=name, n=n, m=m, alphas=alphas, lattice=lattice, lattice_fiber=fiber, symbols=table
+    )
 
 
 def load_spec(path: Union[str, Path]) -> SolvManifoldSpec:

@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from solvhodge.characters import NotUnitary, is_trivial_on_lattice, is_trivial_on_lattice_float
-from solvhodge.exact import ComplexExact, ExactScalar, SymbolTable
+from solvhodge.exact import ComplexExact, ExactScalar, SymbolProductUnrepresentable, SymbolTable
 from solvhodge.manifold import rank_certificate
 from solvhodge.model import CharacterExponent, LatticeBasis
 
-from conftest import random_character, random_unitary_character
+from conftest import random_character, random_scalar, random_unitary_character
 
 
 @pytest.fixture
@@ -194,6 +194,31 @@ class TestExponentAt:
         chi = unitary_y_char(table, -1)
         v = (ComplexExact.make(table, re=ExactScalar.symbol(table, "t")),)
         assert chi.exponent_at(v).is_zero
+
+
+    def test_unitary_exponent_has_no_real_part(self, table, rng):
+        # is_trivial_on_lattice reads only the imaginary part: b = -conj(a) cancels the real one
+        def random_vector(n):
+            return tuple(ComplexExact(random_scalar(table, rng), random_scalar(table, rng)) for _ in range(n))
+
+        outcomes = set()
+        for n in (1, 2, 3):
+            for symbolic in (False, True):
+                for _ in range(30):
+                    if symbolic:  # symbol entries, whose products with the lattice's may not exist
+                        a = random_vector(n)
+                        chi = CharacterExponent(table, a, tuple(-c.conjugate() for c in a))
+                    else:
+                        chi = random_unitary_character(table, n, rng)
+                    gen = random_vector(n)
+                    try:
+                        exponent = chi.exponent_at(gen)
+                    except SymbolProductUnrepresentable:
+                        outcomes.add("unrepresentable")
+                        continue
+                    assert exponent.re.is_zero, (chi, gen)
+                    outcomes.add("zero" if exponent.is_zero else "imaginary")
+        assert outcomes == {"unrepresentable", "zero", "imaginary"}
 
 
 class TestLatticeTriviality:

@@ -123,6 +123,14 @@ class TestExample2:
         with pytest.raises(ValueError):
             example2_n1([[2, 0], [0, 1]])
 
+    @pytest.mark.parametrize(
+        "matrix", [[[2, 1]], [[2, 1], [1, 1], [0, 0]], [[2, 1, 0], [1, 1, 0]], [[2, 1], [1]]],
+        ids=["one_row", "three_rows", "three_columns", "ragged"],
+    )
+    def test_non_2x2_rejected(self, matrix):
+        with pytest.raises(ValueError, match="^expected a 2x2 integer matrix$"):
+            example2_n1(matrix)
+
     def test_negative_trace_accepted(self):
         spec = example2_n1([[-2, 1], [1, -1]])
         assert validate(spec).fiber_preserved == FIBER_OK
@@ -177,6 +185,17 @@ class TestValidate:
         report = validate(scaled_fiber_spec(1))
         assert report.fiber_preserved == FIBER_VIOLATED
         assert any("residual" in line for line in report.details)
+
+    def test_base_rank_deficient(self):
+        standard = torus(1, 1)
+        gen = standard.lattice.generators[0]
+        report = validate(SolvManifoldSpec(
+            name="flat_base", n=1, m=1, alphas=standard.alphas, lattice=LatticeBasis(1, (gen, gen)),
+            lattice_fiber=standard.lattice_fiber, symbols=standard.symbols,
+        ))
+        assert not report.lattice_rank_ok
+        assert report.details[0] == "base lattice rank deficient: smallest singular value 0.000e+00"
+        assert report.fiber_preserved == FIBER_OK
 
     def test_character_value_past_the_float_range(self):
         # exp(2000) overflows a float: reported as a violation, not raised

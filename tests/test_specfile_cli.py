@@ -306,6 +306,30 @@ class TestAnalyze:
         assert report["harmonic_certified"] is False
         assert "harmonicity" in failed_checks(report)
 
+    @pytest.mark.parametrize(
+        "path, value, failed",
+        [
+            (("validation", "lattice_rank_ok"), False, ["lattice_rank"]),
+            (("validation", "fiber_preserved"), "violated", ["fiber_preservation"]),
+            (("validation", "fiber_preserved"), "undecided", []),
+            (("symmetry",), False, ["symmetry"]),
+            (("wedge_closure",), False, ["wedge_closure"]),
+            (("wedge_closure",), None, []),
+        ],
+        ids=[
+            "lattice_rank", "fiber_violated", "fiber_undecided", "symmetry", "wedge_closure", "skipped_forms"
+        ],
+    )
+    def test_failed_checks_names_each_failure(self, path, value, failed):
+        record = analyze(sh.torus(1, 1))
+        assert failed_checks(record) == []
+        *parents, key = path
+        node = record
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+        assert failed_checks(record) == failed
+
     def test_rows_agree_with_coclosed_mask(self):
         for spec in corpus_specs() + [lone_expanding_character()]:
             rows = harmonic_rows(spec, sweep_trivial_pairs(spec))
@@ -371,6 +395,14 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert self.run("analyze", str(path)) == EXIT_MALFORMED
         assert capsys.readouterr() == ("", "error: $.lattice[0][0].re: scalar literal must be an object\n")
+
+    def test_unknown_complex_field_exit_2(self, tmp_path, capsys):
+        data = spec_to_dict(sh.torus(1, 1))
+        data["lattice"][1][0]["imag"] = {"one": "1"}
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(data))
+        assert self.run("analyze", str(path)) == EXIT_MALFORMED
+        assert capsys.readouterr() == ("", "error: $.lattice[1][0]: unknown complex fields ['imag']\n")
 
     def test_missing_file_exit_2(self, tmp_path):
         assert self.run("analyze", str(tmp_path / "absent.json")) == EXIT_MALFORMED

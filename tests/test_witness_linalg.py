@@ -6,27 +6,36 @@ certificate, fiber-lattice preservation, the eigenvector inverse of
 only as the reference implementation.
 """
 
+import copy
 import itertools
+import json
 import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import solvhodge as sh
 from solvhodge.manifold import (
     FIBER_OK,
+    FIBER_UNDECIDED,
     FIBER_VIOLATED,
     INTEGRALITY_TOLERANCE,
     RANK_TOLERANCE,
     _fiber_coefficients,
+    _integer_determinant,
     rank_certificate,
     real_matrix,
     smallest_singular_value,
 )
+from solvhodge.specfile import load_spec_dict, spec_to_dict
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PINNED = Path(__file__).resolve().parent / "pinned"
 
 HYPERBOLIC = [
     ((a, b), (c, d))
@@ -192,6 +201,77 @@ class TestFiberCoefficients:
         report = sh.validate(spec)
         assert report.fiber_preserved == FIBER_VIOLATED
         assert "base generator 1: fiber basis is numerically singular" in report.details
+
+
+class TestIntegerDeterminant:
+    def test_matches_numpy(self):
+        gen = np.random.default_rng(5)
+        for size in range(2, 7):
+            for _ in range(20):
+                matrix = gen.integers(-9, 10, (size, size))
+                det = _integer_determinant(matrix.tolist())
+                assert type(det) is int and det == round(np.linalg.det(matrix)), matrix
+
+
+def hyperbolic_family(N, sign):
+    """sign * A_N with A_N = [[N, 1], [N(3 - N) - 1, 3 - N]], of determinant 1 and trace 3.
+
+    The fiber basis of ``example2_n1(A_N)`` has condition number about 0.89 N^2
+    and the action's coefficients are of size about N^2, so the float solve
+    loses precision as N grows.
+    """
+    return [[sign * N, sign], [sign * (N * (3 - N) - 1), sign * (3 - N)]]
+
+
+class TestIntegralityPrecision:
+    """``validate`` judges integrality against the error bound cond(W) * eps * max|C| of its solve."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(-3000, 3000), st.integers(-(2**56), 2**56)), st.sampled_from([1, -1]))
+    def test_family_is_never_violated(self, N, sign):
+        try:
+            spec = sh.example2_n1(hyperbolic_family(N, sign))
+        except ValueError as exc:  # past the range of the float eigenvectors
+            assert abs(N) > 2**50 and "too large" in str(exc), (N, exc)
+            return
+        report = sh.validate(spec)
+        assert report.fiber_preserved != FIBER_VIOLATED, (N, sign, report.details)
+        if abs(N) <= 2000:
+            assert report.fiber_preserved == FIBER_OK, (N, sign, report.details)
+
+    @pytest.mark.parametrize(
+        "N, status", [(3000, FIBER_OK), (7000, FIBER_OK), (10**4, FIBER_UNDECIDED), (10**5, FIBER_UNDECIDED)]
+    )
+    def test_family_verdicts(self, N, status):
+        for sign in (1, -1):
+            report = sh.validate(sh.example2_n1(hyperbolic_family(N, sign)))
+            assert report.fiber_preserved == status
+            first = report.details[0]
+            if status == FIBER_UNDECIDED:
+                assert first.startswith("base generator 1: integrality undecided, error bound "), first
+            else:
+                assert first.startswith("base generator 1: integer matrix recovered"), first
+            assert report.details[1].startswith("base generator 2: integer matrix recovered")
+
+    def test_perturbed_witness_is_violated(self):
+        for N in range(-10, 11):
+            for sign in (1, -1):
+                data = spec_to_dict(sh.example2_n1(hyperbolic_family(N, sign)))
+                for name in ("g11", "g12", "g21", "g22"):
+                    perturbed = copy.deepcopy(data)
+                    next(e for e in perturbed["symbols"] if e["name"] == name)["value"] += 1e-3
+                    report = sh.validate(load_spec_dict(perturbed))
+                    assert report.fiber_preserved == FIBER_VIOLATED, (N, sign, name)
+
+    def test_small_matrices_keep_their_details(self):
+        # captured before the error bound entered the verdict
+        pinned = json.loads((PINNED / "example2_hyperbolic.validate.json").read_text())
+        assert [entry["matrix"] for entry in pinned] == [[list(row) for row in A] for A in HYPERBOLIC]
+        for entry in pinned:
+            report = sh.validate(sh.example2_n1(entry["matrix"]))
+            assert report.lattice_rank_ok == entry["lattice_rank_ok"]
+            assert report.fiber_preserved == entry["fiber_preserved"] == FIBER_OK
+            assert list(report.details) == entry["details"], entry["matrix"]
 
 
 class TestExample2Inverse:
