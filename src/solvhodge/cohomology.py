@@ -190,34 +190,24 @@ def sweep_trivial_pairs(spec: SolvManifoldSpec, force_float: bool = False) -> Pa
     return PairSweep(tuple(pairs), certified)
 
 
+def all_basis_elements(spec: SolvManifoldSpec, sweep: PairSweep) -> tuple[BasisElement, ...]:
+    """Every basis monomial, sorted by (p, q, I, J, K, L): the bidegree blocks in turn.
+
+    Base indices are free, so each admitted (J, L) takes every pair (I, K) of subsets of 1..n.
+    """
+    base = _subsets(spec.n)
+    elements = [BasisElement(I, J, K, L) for J, L in sweep for I in base for K in base]
+    return tuple(sorted(elements, key=lambda el: (el.p, el.q, el.I, el.J, el.K, el.L)))
+
+
 def basis_elements(
     spec: SolvManifoldSpec, p: int, q: int, sweep: PairSweep
 ) -> tuple[BasisElement, ...]:
-    """All basis monomials of bidegree (p, q), in lexicographic order."""
+    """The basis monomials of bidegree (p, q): that block of :func:`all_basis_elements`."""
     dim = spec.complex_dim
     if not (0 <= p <= dim and 0 <= q <= dim):
         raise ValueError(f"bidegree ({p}, {q}) out of range for dimension {dim}")
-    elements = []
-    for J, L in sweep:
-        if len(J) > p or len(L) > q:
-            continue
-        if p - len(J) > spec.n or q - len(L) > spec.n:
-            continue
-        for I in combinations(range(1, spec.n + 1), p - len(J)):
-            for K in combinations(range(1, spec.n + 1), q - len(L)):
-                elements.append(BasisElement(I, J, K, L))
-    elements.sort(key=lambda el: (el.I, el.J, el.K, el.L))
-    return tuple(elements)
-
-
-def all_basis_elements(spec: SolvManifoldSpec, sweep: PairSweep) -> tuple[BasisElement, ...]:
-    """Every basis monomial across all bidegrees."""
-    dim = spec.complex_dim
-    out = []
-    for p in range(dim + 1):
-        for q in range(dim + 1):
-            out.extend(basis_elements(spec, p, q, sweep))
-    return tuple(out)
+    return tuple(el for el in all_basis_elements(spec, sweep) if el.p == p and el.q == q)
 
 
 def hodge_table(spec: SolvManifoldSpec, sweep: PairSweep) -> HodgeTable:

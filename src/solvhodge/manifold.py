@@ -22,9 +22,7 @@ __all__ = [
     "ValidationReport",
     "example1",
     "example2_n1",
-    "rank_certificate",
     "real_matrix",
-    "smallest_singular_value",
     "torus",
     "validate",
 ]
@@ -90,30 +88,12 @@ def _smallest_and_condition(rows: Sequence[Sequence[float]]) -> tuple[float, flo
         return math.inf, condition
 
 
-def smallest_singular_value(rows: Sequence[Sequence[float]]) -> float:
-    """Smallest singular value of a square float matrix (see :func:`_smallest_and_condition`)."""
-    return _smallest_and_condition(rows)[0]
-
-
 def real_matrix(lattice: LatticeBasis) -> tuple[tuple[float, ...], ...]:
     """Witness matrix, one row per generator: (Re g_1..Re g_n, Im g_1..Im g_n)."""
     return tuple(
         tuple(c.re.float_value() for c in gen) + tuple(c.im.float_value() for c in gen)
         for gen in lattice.generators
     )
-
-
-def _witness_spectrum(lattice: LatticeBasis) -> tuple[float, float]:
-    """Smallest singular value and condition number of the witness matrix, from one Jacobi run."""
-    if lattice.n == 0:
-        return math.inf, 1.0
-    return _smallest_and_condition(real_matrix(lattice))
-
-
-def rank_certificate(lattice: LatticeBasis) -> tuple[bool, float]:
-    """Full-rank check on the witness matrix; returns (ok, smallest singular value)."""
-    smallest = _witness_spectrum(lattice)[0]
-    return smallest > RANK_TOLERANCE, smallest
 
 
 def _integer_determinant(mat: Sequence[Sequence[int]]) -> int:
@@ -186,18 +166,18 @@ def validate(spec: SolvManifoldSpec) -> ValidationReport:
     tell whether the action's coefficients are integers.
     """
     details: list[str] = []
-    rank_ok, smallest = rank_certificate(spec.lattice)
-    if not rank_ok:
-        details.append(f"base lattice rank deficient: smallest singular value {smallest:.3e}")
+    rank_ok = True
     fiber_status = FIBER_NOT_CHECKED
-    if spec.lattice_fiber is not None:
-        fiber_smallest, condition = _witness_spectrum(spec.lattice_fiber)
-        if not fiber_smallest > RANK_TOLERANCE:
-            details.append(
-                f"fiber lattice rank deficient: smallest singular value {fiber_smallest:.3e}"
-            )
+    for label, lattice in (("base", spec.lattice), ("fiber", spec.lattice_fiber)):
+        if lattice is None:
+            continue
+        rows = real_matrix(lattice)  # empty for a lattice in C^0, which has full rank
+        smallest, condition = _smallest_and_condition(rows) if rows else (math.inf, 1.0)
+        if not smallest > RANK_TOLERANCE:
+            details.append(f"{label} lattice rank deficient: smallest singular value {smallest:.3e}")
             rank_ok = False
-        fiber_status = _check_fiber_preservation(spec, condition, details)
+        if label == "fiber":
+            fiber_status = _check_fiber_preservation(spec, rows, condition, details)
     return ValidationReport(rank_ok, fiber_status, tuple(details))
 
 
@@ -210,9 +190,12 @@ def _unimodular_action(values: Sequence[complex]) -> bool:
     return all(values) and abs(math.fsum(math.log(abs(v)) for v in values)) <= INTEGRALITY_TOLERANCE
 
 
-def _check_fiber_preservation(spec: SolvManifoldSpec, condition: float, details: list[str]) -> str:
+def _check_fiber_preservation(
+    spec: SolvManifoldSpec, rows: Sequence[Sequence[float]], condition: float, details: list[str]
+) -> str:
     """Per base generator, recover the integer matrix C of the action on the fiber basis W.
 
+    W has the fiber's witness ``rows`` as columns, and cond(W) is ``condition``.
     C is computed to within about cond(W) * eps * max|C|; a generator whose
     bound reaches 1/2 cannot be rounded, and is undecided unless the
     determinant alone refutes it.
@@ -220,7 +203,7 @@ def _check_fiber_preservation(spec: SolvManifoldSpec, condition: float, details:
     if spec.m == 0:
         details.append("fiber lattice empty; preservation holds vacuously")
         return FIBER_OK
-    basis = tuple(zip(*real_matrix(spec.lattice_fiber)))  # columns = realified generators
+    basis = tuple(zip(*rows))  # columns = realified generators
     status = FIBER_OK
     for gi, gen in enumerate(spec.lattice.generators, start=1):
         point = [c.complex_value() for c in gen]

@@ -165,7 +165,8 @@ def _check_keys(node: Mapping, allowed: tuple[str, ...], where: str):
         _require(key in allowed, f"unknown field {capped(repr(key))}", f"{where}.{capped(key)}")
 
 
-# builder name -> its parameters, in the order the builder of that name in ``manifold`` takes them
+# builder name -> its parameters, in the order the builder of that name in ``manifold`` takes them;
+# a node lists each of them but t_mode, which comes last and which example1 defaults itself
 _BUILDERS = {"torus": ("n", "m"), "example1": ("a", "t_mode"), "example2_n1": ("A",)}
 
 
@@ -192,11 +193,12 @@ def _build(node: Mapping) -> SolvManifoldSpec:
     for key, value in node.items():
         if key in ("n", "m", "a", "A") or (key == "t_mode" and isinstance(value, list)):
             _check_integers(value, f"$.{key}")
+    for key in keys:
+        _require(key in node or key == "t_mode", f'missing required field "{key}"', "$")
     from . import manifold  # the builders load with the first builder node
 
-    values = {"n": 1, "m": 1, "a": [], "t_mode": "symbolic", "A": [], **node}
     try:
-        return getattr(manifold, name)(*(values[key] for key in keys))
+        return getattr(manifold, name)(*(node[key] for key in keys if key in node))
     except DimensionCapExceeded:  # a ValueError too, but exit 3, not a malformed file
         raise
     except (TypeError, ValueError) as exc:

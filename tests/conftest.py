@@ -93,6 +93,18 @@ def random_unitary_character(
     return sh.CharacterExponent(table, a, b)
 
 
+def real_char(table: sh.SymbolTable, *coeffs) -> sh.CharacterExponent:
+    """exp(sum c_j x_j) in the z, zbar encoding."""
+    return sh.CharacterExponent.from_real_exponent(table, list(coeffs))
+
+
+def dbar_residual(fn, z: complex, step: float = 1e-5) -> float:
+    """Wirtinger d/dzbar by central differences: (d/dx + i d/dy)/2."""
+    fx = (fn(z + step) - fn(z - step)) / (2 * step)
+    fy = (fn(z + 1j * step) - fn(z - 1j * step)) / (2 * step)
+    return abs((fx + 1j * fy) / 2)
+
+
 def random_word(n: int, m: int, rng: random.Random, length: int | None = None):
     """Random duplicate-free wedge word over the twisted alphabet."""
     from solvhodge.forms import dw, dwbar, dz, dzbar

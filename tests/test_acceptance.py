@@ -27,6 +27,7 @@ from solvhodge.manifold import real_matrix, validate
 
 from conftest import (
     corpus_specs,
+    dbar_residual,
     forms_corpus_specs,
     random_character,
     random_homogeneous_form,
@@ -198,12 +199,6 @@ def test_criterion_07_dga_laws(rng):
     done("criterion 7: differential and star laws hold exactly")
 
 
-def wirtinger_dbar_residual(fn, z, step=1e-5):
-    fx = (fn(z + step) - fn(z - step)) / (2 * step)
-    fy = (fn(z + 1j * step) - fn(z - 1j * step)) / (2 * step)
-    return abs((fx + 1j * fy) / 2)
-
-
 def test_criterion_08_character_decomposition(rng):
     table = sh.SymbolTable.base()
     for _ in range(100):
@@ -218,7 +213,7 @@ def test_criterion_08_character_decomposition(rng):
 
         for _ in range(10):
             z = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-            assert wirtinger_dbar_residual(quotient, z) < 1e-6
+            assert dbar_residual(quotient, z) < 1e-6
             assert abs(abs(unit.value_at([z])) - 1) < 1e-9
     done("criterion 8: unique unitary factorisation, exact and numeric")
 

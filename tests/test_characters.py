@@ -4,10 +4,10 @@ import pytest
 
 from solvhodge.characters import NotUnitary, is_trivial_on_lattice, is_trivial_on_lattice_float
 from solvhodge.exact import ComplexExact, ExactScalar, SymbolProductUnrepresentable, SymbolTable
-from solvhodge.manifold import rank_certificate
-from solvhodge.model import CharacterExponent, LatticeBasis
+from solvhodge.manifold import validate
+from solvhodge.model import CharacterExponent, LatticeBasis, SolvManifoldSpec
 
-from conftest import random_character, random_scalar, random_unitary_character
+from conftest import dbar_residual, random_character, random_scalar, random_unitary_character, real_char
 
 
 @pytest.fixture
@@ -19,22 +19,10 @@ def cc(table, re=0, im=0):
     return ComplexExact.make(table, re=re, im=im)
 
 
-def real_char(table, *coeffs):
-    """exp(sum c_j x_j) in the z, zbar encoding."""
-    return CharacterExponent.from_real_exponent(table, list(coeffs))
-
-
 def unitary_y_char(table, c):
     """exp(i c y) on C; with y = (z - zbar)/2i this is a = c/2, b = -c/2."""
     half = Fraction(c) / 2
     return CharacterExponent(table, (cc(table, re=half),), (cc(table, re=-half),))
-
-
-def dbar_residual(fn, z, step=1e-5):
-    """Wirtinger d/dzbar by central differences: (d/dx + i d/dy)/2."""
-    fx = (fn(z + step) - fn(z - step)) / (2 * step)
-    fy = (fn(z + 1j * step) - fn(z - 1j * step)) / (2 * step)
-    return abs((fx + 1j * fy) / 2)
 
 
 class TestMultiplyConjugate:
@@ -269,19 +257,28 @@ class TestLatticeTriviality:
 
 
 class TestLatticeBasis:
+    @staticmethod
+    def rank_report(table, basis):
+        """``validate`` on the manifold over ``basis`` with no fiber."""
+        return validate(SolvManifoldSpec(
+            name="base_only", n=1, m=0, alphas=(), lattice=basis, lattice_fiber=None, symbols=table
+        ))
+
     def test_standard_lattice_rank(self, table):
         one = ExactScalar.rational(table, 1)
         basis = LatticeBasis(
             1,
             ((ComplexExact.make(table, re=one),), (ComplexExact.make(table, im=one),)),
         )
-        ok, smallest = rank_certificate(basis)
-        assert ok and smallest > 1e-9
+        report = self.rank_report(table, basis)
+        assert report.lattice_rank_ok and report.details == ()
 
     def test_degenerate_lattice_fails(self, table):
         gen = (ComplexExact.make(table, re=1),)
-        ok, smallest = rank_certificate(LatticeBasis(1, (gen, gen)))
-        assert not ok and smallest < 1e-9
+        report = self.rank_report(table, LatticeBasis(1, (gen, gen)))
+        (detail,) = report.details
+        smallest = float(detail.rpartition(" ")[2])
+        assert not report.lattice_rank_ok and smallest < 1e-9
 
     def test_generator_count_enforced(self, table):
         with pytest.raises(ValueError):

@@ -36,6 +36,7 @@ from conftest import (
     random_rational_complex,
     random_twisted_form,
     random_unitary_character,
+    real_char,
 )
 
 
@@ -53,10 +54,6 @@ def monomial(spec, word, char=None, coeff=None):
     char = char if char is not None else CharacterExponent.trivial(table, spec.n)
     coeff = coeff if coeff is not None else one(table)
     return TwistedForm.monomial(coeff, char, word)
-
-
-def real_char(table, *coeffs):
-    return CharacterExponent.from_real_exponent(table, list(coeffs))
 
 
 def holomorphic_char(table, n, coeffs):

@@ -197,6 +197,22 @@ class TestValidate:
         assert report.details[0] == "base lattice rank deficient: smallest singular value 0.000e+00"
         assert report.fiber_preserved == FIBER_OK
 
+    def test_one_deficient_lattice_as_base_and_fiber(self):
+        # one LatticeBasis object held twice gets the rank detail of each role
+        standard = torus(1, 1)
+        gen = standard.lattice.generators[0]
+        flat = LatticeBasis(1, (gen, gen))
+        report = validate(SolvManifoldSpec(
+            name="flat_both", n=1, m=1, alphas=standard.alphas, lattice=flat,
+            lattice_fiber=flat, symbols=standard.symbols,
+        ))
+        assert not report.lattice_rank_ok
+        assert report.details[:2] == (
+            "base lattice rank deficient: smallest singular value 0.000e+00",
+            "fiber lattice rank deficient: smallest singular value 0.000e+00",
+        )
+        assert report.fiber_preserved == FIBER_VIOLATED
+
     def test_character_value_past_the_float_range(self):
         # exp(2000) overflows a float: reported as a violation, not raised
         report = validate(scaled_fiber_spec(2000))

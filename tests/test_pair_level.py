@@ -105,6 +105,12 @@ def all_pairs(m):
     return list(product(subsets, subsets))
 
 
+def random_stub(spec, rng):
+    """A certified sweep stub: a random share of the 4^m fiber pairs, with ((), ()) always in."""
+    chosen = {pair for pair in all_pairs(spec.m) if rng.random() < 0.4} | {((), ())}
+    return PairSweep(tuple(sorted(chosen)), certified=True)
+
+
 def swap_closure(pairs):
     return pairs | {(L, J) for J, L in pairs}
 
@@ -179,11 +185,37 @@ class TestHodgeTableAgainstPerPairSum:
 
     def test_random_stub_sweeps(self, rng):
         for spec in (sh.torus(0, 3), sh.torus(1, 2), sh.torus(2, 2), sh.torus(3, 1)):
-            pairs = all_pairs(spec.m)
             for _ in range(15):
-                chosen = {pair for pair in pairs if rng.random() < 0.4} | {((), ())}
-                stub = PairSweep(tuple(sorted(chosen)), certified=True)
+                stub = random_stub(spec, rng)
                 assert hodge_table(spec, stub).rows() == literal_hodge_rows(spec, stub), stub
+
+
+class TestBasisListing:
+    """``all_basis_elements`` is the one listing; ``basis_elements`` reads its blocks."""
+
+    @staticmethod
+    def assert_listing(spec, sweep):
+        listing = all_basis_elements(spec, sweep)
+        keys = [(el.p, el.q, el.I, el.J, el.K, el.L) for el in listing]
+        assert keys == sorted(set(keys)), "unsorted or duplicated"
+        assert all((el.J, el.L) in sweep for el in listing)
+        assert len(listing) == len(sweep) * 4**spec.n
+        table = hodge_table(spec, sweep)
+        dim = spec.complex_dim
+        blocks = {(p, q): basis_elements(spec, p, q, sweep) for p in range(dim + 1) for q in range(dim + 1)}
+        assert sum(blocks.values(), ()) == listing
+        for (p, q), block in blocks.items():
+            assert all((el.p, el.q) == (p, q) for el in block)
+            assert len(block) == table.h[p][q], (p, q)
+
+    def test_corpus(self):
+        for spec in corpus_specs():
+            self.assert_listing(spec, sweep_trivial_pairs(spec))
+
+    def test_random_stub_sweeps(self, rng):
+        for spec in (sh.torus(0, 3), sh.torus(1, 2), sh.torus(2, 2), sh.torus(3, 1)):
+            for _ in range(15):
+                self.assert_listing(spec, random_stub(spec, rng))
 
 
 class TestSymmetryFromSwapClosure:

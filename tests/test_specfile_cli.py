@@ -121,6 +121,9 @@ class TestSpecFileRoundTrip:
         data = {"builder": "example2_n1", "A": [[2, 1], [1, 1]]}
         assert load_spec_dict(data) == sh.example2_n1([[2, 1], [1, 1]])
 
+    def test_builder_shorthand_default_t_mode(self):
+        assert load_spec_dict({"builder": "example1", "a": [1, -2]}) == sh.example1([1, -2])
+
     def test_emitted_files_carry_schema_version(self):
         assert spec_to_dict(sh.torus(1, 1))["schema_version"] == 1
 
@@ -513,6 +516,24 @@ class TestCli:
         path.write_text(json.dumps(node))
         assert self.run("analyze", str(path)) == code
         assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize(
+        "node, missing",
+        [
+            ({"builder": "torus", "m": 1}, "n"),
+            ({"builder": "torus", "n": 1}, "m"),
+            ({"builder": "torus"}, "n"),
+            ({"builder": "example1"}, "a"),
+            ({"builder": "example1", "t_mode": "symbolic"}, "a"),
+            ({"builder": "example2_n1"}, "A"),
+        ],
+        ids=["torus_n", "torus_m", "torus_both", "example1_a", "example1_a_with_t_mode", "example2_n1_A"],
+    )
+    def test_builder_node_missing_parameter_exit_2(self, tmp_path, capsys, node, missing):
+        path = tmp_path / "node.json"
+        path.write_text(json.dumps(node))
+        assert self.run("analyze", str(path)) == EXIT_MALFORMED
+        assert capsys.readouterr() == ("", f'error: $: missing required field "{missing}"\n')
 
     def test_explicit_file_refused_before_parsing(self):
         # the alphas and lattice are never read, so their defects go unreported

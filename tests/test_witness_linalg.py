@@ -28,9 +28,8 @@ from solvhodge.manifold import (
     RANK_TOLERANCE,
     _fiber_coefficients,
     _integer_determinant,
-    rank_certificate,
+    _smallest_and_condition,
     real_matrix,
-    smallest_singular_value,
 )
 from solvhodge.specfile import load_spec_dict, spec_to_dict
 
@@ -62,7 +61,7 @@ def random_orthogonal(gen, size):
 def assert_matches_svd(matrix):
     matrix = np.asarray(matrix, dtype=float)
     expected = float(np.linalg.svd(matrix, compute_uv=False).min())
-    got = smallest_singular_value(matrix.tolist())
+    got = _smallest_and_condition(matrix.tolist())[0]
     scale = max(1.0, float(np.linalg.norm(matrix, 2)))
     assert abs(got - expected) <= 1e-12 * scale, (got, expected)
     assert (got > RANK_TOLERANCE) == (expected > RANK_TOLERANCE), (got, expected)
@@ -119,17 +118,21 @@ class TestSmallestSingularValue:
         lattice = sh.LatticeBasis(
             1, ((sh.ComplexExact.make(table, re=big, im=big),), (sh.ComplexExact.make(table, re=minus_big, im=big),))
         )
-        ok, smallest = rank_certificate(lattice)
-        assert ok and math.isclose(smallest, math.sqrt(2) * 1e200, rel_tol=1e-12)
+        spec = sh.SolvManifoldSpec(
+            name="huge_base", n=1, m=0, alphas=(), lattice=lattice, lattice_fiber=None, symbols=table
+        )
+        smallest = _smallest_and_condition(real_matrix(lattice))[0]
+        assert sh.validate(spec).lattice_rank_ok and math.isclose(smallest, math.sqrt(2) * 1e200, rel_tol=1e-12)
         # a smallest singular value itself past the float range reads as inf
-        assert smallest_singular_value([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]]) == math.inf
+        assert _smallest_and_condition([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]])[0] == math.inf
 
     def test_lattice_rank_certificate(self):
         for A in HYPERBOLIC[:8]:
-            fiber = sh.example2_n1(A).lattice_fiber
-            ok, smallest = rank_certificate(fiber)
-            assert ok and smallest == assert_matches_svd(real_matrix(fiber))
-        assert rank_certificate(sh.torus(0, 1).lattice) == (True, math.inf)
+            spec = sh.example2_n1(A)
+            assert sh.validate(spec).lattice_rank_ok
+            assert assert_matches_svd(real_matrix(spec.lattice_fiber)) > RANK_TOLERANCE
+        # the empty base lattice of a torus over C^0 has full rank
+        assert sh.validate(sh.torus(0, 1)).lattice_rank_ok
 
 
 class TestFiberCoefficients:
