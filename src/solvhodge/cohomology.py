@@ -110,8 +110,10 @@ class HodgeTable(Immutable):
 
     def _check(self):
         size = self.n_plus_m + 1
-        if len(self.h) != size or any(len(row) != size for row in self.h):
-            raise ValueError("table has the wrong shape")
+        # tuples, since the symmetry checks compare whole tables
+        if not (type(self.h) is tuple and len(self.h) == size
+                and all(type(row) is tuple and len(row) == size for row in self.h)):
+            raise ValueError("table must be a square tuple of tuples")
         if self.h[0][0] < 1:
             raise ValueError("constants are always present: h[0][0] >= 1")
         for p, row in enumerate(self.h):
@@ -250,8 +252,7 @@ def check_condition(
 
 def hodge_symmetry(table: HodgeTable) -> bool:
     """Table-level symmetry h[p][q] == h[q][p]."""
-    size = table.n_plus_m + 1
-    return all(table.h[p][q] == table.h[q][p] for p in range(size) for q in range(size))
+    return table.h == tuple(zip(*table.h))
 
 
 def conjugation_symmetry(spec: SolvManifoldSpec, sweep: PairSweep) -> bool:
@@ -266,12 +267,7 @@ def conjugation_symmetry(spec: SolvManifoldSpec, sweep: PairSweep) -> bool:
 
 def serre_duality_check(table: HodgeTable) -> bool:
     """Complement symmetry h[p][q] == h[N-p][N-q]."""
-    size = table.n_plus_m + 1
-    return all(
-        table.h[p][q] == table.h[size - 1 - p][size - 1 - q]
-        for p in range(size)
-        for q in range(size)
-    )
+    return table.h == tuple(row[::-1] for row in table.h[::-1])
 
 
 def betti_numbers(table: HodgeTable) -> tuple[int, ...]:

@@ -174,10 +174,6 @@ class _Form(Value):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _fields(self):
-        # the subclasses add no slots, so Value's own-__slots__ lookup would find none
-        return (self.terms,)
-
     def __add__(self, other):
         if type(self) is not type(other):
             return NotImplemented

@@ -27,10 +27,7 @@ class KaehlerVerdict(Immutable):
 
 def kaehler_obstruction(spec: SolvManifoldSpec) -> KaehlerVerdict:
     """Report non-unitary fiber characters; they rule a Kaehler metric out."""
-    witnesses = tuple(
-        i for i, alpha in enumerate(spec.alphas, start=1)
-        if not alpha.decompose().hol.is_trivial
-    )
+    witnesses = tuple(i for i, alpha in enumerate(spec.alphas, start=1) if not alpha.is_unitary)
     completely_solvable = all(alpha.is_real_valued for alpha in spec.alphas)
     status = OBSTRUCTED if witnesses else INCONCLUSIVE
     return KaehlerVerdict(status, witnesses, completely_solvable)

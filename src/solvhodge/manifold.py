@@ -96,25 +96,32 @@ def real_matrix(lattice: LatticeBasis) -> tuple[tuple[float, ...], ...]:
     )
 
 
-def _integer_determinant(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a small integer matrix (Gaussian elimination over Fractions)."""
-    size = len(mat)
-    work = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
+def _eliminate(work: list[list]) -> Optional[int]:
+    """Forward elimination with partial pivoting on the first ``len(work)`` columns, in place.
+
+    Returns the sign of the row permutation, or None when a pivot column is zero.
+    """
+    size = len(work)
+    sign = 1
     for col in range(size):
-        pivot_row = next((r for r in range(col, size) if work[r][col] != 0), None)
-        if pivot_row is None:
-            return 0
+        pivot_row = max(range(col, size), key=lambda r: abs(work[r][col]))
+        if work[pivot_row][col] == 0:
+            return None
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        pivot = work[col][col]
-        det *= pivot
+            sign = -sign
+        pivot = work[col]
         for r in range(col + 1, size):
-            factor = work[r][col] / pivot
-            for c in range(col, size):
-                work[r][c] -= factor * work[col][c]
-    return int(det)
+            factor = work[r][col] / pivot[col]
+            work[r] = [x - factor * p for x, p in zip(work[r], pivot)]
+    return sign
+
+
+def _integer_determinant(mat: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a small integer matrix (Gaussian elimination over Fractions)."""
+    work = [[Fraction(x) for x in row] for row in mat]
+    sign = _eliminate(work)
+    return 0 if sign is None else int(sign * math.prod(row[i] for i, row in enumerate(work)))
 
 
 def _fiber_coefficients(
@@ -137,15 +144,8 @@ def _fiber_coefficients(
         work[m + k] += [v.imag * x + v.real * y for x, y in zip(top, bottom)]
     if not all(math.isfinite(x) for row in work for x in row):
         raise OverflowError("the action on the fiber basis is past the float range")
-    for col in range(size):
-        pivot_row = max(range(col, size), key=lambda r: abs(work[r][col]))
-        if work[pivot_row][col] == 0.0:
-            return None
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col]
-        for r in range(col + 1, size):
-            factor = work[r][col] / pivot[col]
-            work[r] = [x - factor * p for x, p in zip(work[r], pivot)]
+    if _eliminate(work) is None:
+        return None
     coeff: list[list[float]] = [[] for _ in range(size)]
     for r in range(size - 1, -1, -1):
         row = work[r]

@@ -218,6 +218,7 @@ def load_spec_dict(data: Any) -> SolvManifoldSpec:
         _require(key in data, f'missing required field "{key}"', "$")
     name = data["name"]
     _require(isinstance(name, str) and name, '"name" must be a nonempty string', "$.name")
+    _require(name.isprintable(), '"name" must be printable: no line break or control character', "$.name")
     for key in ("n", "m"):
         _require(type(data[key]) is int, "expected a JSON integer", f"$.{key}")
     n, m = data["n"], data["m"]

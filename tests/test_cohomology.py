@@ -261,6 +261,8 @@ class TestHodgeTable:
             HodgeTable(1, ((1, 1),))
         with pytest.raises(ValueError):
             HodgeTable(1, ((0, 1), (1, 1)))
+        with pytest.raises(ValueError):
+            HodgeTable(1, [[1, 0], [0, 1]])
 
 
 class TestCondition:

@@ -648,16 +648,18 @@ class TestCli:
             {"name": '"x"', "n": "1", "m": "0", "alphas": "[]", "lattice": "[[{}], [{}]]",
              "symbols": '[{"name": "' + "s" * 3000 + '", "value": 2}, {"name": "' + "s" * 3000
              + '", "value": 3}]'},
+            {"name": json.dumps("a\n\\end{tabular}"), "n": "1", "m": "0", "alphas": "[]",
+             "lattice": '[[{"re": {"one": "1"}}], [{"im": {"one": "1"}}]]'},
         ],
         ids=["deep_builder", "long_builder", "long_t_mode", "long_field", "long_literal",
-             "long_symbol", "repeated_long_symbol"],
+             "long_symbol", "repeated_long_symbol", "name_line_break"],
     )
     def test_echoed_value_is_capped_exit_2(self, tmp_path, capsys, data):
         path = tmp_path / "long.json"
         path.write_text("{" + ", ".join(f'"{key}": {value}' for key, value in data.items()) + "}")
         assert self.run("analyze", str(path)) == EXIT_MALFORMED
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert len(err) < 200, err
 
     def test_short_echo_unchanged(self):

@@ -125,6 +125,15 @@ def test_fields_cannot_be_assigned_or_deleted(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(VALUES))
+def test_every_field_takes_part_in_equality(kind):
+    value = VALUES[kind][0]()
+    for field in FIELDS[kind]:
+        twin = copy.copy(value)
+        object.__setattr__(twin, field, object())
+        assert twin != value and value != twin, field
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
 def test_pickle_and_copy_keep_the_value(kind):
     value = VALUES[kind][0]()
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
@@ -155,6 +164,10 @@ REFUSED = {
     "CharacterExponent foreign entry": (TableMismatch, lambda: sh.CharacterExponent(u, (one,), (cplx(u),))),
     "LatticeBasis generator count": (ValueError, lambda: sh.LatticeBasis(1, ((one,),))),
     "LatticeBasis generator length": (ValueError, lambda: sh.LatticeBasis(1, ((one,), (one, one)))),
+    "SolvManifoldSpec name with a line break": (
+        ValueError,
+        lambda: sh.SolvManifoldSpec("a\n\\end{tabular}", 1, 1, (alpha,), lattice(t), None, t),
+    ),
     "SolvManifoldSpec negative n": (
         ValueError,
         lambda: sh.SolvManifoldSpec("x", -1, 1, (alpha,), lattice(t), None, t),

@@ -207,13 +207,24 @@ class TestFiberCoefficients:
 
 
 class TestIntegerDeterminant:
+    # rank-deficient matrices, and zero leading entries that need a pivot swap
+    HARD = (
+        [[0, 1], [1, 0]],
+        [[0, 0], [0, 1]],
+        [[2, 4], [1, 2]],
+        [[0, 2, 1], [0, 1, 3], [4, 0, 0]],
+        [[0, 1, 2], [1, 0, 3], [1, 1, 5]],
+        [[1, 2, 3], [2, 4, 6], [0, 0, 7]],
+        [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
+    )
+
     def test_matches_numpy(self):
         gen = np.random.default_rng(5)
-        for size in range(2, 7):
-            for _ in range(20):
-                matrix = gen.integers(-9, 10, (size, size))
-                det = _integer_determinant(matrix.tolist())
-                assert type(det) is int and det == round(np.linalg.det(matrix)), matrix
+        matrices = [np.array(m) for m in self.HARD]
+        matrices += [gen.integers(-9, 10, (size, size)) for size in range(2, 7) for _ in range(20)]
+        for matrix in matrices:
+            det = _integer_determinant(matrix.tolist())
+            assert type(det) is int and det == round(np.linalg.det(matrix)), matrix
 
 
 def hyperbolic_family(N, sign):
