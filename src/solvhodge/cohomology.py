@@ -28,7 +28,6 @@ __all__ = [
     "BasisElement",
     "HodgeTable",
     "PairSweep",
-    "basis_elements",
     "betti_numbers",
     "check_condition",
     "coclosed_mask",
@@ -65,10 +64,6 @@ class BasisElement(Value):
     @property
     def q(self) -> int:
         return len(self.K) + len(self.L)
-
-    def swapped(self) -> "BasisElement":
-        """Image under conjugation at the index level: (I,J,K,L) -> (K,L,I,J)."""
-        return BasisElement(self.K, self.L, self.I, self.J)
 
     def __repr__(self):
         return f"BasisElement(I={list(self.I)}, J={list(self.J)}, K={list(self.K)}, L={list(self.L)})"
@@ -202,16 +197,6 @@ def all_basis_elements(spec: SolvManifoldSpec, sweep: PairSweep) -> tuple[BasisE
     return tuple(sorted(elements, key=lambda el: (el.p, el.q, el.I, el.J, el.K, el.L)))
 
 
-def basis_elements(
-    spec: SolvManifoldSpec, p: int, q: int, sweep: PairSweep
-) -> tuple[BasisElement, ...]:
-    """The basis monomials of bidegree (p, q): that block of :func:`all_basis_elements`."""
-    dim = spec.complex_dim
-    if not (0 <= p <= dim and 0 <= q <= dim):
-        raise ValueError(f"bidegree ({p}, {q}) out of range for dimension {dim}")
-    return tuple(el for el in all_basis_elements(spec, sweep) if el.p == p and el.q == q)
-
-
 def hodge_table(spec: SolvManifoldSpec, sweep: PairSweep) -> HodgeTable:
     """Model dimensions by the closed binomial count over admissible pairs.
 
@@ -244,14 +229,16 @@ def check_condition(
     the conjugates over L) is not identically 1.  The converse implication
     holds by construction: the unitary part is linear in the exponents, so
     a trivial character has a trivial unitary part, which the lattice gate
-    admits.
+    admits.  Zero coefficients are never stored, so A_J Abar_L is trivial
+    exactly when A_J equals the inverse of Abar_L: one comparison per pair.
     """
     alpha, alpha_bar = _subset_product_tables(spec)
-    return tuple((J, L) for J, L in sweep if not (alpha[J] * alpha_bar[L]).is_trivial)
+    inverse_bar = {L: chi.inverse() for L, chi in alpha_bar.items()}
+    return tuple((J, L) for J, L in sweep if alpha[J] != inverse_bar[L])
 
 
 def hodge_symmetry(table: HodgeTable) -> bool:
-    """Table-level symmetry h[p][q] == h[q][p]."""
+    """Table-level symmetry h[p][q] == h[q][p], the tests' oracle for :func:`conjugation_symmetry`."""
     return table.h == tuple(zip(*table.h))
 
 

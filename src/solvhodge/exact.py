@@ -253,11 +253,6 @@ class ExactScalar(Value):
         """True when the scalar is a rational multiple of "one" (including 0)."""
         return all(name == "one" for name, _ in self.coeffs)
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise SymbolProductUnrepresentable(f"{self!r} is not rational")
-        return self.coefficient("one")
-
     def _check_table(self, other: "ExactScalar"):
         if self.table != other.table:
             raise TableMismatch("scalars declared over different symbol tables")

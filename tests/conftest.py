@@ -9,6 +9,9 @@ from fractions import Fraction
 import pytest
 
 import solvhodge as sh
+from solvhodge.cohomology import BasisElement, PairSweep, all_basis_elements
+from solvhodge.exact import SymbolProductUnrepresentable
+from solvhodge.forms import TwistedForm, dw, dwbar, dz, dzbar
 from solvhodge.manifold import _standard_lattice
 
 
@@ -53,6 +56,28 @@ HYPERBOLIC = [
 def forms_corpus_specs() -> list[sh.SolvManifoldSpec]:
     """Corpus entries small enough for forms-level certification."""
     return [spec for spec in corpus_specs() if spec.complex_dim <= 4]
+
+
+def basis_elements(
+    spec: sh.SolvManifoldSpec, p: int, q: int, sweep: PairSweep
+) -> tuple[BasisElement, ...]:
+    """The basis monomials of bidegree (p, q): that block of ``all_basis_elements``."""
+    dim = spec.complex_dim
+    if not (0 <= p <= dim and 0 <= q <= dim):
+        raise ValueError(f"bidegree ({p}, {q}) out of range for dimension {dim}")
+    return tuple(el for el in all_basis_elements(spec, sweep) if el.p == p and el.q == q)
+
+
+def swapped(el: BasisElement) -> BasisElement:
+    """Image under conjugation at the index level: (I,J,K,L) -> (K,L,I,J)."""
+    return BasisElement(el.K, el.L, el.I, el.J)
+
+
+def rational_value(scalar: sh.ExactScalar) -> Fraction:
+    """The rational number a scalar with no symbol but "one" stands for."""
+    if not scalar.is_rational:
+        raise SymbolProductUnrepresentable(f"{scalar!r} is not rational")
+    return scalar.coefficient("one")
 
 
 @pytest.fixture
@@ -107,8 +132,6 @@ def dbar_residual(fn, z: complex, step: float = 1e-5) -> float:
 
 def random_word(n: int, m: int, rng: random.Random, length: int | None = None):
     """Random duplicate-free wedge word over the twisted alphabet."""
-    from solvhodge.forms import dw, dwbar, dz, dzbar
-
     alphabet = (
         [dz(i) for i in range(1, n + 1)]
         + [dw(i) for i in range(1, m + 1)]
@@ -124,18 +147,18 @@ def random_word(n: int, m: int, rng: random.Random, length: int | None = None):
 
 def random_twisted_form(
     table: sh.SymbolTable, n: int, m: int, rng: random.Random, terms: int | None = None
-) -> sh.TwistedForm:
+) -> TwistedForm:
     terms = terms if terms is not None else rng.randint(1, 3)
     entries = []
     for _ in range(terms):
         coeff = random_rational_complex(table, rng)
         entries.append((coeff, random_character(table, n, rng), random_word(n, m, rng)))
-    return sh.TwistedForm(entries)
+    return TwistedForm(entries)
 
 
 def random_homogeneous_form(
     table: sh.SymbolTable, n: int, m: int, rng: random.Random
-) -> sh.TwistedForm:
+) -> TwistedForm:
     """Random form whose terms all share one word length (hence total degree)."""
     length = rng.randint(0, 2 * (n + m))
     entries = []
@@ -144,4 +167,4 @@ def random_homogeneous_form(
         entries.append(
             (coeff, random_character(table, n, rng), random_word(n, m, rng, length))
         )
-    return sh.TwistedForm(entries)
+    return TwistedForm(entries)

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from solvhodge.characters import NotUnitary, is_trivial_on_lattice, is_trivial_on_lattice_float
+from solvhodge.cli import analyze
 from solvhodge.exact import ComplexExact, ExactScalar, SymbolProductUnrepresentable, SymbolTable
 from solvhodge.manifold import validate
 from solvhodge.model import CharacterExponent, LatticeBasis, SolvManifoldSpec
+from solvhodge.specfile import load_spec_dict
 
 from conftest import dbar_residual, random_character, random_scalar, random_unitary_character, real_char
 
@@ -283,3 +285,21 @@ class TestLatticeBasis:
     def test_generator_count_enforced(self, table):
         with pytest.raises(ValueError):
             LatticeBasis(1, ((ComplexExact.make(table, re=1),),))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the gate forms the whole exponent, so s * lambda in its unused real part escapes to"
+    " floats; the imaginary-part-only gate of ROADMAP items 2 and 5 waits on the benchmark fix of"
+    " item 1, and this marker goes when it lands",
+)
+def test_symbol_product_in_the_real_part_keeps_the_sweep_exact():
+    # alpha = e^{s x}, lattice (lambda, i): the exponent at lambda has real part s * lambda,
+    # which no test reads, and imaginary part 0
+    data = {
+        "name": "real_part_escape", "n": 1, "m": 1,
+        "symbols": [{"name": "s", "value": 1.5}, {"name": "lambda", "value": 2.5}],
+        "alphas": [{"real_exp": [{"s": "1"}]}],
+        "lattice": [[{"re": {"lambda": "1"}}], [{"im": {"one": "1"}}]],
+    }
+    assert analyze(load_spec_dict(data), skip_forms=True)["mode"] == "exact"

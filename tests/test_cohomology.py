@@ -11,7 +11,6 @@ from solvhodge.cohomology import (
     HodgeTable,
     PairSweep,
     all_basis_elements,
-    basis_elements,
     betti_numbers,
     check_condition,
     conjugation_symmetry,
@@ -21,7 +20,7 @@ from solvhodge.cohomology import (
     sweep_trivial_pairs,
 )
 
-from conftest import corpus_specs, oversized_torus
+from conftest import basis_elements, corpus_specs, oversized_torus
 
 EXAMPLE1_PAIRS = {
     ((), ()),

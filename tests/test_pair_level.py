@@ -6,7 +6,8 @@ on the admitted fiber pairs alone, the Hodge table on their histogram by
 (building, for the wedge, every product of two basis forms and, for
 harmonicity, every basis form and its stars) or sum over every admitted
 pair; they are kept here as differential oracles, together with the 4^m
-walk behind the converse half of the condition check.
+walk behind the converse half of the condition check and the character
+product that the condition check replaces by a comparison.
 """
 
 import ast
@@ -27,7 +28,6 @@ from solvhodge.cohomology import (
     _subset_products,
     _subsets,
     all_basis_elements,
-    basis_elements,
     check_condition,
     conjugation_symmetry,
     harmonic_rows,
@@ -38,7 +38,7 @@ from solvhodge.cohomology import (
 )
 from solvhodge.forms import basis_form, is_d_harmonic, is_dbar_coclosed, is_dbar_harmonic
 
-from conftest import corpus_specs, forms_corpus_specs
+from conftest import basis_elements, corpus_specs, forms_corpus_specs, swapped
 
 FLAG_NAMES = ("co_closed", "d_harmonic")
 
@@ -47,7 +47,7 @@ def literal_conjugation_symmetry(spec, sweep) -> bool:
     """Index swap maps the basis of every bidegree onto its mirror."""
     dim = spec.complex_dim
     return all(
-        {el.swapped() for el in basis_elements(spec, p, q, sweep)}
+        {swapped(el) for el in basis_elements(spec, p, q, sweep)}
         == set(basis_elements(spec, q, p, sweep))
         for p in range(dim + 1)
         for q in range(dim + 1)
@@ -434,6 +434,33 @@ class TestTrivialCharactersAdmitted:
             assert all(pair in sweep for pair in trivial), spec.name
 
 
+def random_example1_specs(rng, count):
+    """example1 with one or two exponents (m = 2 or 4), under symbolic t and under t = (r/s) pi."""
+    specs = []
+    for index in range(count):
+        exponents = [rng.choice([-1, 1]) * rng.randint(1, 4) for _ in range(rng.randint(1, 2))]
+        r, s = rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(1, 3)
+        specs.append(sh.example1(exponents, "symbolic" if index % 2 else f"rational_pi({r},{s})"))
+    return specs
+
+
+class TestConditionAgainstProduct:
+    """check_condition compares A_J with the inverse of Abar_L; the oracle forms their product."""
+
+    def test_corpus_and_random_example1(self, rng):
+        failing = 0
+        for spec in corpus_specs() + random_example1_specs(rng, 30):
+            trivial = set(TestTrivialCharactersAdmitted.trivial_character_pairs(spec))
+            for force_float in (False, True):
+                sweep = sweep_trivial_pairs(spec, force_float)
+                violations = check_condition(spec, sweep)
+                literal = tuple(pair for pair in sweep if pair not in trivial)
+                assert violations == literal, (spec.name, force_float)
+                failing += bool(violations)
+        # the resonant t = (r/s) pi specs must make the condition fail on some sweeps
+        assert failing >= 10
+
+
 class TestOneSweepPerAnalyze:
     @staticmethod
     def count_sweeps(monkeypatch) -> list:
@@ -541,9 +568,9 @@ def test_cli_import_loads_every_module_but_forms():
 
 def test_lazy_namespace_resolves_each_public_name_to_its_submodule():
     body = """
-import importlib, solvhodge
+import importlib, sys, solvhodge
 names = solvhodge.__all__
-assert len(names) == len(set(names)) == 45, names
+assert len(names) == len(set(names)) == 33, names
 for name in names:
     value = getattr(solvhodge, name)
     owner = importlib.import_module(value.__module__)
@@ -552,8 +579,9 @@ star = {}
 exec("from solvhodge import *", star)
 assert set(star) - {"__builtins__"} == set(names)
 assert all(star[name] is getattr(solvhodge, name) for name in names)
-assert solvhodge.forms is importlib.import_module("solvhodge.forms")
-for name in ("no_such_name", "report", "_BUILDERS", "check_caps"):
+# the reference algebra stays out of the namespace until something imports it
+assert "solvhodge.forms" not in sys.modules
+for name in ("no_such_name", "report", "forms", "_BUILDERS", "check_caps"):
     try:
         getattr(solvhodge, name)
     except AttributeError as exc:

@@ -13,7 +13,7 @@ import pytest
 
 import solvhodge as sh
 from solvhodge.exact import ComplexExact, ExactScalar, SymbolTable, TableMismatch
-from solvhodge.forms import dw, dz
+from solvhodge.forms import Generator, TwistedForm, dw, dz
 
 
 def table():
@@ -72,16 +72,16 @@ VALUES = {
         lambda: spec(table()),
         lambda: spec(table(), name="renamed"),
     ),
-    "Generator": (lambda: sh.Generator("dw", 2), lambda: sh.Generator("dw", 2), lambda: sh.Generator("dwbar", 2)),
+    "Generator": (lambda: Generator("dw", 2), lambda: Generator("dw", 2), lambda: Generator("dwbar", 2)),
     "BasisElement": (
         lambda: sh.BasisElement((1,), (1, 2), (), (2,)),
         lambda: sh.BasisElement((1,), (1, 2), (), (2,)),
         lambda: sh.BasisElement((1,), (1, 2), (2,), ()),
     ),
     "TwistedForm": (
-        lambda: sh.TwistedForm.monomial(cplx(table(), 2), character(table()), (dz(1), dw(1))),
-        lambda: sh.TwistedForm.monomial(cplx(table(), -2), character(table()), (dw(1), dz(1))),
-        lambda: sh.TwistedForm.monomial(cplx(table(), 2), character(table()), (dz(1),)),
+        lambda: TwistedForm.monomial(cplx(table(), 2), character(table()), (dz(1), dw(1))),
+        lambda: TwistedForm.monomial(cplx(table(), -2), character(table()), (dw(1), dz(1))),
+        lambda: TwistedForm.monomial(cplx(table(), 2), character(table()), (dz(1),)),
     ),
 }
 
@@ -204,8 +204,8 @@ REFUSED = {
         TableMismatch,
         lambda: sh.SolvManifoldSpec("x", 1, 1, (alpha,), lattice(t), sh.torus(0, 1).lattice_fiber, t),
     ),
-    "Generator kind": (ValueError, lambda: sh.Generator("dx", 1)),
-    "Generator index": (ValueError, lambda: sh.Generator("dz", 0)),
+    "Generator kind": (ValueError, lambda: Generator("dx", 1)),
+    "Generator index": (ValueError, lambda: Generator("dz", 0)),
     "BasisElement I order": (ValueError, lambda: sh.BasisElement((2, 1), (), (), ())),
     "BasisElement J repeat": (ValueError, lambda: sh.BasisElement((), (1, 1), (), ())),
     "BasisElement K order": (ValueError, lambda: sh.BasisElement((), (), (3, 2), ())),
