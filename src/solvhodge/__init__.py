@@ -28,7 +28,6 @@ __all__ = [
     "DimensionCapExceeded",
     "ExactScalar",
     "HodgeTable",
-    "KaehlerVerdict",
     "LatticeBasis",
     "NotUnitary",
     "PairSweep",
@@ -37,7 +36,6 @@ __all__ = [
     "SymbolProductUnrepresentable",
     "SymbolTable",
     "TableMismatch",
-    "ValidationReport",
     "betti_numbers",
     "check_condition",
     "conjugation_symmetry",

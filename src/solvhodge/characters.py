@@ -31,8 +31,10 @@ def is_trivial_on_lattice(chi: CharacterExponent, lattice: LatticeBasis) -> bool
 
     Because the character is a homomorphism it suffices to check the
     generators, where the exponent must land in 2*pi*i*Z.  With b = -conj(a)
-    the exponent's real part cancels exactly, so only its imaginary part is
-    tested.
+    its real part is 0 and only the imaginary part is tested, but
+    ``exponent_at`` forms the whole exponent: a symbol product in the real
+    part alone raises SymbolProductUnrepresentable and sends the pair to the
+    float test.  The fix, ROADMAP item 5, forms the imaginary part alone.
     """
     if not chi.is_unitary:
         raise NotUnitary("lattice triviality is only defined for unitary characters")

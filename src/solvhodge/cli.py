@@ -65,7 +65,7 @@ def analyze(
     sweep = clock("pairs", sweep_trivial_pairs, spec, force_float)
     table = clock("hodge", hodge_table, spec, sweep)
     violations = clock("condition", check_condition, spec, sweep)
-    symmetry = clock("symmetry", conjugation_symmetry, spec, sweep)
+    symmetry = clock("symmetry", conjugation_symmetry, sweep)
     serre = serre_duality_check(table)
     betti = clock("betti", betti_numbers, table)
     wedge_closure = None

@@ -99,21 +99,20 @@ class PairSweep(Immutable):
 class HodgeTable(Immutable):
     """Square table of model dimensions indexed by bidegree."""
 
-    __slots__ = ("n_plus_m", "h")
-    n_plus_m: int
+    __slots__ = ("h",)
     h: tuple[tuple[int, ...], ...]
 
     def _check(self):
-        size = self.n_plus_m + 1
-        # tuples, since the symmetry checks compare whole tables
-        if not (type(self.h) is tuple and len(self.h) == size
-                and all(type(row) is tuple and len(row) == size for row in self.h)):
-            raise ValueError("table must be a square tuple of tuples")
+        # tuples, since the symmetry checks compare whole tables; n + m >= 1 gives two rows or more
+        if not (type(self.h) is tuple and len(self.h) >= 2
+                and all(type(row) is tuple and len(row) == len(self.h) for row in self.h)):
+            raise ValueError("table must be a square tuple of at least two tuples")
+        dim = len(self.h) - 1
         if self.h[0][0] < 1:
             raise ValueError("constants are always present: h[0][0] >= 1")
         for p, row in enumerate(self.h):
             for q, value in enumerate(row):
-                if not 0 <= value <= comb(self.n_plus_m, p) * comb(self.n_plus_m, q):
+                if not 0 <= value <= comb(dim, p) * comb(dim, q):
                     raise ValueError(f"h[{p}][{q}] = {value} exceeds the binomial bound")
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -216,7 +215,7 @@ def hodge_table(spec: SolvManifoldSpec, sweep: PairSweep) -> HodgeTable:
         )
         for p in range(dim + 1)
     )
-    return HodgeTable(dim, rows)
+    return HodgeTable(rows)
 
 
 def check_condition(
@@ -242,7 +241,7 @@ def hodge_symmetry(table: HodgeTable) -> bool:
     return table.h == tuple(zip(*table.h))
 
 
-def conjugation_symmetry(spec: SolvManifoldSpec, sweep: PairSweep) -> bool:
+def conjugation_symmetry(sweep: PairSweep) -> bool:
     """Set-level symmetry: index swap is a bijection between mirror bidegrees.
 
     Base indices are unconstrained, so the swap (I, J, K, L) -> (K, L, I, J)
@@ -263,7 +262,7 @@ def betti_numbers(table: HodgeTable) -> tuple[int, ...]:
     The sums equal de Rham Betti numbers exactly when the condition holds;
     otherwise they are first-page column sums only.
     """
-    dim = table.n_plus_m
+    dim = len(table.h) - 1
     return tuple(
         sum(table.h[p][r - p] for p in range(dim + 1) if 0 <= r - p <= dim)
         for r in range(2 * dim + 1)

@@ -9,25 +9,22 @@ criterion has no positive direction here.
 
 from __future__ import annotations
 
-from .exact import Immutable
 from .model import SolvManifoldSpec
 
-__all__ = ["KaehlerVerdict", "OBSTRUCTED", "INCONCLUSIVE", "kaehler_obstruction"]
+__all__ = ["OBSTRUCTED", "INCONCLUSIVE", "kaehler_obstruction"]
 
 OBSTRUCTED = "obstructed"
 INCONCLUSIVE = "inconclusive"
 
 
-class KaehlerVerdict(Immutable):
-    __slots__ = ("status", "witnesses", "completely_solvable")
-    status: str
-    witnesses: tuple[int, ...]  # 1-based indices of non-unitary fiber characters
-    completely_solvable: bool
+def kaehler_obstruction(spec: SolvManifoldSpec) -> dict:
+    """The report's ``kaehler`` record: non-unitary fiber characters rule a Kaehler metric out.
 
-
-def kaehler_obstruction(spec: SolvManifoldSpec) -> KaehlerVerdict:
-    """Report non-unitary fiber characters; they rule a Kaehler metric out."""
-    witnesses = tuple(i for i, alpha in enumerate(spec.alphas, start=1) if not alpha.is_unitary)
-    completely_solvable = all(alpha.is_real_valued for alpha in spec.alphas)
-    status = OBSTRUCTED if witnesses else INCONCLUSIVE
-    return KaehlerVerdict(status, witnesses, completely_solvable)
+    ``witnesses`` lists their 1-based indices; ``status`` is OBSTRUCTED when there is one.
+    """
+    witnesses = [i for i, alpha in enumerate(spec.alphas, start=1) if not alpha.is_unitary]
+    return {
+        "status": OBSTRUCTED if witnesses else INCONCLUSIVE,
+        "witnesses": witnesses,
+        "completely_solvable": all(alpha.is_real_valued for alpha in spec.alphas),
+    }

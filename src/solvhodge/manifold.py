@@ -15,11 +15,10 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import ComplexExact, ExactScalar, Immutable, SymbolTable, capped
+from .exact import ComplexExact, ExactScalar, SymbolTable, capped
 from .model import CharacterExponent, LatticeBasis, SolvManifoldSpec, check_caps
 
 __all__ = [
-    "ValidationReport",
     "example1",
     "example2_n1",
     "real_matrix",
@@ -36,13 +35,6 @@ FIBER_OK = "ok"
 FIBER_VIOLATED = "violated"
 FIBER_UNDECIDED = "undecided"
 FIBER_NOT_CHECKED = "not_checked"
-
-
-class ValidationReport(Immutable):
-    __slots__ = ("lattice_rank_ok", "fiber_preserved", "details")
-    lattice_rank_ok: bool
-    fiber_preserved: str  # FIBER_OK | FIBER_VIOLATED | FIBER_UNDECIDED | FIBER_NOT_CHECKED
-    details: tuple[str, ...]
 
 
 def _smallest_and_condition(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
@@ -158,12 +150,13 @@ def _fiber_coefficients(
     return coeff
 
 
-def validate(spec: SolvManifoldSpec) -> ValidationReport:
-    """Numeric structural checks: lattice ranks and fiber preservation.
+def validate(spec: SolvManifoldSpec) -> dict:
+    """The report's ``validation`` record: lattice ranks and fiber preservation.
 
-    Failures are reported, never raised; all checks run on float witnesses.
-    Fiber preservation is ``undecided`` where the witnesses are too coarse to
-    tell whether the action's coefficients are integers.
+    It holds ``lattice_rank_ok``, ``fiber_preserved`` (a ``FIBER_*`` value) and
+    the ``details`` lines.  Failures are reported, never raised; all checks run
+    on float witnesses, and fiber preservation is ``undecided`` where they are
+    too coarse to tell whether the action's coefficients are integers.
     """
     details: list[str] = []
     rank_ok = True
@@ -178,7 +171,7 @@ def validate(spec: SolvManifoldSpec) -> ValidationReport:
             rank_ok = False
         if label == "fiber":
             fiber_status = _check_fiber_preservation(spec, rows, condition, details)
-    return ValidationReport(rank_ok, fiber_status, tuple(details))
+    return {"lattice_rank_ok": rank_ok, "fiber_preserved": fiber_status, "details": details}
 
 
 def _unimodular_action(values: Sequence[complex]) -> bool:

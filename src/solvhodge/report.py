@@ -5,8 +5,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .cohomology import HodgeTable, MultiIndex, PairSweep
-from .kahler import KaehlerVerdict
-from .manifold import ValidationReport
 
 SCHEMA_VERSION = 1
 VIOLATION_REASON = "trivial_restriction_but_alpha_nontrivial"
@@ -27,10 +25,10 @@ def _mode(sweep: PairSweep) -> str:
 
 
 def run_report(
-    name: str, validation: ValidationReport, sweep: PairSweep, hodge: HodgeTable,
+    name: str, validation: dict, sweep: PairSweep, hodge: HodgeTable,
     betti: tuple[int, ...], violations: tuple[tuple[MultiIndex, MultiIndex], ...],
     symmetry: bool, serre: bool, wedge_closure: Optional[bool],
-    harmonic_certified: Optional[bool], kaehler: KaehlerVerdict, timings_ms: dict[str, float],
+    harmonic_certified: Optional[bool], kaehler: dict, timings_ms: dict[str, float],
 ) -> dict:
     """The record ``analyze --format json`` prints.
 
@@ -42,11 +40,7 @@ def run_report(
         "schema_version": SCHEMA_VERSION,
         "name": name,
         "mode": _mode(sweep),
-        "validation": {
-            "lattice_rank_ok": validation.lattice_rank_ok,
-            "fiber_preserved": validation.fiber_preserved,
-            "details": list(validation.details),
-        },
+        "validation": validation,
         "hodge": [list(row) for row in hodge.rows()],
         "betti": list(betti),
         "certified_de_rham": not violations,
@@ -61,11 +55,7 @@ def run_report(
         "serre": serre,
         "wedge_closure": wedge_closure,
         "harmonic_certified": harmonic_certified,
-        "kaehler": {
-            "status": kaehler.status,
-            "witnesses": list(kaehler.witnesses),
-            "completely_solvable": kaehler.completely_solvable,
-        },
+        "kaehler": kaehler,
         "timings_ms": timings_ms,
     }
 

@@ -127,7 +127,7 @@ def test_criterion_04_symmetry_and_decomposition_pipeline():
             continue
         table = sh.hodge_table(spec, sweep)
         assert hodge_symmetry(table), spec.name
-        assert sh.conjugation_symmetry(spec, sweep), spec.name
+        assert sh.conjugation_symmetry(sweep), spec.name
         assert sh.serre_duality_check(table), spec.name
         betti = sh.betti_numbers(table)
         dim = spec.complex_dim
@@ -223,13 +223,13 @@ def test_criterion_08_character_decomposition(rng):
 def test_criterion_09_kaehler_obstruction():
     for a in ([1], [1, -2], [2, 3]):
         verdict = kaehler_obstruction(sh.example1(a, "symbolic"))
-        assert verdict.status == OBSTRUCTED
-        assert verdict.completely_solvable
-        assert verdict.witnesses == tuple(range(1, 2 * len(a) + 1))
+        assert verdict["status"] == OBSTRUCTED
+        assert verdict["completely_solvable"]
+        assert verdict["witnesses"] == list(range(1, 2 * len(a) + 1))
     for n, m in ((1, 1), (2, 1), (1, 2), (2, 2)):
         verdict = kaehler_obstruction(sh.torus(n, m))
-        assert verdict.status == INCONCLUSIVE
-        assert verdict.witnesses == ()
+        assert verdict["status"] == INCONCLUSIVE
+        assert verdict["witnesses"] == []
     done("criterion 9: obstruction verdicts")
 
 
@@ -237,8 +237,8 @@ def test_criterion_10_example2_validation():
     A = [[2, 1], [1, 1]]
     spec = sh.example2_n1(A)
     report = validate(spec)
-    assert report.lattice_rank_ok
-    assert report.fiber_preserved == "ok"
+    assert report["lattice_rank_ok"]
+    assert report["fiber_preserved"] == "ok"
 
     # independent recomputation of the integrality data
     basis = np.array(real_matrix(spec.lattice_fiber)).T

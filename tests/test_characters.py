@@ -273,14 +273,14 @@ class TestLatticeBasis:
             ((ComplexExact.make(table, re=one),), (ComplexExact.make(table, im=one),)),
         )
         report = self.rank_report(table, basis)
-        assert report.lattice_rank_ok and report.details == ()
+        assert report["lattice_rank_ok"] and report["details"] == []
 
     def test_degenerate_lattice_fails(self, table):
         gen = (ComplexExact.make(table, re=1),)
         report = self.rank_report(table, LatticeBasis(1, (gen, gen)))
-        (detail,) = report.details
+        (detail,) = report["details"]
         smallest = float(detail.rpartition(" ")[2])
-        assert not report.lattice_rank_ok and smallest < 1e-9
+        assert not report["lattice_rank_ok"] and smallest < 1e-9
 
     def test_generator_count_enforced(self, table):
         with pytest.raises(ValueError):

@@ -257,11 +257,15 @@ class TestHodgeTable:
 
     def test_shape_enforced(self):
         with pytest.raises(ValueError):
-            HodgeTable(1, ((1, 1),))
+            HodgeTable(((1, 1),))
         with pytest.raises(ValueError):
-            HodgeTable(1, ((0, 1), (1, 1)))
+            HodgeTable(((0, 1), (1, 1)))
         with pytest.raises(ValueError):
-            HodgeTable(1, [[1, 0], [0, 1]])
+            HodgeTable([[1, 0], [0, 1]])
+        for small in ((), ((1,),)):
+            with pytest.raises(ValueError, match="at least two tuples"):
+                HodgeTable(small)
+        assert HodgeTable(((1, 1), (1, 1))).rows() == ((1, 1), (1, 1))
 
 
 class TestCondition:
@@ -289,19 +293,19 @@ class TestSymmetryChecks:
         spec = sh.example1([1], "symbolic")
         sweep = sweep_trivial_pairs(spec)
         assert hodge_symmetry(hodge_table(spec, sweep))
-        assert conjugation_symmetry(spec, sweep)
+        assert conjugation_symmetry(sweep)
 
     def test_torus(self):
         spec = sh.torus(1, 2)
         sweep = sweep_trivial_pairs(spec)
         assert hodge_symmetry(hodge_table(spec, sweep))
-        assert conjugation_symmetry(spec, sweep)
+        assert conjugation_symmetry(sweep)
 
     def test_asymmetric_stub_breaks_symmetry(self):
         # a deliberately swap-open pair set: (J, L) admitted, (L, J) not
         spec = sh.torus(1, 1)
         stub = PairSweep(pairs=(((), ()), ((1,), ())), certified=True)
-        assert not conjugation_symmetry(spec, stub)
+        assert not conjugation_symmetry(stub)
         table = hodge_table(spec, stub)
         assert not hodge_symmetry(table)
         assert not serre_duality_check(table)
@@ -348,7 +352,7 @@ class TestPipelineInvariant:
                 continue
             table = hodge_table(spec, sweep)
             assert hodge_symmetry(table), spec.name
-            assert conjugation_symmetry(spec, sweep), spec.name
+            assert conjugation_symmetry(sweep), spec.name
             assert serre_duality_check(table), spec.name
             assert cli.analyze(spec, skip_forms=True)["certified_de_rham"], spec.name
 

@@ -27,38 +27,38 @@ def unitary_rotation_spec():
 
 def test_example1_obstructed():
     verdict = kaehler_obstruction(sh.example1([1], "symbolic"))
-    assert verdict.status == OBSTRUCTED
-    assert verdict.witnesses == (1, 2)
-    assert verdict.completely_solvable
+    assert verdict["status"] == OBSTRUCTED
+    assert verdict["witnesses"] == [1, 2]
+    assert verdict["completely_solvable"]
 
 
 def test_torus_inconclusive():
     verdict = kaehler_obstruction(sh.torus(2, 1))
-    assert verdict.status == INCONCLUSIVE
-    assert verdict.witnesses == ()
+    assert verdict["status"] == INCONCLUSIVE
+    assert verdict["witnesses"] == []
 
 
 def test_unitary_action_inconclusive():
     # the criterion has no positive direction: purely rotational actions
     # stay inconclusive even though they are not tori
     verdict = kaehler_obstruction(unitary_rotation_spec())
-    assert verdict.status == INCONCLUSIVE
-    assert not verdict.completely_solvable
+    assert verdict["status"] == INCONCLUSIVE
+    assert not verdict["completely_solvable"]
 
 
 def test_witnesses_match_unitarity():
     for spec in corpus_specs():
         verdict = kaehler_obstruction(spec)
-        expected = tuple(
+        expected = [
             i for i, alpha in enumerate(spec.alphas, start=1) if not alpha.is_unitary
-        )
-        assert verdict.witnesses == expected
-        assert (verdict.status == OBSTRUCTED) == bool(expected)
+        ]
+        assert verdict["witnesses"] == expected
+        assert (verdict["status"] == OBSTRUCTED) == bool(expected)
 
 
 def test_completely_solvable_with_nontrivial_action_is_obstructed():
     for spec in corpus_specs():
         verdict = kaehler_obstruction(spec)
         nontrivial = any(not alpha.is_trivial for alpha in spec.alphas)
-        if verdict.completely_solvable and nontrivial:
-            assert verdict.status == OBSTRUCTED
+        if verdict["completely_solvable"] and nontrivial:
+            assert verdict["status"] == OBSTRUCTED

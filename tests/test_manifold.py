@@ -47,7 +47,7 @@ class TestTorus:
 
     def test_validates_clean(self):
         report = validate(torus(1, 1))
-        assert report.lattice_rank_ok and report.fiber_preserved == FIBER_OK
+        assert report["lattice_rank_ok"] and report["fiber_preserved"] == FIBER_OK
 
 
 class TestExample1:
@@ -94,7 +94,7 @@ class TestExample1:
 
     def test_no_fiber_data(self):
         assert example1([1]).lattice_fiber is None
-        assert validate(example1([1])).fiber_preserved == FIBER_NOT_CHECKED
+        assert validate(example1([1]))["fiber_preserved"] == FIBER_NOT_CHECKED
 
 
 class TestExample2:
@@ -102,8 +102,8 @@ class TestExample2:
         spec = example2_n1([[2, 1], [1, 1]])
         assert spec.n == 1 and spec.m == 2
         report = validate(spec)
-        assert report.lattice_rank_ok
-        assert report.fiber_preserved == FIBER_OK
+        assert report["lattice_rank_ok"]
+        assert report["fiber_preserved"] == FIBER_OK
 
     def test_logeps_witness(self):
         spec = example2_n1([[2, 1], [1, 1]])
@@ -133,7 +133,7 @@ class TestExample2:
 
     def test_negative_trace_accepted(self):
         spec = example2_n1([[-2, 1], [1, -1]])
-        assert validate(spec).fiber_preserved == FIBER_OK
+        assert validate(spec)["fiber_preserved"] == FIBER_OK
 
     def test_matches_example1_characters(self):
         ex1 = example1([1], "symbolic")
@@ -183,8 +183,8 @@ class TestValidate:
     def test_violation_detected(self):
         # irrational scaling e * w cannot stay in the Gaussian integer span
         report = validate(scaled_fiber_spec(1))
-        assert report.fiber_preserved == FIBER_VIOLATED
-        assert any("residual" in line for line in report.details)
+        assert report["fiber_preserved"] == FIBER_VIOLATED
+        assert any("residual" in line for line in report["details"])
 
     def test_base_rank_deficient(self):
         standard = torus(1, 1)
@@ -193,9 +193,9 @@ class TestValidate:
             name="flat_base", n=1, m=1, alphas=standard.alphas, lattice=LatticeBasis(1, (gen, gen)),
             lattice_fiber=standard.lattice_fiber, symbols=standard.symbols,
         ))
-        assert not report.lattice_rank_ok
-        assert report.details[0] == "base lattice rank deficient: smallest singular value 0.000e+00"
-        assert report.fiber_preserved == FIBER_OK
+        assert not report["lattice_rank_ok"]
+        assert report["details"][0] == "base lattice rank deficient: smallest singular value 0.000e+00"
+        assert report["fiber_preserved"] == FIBER_OK
 
     def test_one_deficient_lattice_as_base_and_fiber(self):
         # one LatticeBasis object held twice gets the rank detail of each role
@@ -206,19 +206,19 @@ class TestValidate:
             name="flat_both", n=1, m=1, alphas=standard.alphas, lattice=flat,
             lattice_fiber=flat, symbols=standard.symbols,
         ))
-        assert not report.lattice_rank_ok
-        assert report.details[:2] == (
+        assert not report["lattice_rank_ok"]
+        assert report["details"][:2] == [
             "base lattice rank deficient: smallest singular value 0.000e+00",
             "fiber lattice rank deficient: smallest singular value 0.000e+00",
-        )
-        assert report.fiber_preserved == FIBER_VIOLATED
+        ]
+        assert report["fiber_preserved"] == FIBER_VIOLATED
 
     def test_character_value_past_the_float_range(self):
         # exp(2000) overflows a float: reported as a violation, not raised
         report = validate(scaled_fiber_spec(2000))
-        assert report.fiber_preserved == FIBER_VIOLATED
-        assert report.details[0] == "base generator 1: a fiber character's value is past the float range"
-        assert report.details[1].startswith("base generator 2: integer matrix recovered")
+        assert report["fiber_preserved"] == FIBER_VIOLATED
+        assert report["details"][0] == "base generator 1: a fiber character's value is past the float range"
+        assert report["details"][1].startswith("base generator 2: integer matrix recovered")
 
     def test_action_past_the_float_range_is_not_a_singular_basis(self):
         # e^709 is finite and the fiber basis 10 (1, i) is well-conditioned,
@@ -230,25 +230,25 @@ class TestValidate:
             name="overflowing_action", n=1, m=1, alphas=spec.alphas, lattice=spec.lattice,
             lattice_fiber=fiber, symbols=table,
         ))
-        assert report.lattice_rank_ok
-        assert report.fiber_preserved == FIBER_VIOLATED
-        assert report.details[0] == "base generator 1: the action on the fiber basis is past the float range"
-        assert report.details[1].startswith("base generator 2: integer matrix recovered")
+        assert report["lattice_rank_ok"]
+        assert report["fiber_preserved"] == FIBER_VIOLATED
+        assert report["details"][0] == "base generator 1: the action on the fiber basis is past the float range"
+        assert report["details"][1].startswith("base generator 2: integer matrix recovered")
 
     @pytest.mark.parametrize("m", [1, 11])
     def test_huge_determinant_is_one_short_line(self, m):
         # exp(700) makes a determinant of about 600 m digits: one detail line
         # must not echo all of them, nor fail past the 4300 that str(int) prints
         report = validate(scaled_fiber_spec(700, m))
-        assert report.fiber_preserved == FIBER_VIOLATED
-        assert "not a lattice automorphism" in report.details[0]
-        assert all(len(line) < 150 for line in report.details)
+        assert report["fiber_preserved"] == FIBER_VIOLATED
+        assert "not a lattice automorphism" in report["details"][0]
+        assert all(len(line) < 150 for line in report["details"])
 
     def test_corpus_validates_clean(self):
         for spec in corpus_specs():
             report = validate(spec)
-            assert report.lattice_rank_ok, spec.name
-            assert report.fiber_preserved != FIBER_VIOLATED, spec.name
+            assert report["lattice_rank_ok"], spec.name
+            assert report["fiber_preserved"] != FIBER_VIOLATED, spec.name
 
 
 class TestBuilderCaps:

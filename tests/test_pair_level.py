@@ -133,7 +133,7 @@ class TestAgainstLiteralEnumeration:
     def test_conjugation_symmetry_on_corpus(self):
         for spec in corpus_specs():
             sweep = sweep_trivial_pairs(spec)
-            assert conjugation_symmetry(spec, sweep) == literal_conjugation_symmetry(
+            assert conjugation_symmetry(sweep) == literal_conjugation_symmetry(
                 spec, sweep
             ), spec.name
 
@@ -157,7 +157,7 @@ class TestAgainstLiteralEnumeration:
                     chosen = union_closure(chosen)
                 # not outputs of the exact gate, so the literal union check runs
                 stub = PairSweep(tuple(sorted(chosen)), certified=False)
-                symmetric = conjugation_symmetry(spec, stub)
+                symmetric = conjugation_symmetry(stub)
                 assert symmetric == literal_conjugation_symmetry(spec, stub), stub
                 failure = wedge_closure_report(spec, sweep=stub)
                 assert (failure is None) == literal_wedge_closure(spec, stub), stub
@@ -227,14 +227,14 @@ class TestSymmetryFromSwapClosure:
             for _ in range(15):
                 chosen = swap_closure({pair for pair in pairs if rng.random() < 0.3} | {((), ())})
                 stub = PairSweep(tuple(sorted(chosen)), certified=True)
-                assert conjugation_symmetry(spec, stub), stub
+                assert conjugation_symmetry(stub), stub
                 assert hodge_symmetry(hodge_table(spec, stub)), stub
 
     def test_old_expression_agrees_on_corpus(self):
         for spec in corpus_specs():
             for force_float in (False, True):
                 sweep = sweep_trivial_pairs(spec, force_float)
-                old = hodge_symmetry(hodge_table(spec, sweep)) and conjugation_symmetry(spec, sweep)
+                old = hodge_symmetry(hodge_table(spec, sweep)) and conjugation_symmetry(sweep)
                 new = cli.analyze(spec, skip_forms=True, force_float=force_float)["symmetry"]
                 assert new == old, spec.name
 
@@ -570,7 +570,7 @@ def test_lazy_namespace_resolves_each_public_name_to_its_submodule():
     body = """
 import importlib, sys, solvhodge
 names = solvhodge.__all__
-assert len(names) == len(set(names)) == 33, names
+assert len(names) == len(set(names)) == 31, names
 for name in names:
     value = getattr(solvhodge, name)
     owner = importlib.import_module(value.__module__)
@@ -581,7 +581,8 @@ assert set(star) - {"__builtins__"} == set(names)
 assert all(star[name] is getattr(solvhodge, name) for name in names)
 # the reference algebra stays out of the namespace until something imports it
 assert "solvhodge.forms" not in sys.modules
-for name in ("no_such_name", "report", "forms", "_BUILDERS", "check_caps"):
+removed = ("ValidationReport", "KaehlerVerdict")
+for name in ("no_such_name", "report", "forms", "_BUILDERS", "check_caps", *removed):
     try:
         getattr(solvhodge, name)
     except AttributeError as exc:

@@ -1,23 +1,28 @@
 """What the benchmark reads of the package, held in Tier-1.
 
-``perfbench/oracle.py`` answers example1 and torus specs in plain integers,
+``perfbench/oracle.py`` answers example1, torus, example2_n1 and
+symbolic-scale specs, exact or on float witnesses, in plain integers,
 sharing no code with solvhodge; its :func:`check` must find no problem in
-any report ``analyze`` gives.  ``perfbench/tracer.py`` names package
-functions by their qualified names; each name must still resolve, or its
-per-layer timings silently read 0.  Both files are loaded by path, and
-neither is edited here.
+any report ``analyze`` gives.  The float-regime and example2_n1 cases are
+drawn with the generators of ``perfbench/corpus.py``.
+``perfbench/tracer.py`` names package functions by their qualified names;
+each name must still resolve, or its per-layer timings silently read 0.
+The three files are loaded by path, and none is edited here.
 """
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solvhodge as sh
 from solvhodge.cli import analyze, emit_example
 from solvhodge.cohomology import hodge_table, sweep_trivial_pairs
+from solvhodge.specfile import load_spec_dict
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,27 +36,49 @@ def load(name: str):
 
 oracle = load("oracle")
 tracer = load("tracer")
+corpus = load("corpus")
 
 
-def manifest_item(family: str, params: dict, skip_forms: bool, **oracle_params) -> tuple[dict, dict]:
+def manifest_item(
+    family: str, params: dict, skip_forms: bool, force_float: bool = False, **oracle_params
+) -> tuple[dict, dict]:
     """The spec's manifest item as the benchmark corpus writes it, and its report."""
     spec = emit_example(family, params, None)
     item = {
         "name": spec.name,
         "family": family,
         "forms": not skip_forms,
-        "float_mode": False,
+        "float_mode": force_float,
         **oracle_params,
     }
-    return item, analyze(spec, skip_forms=skip_forms)
+    return item, analyze(spec, skip_forms=skip_forms, force_float=force_float)
 
 
-def example1_item(a: list[int], t, skip_forms: bool) -> tuple[dict, dict]:
+def example1_item(a: list[int], t, skip_forms: bool, force_float: bool = False) -> tuple[dict, dict]:
     t_mode = "symbolic" if t is None else f"rational_pi({t[0]},{t[1]})"
     return manifest_item(
-        "example1", {"a": a, "t_mode": t_mode}, skip_forms,
+        "example1", {"a": a, "t_mode": t_mode}, skip_forms, force_float,
         n=1, m=2 * len(a), a=a, t=None if t is None else list(t),
     )
+
+
+def example2_item(matrix: tuple[int, int, int, int], skip_forms: bool) -> tuple[dict, dict]:
+    a11, a12, a21, a22 = matrix
+    return manifest_item(
+        "example2_n1", {"A": [[a11, a12], [a21, a22]]}, skip_forms,
+        n=1, m=2, a=[1], t=None, matrix=list(matrix),
+    )
+
+
+def scaled_item(a: list[int], s_witness: float, t_witness: float, skip_forms: bool) -> tuple[dict, dict]:
+    """A symbolic-scale spec, whose exact gate escapes to floats at every non-trivial pair."""
+    name = "scaled_" + "_".join(str(v) for v in a)
+    spec = load_spec_dict(corpus._scaled_spec(name, a, s_witness, t_witness))
+    item = {
+        "name": name, "family": "scaled", "forms": not skip_forms, "float_mode": True,
+        "n": 1, "m": 2 * len(a), "a": a, "t": None,
+    }
+    return item, analyze(spec, skip_forms=skip_forms)
 
 
 def torus_item(n: int, m: int, skip_forms: bool) -> tuple[dict, dict]:
@@ -71,6 +98,41 @@ items = st.one_of(
 @given(items)
 def test_integer_oracle_agrees(item_and_report):
     item, report = item_and_report
+    assert oracle.check(item, oracle.expected(item), report) == []
+
+
+def float_regime_cases() -> list[tuple]:
+    """(item builder, its arguments) of each case, drawn derandomized as the corpus draws them."""
+    rng = random.Random("float regime")
+    cases = []
+    taken: set = set()
+    for k in (1, 2) * 6:
+        a = corpus._draw(rng, k, False, taken)
+        while True:
+            s_witness, t_witness = rng.uniform(0.6, 1.8), rng.uniform(0.6, 1.8)
+            if corpus._float_gate_decided(a, s_witness * t_witness):
+                break
+        cases += [(scaled_item, (a, s_witness, t_witness, skip)) for skip in (True, False)]
+    taken = set()
+    for k in (1, 2) * 3:
+        a = corpus._draw(rng, k, False, taken)
+        assert corpus._float_gate_decided(a, 1.0)  # at the builder's witness of t
+        cases.append((example1_item, (a, None, k == 2, True)))
+        cases.append((example1_item, (*corpus._draw(rng, k, False, taken, wrapping=True), k == 1, True)))
+    for i, matrix in enumerate(rng.sample(corpus._hyperbolic_matrices(), 6)):
+        cases.append((example2_item, (matrix, i % 2 == 0)))
+    return cases
+
+
+FLOAT_REGIME = float_regime_cases()
+
+
+@pytest.mark.parametrize(
+    "build, args", FLOAT_REGIME,
+    ids=[f"{i:02d}-{build.__name__}" for i, (build, _) in enumerate(FLOAT_REGIME)],
+)
+def test_integer_oracle_agrees_on_float_runs_and_example2(build, args):
+    item, report = build(*args)
     assert oracle.check(item, oracle.expected(item), report) == []
 
 

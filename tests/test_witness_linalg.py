@@ -31,6 +31,7 @@ from solvhodge.manifold import (
     _smallest_and_condition,
     real_matrix,
 )
+from solvhodge.cli import analyze
 from solvhodge.specfile import load_spec_dict, spec_to_dict
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -122,17 +123,33 @@ class TestSmallestSingularValue:
             name="huge_base", n=1, m=0, alphas=(), lattice=lattice, lattice_fiber=None, symbols=table
         )
         smallest = _smallest_and_condition(real_matrix(lattice))[0]
-        assert sh.validate(spec).lattice_rank_ok and math.isclose(smallest, math.sqrt(2) * 1e200, rel_tol=1e-12)
+        assert sh.validate(spec)["lattice_rank_ok"] and math.isclose(smallest, math.sqrt(2) * 1e200, rel_tol=1e-12)
         # a smallest singular value itself past the float range reads as inf
         assert _smallest_and_condition([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]])[0] == math.inf
 
     def test_lattice_rank_certificate(self):
         for A in HYPERBOLIC[:8]:
             spec = sh.example2_n1(A)
-            assert sh.validate(spec).lattice_rank_ok
+            assert sh.validate(spec)["lattice_rank_ok"]
             assert assert_matches_svd(real_matrix(spec.lattice_fiber)) > RANK_TOLERANCE
         # the empty base lattice of a torus over C^0 has full rank
-        assert sh.validate(sh.torus(0, 1)).lattice_rank_ok
+        assert sh.validate(sh.torus(0, 1))["lattice_rank_ok"]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="RANK_TOLERANCE is absolute, so the full-rank lattice 1e-10 * Z[i] reads as rank"
+        " deficient; ROADMAP item 11's threshold from the Jacobi run's own error scale mends it,"
+        " and this marker goes when it lands",
+    )
+    def test_a_small_full_rank_lattice_passes(self):
+        tenth = {"one": "1/10000000000"}
+        data = {
+            "name": "small_lattice", "n": 1, "m": 1,
+            "alphas": [{"real_exp": [{}]}],
+            "lattice": [[{"re": tenth}], [{"im": tenth}]],
+            "lattice_fiber": [[{"re": {"one": "1"}}], [{"im": {"one": "1"}}]],
+        }
+        assert analyze(load_spec_dict(data), skip_forms=True)["validation"]["lattice_rank_ok"] is True
 
 
 class TestFiberCoefficients:
@@ -141,10 +158,10 @@ class TestFiberCoefficients:
         for A in HYPERBOLIC:
             spec = sh.example2_n1(A)
             report = sh.validate(spec)
-            assert report.fiber_preserved == FIBER_OK, A
+            assert report["fiber_preserved"] == FIBER_OK, A
             basis_rows = real_matrix(spec.lattice_fiber)
             basis = np.array(basis_rows).T
-            for gen, detail in zip(spec.lattice.generators, report.details):
+            for gen, detail in zip(spec.lattice.generators, report["details"]):
                 point = [c.complex_value() for c in gen]
                 values = [alpha.value_at(point) for alpha in spec.alphas]
                 expected = np.linalg.solve(basis, realified_diagonal(values) @ basis)
@@ -202,8 +219,8 @@ class TestFiberCoefficients:
             raise AssertionError("numpy solved a singular system")
         assert _fiber_coefficients(tuple(zip(*real_matrix(spec.lattice_fiber))), [1.0]) is None
         report = sh.validate(spec)
-        assert report.fiber_preserved == FIBER_VIOLATED
-        assert "base generator 1: fiber basis is numerically singular" in report.details
+        assert report["fiber_preserved"] == FIBER_VIOLATED
+        assert "base generator 1: fiber basis is numerically singular" in report["details"]
 
 
 class TestIntegerDeterminant:
@@ -249,9 +266,9 @@ class TestIntegralityPrecision:
             assert abs(N) > 2**50 and "too large" in str(exc), (N, exc)
             return
         report = sh.validate(spec)
-        assert report.fiber_preserved != FIBER_VIOLATED, (N, sign, report.details)
+        assert report["fiber_preserved"] != FIBER_VIOLATED, (N, sign, report["details"])
         if abs(N) <= 2000:
-            assert report.fiber_preserved == FIBER_OK, (N, sign, report.details)
+            assert report["fiber_preserved"] == FIBER_OK, (N, sign, report["details"])
 
     @pytest.mark.parametrize(
         "N, status", [(3000, FIBER_OK), (7000, FIBER_OK), (10**4, FIBER_UNDECIDED), (10**5, FIBER_UNDECIDED)]
@@ -259,13 +276,13 @@ class TestIntegralityPrecision:
     def test_family_verdicts(self, N, status):
         for sign in (1, -1):
             report = sh.validate(sh.example2_n1(hyperbolic_family(N, sign)))
-            assert report.fiber_preserved == status
-            first = report.details[0]
+            assert report["fiber_preserved"] == status
+            first = report["details"][0]
             if status == FIBER_UNDECIDED:
                 assert first.startswith("base generator 1: integrality undecided, error bound "), first
             else:
                 assert first.startswith("base generator 1: integer matrix recovered"), first
-            assert report.details[1].startswith("base generator 2: integer matrix recovered")
+            assert report["details"][1].startswith("base generator 2: integer matrix recovered")
 
     def test_perturbed_witness_is_violated(self):
         for N in range(-10, 11):
@@ -275,7 +292,7 @@ class TestIntegralityPrecision:
                     perturbed = copy.deepcopy(data)
                     next(e for e in perturbed["symbols"] if e["name"] == name)["value"] += 1e-3
                     report = sh.validate(load_spec_dict(perturbed))
-                    assert report.fiber_preserved == FIBER_VIOLATED, (N, sign, name)
+                    assert report["fiber_preserved"] == FIBER_VIOLATED, (N, sign, name)
 
     def test_small_matrices_keep_their_details(self):
         # captured before the error bound entered the verdict
@@ -283,9 +300,9 @@ class TestIntegralityPrecision:
         assert [entry["matrix"] for entry in pinned] == [[list(row) for row in A] for A in HYPERBOLIC]
         for entry in pinned:
             report = sh.validate(sh.example2_n1(entry["matrix"]))
-            assert report.lattice_rank_ok == entry["lattice_rank_ok"]
-            assert report.fiber_preserved == entry["fiber_preserved"] == FIBER_OK
-            assert list(report.details) == entry["details"], entry["matrix"]
+            assert report["lattice_rank_ok"] == entry["lattice_rank_ok"]
+            assert report["fiber_preserved"] == entry["fiber_preserved"] == FIBER_OK
+            assert report["details"] == entry["details"], entry["matrix"]
 
 
 class TestExample2Inverse:
