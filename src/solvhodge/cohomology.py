@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, product
 from math import comb
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .exact import ComplexExact, Immutable, SymbolProductUnrepresentable, Value
 from .characters import is_trivial_on_lattice, is_trivial_on_lattice_float
@@ -70,30 +70,17 @@ class BasisElement(Value):
 
 
 class PairSweep(Immutable):
-    """Result of the fiber pair sweep: the admissible (J, L) and a certification flag.
+    """Result of the fiber pair sweep: the admissible (J, L), sorted, and a certification flag."""
 
-    ``pair_set`` holds the same pairs as a frozenset for membership tests;
-    it is built with the sweep, since every ``analyze`` tests membership.
-    """
-
-    __slots__ = ("pairs", "certified", "pair_set")
+    __slots__ = ("pairs", "certified")
     pairs: tuple[tuple[MultiIndex, MultiIndex], ...]
     certified: bool
-    pair_set: frozenset
-
-    def __init__(self, pairs, certified):
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "certified", certified)
-        object.__setattr__(self, "pair_set", frozenset(pairs))
 
     def __iter__(self):
         return iter(self.pairs)
 
     def __len__(self):
         return len(self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pair_set
 
 
 class HodgeTable(Immutable):
@@ -141,18 +128,22 @@ def _subset_products(
 
 
 def _subset_product_tables(
-    spec: SolvManifoldSpec,
+    spec: SolvManifoldSpec, part: Optional[Callable[[CharacterExponent], CharacterExponent]] = None
 ) -> tuple[dict[MultiIndex, CharacterExponent], dict[MultiIndex, CharacterExponent]]:
     """The products A_S of the alpha_s and Abar_S of the conj(alpha_s) over s in S, for every S.
 
     Every character attached to a fiber pair (J, L) is read off these two
-    tables.  ``decompose`` is a homomorphism, so the holomorphic and unitary
-    parts of A_J Abar_L are products of the parts of A_J and of Abar_L.
+    tables.  With ``part`` (``CharacterExponent.unit`` or ``.hol``) the
+    tables multiply that part of each factor instead: both parts are
+    homomorphisms, so these are the parts of A_S and Abar_S.
     """
     subsets = _subsets(spec.m)
     trivial = CharacterExponent.trivial(spec.symbols, spec.n)
-    bars = tuple(alpha.conjugate() for alpha in spec.alphas)
-    return _subset_products(spec.alphas, subsets, trivial), _subset_products(bars, subsets, trivial)
+    factors = spec.alphas
+    bars = tuple(alpha.conjugate() for alpha in factors)
+    if part is not None:
+        factors, bars = tuple(map(part, factors)), tuple(map(part, bars))
+    return _subset_products(factors, subsets, trivial), _subset_products(bars, subsets, trivial)
 
 
 def sweep_trivial_pairs(spec: SolvManifoldSpec, force_float: bool = False) -> PairSweep:
@@ -164,9 +155,7 @@ def sweep_trivial_pairs(spec: SolvManifoldSpec, force_float: bool = False) -> Pa
     before any work, as every command refuses it.
     """
     check_caps(spec.complex_dim)
-    alpha, alpha_bar = _subset_product_tables(spec)
-    units = {S: chi.decompose().unit for S, chi in alpha.items()}
-    bar_units = {S: chi.decompose().unit for S, chi in alpha_bar.items()}
+    units, bar_units = _subset_product_tables(spec, CharacterExponent.unit)
     pairs: list[tuple[MultiIndex, MultiIndex]] = []
     certified = True
     for J, L in product(units, bar_units):
@@ -248,7 +237,8 @@ def conjugation_symmetry(sweep: PairSweep) -> bool:
     maps the basis onto itself exactly when the admitted pairs are closed
     under (J, L) -> (L, J).
     """
-    return all((L, J) in sweep for J, L in sweep)
+    pairs = set(sweep.pairs)
+    return all((L, J) in pairs for J, L in pairs)
 
 
 def serre_duality_check(table: HodgeTable) -> bool:
@@ -319,8 +309,8 @@ def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> list[dict]:
 
     With A_S, Abar_S the products of the alpha_s, conj(alpha_s) over s in S
     and c = b(A_{1..m} Abar_{1..m}): chi A_J Abar_L is the unitary gate
-    character unit(A_J) unit(Abar_L), ``decompose`` is a homomorphism and
-    J, J^c and L, L^c split 1..m, so for every element
+    character unit(A_J) unit(Abar_L), ``hol`` and ``unit`` are homomorphisms
+    and J, J^c and L, L^c split 1..m, so for every element
 
     - b(chi_co) = -c and a(chi_lin) = -conj(c): u is dbar-co-closed exactly
       when supp c misses K (:func:`coclosed_mask`), and d-harmonic implies it;
@@ -331,9 +321,7 @@ def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> list[dict]:
     So supp c, and supp a(chi), supp(conj(a(chi)) + c) per admitted pair, decide every
     row; characters only multiply (exponents add), so the flags are exact.
     """
-    alpha, alpha_bar = _subset_product_tables(spec)
-    hol = {S: chi.decompose().hol for S, chi in alpha.items()}
-    bar_hol = {S: chi.decompose().hol for S, chi in alpha_bar.items()}
+    hol, bar_hol = _subset_product_tables(spec, CharacterExponent.hol)
     c = _coclosed_vector(spec)
     co_b = _support(c)
     supports = {}

@@ -366,9 +366,9 @@ def bar_star(form: FrameForm, spec: SolvManifoldSpec) -> FrameForm:
 def _basis_character(spec: SolvManifoldSpec, J: MultiIndex, L: MultiIndex) -> CharacterExponent:
     char = CharacterExponent.trivial(spec.symbols, spec.n)
     for j in J:
-        char = char * spec.alphas[j - 1].decompose().hol.inverse()
+        char = char * spec.alphas[j - 1].hol().inverse()
     for l in L:
-        char = char * spec.alphas[l - 1].conjugate().decompose().hol.inverse()
+        char = char * spec.alphas[l - 1].conjugate().hol().inverse()
     return char
 
 
@@ -381,7 +381,7 @@ def basis_form(
     fiber characters over J and of their conjugates over L; the word is
     dz_I ^ dw_J ^ dzbar_K ^ dwbar_L.
     """
-    if (element.J, element.L) not in sweep:
+    if (element.J, element.L) not in sweep.pairs:
         raise ValueError(f"{element!r} is not admitted by the lattice gate")
     for label, indices, bound in (
         ("I", element.I, spec.n),

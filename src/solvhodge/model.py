@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact import ComplexExact, ExactScalar, SymbolTable, TableMismatch, Value
 
 __all__ = [
     "CharacterExponent",
     "DimensionCapExceeded",
-    "HolomorphicUnitaryParts",
     "LatticeBasis",
     "SolvManifoldSpec",
     "check_caps",
@@ -60,11 +59,6 @@ def check_caps(dim: int, forms: bool = False):
         raise DimensionCapExceeded(
             f"dimension {dim} exceeds the forms cap {MAX_FORMS_DIM} (use --skip-forms with analyze)"
         )
-
-
-class HolomorphicUnitaryParts(NamedTuple):
-    hol: "CharacterExponent"
-    unit: "CharacterExponent"
 
 
 class CharacterExponent(Value):
@@ -146,18 +140,19 @@ class CharacterExponent(Value):
         b = tuple(c.conjugate() for c in self.a)
         return CharacterExponent(self.table, a, b)
 
-    def decompose(self) -> HolomorphicUnitaryParts:
-        """Split into the unique holomorphic times unitary factorisation.
+    def unit(self) -> "CharacterExponent":
+        """The unitary factor of the unique holomorphic times unitary factorisation:
+        it keeps the antiholomorphic exponent b and takes a = -conj(b)."""
+        return CharacterExponent(self.table, tuple(-c.conjugate() for c in self.b), self.b)
 
-        The unitary factor keeps the antiholomorphic exponent b and takes
-        a = -conj(b); the holomorphic factor absorbs the rest.
+    def hol(self) -> "CharacterExponent":
+        """The holomorphic factor, exponent a + conj(b) and b = 0, so that ``hol() * unit()`` is self.
+
+        Both factors are linear in (a, b), so each is a homomorphism: the
+        factor of a product is the product of the factors.
         """
-        unit_a = tuple(-c.conjugate() for c in self.b)
-        unit = CharacterExponent(self.table, unit_a, self.b)
         hol_a = tuple(x + y.conjugate() for x, y in zip(self.a, self.b))
-        zero = ComplexExact.zero(self.table)
-        hol = CharacterExponent(self.table, hol_a, (zero,) * self.n)
-        return HolomorphicUnitaryParts(hol, unit)
+        return CharacterExponent(self.table, hol_a, (ComplexExact.zero(self.table),) * self.n)
 
     def exponent_at(self, v: Sequence[ComplexExact]) -> ComplexExact:
         """Exact value of the exponent at the point v."""

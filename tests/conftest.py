@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,36 @@ HYPERBOLIC = [
     for a, b, c, d in itertools.product(range(-4, 5), repeat=4)
     if a * d - b * c == 1 and abs(a + d) > 2
 ]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def scaled_draws(corpus, rng: random.Random) -> list[tuple[list[int], float, float]]:
+    """Twelve symbolic-scale draws (exponents, s witness, t witness), k = 1, 2 exponents in turn.
+
+    ``corpus`` is ``perfbench/corpus.py``; a witness pair is kept, as the
+    benchmark corpus keeps it, only when the float gate decides every pair
+    of the draw clearly.
+    """
+    draws = []
+    taken: set = set()
+    for k in (1, 2) * 6:
+        a = corpus._draw(rng, k, False, taken)
+        while True:
+            s_witness, t_witness = rng.uniform(0.6, 1.8), rng.uniform(0.6, 1.8)
+            if corpus._float_gate_decided(a, s_witness * t_witness):
+                break
+        draws.append((a, s_witness, t_witness))
+    return draws
 
 
 def forms_corpus_specs() -> list[sh.SolvManifoldSpec]:

@@ -108,7 +108,7 @@ def test_criterion_02_example1_against_brute_force():
 def test_criterion_03_condition_dichotomy():
     symbolic = sh.example1([1], "symbolic")
     assert not sh.check_condition(symbolic, sweep_trivial_pairs(symbolic))
-    symbolic_pairs = sweep_trivial_pairs(symbolic).pair_set
+    symbolic_pairs = frozenset(sweep_trivial_pairs(symbolic))
     for r, s in ((1, 1), (2, 1), (3, 1)):
         resonant = sh.example1([1], f"rational_pi({r},{s})")
         violations = sh.check_condition(resonant, sweep_trivial_pairs(resonant))
@@ -116,7 +116,7 @@ def test_criterion_03_condition_dichotomy():
         assert ((1,), (1,)) in violations
         reported = analyze(resonant, skip_forms=True)["condition"]["violations"]
         assert {"J": [1], "L": [1], "reason": "trivial_restriction_but_alpha_nontrivial"} in reported
-        assert symbolic_pairs < sweep_trivial_pairs(resonant).pair_set, (r, s)
+        assert symbolic_pairs < frozenset(sweep_trivial_pairs(resonant)), (r, s)
     done("criterion 3: the resonance dichotomy and the growing pair set")
 
 
@@ -205,7 +205,7 @@ def test_criterion_08_character_decomposition(rng):
     table = sh.SymbolTable.base()
     for _ in range(100):
         chi = random_character(table, 1, rng)
-        hol, unit = chi.decompose()
+        hol, unit = chi.hol(), chi.unit()
         assert hol * unit == chi
         assert unit.is_unitary
         assert hol.is_holomorphic

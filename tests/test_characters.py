@@ -72,7 +72,7 @@ class TestDecompose:
     def test_exponential_of_2x(self, table):
         # exp(2x): holomorphic part exp(2z), unitary part exp(-z + zbar) = exp(-2iy)
         chi = real_char(table, 2)
-        hol, unit = chi.decompose()
+        hol, unit = chi.hol(), chi.unit()
         assert hol.a == (cc(table, re=2),)
         assert hol.is_holomorphic
         assert unit == CharacterExponent(table, (cc(table, re=-1),), (cc(table, re=1),))
@@ -80,28 +80,35 @@ class TestDecompose:
 
     def test_unitary_input_fixed(self, table):
         chi = unitary_y_char(table, 5)
-        hol, unit = chi.decompose()
+        hol, unit = chi.hol(), chi.unit()
         assert hol.is_trivial and unit == chi
 
     def test_holomorphic_input_fixed(self, table):
         chi = CharacterExponent(table, (cc(table, re=1, im=2),), (ComplexExact.zero(table),))
-        hol, unit = chi.decompose()
+        hol, unit = chi.hol(), chi.unit()
         assert unit.is_trivial and hol == chi
 
     def test_round_trip_random(self, table, rng):
+        previous = CharacterExponent.trivial(table, 2)
         for _ in range(150):
             chi = random_character(table, 2, rng)
-            hol, unit = chi.decompose()
+            hol, unit = chi.hol(), chi.unit()
             assert hol.is_holomorphic
             assert unit.is_unitary
             assert hol * unit == chi
-            again_hol, again_unit = hol.decompose()
+            again_hol, again_unit = hol.hol(), hol.unit()
             assert again_hol == hol and again_unit.is_trivial
+            # the parts of a product are the products of the parts, conjugates included:
+            # the pair sweep's subset tables multiply the fibers' parts on this identity
+            for part in (CharacterExponent.hol, CharacterExponent.unit):
+                assert part(chi * previous) == part(chi) * part(previous)
+                assert part(chi * previous.conjugate()) == part(chi) * part(previous.conjugate())
+            previous = chi
 
     def test_uniqueness_witness(self, table, rng):
         for _ in range(50):
             chi = random_character(table, 1, rng)
-            unit = chi.decompose().unit
+            unit = chi.unit()
             other = random_unitary_character(table, 1, rng)
             if other == unit:
                 continue
@@ -112,7 +119,7 @@ class TestDecompose:
         # a central-difference Cauchy-Riemann test and |unit| = 1
         for _ in range(25):
             chi = random_character(table, 1, rng)
-            hol, unit = chi.decompose()
+            hol, unit = chi.hol(), chi.unit()
 
             def quotient(z):
                 return chi.value_at([z]) * unit.inverse().value_at([z])
@@ -129,23 +136,23 @@ class TestDecompose:
             closed_form = CharacterExponent(
                 table, tuple(-c for c in chi.a), tuple(c.conjugate() for c in chi.a)
             )
-            assert closed_form == chi.conjugate().decompose().unit
+            assert closed_form == chi.conjugate().unit()
 
     def test_conjugate_unitary_part_real_character(self, table):
         # for a real-valued character both unitary parts coincide
         chi = real_char(table, 2)
-        gamma = chi.conjugate().decompose().unit
-        assert gamma == chi.decompose().unit
+        gamma = chi.conjugate().unit()
+        assert gamma == chi.unit()
         assert gamma == unitary_y_char(table, -2)
 
     def test_conjugate_unitary_part_of_unitary(self, table, rng):
         for _ in range(30):
             chi = random_unitary_character(table, 2, rng)
-            assert chi.conjugate().decompose().unit == chi.conjugate()
+            assert chi.conjugate().unit() == chi.conjugate()
 
     def test_conjugate_unitary_part_holomorphic(self, table):
         chi = CharacterExponent(table, (cc(table, re=1),), (ComplexExact.zero(table),))
-        gamma = chi.conjugate().decompose().unit
+        gamma = chi.conjugate().unit()
         assert gamma.a == (cc(table, re=-1),)
         assert gamma.b == (cc(table, re=1),)
         quotient = chi.conjugate() * gamma.inverse()
@@ -160,9 +167,9 @@ class TestDecompose:
             if not product.is_trivial:
                 continue
             units = (
-                alphas[0].decompose().unit
-                * alphas[1].decompose().unit
-                * alphas[2].conjugate().decompose().unit
+                alphas[0].unit()
+                * alphas[1].unit()
+                * alphas[2].conjugate().unit()
             )
             assert units.is_trivial
 

@@ -173,7 +173,7 @@ class TestFrameConversion:
         # a fiber monomial twisted by the inverse holomorphic factor keeps
         # only the unitary part of the character once framed
         spec = sh.example1([1], "symbolic")
-        hol, unit = spec.alphas[0].decompose()
+        hol, unit = spec.alphas[0].hol(), spec.alphas[0].unit()
         f = monomial(spec, (dw(1),), char=hol.inverse())
         framed = to_frame(f, spec)
         ((coeff, chi, word),) = framed.terms
@@ -382,9 +382,10 @@ class TestHarmonicity:
 
 
 class Unwalkable(PairSweep):
-    """A sweep whose pairs cannot be walked: proves that a check never iterates them."""
+    """A sweep whose pairs cannot be walked: proves that a check never iterates them.
 
-    __slots__ = ()
+    It declares no ``__slots__``, so the shared constructor reads PairSweep's fields.
+    """
 
     def __iter__(self):
         raise RuntimeError("the pairs were walked")

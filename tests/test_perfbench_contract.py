@@ -11,9 +11,7 @@ The three files are loaded by path, and none is edited here.
 """
 
 import importlib
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,19 +22,11 @@ from solvhodge.cli import analyze, emit_example
 from solvhodge.cohomology import hodge_table, sweep_trivial_pairs
 from solvhodge.specfile import load_spec_dict
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import load_perfbench, scaled_draws
 
-
-def load(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-oracle = load("oracle")
-tracer = load("tracer")
-corpus = load("corpus")
+oracle = load_perfbench("oracle")
+tracer = load_perfbench("tracer")
+corpus = load_perfbench("corpus")
 
 
 def manifest_item(
@@ -104,16 +94,12 @@ def test_integer_oracle_agrees(item_and_report):
 def float_regime_cases() -> list[tuple]:
     """(item builder, its arguments) of each case, drawn derandomized as the corpus draws them."""
     rng = random.Random("float regime")
-    cases = []
+    cases = [
+        (scaled_item, (a, s_witness, t_witness, skip))
+        for a, s_witness, t_witness in scaled_draws(corpus, rng)
+        for skip in (True, False)
+    ]
     taken: set = set()
-    for k in (1, 2) * 6:
-        a = corpus._draw(rng, k, False, taken)
-        while True:
-            s_witness, t_witness = rng.uniform(0.6, 1.8), rng.uniform(0.6, 1.8)
-            if corpus._float_gate_decided(a, s_witness * t_witness):
-                break
-        cases += [(scaled_item, (a, s_witness, t_witness, skip)) for skip in (True, False)]
-    taken = set()
     for k in (1, 2) * 3:
         a = corpus._draw(rng, k, False, taken)
         assert corpus._float_gate_decided(a, 1.0)  # at the builder's witness of t
