@@ -20,7 +20,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterable, Optional
 
-from .exact import ComplexExact, Immutable, SymbolProductUnrepresentable, Value
+from .exact import ComplexExact, SymbolProductUnrepresentable, Value
 from .characters import is_trivial_on_lattice, is_trivial_on_lattice_float
 from .model import CharacterExponent, SolvManifoldSpec, check_caps
 
@@ -69,7 +69,7 @@ class BasisElement(Value):
         return f"BasisElement(I={list(self.I)}, J={list(self.J)}, K={list(self.K)}, L={list(self.L)})"
 
 
-class PairSweep(Immutable):
+class PairSweep(Value):
     """Result of the fiber pair sweep: the admissible (J, L), sorted, and a certification flag."""
 
     __slots__ = ("pairs", "certified")
@@ -83,7 +83,7 @@ class PairSweep(Immutable):
         return len(self.pairs)
 
 
-class HodgeTable(Immutable):
+class HodgeTable(Value):
     """Square table of model dimensions indexed by bidegree."""
 
     __slots__ = ("h",)
@@ -321,6 +321,7 @@ def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> list[dict]:
     So supp c, and supp a(chi), supp(conj(a(chi)) + c) per admitted pair, decide every
     row; characters only multiply (exponents add), so the flags are exact.
     """
+    check_caps(spec.complex_dim, forms=True)
     hol, bar_hol = _subset_product_tables(spec, CharacterExponent.hol)
     c = _coclosed_vector(spec)
     co_b = _support(c)

@@ -46,17 +46,23 @@ class SymbolProductUnrepresentable(ArithmeticError):
     """
 
 
-class Immutable:
-    """Base of the package's types: fields live in slots and are set once, by ``__init__``.
+class Value:
+    """Base of the package's types: fields are set once and compare and hash as a value.
 
-    The shared constructor takes the fields, positionally or by keyword, in
-    the order of the class's own ``__slots__``, then runs ``_check``.
+    ``_names`` lists a class's fields: its base's, then its own ``__slots__``.  The shared
+    constructor takes them, positionally or by keyword, in that order, then runs ``_check``.
     """
 
     __slots__ = ()
+    _names: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        if own := cls.__dict__.get("__slots__"):  # a subclass that adds no slots keeps its parent's
+            cls._names = cls._names + tuple(own)
+            cls._fields = operator.attrgetter(*cls._names)
 
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
+        names = self._names
         kind = type(self).__name__
         if len(args) > len(names):
             raise TypeError(f"{kind}() takes {len(names)} arguments but {len(args)} were given")
@@ -84,16 +90,6 @@ class Immutable:
         # pickle and copy hand back (None, {slot: value}) of a checked instance
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
-
-
-class Value(Immutable):
-    """An :class:`Immutable` that compares and hashes as its fields, read by one getter per class."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        if cls.__slots__:  # a subclass that adds no slots keeps its parent's getter
-            cls._fields = operator.attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
         if other is self:  # scalars of one spec share a SymbolTable, compared on every + and *
@@ -198,8 +194,8 @@ class ExactScalar(Value):
     table: SymbolTable
     coeffs: tuple[tuple[str, Fraction], ...]
 
-    # own __init__, not Immutable's: the pair sweep builds these on every operation, and the
-    # shared constructor made the counting workload 17-35% slower
+    # own __init__, not Value's: every scalar operation builds one, and the shared constructor
+    # made the seed-1 float_fallback specs 10-20% slower (CPU time, CPython 3.11, x86-64)
     def __init__(self, table, coeffs):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "coeffs", coeffs)
@@ -327,8 +323,8 @@ class ComplexExact(Value):
     re: ExactScalar
     im: ExactScalar
 
-    # own __init__, not Immutable's: the pair sweep builds these on every operation, and the
-    # shared constructor made the counting workload 17-35% slower
+    # own __init__, not Value's: every complex operation builds one, and the shared constructor
+    # made the seed-1 float_fallback specs 10-17% slower (CPU time, CPython 3.11, x86-64)
     def __init__(self, re, im):
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)

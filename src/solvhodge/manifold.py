@@ -327,6 +327,11 @@ def example1(a: Sequence[int], t_mode="symbolic") -> SolvManifoldSpec:
         raise ValueError("need at least one fiber exponent")
     if any(v == 0 for v in exponents):
         raise ValueError("fiber exponents must be nonzero")
+    for i, v in enumerate(exponents):
+        try:
+            float(Fraction(v, 2))  # the literal a spec file stores, read back as a float
+        except OverflowError:
+            raise ValueError(f"a[{i}] / 2 is past the float range") from None
     ratio = _parse_t_mode(t_mode)
     table = SymbolTable.base().with_symbol("lambda", _GOLDEN_LOG)
     if ratio is None:

@@ -69,12 +69,7 @@ class CharacterExponent(Value):
     a: tuple[ComplexExact, ...]
     b: tuple[ComplexExact, ...]
 
-    # own __init__, not Immutable's: the pair sweep builds these on every operation, and the
-    # shared constructor made the counting workload 17-35% slower
-    def __init__(self, table, a, b):
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def _check(self):
         if len(self.a) != len(self.b):
             raise ValueError("exponent vectors must have equal length")
         for entry in self.a + self.b:

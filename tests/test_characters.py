@@ -218,6 +218,9 @@ class TestExponentAt:
         assert outcomes == {"unrepresentable", "zero", "imaginary"}
 
 
+GATES = (is_trivial_on_lattice, is_trivial_on_lattice_float)
+
+
 class TestLatticeTriviality:
     def lattice(self, table, second_im):
         g1 = (ComplexExact.make(table, re=ExactScalar.symbol(table, "leps")),)
@@ -237,10 +240,17 @@ class TestLatticeTriviality:
         lattice = self.lattice(table, ExactScalar.pi_multiple(table, 1))
         assert is_trivial_on_lattice(unitary_y_char(table, -2), lattice)
 
-    def test_not_unitary_raises(self, table):
+    @pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.__name__)
+    def test_not_unitary_raises(self, table, gate):
         lattice = self.lattice(table, ExactScalar.symbol(table, "t"))
         with pytest.raises(NotUnitary):
-            is_trivial_on_lattice(real_char(table, 1), lattice)
+            gate(real_char(table, 1), lattice)
+
+    @pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.__name__)
+    def test_dimension_mismatch_raises(self, table, gate):
+        lattice = self.lattice(table, ExactScalar.symbol(table, "t"))
+        with pytest.raises(ValueError, match="dimension"):
+            gate(CharacterExponent.trivial(table, 2), lattice)
 
     def test_products_of_trivial_stay_trivial(self, table):
         lattice = self.lattice(table, ExactScalar.pi_multiple(table, 1))

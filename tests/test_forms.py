@@ -382,10 +382,9 @@ class TestHarmonicity:
 
 
 class Unwalkable(PairSweep):
-    """A sweep whose pairs cannot be walked: proves that a check never iterates them.
+    """A sweep whose pairs cannot be walked: proves that a check never iterates them."""
 
-    It declares no ``__slots__``, so the shared constructor reads PairSweep's fields.
-    """
+    __slots__ = ()
 
     def __iter__(self):
         raise RuntimeError("the pairs were walked")

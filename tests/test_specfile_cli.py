@@ -80,8 +80,14 @@ PAST_FLOAT_RANGE = [
      ["example1", "--a", "1", "--t-mode", f"rational_pi({BIG},1)"],
      "error: $: builder 'example1' rejected its parameters:"
      " t_mode rational_pi(r, s) is past the float range\n"),
+    # a spec file stores a / 2, which 10**309 takes past the float range
+    ({"builder": "example1", "a": [1, 10**309]},
+     ["example1", "--a", "1", str(10**309)],
+     "error: $: builder 'example1' rejected its parameters: a[1] / 2 is past the float range\n"),
 ]
-PAST_FLOAT_RANGE_IDS = ["example2_n1_overflow", "example2_n1_parallel_eigenvectors", "example1_t_mode"]
+PAST_FLOAT_RANGE_IDS = [
+    "example2_n1_overflow", "example2_n1_parallel_eigenvectors", "example1_t_mode", "example1_a",
+]
 
 
 class TestSpecFileRoundTrip:
@@ -293,6 +299,12 @@ class TestAnalyze:
         monkeypatch.setattr(cli, "sweep_trivial_pairs", refuse)
         with pytest.raises(sh.DimensionCapExceeded):
             analyze(sh.torus(4, 3), force_float=True)
+
+    def test_harmonic_rows_refuse_past_forms_cap(self):
+        # one row per basis monomial, 4^7 of them here
+        spec = sh.torus(3, 4)
+        with pytest.raises(sh.DimensionCapExceeded, match="exceeds the forms cap 6"):
+            harmonic_rows(spec, sweep_trivial_pairs(spec))
 
     @pytest.mark.parametrize(
         "spec", [sh.torus(3, 4), sh.example1([1, 2, 3], "symbolic")], ids=lambda s: s.name

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import solvhodge as sh
-from solvhodge.exact import ComplexExact, ExactScalar, SymbolTable, TableMismatch
+from solvhodge.exact import ComplexExact, ExactScalar, SymbolTable, TableMismatch, Value
 from solvhodge.forms import Generator, TwistedForm, dw, dz
 
 
@@ -83,6 +83,16 @@ VALUES = {
         lambda: TwistedForm.monomial(cplx(table(), -2), character(table()), (dw(1), dz(1))),
         lambda: TwistedForm.monomial(cplx(table(), 2), character(table()), (dz(1),)),
     ),
+    "PairSweep": (
+        lambda: sh.PairSweep((((), ()), ((1,), (1,))), True),
+        lambda: sh.PairSweep(pairs=(((), ()), ((1,), (1,))), certified=True),
+        lambda: sh.PairSweep((((), ()), ((1,), (1,))), False),
+    ),
+    "HodgeTable": (
+        lambda: sh.HodgeTable(((1, 1), (1, 1))),
+        lambda: sh.HodgeTable(h=((1, 1), (1, 1))),
+        lambda: sh.HodgeTable(((1, 0), (0, 1))),
+    ),
 }
 
 FIELDS = {
@@ -95,6 +105,8 @@ FIELDS = {
     "Generator": ("kind", "index"),
     "BasisElement": ("I", "J", "K", "L"),
     "TwistedForm": ("terms",),
+    "PairSweep": ("pairs", "certified"),
+    "HodgeTable": ("h",),
 }
 
 
@@ -220,11 +232,12 @@ def test_construction_checks_refuse(case):
         build()
 
 
-# The shared constructor of two value types whose construction checks run
+# The shared constructor of three value types whose construction checks run
 # once the fields are stored.
 SHARED = {
     "LatticeBasis": (sh.LatticeBasis, {"n": 1, "generators": lattice(t).generators}),
     "BasisElement": (sh.BasisElement, {"I": (1,), "J": (1, 2), "K": (), "L": (2,)}),
+    "CharacterExponent": (sh.CharacterExponent, {"table": t, "a": alpha.a, "b": alpha.b}),
 }
 
 
@@ -261,3 +274,27 @@ def test_shared_constructor_runs_the_checks_on_stored_fields():
         sh.BasisElement(I=(), J=(), K=(2, 1), L=())
     with pytest.raises(ValueError, match="binomial bound"):
         sh.HodgeTable(h=((1, 2), (0, 1)))
+
+
+def slotless(cls):
+    """A subclass of ``cls`` that adds no field, importable by name so that pickle finds it."""
+    sub = type(f"Slotless{cls.__name__}", (cls,), {"__slots__": (), "__module__": __name__})
+    globals()[sub.__name__] = sub
+    return sub
+
+
+# the types built by Value's constructor rather than one of their own
+SHARED_KINDS = sorted(kind for kind in VALUES if type(VALUES[kind][0]()).__init__ is Value.__init__)
+
+
+@pytest.mark.parametrize("kind", SHARED_KINDS)
+def test_subclass_without_slots_keeps_the_fields(kind):
+    make, _, other = VALUES[kind]
+    value = make()
+    sub = slotless(type(value))
+    fields = [getattr(value, name) for name in FIELDS[kind]]
+    first, second = sub(*fields), sub(**dict(zip(FIELDS[kind], fields)))
+    different = sub(*(getattr(other(), name) for name in FIELDS[kind]))
+    assert first == second and hash(first) == hash(second)
+    assert first != different and first != value
+    assert pickle.loads(pickle.dumps(first)) == first
