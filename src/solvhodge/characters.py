@@ -26,6 +26,14 @@ class NotUnitary(ValueError):
     """A lattice-triviality test was asked of a non-unitary character."""
 
 
+def _check_gate_input(chi: CharacterExponent, lattice: LatticeBasis) -> None:
+    """The contract of both gates: NotUnitary first, then ValueError for a dimension mismatch."""
+    if not chi.is_unitary:
+        raise NotUnitary("lattice triviality is only defined for unitary characters")
+    if chi.n != lattice.n:
+        raise ValueError("character and lattice dimensions differ")
+
+
 def is_trivial_on_lattice(chi: CharacterExponent, lattice: LatticeBasis) -> bool:
     """Exact test that a unitary character restricts to 1 on the lattice.
 
@@ -36,10 +44,7 @@ def is_trivial_on_lattice(chi: CharacterExponent, lattice: LatticeBasis) -> bool
     part alone raises SymbolProductUnrepresentable and sends the pair to the
     float test.  The fix, ROADMAP item 5, forms the imaginary part alone.
     """
-    if not chi.is_unitary:
-        raise NotUnitary("lattice triviality is only defined for unitary characters")
-    if chi.n != lattice.n:
-        raise ValueError("character and lattice dimensions differ")
+    _check_gate_input(chi, lattice)
     return all(chi.exponent_at(gen).im.is_multiple_of_2pi() for gen in lattice.generators)
 
 
@@ -49,8 +54,7 @@ def is_trivial_on_lattice_float(chi: CharacterExponent, lattice: LatticeBasis) -
     Not a certificate: accepts when exp(exponent) is 1 within tolerance at
     every generator.
     """
-    if not chi.is_unitary:
-        raise NotUnitary("lattice triviality is only defined for unitary characters")
+    _check_gate_input(chi, lattice)
     tol = FLOAT_TRIVIALITY_TOLERANCE
     for gen in lattice.generators:
         try:

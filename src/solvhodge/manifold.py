@@ -88,34 +88,6 @@ def real_matrix(lattice: LatticeBasis) -> tuple[tuple[float, ...], ...]:
     )
 
 
-def _eliminate(work: list[list]) -> Optional[int]:
-    """Forward elimination with partial pivoting on the first ``len(work)`` columns, in place.
-
-    Returns the sign of the row permutation, or None when a pivot column is zero.
-    """
-    size = len(work)
-    sign = 1
-    for col in range(size):
-        pivot_row = max(range(col, size), key=lambda r: abs(work[r][col]))
-        if work[pivot_row][col] == 0:
-            return None
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            sign = -sign
-        pivot = work[col]
-        for r in range(col + 1, size):
-            factor = work[r][col] / pivot[col]
-            work[r] = [x - factor * p for x, p in zip(work[r], pivot)]
-    return sign
-
-
-def _integer_determinant(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a small integer matrix (Gaussian elimination over Fractions)."""
-    work = [[Fraction(x) for x in row] for row in mat]
-    sign = _eliminate(work)
-    return 0 if sign is None else int(sign * math.prod(row[i] for i, row in enumerate(work)))
-
-
 def _fiber_coefficients(
     basis: Sequence[Sequence[float]], values: Sequence[complex]
 ) -> Optional[list[list[float]]]:
@@ -125,7 +97,9 @@ def _fiber_coefficients(
     of diag(values), so row k of D W mixes only rows k and m + k of W.  The
     solve is Gaussian elimination with partial pivoting; None means a pivot
     vanished or the solution is not finite (numerically singular basis).
-    OverflowError means D W itself is past the float range.
+    OverflowError means D W itself is past the float range.  Only C's
+    entries are read: its determinant is det D, which ``_unimodular_action``
+    decides from the values alone.
     """
     m = len(values)
     size = 2 * m
@@ -136,8 +110,15 @@ def _fiber_coefficients(
         work[m + k] += [v.imag * x + v.real * y for x, y in zip(top, bottom)]
     if not all(math.isfinite(x) for row in work for x in row):
         raise OverflowError("the action on the fiber basis is past the float range")
-    if _eliminate(work) is None:
-        return None
+    for col in range(size):
+        pivot_row = max(range(col, size), key=lambda r: abs(work[r][col]))
+        if work[pivot_row][col] == 0:
+            return None
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot = work[col]
+        for r in range(col + 1, size):
+            factor = work[r][col] / pivot[col]
+            work[r] = [x - factor * p for x, p in zip(work[r], pivot)]
     coeff: list[list[float]] = [[] for _ in range(size)]
     for r in range(size - 1, -1, -1):
         row = work[r]
@@ -155,8 +136,10 @@ def validate(spec: SolvManifoldSpec) -> dict:
 
     It holds ``lattice_rank_ok``, ``fiber_preserved`` (a ``FIBER_*`` value) and
     the ``details`` lines.  Failures are reported, never raised; all checks run
-    on float witnesses, and fiber preservation is ``undecided`` where they are
-    too coarse to tell whether the action's coefficients are integers.
+    on float witnesses.  A base generator preserves the fiber lattice when the
+    action's coefficients on the fiber basis are integers and det D =
+    prod |alpha_k(g)|^2 is 1; fiber preservation is ``undecided`` where the
+    witnesses are too coarse to tell whether the coefficients are integers.
     """
     details: list[str] = []
     rank_ok = True
@@ -177,10 +160,15 @@ def validate(spec: SolvManifoldSpec) -> dict:
 def _unimodular_action(values: Sequence[complex]) -> bool:
     """Whether det D = prod |v_k|^2 is 1, to ``INTEGRALITY_TOLERANCE`` on sum log |v_k|.
 
-    C = W^-1 D W has the determinant of D whatever the basis W, so this holds
-    for the true C even where the computed one is too inaccurate to round.
+    C = W^-1 D W has the determinant of D whatever the basis W, so this is the
+    one test of C's determinant, and it holds for the true C even where the
+    computed one is too inaccurate to round.  |v_k| is taken with
+    ``math.hypot``, which gives inf where abs() of a complex past the float
+    range raises.
     """
-    return all(values) and abs(math.fsum(math.log(abs(v)) for v in values)) <= INTEGRALITY_TOLERANCE
+    # the generator runs only after all(values) has ruled out log(0)
+    logs = (math.log(math.hypot(v.real, v.imag)) for v in values)
+    return all(values) and abs(math.fsum(logs)) <= INTEGRALITY_TOLERANCE
 
 
 def _check_fiber_preservation(
@@ -189,9 +177,9 @@ def _check_fiber_preservation(
     """Per base generator, recover the integer matrix C of the action on the fiber basis W.
 
     W has the fiber's witness ``rows`` as columns, and cond(W) is ``condition``.
-    C is computed to within about cond(W) * eps * max|C|; a generator whose
-    bound reaches 1/2 cannot be rounded, and is undecided unless the
-    determinant alone refutes it.
+    C is computed to within about cond(W) * eps * max|C|.  A generator whose
+    action has a determinant other than 1 is violated whatever the bound; one
+    whose bound reaches 1/2 cannot be rounded, and is undecided.
     """
     if spec.m == 0:
         details.append("fiber lattice empty; preservation holds vacuously")
@@ -223,13 +211,11 @@ def _check_fiber_preservation(
             )
             status = FIBER_VIOLATED
             continue
-        det = _integer_determinant(nearest)
-        if abs(det) != 1 and (bound < 0.5 or not _unimodular_action(values)):
-            from decimal import Decimal  # str(int) refuses past 4300 digits, str(Decimal) does not
-
+        if not _unimodular_action(values):
+            moduli = (math.hypot(v.real, v.imag) for v in values)
+            det = math.prod(r * r for r in moduli)  # r * r, not r ** 2: inf past the float range
             details.append(
-                f"base generator {gi}: integer matrix has determinant {capped(str(Decimal(det)))},"
-                " not a lattice automorphism"
+                f"base generator {gi}: the action has determinant {det:.3e}, not a lattice automorphism"
             )
             status = FIBER_VIOLATED
             continue
@@ -241,7 +227,7 @@ def _check_fiber_preservation(
                 status = FIBER_UNDECIDED
             continue
         details.append(
-            f"base generator {gi}: integer matrix recovered, residual {residual:.3e}, determinant {det}"
+            f"base generator {gi}: integer matrix recovered, residual {residual:.3e}, determinant 1"
         )
     return status
 

@@ -32,6 +32,16 @@ def corpus_specs() -> list[sh.SolvManifoldSpec]:
     ]
 
 
+def hyperbolic_family(N, sign):
+    """sign * A_N with A_N = [[N, 1], [N(3 - N) - 1, 3 - N]], of determinant 1 and trace 3.
+
+    The fiber basis of ``example2_n1(A_N)`` has condition number about 0.89 N^2
+    and the action's coefficients are of size about N^2, so the float solve
+    loses precision as N grows.
+    """
+    return [[sign * N, sign], [sign * (N * (3 - N) - 1), sign * (3 - N)]]
+
+
 def oversized_torus(n: int, m: int) -> sh.SolvManifoldSpec:
     """``torus(n, m)`` past the counting cap, built around the builder's own gate
     so that the gates of the pair sweep and of the commands can be reached."""

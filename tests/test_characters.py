@@ -248,9 +248,16 @@ class TestLatticeTriviality:
 
     @pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.__name__)
     def test_dimension_mismatch_raises(self, table, gate):
+        # both gates give the same message, before any witness is converted
         lattice = self.lattice(table, ExactScalar.symbol(table, "t"))
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="^character and lattice dimensions differ$"):
             gate(CharacterExponent.trivial(table, 2), lattice)
+
+    @pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.__name__)
+    def test_not_unitary_is_refused_before_a_dimension_mismatch(self, table, gate):
+        lattice = self.lattice(table, ExactScalar.symbol(table, "t"))
+        with pytest.raises(NotUnitary):
+            gate(real_char(table, 1, 2), lattice)
 
     def test_products_of_trivial_stay_trivial(self, table):
         lattice = self.lattice(table, ExactScalar.pi_multiple(table, 1))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from solvhodge.manifold import (
     validate,
 )
 from solvhodge.model import CharacterExponent, DimensionCapExceeded, LatticeBasis, SolvManifoldSpec
+from solvhodge.specfile import load_spec_dict, spec_to_dict
 
-from conftest import corpus_specs
+from conftest import corpus_specs, hyperbolic_family
 
 
 def exponent_data(chi):
@@ -235,10 +237,51 @@ class TestValidate:
         assert report["details"][0] == "base generator 1: the action on the fiber basis is past the float range"
         assert report["details"][1].startswith("base generator 2: integer matrix recovered")
 
+    def test_doubling_is_not_an_automorphism(self):
+        # z -> 2z maps Z[i] into itself, with index 4: integer coefficients, det D = 4
+        standard = [[{"re": {"one": "1"}}], [{"im": {"one": "1"}}]]
+        report = validate(load_spec_dict({
+            "name": "doubling", "n": 1, "m": 1,
+            "symbols": [{"name": "l2", "value": math.log(2)}],
+            "alphas": [{"real_exp": [{"l2": "1"}]}],
+            "lattice": standard, "lattice_fiber": standard,
+        }))
+        assert report["fiber_preserved"] == FIBER_VIOLATED
+        assert report["details"] == [
+            "base generator 1: the action has determinant 4.000e+00, not a lattice automorphism",
+            "base generator 2: integer matrix recovered, residual 0.000e+00, determinant 1",
+        ]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_determinant_decides_where_rounding_cannot(self, sign):
+        # at N = 10^4 the rounded C is noise, but det D = eps^2 * eps^-1 = eps = 2.618
+        data = spec_to_dict(example2_n1(hyperbolic_family(10**4, sign)))
+        quarter = [{"re": {"one": "-1/4"}, "im": {}}]
+        data["alphas"][1] = {"a": quarter, "b": quarter}  # e^{-x/2}
+        report = validate(load_spec_dict(data))
+        assert report["fiber_preserved"] == FIBER_VIOLATED
+        assert report["details"][0] == (
+            "base generator 1: the action has determinant 2.618e+00, not a lattice automorphism"
+        )
+
+    def test_modulus_past_the_float_range_is_violated(self):
+        # e^(710 + i pi/4) has finite parts but a modulus past the float range
+        standard = torus(1, 1)
+        table = standard.symbols
+        a = ComplexExact.make(table, re=355, im=ExactScalar.pi_multiple(table, Fraction(1, 8)))
+        report = validate(SolvManifoldSpec(
+            name="overflowing_modulus", n=1, m=1, alphas=(CharacterExponent(table, (a,), (a,)),),
+            lattice=standard.lattice, lattice_fiber=standard.lattice_fiber, symbols=table,
+        ))
+        assert report["fiber_preserved"] == FIBER_VIOLATED
+        assert report["details"][0] == (
+            "base generator 1: the action has determinant inf, not a lattice automorphism"
+        )
+
     @pytest.mark.parametrize("m", [1, 11])
     def test_huge_determinant_is_one_short_line(self, m):
-        # exp(700) makes a determinant of about 600 m digits: one detail line
-        # must not echo all of them, nor fail past the 4300 that str(int) prints
+        # exp(700) makes det D = exp(1400 m), past the float range: one short
+        # detail line reads it as inf, and nothing raises
         report = validate(scaled_fiber_spec(700, m))
         assert report["fiber_preserved"] == FIBER_VIOLATED
         assert "not a lattice automorphism" in report["details"][0]

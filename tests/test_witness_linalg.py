@@ -27,12 +27,13 @@ from solvhodge.manifold import (
     INTEGRALITY_TOLERANCE,
     RANK_TOLERANCE,
     _fiber_coefficients,
-    _integer_determinant,
     _smallest_and_condition,
     real_matrix,
 )
 from solvhodge.cli import analyze
 from solvhodge.specfile import load_spec_dict, spec_to_dict
+
+from conftest import hyperbolic_family
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PINNED = Path(__file__).resolve().parent / "pinned"
@@ -170,9 +171,9 @@ class TestFiberCoefficients:
                 nearest = np.rint(expected)
                 assert np.abs(expected - nearest).max() < 1e-12, A
                 assert np.abs(got - np.rint(got)).max() < 1e-12, A
-                det = round(np.linalg.det(nearest))
-                assert abs(det) == 1
-                assert detail.endswith(f"determinant {det}"), (A, detail)
+                # numpy's det of the rounded C cross-checks the det D = 1 that the detail names
+                assert abs(round(np.linalg.det(nearest))) == 1, A
+                assert detail.endswith("determinant 1"), (A, detail)
                 residual = float(detail.split("residual ")[1].split(",")[0])
                 assert residual < 1e-12 and residual <= INTEGRALITY_TOLERANCE
 
@@ -221,37 +222,6 @@ class TestFiberCoefficients:
         report = sh.validate(spec)
         assert report["fiber_preserved"] == FIBER_VIOLATED
         assert "base generator 1: fiber basis is numerically singular" in report["details"]
-
-
-class TestIntegerDeterminant:
-    # rank-deficient matrices, and zero leading entries that need a pivot swap
-    HARD = (
-        [[0, 1], [1, 0]],
-        [[0, 0], [0, 1]],
-        [[2, 4], [1, 2]],
-        [[0, 2, 1], [0, 1, 3], [4, 0, 0]],
-        [[0, 1, 2], [1, 0, 3], [1, 1, 5]],
-        [[1, 2, 3], [2, 4, 6], [0, 0, 7]],
-        [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
-    )
-
-    def test_matches_numpy(self):
-        gen = np.random.default_rng(5)
-        matrices = [np.array(m) for m in self.HARD]
-        matrices += [gen.integers(-9, 10, (size, size)) for size in range(2, 7) for _ in range(20)]
-        for matrix in matrices:
-            det = _integer_determinant(matrix.tolist())
-            assert type(det) is int and det == round(np.linalg.det(matrix)), matrix
-
-
-def hyperbolic_family(N, sign):
-    """sign * A_N with A_N = [[N, 1], [N(3 - N) - 1, 3 - N]], of determinant 1 and trace 3.
-
-    The fiber basis of ``example2_n1(A_N)`` has condition number about 0.89 N^2
-    and the action's coefficients are of size about N^2, so the float solve
-    loses precision as N grows.
-    """
-    return [[sign * N, sign], [sign * (N * (3 - N) - 1), sign * (3 - N)]]
 
 
 class TestIntegralityPrecision:
