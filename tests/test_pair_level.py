@@ -11,8 +11,6 @@ product that the condition check replaces by a comparison.
 """
 
 import ast
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -508,86 +506,3 @@ def test_no_dataclass_in_package():
         path.name for path in sorted(package.glob("*.py")) if "dataclass" in path.read_text()
     ]
     assert offenders == []
-
-
-def _fresh(body: str, *args: str) -> str:
-    """The stdout of ``body`` run in a fresh interpreter, so that modules the
-    test session loaded do not hide an import; ``sys.argv[2:]`` holds ``args``."""
-    src = str(Path(sh.__file__).parent.parent)
-    probe = "import sys; sys.path.insert(0, sys.argv[1])\n" + body
-    done = subprocess.run(
-        [sys.executable, "-c", probe, src, *args], capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
-_PRINT_PACKAGE_MODULES = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'solvhodge')))"
-
-
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    added = _fresh(
-        "before = set(sys.modules); import solvhodge.cli; print(' '.join(sorted(set(sys.modules) - before)))"
-    ).split()
-    assert "solvhodge.cli" in added
-    assert "dataclasses" not in added and "inspect" not in added
-
-
-def test_package_import_loads_no_submodule():
-    assert _fresh("import solvhodge\n" + _PRINT_PACKAGE_MODULES).split() == ["solvhodge"]
-
-
-def _modules_after_loading(path) -> list[str]:
-    body = "from solvhodge.specfile import load_spec\nload_spec(sys.argv[2])\n" + _PRINT_PACKAGE_MODULES
-    return _fresh(body, str(path)).split()
-
-
-def test_explicit_spec_loading_loads_three_submodules(tmp_path):
-    explicit = tmp_path / "explicit.json"
-    sh.save_spec(sh.example2_n1([[2, 1], [1, 1]]), explicit)
-    loaded = _modules_after_loading(explicit)
-    assert loaded == [f"solvhodge{suffix}" for suffix in ("", ".exact", ".model", ".specfile")]
-
-
-def test_builder_node_loading_adds_manifold(tmp_path):
-    node = tmp_path / "node.json"
-    node.write_text('{"builder": "example1", "a": [1, 2], "t_mode": "rational_pi(1,2)"}')
-    manifold_imports = _fresh("import solvhodge.manifold\n" + _PRINT_PACKAGE_MODULES).split()
-    assert manifold_imports == [f"solvhodge{suffix}" for suffix in ("", ".exact", ".manifold", ".model")]
-    assert _modules_after_loading(node) == sorted(manifold_imports + ["solvhodge.specfile"])
-    # the witness numerics of validate live beside it, not with the lattice gate
-    body = "from solvhodge.manifold import torus, validate\nvalidate(torus(1, 1))\n"
-    assert _fresh(body + _PRINT_PACKAGE_MODULES).split() == manifold_imports
-
-
-def test_cli_import_loads_every_module_but_forms():
-    loaded = _fresh("import solvhodge.cli\n" + _PRINT_PACKAGE_MODULES).split()
-    modules = ("characters", "cli", "cohomology", "exact", "kahler", "manifold", "model", "report", "specfile")
-    assert loaded == ["solvhodge"] + [f"solvhodge.{name}" for name in modules]
-
-
-def test_lazy_namespace_resolves_each_public_name_to_its_submodule():
-    body = """
-import importlib, sys, solvhodge
-names = solvhodge.__all__
-assert len(names) == len(set(names)) == 31, names
-for name in names:
-    value = getattr(solvhodge, name)
-    owner = importlib.import_module(value.__module__)
-    assert name in owner.__all__ and getattr(owner, name) is value, name
-star = {}
-exec("from solvhodge import *", star)
-assert set(star) - {"__builtins__"} == set(names)
-assert all(star[name] is getattr(solvhodge, name) for name in names)
-# the reference algebra stays out of the namespace until something imports it
-assert "solvhodge.forms" not in sys.modules
-removed = ("ValidationReport", "KaehlerVerdict")
-for name in ("no_such_name", "report", "forms", "_BUILDERS", "check_caps", *removed):
-    try:
-        getattr(solvhodge, name)
-    except AttributeError as exc:
-        assert name in str(exc)
-    else:
-        raise AssertionError(name)
-"""
-    _fresh(body)

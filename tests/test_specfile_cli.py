@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -767,17 +764,6 @@ class TestCli:
     def test_version(self, capsys):
         assert self.run("version") == EXIT_OK
         assert capsys.readouterr().out.strip() == f"solvhodge {sh.__version__}"
-
-    def test_version_as_module(self):
-        src = str(Path(sh.__file__).parent.parent)
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = {**os.environ, "PYTHONPATH": path}
-        done = subprocess.run(
-            [sys.executable, "-m", "solvhodge.cli", "version"],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
-        assert done.returncode == EXIT_OK
-        assert done.stdout == f"solvhodge {sh.__version__}\n"
 
     def test_version_json(self, capsys):
         assert self.run("version", "--format", "json") == EXIT_OK

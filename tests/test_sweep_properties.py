@@ -1,9 +1,9 @@
 """Seeded properties of the pair sweep that faster sweeps and cost caps rely on.
 
-The sweep matches a literal 4^m oracle, which multiplies each pair's
-character out of the fibers' own characters with no subset table, on the
-specs below and on symbolic-scale specs that escape the exact gate, and
-on example1 with m <= 4, exact and forced-float.
+The sweep matches ``reference.sweep``, a literal 4^m walk that shares no
+code with the package, on the specs below, on symbolic-scale specs that
+escape the exact gate, on example1 with m <= 4, exact and forced-float,
+and on explicit spec dicts written without the package's model.
 
 On random specs with m <= 3 — random characters over the standard
 Gaussian lattice of C^n for n = 1 and n = 2, example1 under symbolic t
@@ -16,15 +16,15 @@ matrices:
   sweep.
 """
 
+import ast
 import random
-from itertools import combinations, product
+from pathlib import Path
 
 import solvhodge as sh
-from solvhodge.characters import is_trivial_on_lattice, is_trivial_on_lattice_float
 from solvhodge.cohomology import PairSweep, sweep_trivial_pairs, wedge_closure_report
-from solvhodge.exact import SymbolProductUnrepresentable
-from solvhodge.specfile import load_spec_dict
+from solvhodge.specfile import load_spec_dict, spec_to_dict
 
+import reference
 from conftest import HYPERBOLIC, load_perfbench, random_character, scaled_draws
 
 corpus = load_perfbench("corpus")
@@ -114,35 +114,6 @@ def test_certified_sweeps_are_union_closed_and_float_agrees():
     assert admitting_planes >= 4
 
 
-def literal_sweep(spec: sh.SolvManifoldSpec, force_float: bool = False) -> tuple[list, bool]:
-    """Sorted admitted pairs and the certified flag, one pair at a time over all 4^m.
-
-    Each pair's character A_J Abar_L is multiplied out of the fibers' own
-    characters, and its unitary part goes through the exact gate, falling
-    back to the float witnesses when forced or when the exact layer refuses.
-    """
-    subsets = [S for size in range(spec.m + 1) for S in combinations(range(1, spec.m + 1), size)]
-    bars = [alpha.conjugate() for alpha in spec.alphas]
-    pairs, certified = [], True
-    for J, L in product(subsets, subsets):
-        chi = sh.CharacterExponent.trivial(spec.symbols, spec.n)
-        for j in J:
-            chi = chi * spec.alphas[j - 1]
-        for l in L:
-            chi = chi * bars[l - 1]
-        chi = chi.unit()
-        if force_float:
-            certified, accept = False, is_trivial_on_lattice_float(chi, spec.lattice)
-        else:
-            try:
-                accept = is_trivial_on_lattice(chi, spec.lattice)
-            except SymbolProductUnrepresentable:
-                certified, accept = False, is_trivial_on_lattice_float(chi, spec.lattice)
-        if accept:
-            pairs.append((J, L))
-    return sorted(pairs), certified
-
-
 def example1_specs(rng: random.Random) -> list[sh.SolvManifoldSpec]:
     """Six example1 specs, four with m = 2 and two with m = 4, under t = (r/s) pi and symbolic t in turn."""
     specs = []
@@ -153,12 +124,12 @@ def example1_specs(rng: random.Random) -> list[sh.SolvManifoldSpec]:
     return specs
 
 
-def escaping_specs() -> list[sh.SolvManifoldSpec]:
-    """The first six symbolic-scale specs of the float-regime cases in ``test_perfbench_contract``,
+def escaping_dicts() -> list[dict]:
+    """The first six symbolic-scale spec dicts of the float-regime cases in ``test_perfbench_contract``,
     three with m = 2 and three with m = 4: every non-trivial pair escapes the exact gate."""
     draws = scaled_draws(corpus, random.Random("float regime"))[:6]
     return [
-        load_spec_dict(corpus._scaled_spec(f"scaled_{i}", a, s_witness, t_witness))
+        corpus._scaled_spec(f"scaled_{i}", a, s_witness, t_witness)
         for i, (a, s_witness, t_witness) in enumerate(draws)
     ]
 
@@ -167,17 +138,60 @@ def test_sweep_matches_the_literal_oracle():
     rng = random.Random(SEED)
     randoms = random_specs(rng)  # the same specs as the test above
     examples = example1_specs(rng)
-    scaled = escaping_specs()
+    scaled = escaping_dicts()
     # the random specs and the escaping ones exact, example1 exact and forced-float
-    cases = [(spec, False) for spec in randoms + examples + scaled]
-    cases += [(spec, True) for spec in examples]
+    cases = [(spec, spec_to_dict(spec), False) for spec in randoms + examples]
+    cases += [(load_spec_dict(data), data, False) for data in scaled]
+    cases += [(spec, spec_to_dict(spec), True) for spec in examples]
     wider = escaped = 0
-    for spec, force_float in cases:
+    for spec, data, force_float in cases:
         sweep = sweep_trivial_pairs(spec, force_float)
-        assert (list(sweep.pairs), sweep.certified) == literal_sweep(spec, force_float), (spec.name, force_float)
+        assert (list(sweep.pairs), sweep.certified) == reference.sweep(data, force_float), (spec.name, force_float)
         wider += len(sweep) > 1
         escaped += not (force_float or sweep.certified)
     # the cases reach m = 4, every scaled spec escapes unforced, and most admit more than ((), ())
-    assert max(spec.m for spec, _ in cases) == 4
+    assert max(spec.m for spec, _, _ in cases) == 4
     assert escaped == len(scaled)
     assert wider >= len(cases) * 3 // 4
+
+
+def random_scalar(rng: random.Random) -> dict:
+    """A scalar literal: zero, a multiple of pi/2, a small rational or the symbol s."""
+    return rng.choice([{}, {"pi": str(rng.randint(-2, 2))}, {"pi": f"{rng.randint(-3, 3)}/2"},
+                       {"one": f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}"}, {"s": "1"}])
+
+
+def random_dicts(rng: random.Random, count: int) -> list[dict]:
+    """Explicit spec dicts written directly, n and m up to 2 and 3, over Z[i]^n or a lattice scaled by s."""
+    specs = []
+    for index in range(count):
+        n, m = rng.randint(1, 2), rng.randint(1, 3)
+        scale = rng.choice(["one", "one", "s"])
+        lattice = [
+            [{part: {scale: "1"}} if k == j else {} for k in range(n)] for part in ("re", "im") for j in range(n)
+        ]
+        alphas = [
+            {"real_exp": [random_scalar(rng) for _ in range(n)]} if rng.random() < 0.2
+            else {key: [{"re": random_scalar(rng), "im": random_scalar(rng)} for _ in range(n)] for key in "ab"}
+            for _ in range(m)
+        ]
+        specs.append({"name": f"explicit_{index}", "n": n, "m": m, "symbols": [{"name": "s", "value": 1.25}],
+                      "alphas": alphas, "lattice": lattice})
+    return specs
+
+
+def test_sweep_matches_the_reference_on_explicit_dicts():
+    wider = escaped = 0
+    for data in random_dicts(random.Random(SEED), 24):
+        sweep = sweep_trivial_pairs(load_spec_dict(data))
+        assert (list(sweep.pairs), sweep.certified) == reference.sweep(data), data["name"]
+        wider += len(sweep) > 1
+        escaped += not sweep.certified
+    assert wider >= 6 and escaped >= 3, (wider, escaped)
+
+
+def test_reference_imports_only_the_standard_library():
+    tree = ast.parse(Path(reference.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported == {"cmath", "fractions", "itertools", "math"}

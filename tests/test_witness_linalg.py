@@ -139,7 +139,7 @@ class TestSmallestSingularValue:
     @pytest.mark.xfail(
         strict=True,
         reason="RANK_TOLERANCE is absolute, so the full-rank lattice 1e-10 * Z[i] reads as rank"
-        " deficient; ROADMAP item 11's threshold from the Jacobi run's own error scale mends it,"
+        " deficient; ROADMAP item 17's computed error bound with its exact fallback mends it,"
         " and this marker goes when it lands",
     )
     def test_a_small_full_rank_lattice_passes(self):
