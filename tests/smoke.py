@@ -44,6 +44,7 @@ so that a row reads the files earlier rows wrote. Why each group exists:
 """
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -141,21 +142,33 @@ def fiber(verdict):
     return report(lambda r: r["validation"]["fiber_preserved"] == verdict)
 
 
-ROWS = [
-    probe("import solvhodge\n" + LOADED, check=loads()),
-    probe("import solvhodge.cli\n" + LOADED, check=loads(*CLI_MODULES, absent=("dataclasses", "inspect"))),
-    probe(LAZY_NAMESPACE, check=loads(*STAR_MODULES)),
+# Named groups, which Tier-1 tests also run on their own; each is self-contained.
+PACKAGE_IMPORT = [probe("import solvhodge\n" + LOADED, check=loads())]
+CLI_IMPORT = [probe("import solvhodge.cli\n" + LOADED, check=loads(*CLI_MODULES, absent=("dataclasses", "inspect")))]
+STAR_IMPORT = [probe(LAZY_NAMESPACE, check=loads(*STAR_MODULES))]
+BUILDER_NODE_LOAD = [
     probe("import solvhodge.manifold\n" + LOADED, check=loads(*MANIFOLD_MODULES)),
     probe("from solvhodge.manifold import torus, validate\nvalidate(torus(1, 1))\n" + LOADED,
         check=loads(*MANIFOLD_MODULES)),
     probe(LOAD_SPEC, "node.json",
         files={"node.json": {"builder": "example1", "a": [1, 2], "t_mode": "rational_pi(1,2)"}},
         check=loads(*MANIFOLD_MODULES, "specfile")),
+]
+EXPLICIT_SPEC_LOAD = [
     row("solvhodge", "emit-example", "example1", "--a", "1", "2", "--out", "ex.json"),
     probe(LOAD_SPEC, "ex.json", check=loads("exact", "model", "specfile")),
+]
+VERSION_TEXT = [row("solvhodge", "version", check=lambda done, here: done.stdout == f"solvhodge {VERSION}\n")]
+
+ROWS = [
+    *PACKAGE_IMPORT,
+    *CLI_IMPORT,
+    *STAR_IMPORT,
+    *BUILDER_NODE_LOAD,
+    *EXPLICIT_SPEC_LOAD,
     row("solvhodge", "analyze", "ex.json"),
     row("solvhodge", "check-harmonic", "ex.json"),
-    row("solvhodge", "version", check=lambda done, here: done.stdout == f"solvhodge {VERSION}\n"),
+    *VERSION_TEXT,
     row("solvhodge", "version", "--format", "json",
         check=report(lambda r: r == {"schema_version": SCHEMA_VERSION, "name": "solvhodge", "version": VERSION})),
     row("solvhodge", "analyze", "ex.json", "--format", "json",
@@ -193,17 +206,17 @@ ROWS = [
 ]
 
 
-def run(python, cli):
-    """Run every row; print each failure and return how many failed."""
+def run(python, cli, rows=ROWS, env=None):
+    """Run ``rows`` in order; print each failure and return how many failed."""
     commands = {"python": shlex.split(python), "solvhodge": shlex.split(cli)}
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         here = Path(tmp)
-        for argv, files, code, check in ROWS:
+        for argv, files, code, check in rows:
             for name, value in files.items():
                 (here / name).write_text(json.dumps(value))
             done = subprocess.run(
-                commands[argv[0]] + list(argv[1:]), cwd=here, capture_output=True, text=True, timeout=120
+                commands[argv[0]] + list(argv[1:]), cwd=here, capture_output=True, text=True, timeout=120, env=env
             )
             try:
                 ok = done.returncode == code and check(done, here)
@@ -214,8 +227,15 @@ def run(python, cli):
                 failed += 1
                 print(f"FAIL {shlex.join(argv)}: exit {done.returncode}, expected {code}")
                 print(f"stdout: {done.stdout[-2000:]}\nstderr: {done.stderr[-2000:]}")
-    print(f"{len(ROWS) - failed} of {len(ROWS)} rows passed")
+    print(f"{len(rows) - failed} of {len(rows)} rows passed")
     return failed
+
+
+def run_from_source(rows=ROWS):
+    """Run ``rows`` on this checkout's ``src`` with ``python -S``, as ``tests/test_smoke.py`` runs the script."""
+    python = shlex.join([sys.executable, "-S"])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    return run(python, python + " -m solvhodge.cli", rows, env)
 
 
 if __name__ == "__main__":

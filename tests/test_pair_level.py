@@ -37,6 +37,7 @@ from solvhodge.cohomology import (
 from solvhodge.forms import basis_form, is_d_harmonic, is_dbar_coclosed, is_dbar_harmonic
 
 from conftest import basis_elements, corpus_specs, forms_corpus_specs, swapped
+import smoke
 
 FLAG_NAMES = ("co_closed", "d_harmonic")
 
@@ -506,3 +507,29 @@ def test_no_dataclass_in_package():
         path.name for path in sorted(package.glob("*.py")) if "dataclass" in path.read_text()
     ]
     assert offenders == []
+
+
+# The import contract, each rule run as its rows of smoke.py in fresh interpreters,
+# so that modules this session loaded do not hide an import.
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    assert smoke.run_from_source(smoke.CLI_IMPORT) == 0
+
+
+def test_package_import_loads_no_submodule():
+    assert smoke.run_from_source(smoke.PACKAGE_IMPORT) == 0
+
+
+def test_explicit_spec_loading_loads_three_submodules():
+    assert smoke.run_from_source(smoke.EXPLICIT_SPEC_LOAD) == 0
+
+
+def test_builder_node_loading_adds_manifold():
+    assert smoke.run_from_source(smoke.BUILDER_NODE_LOAD) == 0
+
+
+def test_cli_import_loads_every_module_but_forms():
+    assert smoke.run_from_source(smoke.CLI_IMPORT) == 0
+
+
+def test_lazy_namespace_resolves_each_public_name_to_its_submodule():
+    assert smoke.run_from_source(smoke.STAR_IMPORT) == 0

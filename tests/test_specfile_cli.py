@@ -27,6 +27,7 @@ from solvhodge.report import (
 from solvhodge.specfile import SpecFileError, load_spec, load_spec_dict, save_spec, spec_to_dict
 
 from conftest import corpus_specs, oversized_torus
+import smoke
 
 
 def report_canon(report):
@@ -764,6 +765,10 @@ class TestCli:
     def test_version(self, capsys):
         assert self.run("version") == EXIT_OK
         assert capsys.readouterr().out.strip() == f"solvhodge {sh.__version__}"
+
+    def test_version_as_module(self):
+        assert smoke.VERSION == sh.__version__
+        assert smoke.run_from_source(smoke.VERSION_TEXT) == 0
 
     def test_version_json(self, capsys):
         assert self.run("version", "--format", "json") == EXIT_OK
