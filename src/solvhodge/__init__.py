@@ -35,7 +35,6 @@ __all__ = [
     "SpecFileError",
     "SymbolProductUnrepresentable",
     "SymbolTable",
-    "TableMismatch",
     "betti_numbers",
     "check_condition",
     "conjugation_symmetry",

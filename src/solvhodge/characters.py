@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 
+from .exact import SymbolTable
 from .model import CharacterExponent, LatticeBasis
 
 __all__ = [
@@ -48,17 +49,17 @@ def is_trivial_on_lattice(chi: CharacterExponent, lattice: LatticeBasis) -> bool
     return all(chi.exponent_at(gen).im.is_multiple_of_2pi() for gen in lattice.generators)
 
 
-def is_trivial_on_lattice_float(chi: CharacterExponent, lattice: LatticeBasis) -> bool:
+def is_trivial_on_lattice_float(chi: CharacterExponent, lattice: LatticeBasis, symbols: SymbolTable) -> bool:
     """Witness-based fallback for lattice data outside the exact layer.
 
-    Not a certificate: accepts when exp(exponent) is 1 within tolerance at
-    every generator.
+    Not a certificate: accepts when exp(exponent), evaluated on the
+    witnesses of ``symbols``, is 1 within tolerance at every generator.
     """
     _check_gate_input(chi, lattice)
     tol = FLOAT_TRIVIALITY_TOLERANCE
     for gen in lattice.generators:
         try:
-            w = chi.exponent_at_point([c.complex_value() for c in gen])
+            w = chi.exponent_at_point([c.complex_value(symbols) for c in gen], symbols)
         except OverflowError:  # an exact coefficient past the float range
             return False
         # an overflowed exponent decides nothing, and a NaN would pass the other two tests

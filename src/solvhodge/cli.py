@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_MALFORMED = 2
 EXIT_TOO_LARGE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader went away
 
 
 def analyze(
@@ -189,6 +191,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             code = _cmd_check_harmonic(args)
         else:
             code = _cmd_version(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader stopped reading, which is no input error: print nothing, and point stdout
+        # at devnull so that the flush at exit cannot fail again (Python's signal docs, SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
     except (SpecFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_MALFORMED

@@ -138,7 +138,7 @@ def _subset_product_tables(
     homomorphisms, so these are the parts of A_S and Abar_S.
     """
     subsets = _subsets(spec.m)
-    trivial = CharacterExponent.trivial(spec.symbols, spec.n)
+    trivial = CharacterExponent.trivial(spec.n)
     factors = spec.alphas
     bars = tuple(alpha.conjugate() for alpha in factors)
     if part is not None:
@@ -162,13 +162,13 @@ def sweep_trivial_pairs(spec: SolvManifoldSpec, force_float: bool = False) -> Pa
         chi = units[J] * bar_units[L]
         if force_float:
             certified = False
-            accept = is_trivial_on_lattice_float(chi, spec.lattice)
+            accept = is_trivial_on_lattice_float(chi, spec.lattice, spec.symbols)
         else:
             try:
                 accept = is_trivial_on_lattice(chi, spec.lattice)
             except SymbolProductUnrepresentable:
                 certified = False
-                accept = is_trivial_on_lattice_float(chi, spec.lattice)
+                accept = is_trivial_on_lattice_float(chi, spec.lattice, spec.symbols)
         if accept:
             pairs.append((J, L))
     pairs.sort()
@@ -268,7 +268,7 @@ def _support(vector: tuple[ComplexExact, ...]) -> int:
 
 
 def _coclosed_vector(spec: SolvManifoldSpec) -> tuple[ComplexExact, ...]:
-    total = CharacterExponent.trivial(spec.symbols, spec.n)
+    total = CharacterExponent.trivial(spec.n)
     for alpha in spec.alphas:
         total = total * alpha * alpha.conjugate()
     return total.b

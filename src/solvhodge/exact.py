@@ -3,17 +3,22 @@
 Every certified verdict in this package reduces to a linear statement about
 a handful of real constants: 1, pi, and whatever parameters a manifold
 declares (the logarithm of an algebraic unit, a free lattice parameter t,
-and so on).  A scalar is therefore stored as a rational coefficient vector
-over a finite table of named constants, and equality, vanishing and
-membership in 2*pi*Z are decided coefficient-wise.  This is sound exactly
-when the declared constants are linearly independent over Q, which is the
-assumption a caller makes when declaring a symbol.
+and so on).  A scalar is therefore stored as its rational coefficients over
+named constants, and equality, vanishing and membership in 2*pi*Z are
+decided coefficient-wise.  This is sound exactly when the declared
+constants are linearly independent over Q, which is the assumption a
+caller makes when declaring a symbol.
+
+A scalar does not hold the constants' declarations: the spec's
+:class:`SymbolTable` does, once for all its numbers, and
+``SolvManifoldSpec`` refuses a number that names a constant its table does
+not declare.  The few float evaluations take that table as an argument.
 
 Products of two non-rational constants are deliberately unrepresentable:
 the model is a Q-vector space, not a ring.  Callers catch
 :class:`SymbolProductUnrepresentable` and fall back to the float witnesses
-that every symbol carries; witnesses feed advisory numeric checks only,
-never certified verdicts.
+that the table gives every symbol; witnesses feed advisory numeric checks
+only, never certified verdicts.
 """
 
 from __future__ import annotations
@@ -29,13 +34,8 @@ __all__ = [
     "ExactScalar",
     "SymbolProductUnrepresentable",
     "SymbolTable",
-    "TableMismatch",
     "parse_rational",
 ]
-
-
-class TableMismatch(ValueError):
-    """Operands were declared over different symbol tables."""
 
 
 class SymbolProductUnrepresentable(ArithmeticError):
@@ -92,8 +92,6 @@ class Value:
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
-        if other is self:  # scalars of one spec share a SymbolTable, compared on every + and *
-            return True
         if other.__class__ is self.__class__:
             return self._fields(self) == other._fields(other)
         return NotImplemented
@@ -184,25 +182,21 @@ class SymbolTable(Value):
 
 
 class ExactScalar(Value):
-    """A rational linear combination of the table's constants.
+    """A rational linear combination of named constants.
 
     Zero coefficients are never stored, so equality of the coefficient
     tuples is equality of scalars.
     """
 
-    __slots__ = ("table", "coeffs")
-    table: SymbolTable
+    __slots__ = ("coeffs",)
     coeffs: tuple[tuple[str, Fraction], ...]
 
     # own __init__, not Value's: every scalar operation builds one, and the shared constructor
     # made the seed-1 float_fallback specs 10-20% slower (CPU time, CPython 3.11, x86-64)
-    def __init__(self, table, coeffs):
-        object.__setattr__(self, "table", table)
+    def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", coeffs)
         previous = None
         for name, coeff in self.coeffs:
-            if name not in self.table:
-                raise ValueError(f"undeclared symbol {name!r}")
             if not isinstance(coeff, Fraction) or coeff == 0:
                 raise ValueError("coefficients must be nonzero Fractions")
             if previous is not None and name <= previous:
@@ -210,26 +204,26 @@ class ExactScalar(Value):
             previous = name
 
     @classmethod
-    def make(cls, table: SymbolTable, coeffs: Mapping[str, Fraction | int | str]) -> "ExactScalar":
+    def make(cls, coeffs: Mapping[str, Fraction | int | str]) -> "ExactScalar":
         cleaned = {name: _as_fraction(c) for name, c in coeffs.items()}
         items = tuple(sorted((n, c) for n, c in cleaned.items() if c != 0))
-        return cls(table, items)
+        return cls(items)
 
     @classmethod
-    def zero(cls, table: SymbolTable) -> "ExactScalar":
-        return cls(table, ())
+    def zero(cls) -> "ExactScalar":
+        return cls(())
 
     @classmethod
-    def rational(cls, table: SymbolTable, value) -> "ExactScalar":
-        return cls.make(table, {"one": _as_fraction(value)})
+    def rational(cls, value) -> "ExactScalar":
+        return cls.make({"one": _as_fraction(value)})
 
     @classmethod
-    def symbol(cls, table: SymbolTable, name: str, coeff=1) -> "ExactScalar":
-        return cls.make(table, {name: _as_fraction(coeff)})
+    def symbol(cls, name: str, coeff=1) -> "ExactScalar":
+        return cls.make({name: _as_fraction(coeff)})
 
     @classmethod
-    def pi_multiple(cls, table: SymbolTable, coeff) -> "ExactScalar":
-        return cls.make(table, {"pi": _as_fraction(coeff)})
+    def pi_multiple(cls, coeff) -> "ExactScalar":
+        return cls.make({"pi": _as_fraction(coeff)})
 
     def to_literal(self) -> dict[str, str]:
         return {name: str(coeff) for name, coeff in self.coeffs}
@@ -249,38 +243,32 @@ class ExactScalar(Value):
         """True when the scalar is a rational multiple of "one" (including 0)."""
         return all(name == "one" for name, _ in self.coeffs)
 
-    def _check_table(self, other: "ExactScalar"):
-        if self.table != other.table:
-            raise TableMismatch("scalars declared over different symbol tables")
-
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        self._check_table(other)
         merged = dict(self.coeffs)
         for name, coeff in other.coeffs:
             merged[name] = merged.get(name, Fraction(0)) + coeff
-        return ExactScalar.make(self.table, merged)
+        return ExactScalar.make(merged)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         return self + (-other)
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(self.table, tuple((n, -c) for n, c in self.coeffs))
+        return ExactScalar(tuple((n, -c) for n, c in self.coeffs))
 
     def scaled(self, factor) -> "ExactScalar":
         """Multiply by a rational number."""
         q = _as_fraction(factor)
         if q == 0:
-            return ExactScalar.zero(self.table)
-        return ExactScalar(self.table, tuple((n, c * q) for n, c in self.coeffs))
+            return ExactScalar.zero()
+        return ExactScalar(tuple((n, c * q) for n, c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        self._check_table(other)
         if self.is_rational:
             return other.scaled(self.coefficient("one"))
         if other.is_rational:
@@ -304,8 +292,9 @@ class ExactScalar(Value):
                 return False
         return True
 
-    def float_value(self) -> float:
-        return sum(float(c) * self.table.witness(n) for n, c in self.coeffs)
+    def float_value(self, table: SymbolTable) -> float:
+        """The value on ``table``'s witnesses, which must declare every symbol named."""
+        return sum(float(c) * table.witness(n) for n, c in self.coeffs)
 
     def __repr__(self):
         if self.is_zero:
@@ -328,34 +317,24 @@ class ComplexExact(Value):
     def __init__(self, re, im):
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
-        if self.re.table != self.im.table:
-            raise TableMismatch("real and imaginary parts use different tables")
 
     @classmethod
-    def make(cls, table: SymbolTable, re=0, im=0) -> "ComplexExact":
+    def make(cls, re=0, im=0) -> "ComplexExact":
         def scalar(v):
-            if isinstance(v, ExactScalar):
-                if v.table != table:
-                    raise TableMismatch("scalar declared over a different table")
-                return v
-            return ExactScalar.rational(table, v)
+            return v if isinstance(v, ExactScalar) else ExactScalar.rational(v)
 
         return cls(scalar(re), scalar(im))
 
     @classmethod
-    def zero(cls, table: SymbolTable) -> "ComplexExact":
-        return cls.make(table)
+    def zero(cls) -> "ComplexExact":
+        return cls.make()
 
     @classmethod
-    def one(cls, table: SymbolTable) -> "ComplexExact":
-        return cls.make(table, re=1)
+    def one(cls) -> "ComplexExact":
+        return cls.make(re=1)
 
     def to_literal(self) -> dict:
         return {"re": self.re.to_literal(), "im": self.im.to_literal()}
-
-    @property
-    def table(self) -> SymbolTable:
-        return self.re.table
 
     @property
     def is_zero(self) -> bool:
@@ -386,8 +365,8 @@ class ComplexExact(Value):
 
     __rmul__ = __mul__
 
-    def complex_value(self) -> complex:
-        return complex(self.re.float_value(), self.im.float_value())
+    def complex_value(self, table: SymbolTable) -> complex:
+        return complex(self.re.float_value(table), self.im.float_value(table))
 
     def sort_key(self):
         return (self.re.coeffs, self.im.coeffs)

@@ -326,8 +326,7 @@ def volume_form(spec: SolvManifoldSpec) -> FrameForm:
     for slot in range(1, dim + 1):
         word.append(_slot_generator(slot, spec.n, True))
         word.append(_slot_generator(slot, spec.n, False))
-    one = ComplexExact.one(spec.symbols)
-    return FrameForm.monomial(one, CharacterExponent.trivial(spec.symbols, spec.n), word)
+    return FrameForm.monomial(ComplexExact.one(), CharacterExponent.trivial(spec.n), word)
 
 
 def bar_star(form: FrameForm, spec: SolvManifoldSpec) -> FrameForm:
@@ -364,7 +363,7 @@ def bar_star(form: FrameForm, spec: SolvManifoldSpec) -> FrameForm:
 
 
 def _basis_character(spec: SolvManifoldSpec, J: MultiIndex, L: MultiIndex) -> CharacterExponent:
-    char = CharacterExponent.trivial(spec.symbols, spec.n)
+    char = CharacterExponent.trivial(spec.n)
     for j in J:
         char = char * spec.alphas[j - 1].hol().inverse()
     for l in L:
@@ -398,7 +397,7 @@ def basis_form(
         + tuple(dzbar(k) for k in element.K)
         + tuple(dwbar(l) for l in element.L)
     )
-    return TwistedForm.monomial(ComplexExact.one(spec.symbols), char, word)
+    return TwistedForm.monomial(ComplexExact.one(), char, word)
 
 
 def is_dbar_coclosed(form: TwistedForm, spec: SolvManifoldSpec) -> bool:

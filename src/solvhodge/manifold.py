@@ -80,10 +80,10 @@ def _smallest_and_condition(rows: Sequence[Sequence[float]]) -> tuple[float, flo
         return math.inf, condition
 
 
-def real_matrix(lattice: LatticeBasis) -> tuple[tuple[float, ...], ...]:
-    """Witness matrix, one row per generator: (Re g_1..Re g_n, Im g_1..Im g_n)."""
+def real_matrix(lattice: LatticeBasis, table: SymbolTable) -> tuple[tuple[float, ...], ...]:
+    """Witness matrix on ``table``, one row per generator: (Re g_1..Re g_n, Im g_1..Im g_n)."""
     return tuple(
-        tuple(c.re.float_value() for c in gen) + tuple(c.im.float_value() for c in gen)
+        tuple(c.re.float_value(table) for c in gen) + tuple(c.im.float_value(table) for c in gen)
         for gen in lattice.generators
     )
 
@@ -147,7 +147,7 @@ def validate(spec: SolvManifoldSpec) -> dict:
     for label, lattice in (("base", spec.lattice), ("fiber", spec.lattice_fiber)):
         if lattice is None:
             continue
-        rows = real_matrix(lattice)  # empty for a lattice in C^0, which has full rank
+        rows = real_matrix(lattice, spec.symbols)  # empty for a lattice in C^0, which has full rank
         smallest, condition = _smallest_and_condition(rows) if rows else (math.inf, 1.0)
         if not smallest > RANK_TOLERANCE:
             details.append(f"{label} lattice rank deficient: smallest singular value {smallest:.3e}")
@@ -187,10 +187,10 @@ def _check_fiber_preservation(
     basis = tuple(zip(*rows))  # columns = realified generators
     status = FIBER_OK
     for gi, gen in enumerate(spec.lattice.generators, start=1):
-        point = [c.complex_value() for c in gen]
+        point = [c.complex_value(spec.symbols) for c in gen]
         values = None
         try:
-            values = [alpha.value_at(point) for alpha in spec.alphas]
+            values = [alpha.value_at(point, spec.symbols) for alpha in spec.alphas]
             coeff = _fiber_coefficients(basis, values)
         except OverflowError:
             past = "a fiber character's value" if values is None else "the action on the fiber basis"
@@ -232,15 +232,14 @@ def _check_fiber_preservation(
     return status
 
 
-def _standard_lattice(table: SymbolTable, n: int) -> LatticeBasis:
+def _standard_lattice(n: int) -> LatticeBasis:
     """Generators e_1..e_n, i*e_1..i*e_n of the Gaussian-integer lattice."""
-    zero = ComplexExact.zero(table)
-    one = ExactScalar.rational(table, 1)
+    zero = ComplexExact.zero()
     generators = []
     for j in range(n):
-        generators.append(tuple(ComplexExact.make(table, re=one) if k == j else zero for k in range(n)))
+        generators.append(tuple(ComplexExact.make(re=1) if k == j else zero for k in range(n)))
     for j in range(n):
-        generators.append(tuple(ComplexExact.make(table, im=one) if k == j else zero for k in range(n)))
+        generators.append(tuple(ComplexExact.make(im=1) if k == j else zero for k in range(n)))
     return LatticeBasis(n, tuple(generators))
 
 
@@ -257,16 +256,14 @@ def torus(n: int, m: int) -> SolvManifoldSpec:
     if n < 0 or m < 0 or n + m < 1:
         raise ValueError("need n, m >= 0 with n + m >= 1")
     check_caps(n + m)
-    table = SymbolTable.base()
-    alphas = tuple(CharacterExponent.trivial(table, n) for _ in range(m))
     return SolvManifoldSpec(
         name=f"torus_{n}_{m}",
         n=n,
         m=m,
-        alphas=alphas,
-        lattice=_standard_lattice(table, n),
-        lattice_fiber=_standard_lattice(table, m),
-        symbols=table,
+        alphas=(CharacterExponent.trivial(n),) * m,
+        lattice=_standard_lattice(n),
+        lattice_fiber=_standard_lattice(m),
+        symbols=SymbolTable.base(),
     )
 
 
@@ -322,21 +319,21 @@ def example1(a: Sequence[int], t_mode="symbolic") -> SolvManifoldSpec:
     table = SymbolTable.base().with_symbol("lambda", _GOLDEN_LOG)
     if ratio is None:
         table = table.with_symbol("t", 1.0)
-        t_scalar = ExactScalar.symbol(table, "t")
+        t_scalar = ExactScalar.symbol("t")
         suffix = "t"
     else:
         r, s = ratio
-        t_scalar = ExactScalar.pi_multiple(table, Fraction(r, s))
+        t_scalar = ExactScalar.pi_multiple(Fraction(r, s))
         suffix = f"pi_{r}_{s}"
     alphas = []
     for v in exponents:
-        alphas.append(CharacterExponent.from_real_exponent(table, [v]))
-        alphas.append(CharacterExponent.from_real_exponent(table, [-v]))
+        alphas.append(CharacterExponent.from_real_exponent([v]))
+        alphas.append(CharacterExponent.from_real_exponent([-v]))
     lattice = LatticeBasis(
         1,
         (
-            (ComplexExact.make(table, re=ExactScalar.symbol(table, "lambda")),),
-            (ComplexExact.make(table, im=t_scalar),),
+            (ComplexExact.make(re=ExactScalar.symbol("lambda")),),
+            (ComplexExact.make(im=t_scalar),),
         ),
     )
     name = "example1_" + "_".join(str(v) for v in exponents) + "_" + suffix
@@ -384,7 +381,8 @@ def example2_n1(matrix: Sequence[Sequence[int]]) -> SolvManifoldSpec:
         eig_det = e11 * e22 - e12 * e21
         dual = ((e22 / eig_det, -e12 / eig_det), (-e21 / eig_det, e11 / eig_det))  # closed-form inverse
         log_eps = math.log((abs(trace) + disc) / 2.0)
-        if not all(math.isfinite(v) for row in dual for v in row):
+        # a zero entry is lam - a11 cancelled to 0.0, and no witness of a symbol may be 0
+        if not all(math.isfinite(v) and v for row in dual for v in row):
             raise OverflowError
     except (OverflowError, ZeroDivisionError):  # eig_det is 0 when both lam - a11 round to one float
         raise ValueError("matrix entries are too large for its float eigenvectors") from None
@@ -399,10 +397,8 @@ def example2_n1(matrix: Sequence[Sequence[int]]) -> SolvManifoldSpec:
     def column(c: int, imaginary: bool) -> tuple[ComplexExact, ...]:
         parts = []
         for r in range(2):
-            scalar = ExactScalar.symbol(table, entry_names[r][c])
-            parts.append(
-                ComplexExact.make(table, im=scalar) if imaginary else ComplexExact.make(table, re=scalar)
-            )
+            scalar = ExactScalar.symbol(entry_names[r][c])
+            parts.append(ComplexExact.make(im=scalar) if imaginary else ComplexExact.make(re=scalar))
         return tuple(parts)
 
     fiber = LatticeBasis(
@@ -411,14 +407,11 @@ def example2_n1(matrix: Sequence[Sequence[int]]) -> SolvManifoldSpec:
     lattice = LatticeBasis(
         1,
         (
-            (ComplexExact.make(table, re=ExactScalar.symbol(table, "logeps")),),
-            (ComplexExact.make(table, im=ExactScalar.symbol(table, "c1")),),
+            (ComplexExact.make(re=ExactScalar.symbol("logeps")),),
+            (ComplexExact.make(im=ExactScalar.symbol("c1")),),
         ),
     )
-    alphas = (
-        CharacterExponent.from_real_exponent(table, [1]),
-        CharacterExponent.from_real_exponent(table, [-1]),
-    )
+    alphas = (CharacterExponent.from_real_exponent([1]), CharacterExponent.from_real_exponent([-1]))
     name = f"example2_n1_{a11}_{a12}_{a21}_{a22}"
     return SolvManifoldSpec(
         name=name,

@@ -15,7 +15,10 @@ and is fully described by the two exponent vectors.  Multiplication,
 conjugation, the unique holomorphic-times-unitary factorisation, and
 triviality on a lattice are all linear statements about (a, b), so they
 are computed exactly; the exponential itself is only ever evaluated in
-float mode through the symbol witnesses.
+float mode, through the witnesses of the spec's symbol table.  That table,
+``SolvManifoldSpec.symbols``, is the one holder of the declared constants:
+characters and lattice entries are bare coefficients, and the spec refuses
+any of them that names a constant the table does not declare.
 
 Real coordinates: with z = x + iy one has x = (z + conj z)/2, so the
 character exp(c x) corresponds to a = b = c/2.  Builders accept that real
@@ -32,7 +35,7 @@ import cmath
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import ComplexExact, ExactScalar, SymbolTable, TableMismatch, Value
+from .exact import ComplexExact, ExactScalar, SymbolTable, Value, capped
 
 __all__ = [
     "CharacterExponent",
@@ -64,34 +67,30 @@ def check_caps(dim: int, forms: bool = False):
 class CharacterExponent(Value):
     """Exponent data (a, b) of the character exp(sum a_j z_j + b_j conj(z_j))."""
 
-    __slots__ = ("table", "a", "b")
-    table: SymbolTable
+    __slots__ = ("a", "b")
     a: tuple[ComplexExact, ...]
     b: tuple[ComplexExact, ...]
 
     def _check(self):
         if len(self.a) != len(self.b):
             raise ValueError("exponent vectors must have equal length")
-        for entry in self.a + self.b:
-            if entry.table != self.table:
-                raise TableMismatch("exponent entry declared over a different table")
 
     @classmethod
-    def trivial(cls, table: SymbolTable, n: int) -> "CharacterExponent":
-        zero = ComplexExact.zero(table)
-        return cls(table, (zero,) * n, (zero,) * n)
+    def trivial(cls, n: int) -> "CharacterExponent":
+        zero = ComplexExact.zero()
+        return cls((zero,) * n, (zero,) * n)
 
     @classmethod
-    def from_real_exponent(cls, table: SymbolTable, coeffs: Sequence) -> "CharacterExponent":
+    def from_real_exponent(cls, coeffs: Sequence) -> "CharacterExponent":
         """Character exp(sum c_j x_j) of the real parts, c_j rational or exact."""
         a = []
         for c in coeffs:
             if isinstance(c, ExactScalar):
                 half = c.scaled(Fraction(1, 2))
             else:
-                half = ExactScalar.rational(table, Fraction(c) / 2)
-            a.append(ComplexExact.make(table, re=half))
-        return cls(table, tuple(a), tuple(a))
+                half = ExactScalar.rational(Fraction(c) / 2)
+            a.append(ComplexExact.make(re=half))
+        return cls(tuple(a), tuple(a))
 
     @property
     def n(self) -> int:
@@ -120,25 +119,23 @@ class CharacterExponent(Value):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("characters live on different C^n")
-        if self.table != other.table:
-            raise TableMismatch("characters declared over different tables")
         a = tuple(x + y for x, y in zip(self.a, other.a))
         b = tuple(x + y for x, y in zip(self.b, other.b))
-        return CharacterExponent(self.table, a, b)
+        return CharacterExponent(a, b)
 
     def inverse(self) -> "CharacterExponent":
-        return CharacterExponent(self.table, tuple(-c for c in self.a), tuple(-c for c in self.b))
+        return CharacterExponent(tuple(-c for c in self.a), tuple(-c for c in self.b))
 
     def conjugate(self) -> "CharacterExponent":
         """Exponent of the complex-conjugate character."""
         a = tuple(c.conjugate() for c in self.b)
         b = tuple(c.conjugate() for c in self.a)
-        return CharacterExponent(self.table, a, b)
+        return CharacterExponent(a, b)
 
     def unit(self) -> "CharacterExponent":
         """The unitary factor of the unique holomorphic times unitary factorisation:
         it keeps the antiholomorphic exponent b and takes a = -conj(b)."""
-        return CharacterExponent(self.table, tuple(-c.conjugate() for c in self.b), self.b)
+        return CharacterExponent(tuple(-c.conjugate() for c in self.b), self.b)
 
     def hol(self) -> "CharacterExponent":
         """The holomorphic factor, exponent a + conj(b) and b = 0, so that ``hol() * unit()`` is self.
@@ -147,28 +144,28 @@ class CharacterExponent(Value):
         factor of a product is the product of the factors.
         """
         hol_a = tuple(x + y.conjugate() for x, y in zip(self.a, self.b))
-        return CharacterExponent(self.table, hol_a, (ComplexExact.zero(self.table),) * self.n)
+        return CharacterExponent(hol_a, (ComplexExact.zero(),) * self.n)
 
     def exponent_at(self, v: Sequence[ComplexExact]) -> ComplexExact:
         """Exact value of the exponent at the point v."""
         if len(v) != self.n:
             raise ValueError("point dimension mismatch")
-        total = ComplexExact.zero(self.table)
+        total = ComplexExact.zero()
         for aj, bj, vj in zip(self.a, self.b, v):
             total = total + aj * vj + bj * vj.conjugate()
         return total
 
-    def exponent_at_point(self, z: Sequence[complex]) -> complex:
-        """Float-witness value of the exponent at a numeric point."""
+    def exponent_at_point(self, z: Sequence[complex], table: SymbolTable) -> complex:
+        """Value of the exponent at a numeric point, on the witnesses of ``table``."""
         if len(z) != self.n:
             raise ValueError("point dimension mismatch")
         total = 0j
         for aj, bj, zj in zip(self.a, self.b, z):
-            total += aj.complex_value() * zj + bj.complex_value() * zj.conjugate()
+            total += aj.complex_value(table) * zj + bj.complex_value(table) * zj.conjugate()
         return total
 
-    def value_at(self, z: Sequence[complex]) -> complex:
-        return cmath.exp(self.exponent_at_point(z))
+    def value_at(self, z: Sequence[complex], table: SymbolTable) -> complex:
+        return cmath.exp(self.exponent_at_point(z, table))
 
     def sort_key(self):
         return tuple(c.sort_key() for c in self.a + self.b)
@@ -216,16 +213,17 @@ class SolvManifoldSpec(Value):
         for alpha in self.alphas:
             if alpha.n != self.n:
                 raise ValueError("character dimension differs from base dimension")
-            if alpha.table != self.symbols:
-                raise TableMismatch("character uses a foreign symbol table")
         if self.lattice.n != self.n:
             raise ValueError("base lattice dimension mismatch")
         if self.lattice_fiber is not None and self.lattice_fiber.n != self.m:
             raise ValueError("fiber lattice dimension mismatch")
         fiber = () if self.lattice_fiber is None else self.lattice_fiber.generators
-        for gen in self.lattice.generators + fiber:
-            if any(entry.table != self.symbols for entry in gen):
-                raise TableMismatch("lattice generator uses a foreign symbol table")
+        entries = [c for alpha in self.alphas for c in alpha.a + alpha.b]
+        entries += [c for gen in self.lattice.generators + fiber for c in gen]
+        undeclared = {name for c in entries for part in (c.re, c.im) for name, _ in part.coeffs}
+        undeclared.difference_update(self.symbols.names)
+        if undeclared:
+            raise ValueError(f"undeclared symbol {capped(repr(min(undeclared)))}")
 
     @property
     def complex_dim(self) -> int:

@@ -51,7 +51,7 @@ def _require(condition: bool, message: str, where: str):
 def _scalar(table: SymbolTable, node: Any, where: str) -> ExactScalar:
     _require(isinstance(node, Mapping), "scalar literal must be an object", where)
     if not node:  # most literals of a spec are zeros
-        return ExactScalar.zero(table)
+        return ExactScalar.zero()
     coeffs = {}
     for name, text in node.items():
         if name not in table:  # formats the message only for a bad literal
@@ -62,8 +62,8 @@ def _scalar(table: SymbolTable, node: Any, where: str) -> ExactScalar:
             raise SpecFileError(
                 f"bad rational literal {capped(repr(text))}", f"{where}.{capped(name)}"
             )
-    scalar = ExactScalar.make(table, coeffs)
-    _require(_is_finite(scalar.float_value), "scalar literal overflows a float", where)
+    scalar = ExactScalar.make(coeffs)
+    _require(_is_finite(lambda: scalar.float_value(table)), "scalar literal overflows a float", where)
     return scalar
 
 
@@ -98,7 +98,7 @@ def _character(table: SymbolTable, n: int, node: Any, where: str) -> CharacterEx
         scalars = [
             _scalar(table, c, f"{where}.real_exp[{j}]") for j, c in enumerate(coeffs)
         ]
-        return CharacterExponent.from_real_exponent(table, scalars)
+        return CharacterExponent.from_real_exponent(scalars)
     _require(set(node) == {"a", "b"}, 'character needs fields "a" and "b"', where)
     vectors = []
     for key in ("a", "b"):
@@ -111,7 +111,7 @@ def _character(table: SymbolTable, n: int, node: Any, where: str) -> CharacterEx
                 for j, entry in enumerate(entries)
             )
         )
-    return CharacterExponent(table, vectors[0], vectors[1])
+    return CharacterExponent(vectors[0], vectors[1])
 
 
 def _lattice(table: SymbolTable, n: int, node: Any, where: str) -> LatticeBasis:

@@ -45,15 +45,14 @@ def hyperbolic_family(N, sign):
 def oversized_torus(n: int, m: int) -> sh.SolvManifoldSpec:
     """``torus(n, m)`` past the counting cap, built around the builder's own gate
     so that the gates of the pair sweep and of the commands can be reached."""
-    table = sh.SymbolTable.base()
     return sh.SolvManifoldSpec(
         name=f"torus_{n}_{m}",
         n=n,
         m=m,
-        alphas=tuple(sh.CharacterExponent.trivial(table, n) for _ in range(m)),
-        lattice=_standard_lattice(table, n),
-        lattice_fiber=_standard_lattice(table, m),
-        symbols=table,
+        alphas=(sh.CharacterExponent.trivial(n),) * m,
+        lattice=_standard_lattice(n),
+        lattice_fiber=_standard_lattice(m),
+        symbols=sh.SymbolTable.base(),
     )
 
 
@@ -136,33 +135,29 @@ def random_scalar(table: sh.SymbolTable, rng: random.Random) -> sh.ExactScalar:
     for name in table.names:
         if rng.random() < 0.5:
             coeffs[name] = random_fraction(rng)
-    return sh.ExactScalar.make(table, coeffs)
+    return sh.ExactScalar.make(coeffs)
 
 
-def random_rational_complex(table: sh.SymbolTable, rng: random.Random) -> sh.ComplexExact:
-    return sh.ComplexExact.make(table, re=random_fraction(rng), im=random_fraction(rng))
+def random_rational_complex(rng: random.Random) -> sh.ComplexExact:
+    return sh.ComplexExact.make(re=random_fraction(rng), im=random_fraction(rng))
 
 
-def random_character(
-    table: sh.SymbolTable, n: int, rng: random.Random
-) -> sh.CharacterExponent:
+def random_character(n: int, rng: random.Random) -> sh.CharacterExponent:
     """Random character with small rational exponent entries."""
-    a = tuple(random_rational_complex(table, rng) for _ in range(n))
-    b = tuple(random_rational_complex(table, rng) for _ in range(n))
-    return sh.CharacterExponent(table, a, b)
+    a = tuple(random_rational_complex(rng) for _ in range(n))
+    b = tuple(random_rational_complex(rng) for _ in range(n))
+    return sh.CharacterExponent(a, b)
 
 
-def random_unitary_character(
-    table: sh.SymbolTable, n: int, rng: random.Random
-) -> sh.CharacterExponent:
-    a = tuple(random_rational_complex(table, rng) for _ in range(n))
+def random_unitary_character(n: int, rng: random.Random) -> sh.CharacterExponent:
+    a = tuple(random_rational_complex(rng) for _ in range(n))
     b = tuple(-c.conjugate() for c in a)
-    return sh.CharacterExponent(table, a, b)
+    return sh.CharacterExponent(a, b)
 
 
-def real_char(table: sh.SymbolTable, *coeffs) -> sh.CharacterExponent:
+def real_char(*coeffs) -> sh.CharacterExponent:
     """exp(sum c_j x_j) in the z, zbar encoding."""
-    return sh.CharacterExponent.from_real_exponent(table, list(coeffs))
+    return sh.CharacterExponent.from_real_exponent(list(coeffs))
 
 
 def dbar_residual(fn, z: complex, step: float = 1e-5) -> float:
@@ -187,26 +182,22 @@ def random_word(n: int, m: int, rng: random.Random, length: int | None = None):
     return tuple(word)
 
 
-def random_twisted_form(
-    table: sh.SymbolTable, n: int, m: int, rng: random.Random, terms: int | None = None
-) -> TwistedForm:
+def random_twisted_form(n: int, m: int, rng: random.Random, terms: int | None = None) -> TwistedForm:
     terms = terms if terms is not None else rng.randint(1, 3)
     entries = []
     for _ in range(terms):
-        coeff = random_rational_complex(table, rng)
-        entries.append((coeff, random_character(table, n, rng), random_word(n, m, rng)))
+        coeff = random_rational_complex(rng)
+        entries.append((coeff, random_character(n, rng), random_word(n, m, rng)))
     return TwistedForm(entries)
 
 
-def random_homogeneous_form(
-    table: sh.SymbolTable, n: int, m: int, rng: random.Random
-) -> TwistedForm:
+def random_homogeneous_form(n: int, m: int, rng: random.Random) -> TwistedForm:
     """Random form whose terms all share one word length (hence total degree)."""
     length = rng.randint(0, 2 * (n + m))
     entries = []
     for _ in range(rng.randint(1, 3)):
-        coeff = random_rational_complex(table, rng)
+        coeff = random_rational_complex(rng)
         entries.append(
-            (coeff, random_character(table, n, rng), random_word(n, m, rng, length))
+            (coeff, random_character(n, rng), random_word(n, m, rng, length))
         )
     return TwistedForm(entries)

@@ -1,8 +1,10 @@
-"""A reference pair sweep that shares no code with ``solvhodge``: the standard library only.
+"""A reference for ``analyze`` that shares no code with ``solvhodge``: the standard library only.
 
 ``sweep(data)`` reads the dict of an explicit spec file and returns the
-sorted admitted fiber pairs (J, L) and whether the sweep is certified,
-under the package's rules:
+sorted admitted fiber pairs (J, L) and whether the sweep is certified, and
+``report(data)`` the fields of ``analyze --format json`` that those pairs
+decide, by literal loops over the basis; the sweep follows the package's
+rules:
 
 - Exponents. A fiber character with exponent vectors (a, b) contributes
   the unitary exponent (-conj b, b), and its conjugate (-a, conj a); a
@@ -16,6 +18,15 @@ under the package's rules:
   symbols' float witnesses and admits when every w is finite with
   |Re w| <= 1e-9 and |sin(Im w / 2)| <= 1e-9.
 
+``report`` enumerates the basis quadruples (I, J, K, L), with I and K any
+subsets of the base, over the admitted pairs. It counts the Hodge table
+h[|I|+|J|][|K|+|L|] from them, sums its anti-diagonals for the Betti
+numbers, and reads the symmetry flag off the quadruples themselves: the
+swap (I, J, K, L) -> (K, L, I, J) must map the basis onto itself. An
+admitted pair violates the condition when the product of the alpha_j over
+J and the conj(alpha_l) over L is not identically 1, which it decides on
+the exponents written out as one vector of Fractions.
+
 A scalar is a dict from symbol name to a nonzero Fraction, a complex
 number a pair (re, im) of scalars.
 """
@@ -26,6 +37,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 TOLERANCE = 1e-9
+VIOLATION = "trivial_restriction_but_alpha_nontrivial"  # the reason the report gives every violating pair
 
 
 class Escape(Exception):
@@ -110,14 +122,17 @@ def _float_gate(a, b, lattice, witness):
     return True
 
 
+def _subsets(k):
+    return [S for size in range(k + 1) for S in combinations(range(1, k + 1), size)]
+
+
 def sweep(data, force_float=False):
     """Sorted admitted pairs (J, L), 1-based subsets of the fibers, and the certified flag."""
     witness = {"one": 1.0, "pi": math.pi}
     witness.update((entry["name"], float(entry["value"])) for entry in data.get("symbols") or ())
     alphas = [_character(node) for node in data["alphas"]]
     lattice = [[_complex(c) for c in g] for g in data["lattice"]]
-    m = data["m"]
-    subsets = [S for size in range(m + 1) for S in combinations(range(1, m + 1), size)]
+    subsets = _subsets(data["m"])
     pairs, certified = [], True
     for J, L in product(subsets, subsets):
         b = [({}, {})] * data["n"]
@@ -136,3 +151,47 @@ def sweep(data, force_float=False):
         if accept:
             pairs.append((J, L))
     return sorted(pairs), certified
+
+
+def _vector(a, b):
+    """The exponent (a, b) as one vector of Fractions, keyed by (vector, coordinate, part, symbol)."""
+    return {
+        (v, k, part, name): coeff
+        for v, entries in enumerate((a, b)) for k, z in enumerate(entries)
+        for part, x in enumerate(z) for name, coeff in x.items()
+    }
+
+
+def report(data, force_float=False):
+    """The mode, hodge, betti, certified_de_rham, condition, symmetry and serre fields of the report."""
+    pairs, certified = sweep(data, force_float)
+    n, dim = data["n"], data["n"] + data["m"]
+    base = _subsets(n)
+    basis = {(I, J, K, L) for J, L in pairs for I in base for K in base}
+    hodge = [[0] * (dim + 1) for _ in range(dim + 1)]
+    for I, J, K, L in basis:
+        hodge[len(I) + len(J)][len(K) + len(L)] += 1
+    betti = [0] * (2 * dim + 1)
+    for p, row in enumerate(hodge):
+        for q, h in enumerate(row):
+            betti[p + q] += h
+    alphas = [_character(node) for node in data["alphas"]]
+    vectors = [_vector(a, b) for a, b in alphas]
+    conjugates = [_vector([_conj(z) for z in b], [_conj(z) for z in a]) for a, b in alphas]
+    violations = []
+    for J, L in pairs:
+        total = {}
+        for vector in [vectors[j - 1] for j in J] + [conjugates[l - 1] for l in L]:
+            for key, coeff in vector.items():
+                total[key] = total.get(key, 0) + coeff
+        if any(total.values()):
+            violations.append({"J": list(J), "L": list(L), "reason": VIOLATION})
+    return {
+        "mode": "exact" if certified else "float_fallback",
+        "hodge": hodge,
+        "betti": betti,
+        "certified_de_rham": not violations,
+        "condition": {"holds": not violations, "violations": violations, "checked_pairs": len(pairs)},
+        "symmetry": all((K, L, I, J) in basis for I, J, K, L in basis),
+        "serre": all(row == hodge[dim - p][::-1] for p, row in enumerate(hodge)),
+    }

@@ -159,15 +159,14 @@ def test_criterion_06_wedge_closure():
 
 
 def test_criterion_07_dga_laws(rng):
-    table = sh.SymbolTable.base()
     checked = 0
     for n, m in ((1, 1), (2, 1), (1, 2)):
         for _ in range(70):
-            f = random_twisted_form(table, n, m, rng)
+            f = random_twisted_form(n, m, rng)
             assert f.partial().partial().is_zero
             assert f.dbar().dbar().is_zero
             assert (f.partial().dbar() + f.dbar().partial()).is_zero
-            g = random_homogeneous_form(table, n, m, rng)
+            g = random_homogeneous_form(n, m, rng)
             if not g.is_zero:
                 sign = -1 if len(g.terms[0][2]) % 2 else 1
                 assert g.wedge(f).d() == g.d().wedge(f) + g.wedge(f.d()).scaled(sign)
@@ -185,10 +184,10 @@ def test_criterion_07_dga_laws(rng):
         signs = {}
         for bits in product((0, 1), repeat=2 * dim):
             word = tuple(g for g, bit in zip(letters, bits) if bit)
-            chi = random_unitary_character(table, n, rng)
-            coeff = random_rational_complex(table, rng)
+            chi = random_unitary_character(n, rng)
+            coeff = random_rational_complex(rng)
             if coeff.is_zero:
-                coeff = ComplexExact.one(table)
+                coeff = ComplexExact.one()
             u = FrameForm.monomial(coeff, chi, word)
             norm2 = coeff * coeff.conjugate()
             assert norm2.im.is_zero and rational_value(norm2.re) > 0
@@ -204,19 +203,19 @@ def test_criterion_07_dga_laws(rng):
 def test_criterion_08_character_decomposition(rng):
     table = sh.SymbolTable.base()
     for _ in range(100):
-        chi = random_character(table, 1, rng)
+        chi = random_character(1, rng)
         hol, unit = chi.hol(), chi.unit()
         assert hol * unit == chi
         assert unit.is_unitary
         assert hol.is_holomorphic
 
         def quotient(z):
-            return chi.value_at([z]) * unit.inverse().value_at([z])
+            return chi.value_at([z], table) * unit.inverse().value_at([z], table)
 
         for _ in range(10):
             z = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
             assert dbar_residual(quotient, z) < 1e-6
-            assert abs(abs(unit.value_at([z])) - 1) < 1e-9
+            assert abs(abs(unit.value_at([z], table)) - 1) < 1e-9
     done("criterion 8: unique unitary factorisation, exact and numeric")
 
 
@@ -241,10 +240,10 @@ def test_criterion_10_example2_validation():
     assert report["fiber_preserved"] == "ok"
 
     # independent recomputation of the integrality data
-    basis = np.array(real_matrix(spec.lattice_fiber)).T
+    basis = np.array(real_matrix(spec.lattice_fiber, spec.symbols)).T
     for gen in spec.lattice.generators:
-        point = [c.complex_value() for c in gen]
-        values = [alpha.value_at(point) for alpha in spec.alphas]
+        point = [c.complex_value(spec.symbols) for c in gen]
+        values = [alpha.value_at(point, spec.symbols) for alpha in spec.alphas]
         action = np.zeros((4, 4))
         for k, v in enumerate(values):
             action[k, k] = v.real

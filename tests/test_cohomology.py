@@ -36,12 +36,11 @@ EXAMPLE1_HODGE = ((1, 1, 1, 1), (1, 3, 3, 1), (1, 3, 3, 1), (1, 1, 1, 1))
 
 def complex_character_spec():
     """n = 1, m = 2 with complex alphas: the gate admits ([1], [2]) but not ([2], [1])."""
-    table = sh.SymbolTable.base()
 
     def char(a_re, a_im, b_re, b_im):
-        a = sh.ComplexExact.make(table, re=Fraction(a_re), im=Fraction(a_im))
-        b = sh.ComplexExact.make(table, re=Fraction(b_re), im=Fraction(b_im))
-        return sh.CharacterExponent(table, (a,), (b,))
+        a = sh.ComplexExact.make(re=Fraction(a_re), im=Fraction(a_im))
+        b = sh.ComplexExact.make(re=Fraction(b_re), im=Fraction(b_im))
+        return sh.CharacterExponent((a,), (b,))
 
     # unit(alpha_1) unit(conj alpha_2) is trivial because b_1 = -conj(a_2)
     alphas = (char(1, "1/2", "1/2", -1), char("-1/2", -1, 2, "-1/2"))
@@ -53,7 +52,7 @@ def complex_character_spec():
         alphas=alphas,
         lattice=torus.lattice,
         lattice_fiber=torus.lattice_fiber,
-        symbols=table,
+        symbols=torus.symbols,
     )
 
 
@@ -108,7 +107,7 @@ class TestTrivialPairs:
             ]
             expected = set()
             for J, L in product(subsets, subsets):
-                chi = sh.CharacterExponent.trivial(spec.symbols, spec.n)
+                chi = sh.CharacterExponent.trivial(spec.n)
                 for j in J:
                     chi = chi * betas[j - 1]
                 for l in L:
@@ -122,17 +121,13 @@ class TestFloatFallback:
     def symbolic_exponent_spec(self):
         """Character exponent and lattice entry both symbolic: the exact
         layer refuses their product and the sweep must degrade gracefully."""
-        table = (
-            sh.SymbolTable.base().with_symbol("s", 0.5).with_symbol("t", 1.0)
-        )
-        alpha = sh.CharacterExponent.from_real_exponent(
-            table, [sh.ExactScalar.symbol(table, "s")]
-        )
+        table = sh.SymbolTable.base().with_symbol("s", 0.5).with_symbol("t", 1.0)
+        alpha = sh.CharacterExponent.from_real_exponent([sh.ExactScalar.symbol("s")])
         lattice = sh.LatticeBasis(
             1,
             (
-                (sh.ComplexExact.make(table, re=1),),
-                (sh.ComplexExact.make(table, im=sh.ExactScalar.symbol(table, "t")),),
+                (sh.ComplexExact.make(re=1),),
+                (sh.ComplexExact.make(im=sh.ExactScalar.symbol("t")),),
             ),
         )
         return sh.SolvManifoldSpec(

@@ -8,9 +8,9 @@ from solvhodge.exact import (
     ExactScalar,
     SymbolProductUnrepresentable,
     SymbolTable,
-    TableMismatch,
     parse_rational,
 )
+from solvhodge.model import CharacterExponent, LatticeBasis, SolvManifoldSpec
 
 from conftest import random_fraction, random_scalar
 
@@ -20,8 +20,8 @@ def table():
     return SymbolTable.base().with_symbol("t", 1.0)
 
 
-def scalar(table, **coeffs):
-    return ExactScalar.make(table, {k: Fraction(v) for k, v in coeffs.items()})
+def scalar(**coeffs):
+    return ExactScalar.make({k: Fraction(v) for k, v in coeffs.items()})
 
 
 class TestSymbolTable:
@@ -49,20 +49,22 @@ class TestSymbolTable:
 
 
 class TestAdd:
-    def test_rational_halves(self, table):
-        assert scalar(table, one="3/2") + scalar(table, one="1/2") == scalar(table, one=2)
+    def test_rational_halves(self):
+        assert scalar(one="3/2") + scalar(one="1/2") == scalar(one=2)
 
-    def test_pi_cancels(self, table):
-        assert (scalar(table, pi=1) + scalar(table, pi=-1)).is_zero
+    def test_pi_cancels(self):
+        assert (scalar(pi=1) + scalar(pi=-1)).is_zero
 
-    def test_mixed_symbols(self, table):
-        got = scalar(table, t=2, one=3) + scalar(table, t=1)
-        assert got == scalar(table, t=3, one=3)
+    def test_mixed_symbols(self):
+        got = scalar(t=2, one=3) + scalar(t=1)
+        assert got == scalar(t=3, one=3)
 
-    def test_table_mismatch(self, table):
-        other = SymbolTable.base()
-        with pytest.raises(TableMismatch):
-            scalar(table, one=1) + ExactScalar.rational(other, 1)
+    def test_sum_naming_an_undeclared_symbol_is_refused_by_the_spec(self, table):
+        # scalars add whatever they name; the spec that holds them refuses a symbol its table lacks
+        total = scalar(one=1) + ExactScalar.symbol("u")
+        lattice = LatticeBasis(1, ((ComplexExact.make(re=1),), (ComplexExact.make(im=total),)))
+        with pytest.raises(ValueError, match="undeclared symbol 'u'"):
+            SolvManifoldSpec("x", 1, 0, (), lattice, None, table)
 
     def test_ring_axioms_random(self, table, rng):
         for _ in range(200):
@@ -71,19 +73,19 @@ class TestAdd:
             c = random_scalar(table, rng)
             assert (a + b) + c == a + (b + c)
             assert a + b == b + a
-            assert a - a == ExactScalar.zero(table)
+            assert a - a == ExactScalar.zero()
 
 
 class TestMul:
-    def test_rational_times_pi(self, table):
-        assert scalar(table, one=2) * scalar(table, pi=3) == scalar(table, pi=6)
+    def test_rational_times_pi(self):
+        assert scalar(one=2) * scalar(pi=3) == scalar(pi=6)
 
-    def test_symbol_product_unrepresentable(self, table):
+    def test_symbol_product_unrepresentable(self):
         with pytest.raises(SymbolProductUnrepresentable):
-            scalar(table, t=1) * scalar(table, pi=1)
+            scalar(t=1) * scalar(pi=1)
 
-    def test_zero_absorbs(self, table):
-        assert (ExactScalar.zero(table) * scalar(table, t=1)).is_zero
+    def test_zero_absorbs(self):
+        assert (ExactScalar.zero() * scalar(t=1)).is_zero
 
     def test_rational_scaling_distributes(self, table, rng):
         for _ in range(200):
@@ -93,56 +95,56 @@ class TestMul:
             q2 = random_fraction(rng, 3, 3)
             assert (a + b).scaled(q1) == a.scaled(q1) + b.scaled(q1)
             assert a.scaled(q1 * q2) == a.scaled(q1).scaled(q2)
-            assert ExactScalar.rational(table, q1) * a == a.scaled(q1)
+            assert ExactScalar.rational(q1) * a == a.scaled(q1)
 
 
 class TestTwoPiMembership:
-    def test_minus_two_pi(self, table):
-        assert scalar(table, pi=-2).is_multiple_of_2pi()
+    def test_minus_two_pi(self):
+        assert scalar(pi=-2).is_multiple_of_2pi()
 
-    def test_plain_one_is_not(self, table):
+    def test_plain_one_is_not(self):
         # under the declared independence 1 is not in 2*pi*Z
-        assert not scalar(table, one=1).is_multiple_of_2pi()
+        assert not scalar(one=1).is_multiple_of_2pi()
 
-    def test_fractional_pi_is_not(self, table):
-        assert not scalar(table, pi="2/3").is_multiple_of_2pi()
+    def test_fractional_pi_is_not(self):
+        assert not scalar(pi="2/3").is_multiple_of_2pi()
 
-    def test_four_pi_is(self, table):
-        assert scalar(table, pi=4).is_multiple_of_2pi()
+    def test_four_pi_is(self):
+        assert scalar(pi=4).is_multiple_of_2pi()
 
-    def test_odd_pi_is_not(self, table):
-        assert not scalar(table, pi=3).is_multiple_of_2pi()
+    def test_odd_pi_is_not(self):
+        assert not scalar(pi=3).is_multiple_of_2pi()
 
-    def test_zero_is(self, table):
-        assert ExactScalar.zero(table).is_multiple_of_2pi()
+    def test_zero_is(self):
+        assert ExactScalar.zero().is_multiple_of_2pi()
 
-    def test_closed_under_addition(self, table, rng):
+    def test_closed_under_addition(self, rng):
         for _ in range(100):
-            x = scalar(table, pi=2 * rng.randint(-5, 5))
-            y = scalar(table, pi=2 * rng.randint(-5, 5))
+            x = scalar(pi=2 * rng.randint(-5, 5))
+            y = scalar(pi=2 * rng.randint(-5, 5))
             assert (x + y).is_multiple_of_2pi()
 
 
 class TestFloatValue:
     def test_two_pi(self, table):
-        assert scalar(table, pi=2).float_value() == pytest.approx(2 * math.pi)
+        assert scalar(pi=2).float_value(table) == pytest.approx(2 * math.pi)
 
     def test_zero(self, table):
-        assert ExactScalar.zero(table).float_value() == 0.0
+        assert ExactScalar.zero().float_value(table) == 0.0
 
     def test_one_plus_t(self, table):
-        assert scalar(table, one=1, t=1).float_value() == pytest.approx(2.0)
+        assert scalar(one=1, t=1).float_value(table) == pytest.approx(2.0)
 
     def test_homomorphism_random(self, table, rng):
         for _ in range(200):
             a = random_scalar(table, rng)
             b = random_scalar(table, rng)
             q = random_fraction(rng, 3, 3)
-            lhs = (a + b).float_value()
-            rhs = a.float_value() + b.float_value()
+            lhs = (a + b).float_value(table)
+            rhs = a.float_value(table) + b.float_value(table)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-            assert a.scaled(q).float_value() == pytest.approx(
-                float(q) * a.float_value(), rel=1e-12, abs=1e-12
+            assert a.scaled(q).float_value(table) == pytest.approx(
+                float(q) * a.float_value(table), rel=1e-12, abs=1e-12
             )
 
 
@@ -157,27 +159,29 @@ class TestLiterals:
             parse_rational(bad)
 
     def test_undeclared_symbol_rejected(self, table):
-        with pytest.raises(ValueError):
-            ExactScalar.make(table, {"nope": Fraction(1)})
+        chi = CharacterExponent.from_real_exponent([ExactScalar.make({"nope": Fraction(1)})])
+        lattice = LatticeBasis(1, ((ComplexExact.make(re=1),), (ComplexExact.make(im=1),)))
+        with pytest.raises(ValueError, match="undeclared symbol 'nope'"):
+            SolvManifoldSpec("x", 1, 1, (chi,), lattice, None, table)
 
 
 class TestComplexExact:
-    def test_conjugation_negates_im(self, table):
-        z = ComplexExact.make(table, re="1/2", im=3)
+    def test_conjugation_negates_im(self):
+        z = ComplexExact.make(re="1/2", im=3)
         assert z.conjugate().re == z.re
         assert z.conjugate().im == -z.im
         assert z.conjugate().conjugate() == z
 
     def test_multiplication_matches_floats(self, table, rng):
         for _ in range(100):
-            z = ComplexExact.make(table, re=random_fraction(rng), im=random_fraction(rng))
-            w = ComplexExact.make(table, re=random_fraction(rng), im=random_fraction(rng))
-            exact = (z * w).complex_value()
-            approx = z.complex_value() * w.complex_value()
+            z = ComplexExact.make(re=random_fraction(rng), im=random_fraction(rng))
+            w = ComplexExact.make(re=random_fraction(rng), im=random_fraction(rng))
+            exact = (z * w).complex_value(table)
+            approx = z.complex_value(table) * w.complex_value(table)
             assert exact == pytest.approx(approx, rel=1e-12, abs=1e-12)
 
-    def test_symbolic_product_raises(self, table):
-        z = ComplexExact.make(table, re=ExactScalar.symbol(table, "t"))
-        w = ComplexExact.make(table, im=ExactScalar.pi_multiple(table, 1))
+    def test_symbolic_product_raises(self):
+        z = ComplexExact.make(re=ExactScalar.symbol("t"))
+        w = ComplexExact.make(im=ExactScalar.pi_multiple(1))
         with pytest.raises(SymbolProductUnrepresentable):
             z * w

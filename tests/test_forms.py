@@ -47,29 +47,24 @@ def torus11():
     return sh.torus(1, 1)
 
 
-def one(table):
-    return ComplexExact.one(table)
-
-
 def monomial(spec, word, char=None, coeff=None):
-    table = spec.symbols
-    char = char if char is not None else CharacterExponent.trivial(table, spec.n)
-    coeff = coeff if coeff is not None else one(table)
+    char = char if char is not None else CharacterExponent.trivial(spec.n)
+    coeff = coeff if coeff is not None else ComplexExact.one()
     return TwistedForm.monomial(coeff, char, word)
 
 
-def holomorphic_char(table, n, coeffs):
+def holomorphic_char(n, coeffs):
     """exp(sum c_j z_j) with rational c_j."""
-    zero = ComplexExact.zero(table)
-    a = tuple(ComplexExact.make(table, re=Fraction(c)) for c in coeffs)
-    return CharacterExponent(table, a, (zero,) * n)
+    zero = ComplexExact.zero()
+    a = tuple(ComplexExact.make(re=Fraction(c)) for c in coeffs)
+    return CharacterExponent(a, (zero,) * n)
 
 
-def antiholomorphic_char(table, n, coeffs):
+def antiholomorphic_char(n, coeffs):
     """exp(sum c_j zbar_j) with rational c_j."""
-    zero = ComplexExact.zero(table)
-    b = tuple(ComplexExact.make(table, re=Fraction(c)) for c in coeffs)
-    return CharacterExponent(table, (zero,) * n, b)
+    zero = ComplexExact.zero()
+    b = tuple(ComplexExact.make(re=Fraction(c)) for c in coeffs)
+    return CharacterExponent((zero,) * n, b)
 
 
 class TestWedge:
@@ -78,7 +73,7 @@ class TestWedge:
         assert f.wedge(f).is_zero
 
     def test_coefficient_carry(self, torus11):
-        chi = holomorphic_char(torus11.symbols, 1, [-2])
+        chi = holomorphic_char(1, [-2])
         f = monomial(torus11, (dw(1),), char=chi)
         g = monomial(torus11, (dwbar(1),))
         expected = monomial(torus11, (dw(1), dwbar(1)), char=chi)
@@ -94,10 +89,9 @@ class TestWedge:
         assert f.wedge(g).is_zero
 
     def test_graded_commutativity(self, torus11, rng):
-        table = torus11.symbols
         for _ in range(50):
-            f = random_homogeneous_form(table, 1, 1, rng)
-            g = random_homogeneous_form(table, 1, 1, rng)
+            f = random_homogeneous_form(1, 1, rng)
+            g = random_homogeneous_form(1, 1, rng)
             if f.is_zero or g.is_zero:
                 continue
             deg_f = len(f.terms[0][2])
@@ -106,32 +100,30 @@ class TestWedge:
             assert f.wedge(g) == g.wedge(f).scaled(sign)
 
     def test_associativity(self, torus11, rng):
-        table = torus11.symbols
         for _ in range(50):
-            f = random_twisted_form(table, 1, 1, rng)
-            g = random_twisted_form(table, 1, 1, rng)
-            h = random_twisted_form(table, 1, 1, rng)
+            f = random_twisted_form(1, 1, rng)
+            g = random_twisted_form(1, 1, rng)
+            h = random_twisted_form(1, 1, rng)
             assert f.wedge(g).wedge(h) == f.wedge(g.wedge(h))
 
     def test_bilinearity(self, torus11, rng):
-        table = torus11.symbols
         for _ in range(50):
-            f = random_twisted_form(table, 1, 1, rng)
-            g = random_twisted_form(table, 1, 1, rng)
-            h = random_twisted_form(table, 1, 1, rng)
+            f = random_twisted_form(1, 1, rng)
+            g = random_twisted_form(1, 1, rng)
+            h = random_twisted_form(1, 1, rng)
             assert f.wedge(g + h) == f.wedge(g) + f.wedge(h)
 
 
 class TestDifferentials:
     def test_partial_of_real_exponential(self, torus11):
         # exp(x) dw_1 has z-exponent 1/2
-        chi = real_char(torus11.symbols, 1)
+        chi = real_char(1)
         f = monomial(torus11, (dw(1),), char=chi)
         expected = monomial(torus11, (dz(1), dw(1)), char=chi).scaled(Fraction(1, 2))
         assert f.partial() == expected
 
     def test_dbar_kills_holomorphic_twist(self, torus11):
-        chi = holomorphic_char(torus11.symbols, 1, [-2])
+        chi = holomorphic_char(1, [-2])
         f = monomial(torus11, (dw(1), dwbar(1)), char=chi)
         assert f.dbar().is_zero
 
@@ -141,26 +133,24 @@ class TestDifferentials:
         assert f.d().is_zero
 
     def test_dbar_raises_q_partial_raises_p(self, torus11):
-        chi = random_char = antiholomorphic_char(torus11.symbols, 1, [1])
+        chi = random_char = antiholomorphic_char(1, [1])
         f = monomial(torus11, (dw(1),), char=chi)
         assert f.bidegree() == (1, 0)
         assert f.dbar().bidegree() == (1, 1)
-        g = monomial(torus11, (dw(1),), char=real_char(torus11.symbols, 1))
+        g = monomial(torus11, (dw(1),), char=real_char(1))
         assert g.partial().bidegree() == (2, 0)
 
     def test_complex_on_random_forms(self, torus11, rng):
-        table = torus11.symbols
         for _ in range(200):
-            f = random_twisted_form(table, 1, 1, rng)
+            f = random_twisted_form(1, 1, rng)
             assert f.partial().partial().is_zero
             assert f.dbar().dbar().is_zero
             assert (f.partial().dbar() + f.dbar().partial()).is_zero
 
     def test_leibniz_on_random_forms(self, torus11, rng):
-        table = torus11.symbols
         for _ in range(100):
-            f = random_homogeneous_form(table, 1, 1, rng)
-            g = random_twisted_form(table, 1, 1, rng)
+            f = random_homogeneous_form(1, 1, rng)
+            g = random_twisted_form(1, 1, rng)
             deg_f = len(f.terms[0][2])
             sign = -1 if deg_f % 2 else 1
             lhs = f.wedge(g).d()
@@ -191,7 +181,7 @@ class TestFrameConversion:
     def test_round_trip_random(self, rng):
         spec = sh.example1([1], "symbolic")
         for _ in range(100):
-            f = random_twisted_form(spec.symbols, 1, 2, rng)
+            f = random_twisted_form(1, 2, rng)
             assert from_frame(to_frame(f, spec), spec) == f
 
 
@@ -221,7 +211,6 @@ class TestBarStar:
         # u ^ star(u) = |u|^2 vol for every frame monomial with a unitary
         # character and rational coefficient
         spec = sh.torus(n, m)
-        table = spec.symbols
         dim = n + m
         vol = volume_form(spec)
         holomorphic = [Generator("e", i) for i in range(1, n + 1)] + [
@@ -232,10 +221,10 @@ class TestBarStar:
             word = tuple(
                 g for g, bit in zip(holomorphic + antiholomorphic, bits) if bit
             )
-            coeff = random_rational_complex(table, rng)
+            coeff = random_rational_complex(rng)
             if coeff.is_zero:
-                coeff = one(table)
-            chi = random_unitary_character(table, n, rng)
+                coeff = ComplexExact.one()
+            chi = random_unitary_character(n, rng)
             u = FrameForm.monomial(coeff, chi, word)
             norm2 = coeff * coeff.conjugate()
             assert norm2.im.is_zero and rational_value(norm2.re) > 0
@@ -244,7 +233,6 @@ class TestBarStar:
     @pytest.mark.parametrize("n,m", [(1, 0), (1, 1), (2, 1), (1, 2)])
     def test_double_star_sign_constant_per_bidegree(self, n, m):
         spec = sh.torus(n, m)
-        table = spec.symbols
         dim = n + m
         signs: dict[tuple[int, int], int] = {}
         holomorphic = [Generator("e", i) for i in range(1, n + 1)] + [
@@ -255,7 +243,7 @@ class TestBarStar:
             word = tuple(
                 g for g, bit in zip(holomorphic + antiholomorphic, bits) if bit
             )
-            u = FrameForm.monomial(one(table), CharacterExponent.trivial(table, n), word)
+            u = FrameForm.monomial(ComplexExact.one(), CharacterExponent.trivial(n), word)
             twice = bar_star(bar_star(u, spec), spec)
             degree = u.bidegree()
             if twice == u:
@@ -275,19 +263,18 @@ class TestBarStar:
         # whenever u and v are different monomials of one bidegree, so the
         # complementation rule realises the metric pairing on the nose
         spec = sh.torus(1, 1)
-        table = spec.symbols
         letters = [Generator("e", 1), Generator("f", 1)]
         words = [(letters[0],), (letters[1],)]
-        chi = CharacterExponent.trivial(table, 1)
-        u = FrameForm.monomial(one(table), chi, words[0])
-        v = FrameForm.monomial(one(table), chi, words[1])
+        chi = CharacterExponent.trivial(1)
+        u = FrameForm.monomial(ComplexExact.one(), chi, words[0])
+        v = FrameForm.monomial(ComplexExact.one(), chi, words[1])
         assert u.wedge(bar_star(v, spec)).is_zero
         assert v.wedge(bar_star(u, spec)).is_zero
 
     def test_out_of_range_letter_rejected(self, torus11):
         stray = FrameForm.monomial(
-            one(torus11.symbols),
-            CharacterExponent.trivial(torus11.symbols, 1),
+            ComplexExact.one(),
+            CharacterExponent.trivial(1),
             (Generator("f", 3),),
         )
         with pytest.raises(ValueError):
@@ -306,7 +293,7 @@ class TestBasisForm:
         el = BasisElement((), (1,), (), (1,))
         form = basis_form(spec, el, sweep_trivial_pairs(spec))
         expected = monomial(
-            spec, (dw(1), dwbar(1)), char=holomorphic_char(spec.symbols, 1, [-2])
+            spec, (dw(1), dwbar(1)), char=holomorphic_char(1, [-2])
         )
         assert form == expected
 
@@ -333,7 +320,7 @@ class TestHarmonicity:
                 assert is_dbar_harmonic(basis_form(spec, el, sweep), spec), (spec.name, el)
 
     def test_antiholomorphic_twist_not_closed(self, torus11):
-        chi = antiholomorphic_char(torus11.symbols, 1, [-2])
+        chi = antiholomorphic_char(1, [-2])
         f = monomial(torus11, (dw(1),), char=chi)
         assert not f.dbar().is_zero
         assert not is_dbar_harmonic(f, torus11)
@@ -353,7 +340,7 @@ class TestHarmonicity:
         assert is_d_harmonic(monomial(torus11, (dz(1),)), torus11)
 
     def test_growing_exponential_not_d_harmonic(self, torus11):
-        f = monomial(torus11, (dw(1),), char=real_char(torus11.symbols, 1))
+        f = monomial(torus11, (dw(1),), char=real_char(1))
         assert not f.d().is_zero
         assert not is_d_harmonic(f, torus11)
 
@@ -371,7 +358,7 @@ class TestHarmonicity:
             name="expanding",
             n=1,
             m=1,
-            alphas=(real_char(table, 2),),
+            alphas=(real_char(2),),
             lattice=sh.torus(1, 1).lattice,
             lattice_fiber=None,
             symbols=table,

@@ -11,8 +11,8 @@ from conftest import corpus_specs
 def unitary_rotation_spec():
     """A purely rotational action: exp(i x) on one fiber coordinate."""
     table = SymbolTable.base()
-    half_i = ComplexExact.make(table, im=Fraction(1, 2))
-    alpha = CharacterExponent(table, (half_i,), (half_i,))
+    half_i = ComplexExact.make(im=Fraction(1, 2))
+    alpha = CharacterExponent((half_i,), (half_i,))
     assert alpha.is_unitary
     return sh.SolvManifoldSpec(
         name="rotation",

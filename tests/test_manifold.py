@@ -57,22 +57,22 @@ class TestExample1:
         spec = example1([1], "symbolic")
         assert spec.n == 1 and spec.m == 2
         assert exponent_data(spec.alphas[0]) == exponent_data(
-            CharacterExponent.from_real_exponent(spec.symbols, [1])
+            CharacterExponent.from_real_exponent([1])
         )
         assert exponent_data(spec.alphas[1]) == exponent_data(
-            CharacterExponent.from_real_exponent(spec.symbols, [-1])
+            CharacterExponent.from_real_exponent([-1])
         )
 
     def test_symbolic_lattice(self):
         spec = example1([1], "symbolic")
         g1, g2 = spec.lattice.generators
-        assert g1[0].im.is_zero and g1[0].re == ExactScalar.symbol(spec.symbols, "lambda")
-        assert g2[0].re.is_zero and g2[0].im == ExactScalar.symbol(spec.symbols, "t")
+        assert g1[0].im.is_zero and g1[0].re == ExactScalar.symbol("lambda")
+        assert g2[0].re.is_zero and g2[0].im == ExactScalar.symbol("t")
 
     def test_rational_pi_lattice(self):
         spec = example1([1], "rational_pi(1,2)")
         g2 = spec.lattice.generators[1]
-        assert g2[0].im == ExactScalar.pi_multiple(spec.symbols, "1/2")
+        assert g2[0].im == ExactScalar.pi_multiple("1/2")
 
     def test_tuple_t_mode(self):
         assert example1([1], (1, 2)) == example1([1], "rational_pi(1,2)")
@@ -152,7 +152,7 @@ class TestExample2:
         spec = example2_n1(A)
         eps = math.exp(spec.symbols.witness("logeps"))
         gens = [
-            np.array([c.complex_value() for c in gen]) for gen in spec.lattice_fiber.generators
+            np.array([c.complex_value(spec.symbols) for c in gen]) for gen in spec.lattice_fiber.generators
         ]
         diag = np.array([eps, 1.0 / eps])
         # real-part generators: columns of the dual eigenvector matrix
@@ -174,7 +174,7 @@ def scaled_fiber_spec(exponent, m=1) -> SolvManifoldSpec:
         name="broken",
         n=1,
         m=m,
-        alphas=tuple(CharacterExponent.from_real_exponent(standard.symbols, [exponent]) for _ in range(m)),
+        alphas=tuple(CharacterExponent.from_real_exponent([exponent]) for _ in range(m)),
         lattice=standard.lattice,
         lattice_fiber=standard.lattice_fiber,
         symbols=standard.symbols,
@@ -227,7 +227,7 @@ class TestValidate:
         # but e^709 * 10 in D W is past the float range
         spec = scaled_fiber_spec(709)
         table = spec.symbols
-        fiber = LatticeBasis(1, ((ComplexExact.make(table, re=10),), (ComplexExact.make(table, im=10),)))
+        fiber = LatticeBasis(1, ((ComplexExact.make(re=10),), (ComplexExact.make(im=10),)))
         report = validate(SolvManifoldSpec(
             name="overflowing_action", n=1, m=1, alphas=spec.alphas, lattice=spec.lattice,
             lattice_fiber=fiber, symbols=table,
@@ -268,9 +268,9 @@ class TestValidate:
         # e^(710 + i pi/4) has finite parts but a modulus past the float range
         standard = torus(1, 1)
         table = standard.symbols
-        a = ComplexExact.make(table, re=355, im=ExactScalar.pi_multiple(table, Fraction(1, 8)))
+        a = ComplexExact.make(re=355, im=ExactScalar.pi_multiple(Fraction(1, 8)))
         report = validate(SolvManifoldSpec(
-            name="overflowing_modulus", n=1, m=1, alphas=(CharacterExponent(table, (a,), (a,)),),
+            name="overflowing_modulus", n=1, m=1, alphas=(CharacterExponent((a,), (a,)),),
             lattice=standard.lattice, lattice_fiber=standard.lattice_fiber, symbols=table,
         ))
         assert report["fiber_preserved"] == FIBER_VIOLATED
@@ -318,7 +318,7 @@ class TestSpecInvariants:
                 name="bad",
                 n=1,
                 m=2,
-                alphas=(CharacterExponent.trivial(table, 1),),
+                alphas=(CharacterExponent.trivial(1),),
                 lattice=torus(1, 1).lattice,
                 lattice_fiber=None,
                 symbols=table,
@@ -331,7 +331,7 @@ class TestSpecInvariants:
                 name="bad",
                 n=1,
                 m=1,
-                alphas=(CharacterExponent.trivial(table, 2),),
+                alphas=(CharacterExponent.trivial(2),),
                 lattice=torus(1, 1).lattice,
                 lattice_fiber=None,
                 symbols=table,

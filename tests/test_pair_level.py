@@ -258,14 +258,12 @@ class TestHarmonicRowsAgainstForms:
         table = sh.SymbolTable.base()
 
         def complex_char(a_re, a_im, b_re, b_im):
-            a = sh.ComplexExact.make(table, re=Fraction(a_re), im=Fraction(a_im))
-            b = sh.ComplexExact.make(table, re=Fraction(b_re), im=Fraction(b_im))
-            return sh.CharacterExponent(table, (a,), (b,))
+            a = sh.ComplexExact.make(re=Fraction(a_re), im=Fraction(a_im))
+            b = sh.ComplexExact.make(re=Fraction(b_re), im=Fraction(b_im))
+            return sh.CharacterExponent((a,), (b,))
 
         def joined(*chars):
-            return sh.CharacterExponent(
-                table, sum((c.a for c in chars), ()), sum((c.b for c in chars), ())
-            )
+            return sh.CharacterExponent(sum((c.a for c in chars), ()), sum((c.b for c in chars), ()))
 
         def generic(name, *alphas, n=1):
             return sh.SolvManifoldSpec(
@@ -310,14 +308,14 @@ class TestHarmonicRowsAgainstForms:
 CHARACTER_FAMILIES = ("trivial", "holomorphic", "antiholomorphic", "unitary", "real", "generic")
 
 
-def random_family_character(table, n, family, rng):
+def random_family_character(n, family, rng):
     """A character of one of CHARACTER_FAMILIES, with exponent entries in {0, 1, -1, i, -i}."""
     units = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
 
     def vector():
-        return tuple(sh.ComplexExact.make(table, *rng.choice(units)) for _ in range(n))
+        return tuple(sh.ComplexExact.make(*rng.choice(units)) for _ in range(n))
 
-    zero = (sh.ComplexExact.zero(table),) * n
+    zero = (sh.ComplexExact.zero(),) * n
     a, b = vector(), vector()
     if family == "trivial":
         a = b = zero
@@ -329,7 +327,7 @@ def random_family_character(table, n, family, rng):
         a = tuple(-c.conjugate() for c in b)
     elif family == "real":
         b = tuple(c.conjugate() for c in a)
-    return sh.CharacterExponent(table, a, b)
+    return sh.CharacterExponent(a, b)
 
 
 def random_family_specs(rng, count):
@@ -339,7 +337,7 @@ def random_family_specs(rng, count):
     for index in range(count):
         n, m = rng.choice(((1, 1), (1, 2), (2, 1)))
         alphas = tuple(
-            random_family_character(table, n, rng.choice(CHARACTER_FAMILIES), rng)
+            random_family_character(n, rng.choice(CHARACTER_FAMILIES), rng)
             for _ in range(m)
         )
         specs.append(
@@ -372,7 +370,7 @@ class TestPairCharacterIdentities:
         for spec in forms_corpus_specs() + random_family_specs(rng, 20):
             alphas = spec.alphas
             bars = tuple(alpha.conjugate() for alpha in alphas)
-            trivial = sh.CharacterExponent.trivial(spec.symbols, spec.n)
+            trivial = sh.CharacterExponent.trivial(spec.n)
 
             def product_over(factors, indices):
                 out = trivial
@@ -419,7 +417,7 @@ class TestTrivialCharactersAdmitted:
     @staticmethod
     def trivial_character_pairs(spec):
         subsets = _subsets(spec.m)
-        trivial = sh.CharacterExponent.trivial(spec.symbols, spec.n)
+        trivial = sh.CharacterExponent.trivial(spec.n)
         alpha = _subset_products(spec.alphas, subsets, trivial)
         conj = _subset_products(tuple(a.conjugate() for a in spec.alphas), subsets, trivial)
         return [(J, L) for J, L in product(subsets, subsets) if (alpha[J] * conj[L]).is_trivial]

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 import solvhodge as sh
 from solvhodge import cli, cohomology, manifold, model, report
 from solvhodge.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CHECK_FAILED,
     EXIT_MALFORMED,
     EXIT_OK,
@@ -44,7 +48,7 @@ def lone_expanding_character():
         name="lone_expanding",
         n=1,
         m=1,
-        alphas=(sh.CharacterExponent.from_real_exponent(table, [1]),),
+        alphas=(sh.CharacterExponent.from_real_exponent([1]),),
         lattice=sh.torus(1, 1).lattice,
         lattice_fiber=None,
         symbols=table,
@@ -64,8 +68,13 @@ def symbolic_scale_data(**fields):
 
 BIG = 10**400
 # the matrices have determinant 1 and |trace| > 2; 10**20 - lam rounds to 10**20, so the
-# float eigenvectors of the second one are parallel
-_BIG_MATRICES = [[[BIG, 1], [BIG - 1, 1]], [[10**20, 1], [10**20 * (3 - 10**20) - 1, 3 - 10**20]]]
+# float eigenvectors of the second one are parallel, and lam - 10**8 cancels to 0.0 in the
+# third, which would give a fiber symbol the witness -0.0
+_BIG_MATRICES = [
+    [[BIG, 1], [BIG - 1, 1]],
+    [[10**20, 1], [10**20 * (3 - 10**20) - 1, 3 - 10**20]],
+    [[10**8, 1], [-1, 0]],
+]
 PAST_FLOAT_RANGE = [
     *(
         ({"builder": "example2_n1", "A": matrix},
@@ -84,7 +93,8 @@ PAST_FLOAT_RANGE = [
      "error: $: builder 'example1' rejected its parameters: a[1] / 2 is past the float range\n"),
 ]
 PAST_FLOAT_RANGE_IDS = [
-    "example2_n1_overflow", "example2_n1_parallel_eigenvectors", "example1_t_mode", "example1_a",
+    "example2_n1_overflow", "example2_n1_parallel_eigenvectors", "example2_n1_cancelled_eigenvector",
+    "example1_t_mode", "example1_a",
 ]
 
 
@@ -111,7 +121,7 @@ class TestSpecFileRoundTrip:
         data = spec_to_dict(sh.torus(1, 1))
         data["lattice"][0][0]["im"] = literal
         spec = load_spec_dict(data)
-        assert spec.lattice.generators[0][0].im == ExactScalar.zero(spec.symbols)
+        assert spec.lattice.generators[0][0].im == ExactScalar.zero()
         assert spec == sh.torus(1, 1)
 
     def test_builder_shorthand(self):
@@ -360,6 +370,19 @@ class TestCli:
     def run(self, *argv):
         return main(list(argv))
 
+    def test_closed_stdout_exits_141_without_a_diagnostic(self, tmp_path):
+        # about 250 kB of rows, past a pipe's buffer: the command is still writing when
+        # the reader closes the pipe after one line, as `| head -1` does
+        path = tmp_path / "t.json"
+        save_spec(sh.torus(2, 3), path)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        argv = [sys.executable, "-m", "solvhodge.cli", "check-harmonic", str(path), "--format", "json"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+            assert proc.stderr.read() == b""
+
     def test_analyze_ok(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         save_spec(sh.torus(1, 1), path)
@@ -590,7 +613,7 @@ class TestCli:
             name="expanding",
             n=1,
             m=1,
-            alphas=(sh.CharacterExponent.from_real_exponent(table, [2]),),
+            alphas=(sh.CharacterExponent.from_real_exponent([2]),),
             lattice=sh.torus(1, 1).lattice,
             lattice_fiber=sh.torus(1, 1).lattice_fiber,
             symbols=table,

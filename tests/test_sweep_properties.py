@@ -3,7 +3,9 @@
 The sweep matches ``reference.sweep``, a literal 4^m walk that shares no
 code with the package, on the specs below, on symbolic-scale specs that
 escape the exact gate, on example1 with m <= 4, exact and forced-float,
-and on explicit spec dicts written without the package's model.
+and on explicit spec dicts written without the package's model. On the
+same cases ``analyze`` gives ``reference.report``'s mode, Hodge and Betti
+tables, condition, symmetry and Serre flags.
 
 On random specs with m <= 3 — random characters over the standard
 Gaussian lattice of C^n for n = 1 and n = 2, example1 under symbolic t
@@ -21,6 +23,7 @@ import random
 from pathlib import Path
 
 import solvhodge as sh
+from solvhodge.cli import analyze
 from solvhodge.cohomology import PairSweep, sweep_trivial_pairs, wedge_closure_report
 from solvhodge.specfile import load_spec_dict, spec_to_dict
 
@@ -33,16 +36,16 @@ SEED = 20261018
 BUDGET = 64  # 20 random with n = 1, 20 example1, 16 random with n = 2, 8 example2_n1
 
 
-def periodic_character(table: sh.SymbolTable, rng: random.Random) -> sh.CharacterExponent:
+def periodic_character(rng: random.Random) -> sh.CharacterExponent:
     """exp(2 pi i (k_1 y_1 + k_2 y_2)) on C^2: trivial on the Gaussian lattice, not as a character."""
     a = tuple(
-        sh.ComplexExact.make(table, re=sh.ExactScalar.pi_multiple(table, rng.randint(-1, 1)))
+        sh.ComplexExact.make(re=sh.ExactScalar.pi_multiple(rng.randint(-1, 1)))
         for _ in range(2)
     )
-    return sh.CharacterExponent(table, a, tuple(-c for c in a))
+    return sh.CharacterExponent(a, tuple(-c for c in a))
 
 
-def plane_characters(table: sh.SymbolTable, m: int, rng: random.Random):
+def plane_characters(m: int, rng: random.Random):
     """m characters on C^2, mixing random ones, inverses of earlier ones and periodic ones."""
     alphas = []
     for _ in range(m):
@@ -50,9 +53,9 @@ def plane_characters(table: sh.SymbolTable, m: int, rng: random.Random):
         if kind == 0 and alphas:
             alphas.append(rng.choice(alphas).inverse())
         elif kind == 1:
-            alphas.append(periodic_character(table, rng))
+            alphas.append(periodic_character(rng))
         else:
-            alphas.append(random_character(table, 2, rng))
+            alphas.append(random_character(2, rng))
     return tuple(alphas)
 
 
@@ -67,7 +70,7 @@ def random_specs(rng: random.Random) -> list[sh.SolvManifoldSpec]:
                 name=f"random_{index}",
                 n=1,
                 m=m,
-                alphas=tuple(random_character(table, 1, rng) for _ in range(m)),
+                alphas=tuple(random_character(1, rng) for _ in range(m)),
                 lattice=sh.torus(1, m).lattice,
                 lattice_fiber=None,
                 symbols=table,
@@ -85,7 +88,7 @@ def random_specs(rng: random.Random) -> list[sh.SolvManifoldSpec]:
                 name=f"plane_{index}",
                 n=2,
                 m=m,
-                alphas=plane_characters(table, m, rng),
+                alphas=plane_characters(m, rng),
                 lattice=sh.torus(2, m).lattice,
                 lattice_fiber=None,
                 symbols=table,
@@ -134,6 +137,14 @@ def escaping_dicts() -> list[dict]:
     ]
 
 
+def matches_the_reference_report(spec, data, force_float=False) -> dict:
+    """``reference.report`` of ``data``, after checking that ``analyze`` gives each of its fields."""
+    expected = reference.report(data, force_float)
+    record = analyze(spec, skip_forms=True, force_float=force_float)
+    assert {key: record[key] for key in expected} == expected, (spec.name, force_float)
+    return expected
+
+
 def test_sweep_matches_the_literal_oracle():
     rng = random.Random(SEED)
     randoms = random_specs(rng)  # the same specs as the test above
@@ -143,16 +154,21 @@ def test_sweep_matches_the_literal_oracle():
     cases = [(spec, spec_to_dict(spec), False) for spec in randoms + examples]
     cases += [(load_spec_dict(data), data, False) for data in scaled]
     cases += [(spec, spec_to_dict(spec), True) for spec in examples]
-    wider = escaped = 0
+    wider = escaped = violated = asymmetric = 0
     for spec, data, force_float in cases:
         sweep = sweep_trivial_pairs(spec, force_float)
         assert (list(sweep.pairs), sweep.certified) == reference.sweep(data, force_float), (spec.name, force_float)
+        expected = matches_the_reference_report(spec, data, force_float)
         wider += len(sweep) > 1
         escaped += not (force_float or sweep.certified)
-    # the cases reach m = 4, every scaled spec escapes unforced, and most admit more than ((), ())
+        violated += not expected["condition"]["holds"]
+        asymmetric += not expected["symmetry"]
+    # the cases reach m = 4, every scaled spec escapes unforced, and most admit more than ((), ());
+    # some violate the condition, and some break the symmetry
     assert max(spec.m for spec, _, _ in cases) == 4
     assert escaped == len(scaled)
     assert wider >= len(cases) * 3 // 4
+    assert violated >= 10 and asymmetric >= 3, (violated, asymmetric)
 
 
 def random_scalar(rng: random.Random) -> dict:
@@ -181,13 +197,18 @@ def random_dicts(rng: random.Random, count: int) -> list[dict]:
 
 
 def test_sweep_matches_the_reference_on_explicit_dicts():
-    wider = escaped = 0
+    wider = escaped = violated = asymmetric = 0
     for data in random_dicts(random.Random(SEED), 24):
-        sweep = sweep_trivial_pairs(load_spec_dict(data))
+        spec = load_spec_dict(data)
+        sweep = sweep_trivial_pairs(spec)
         assert (list(sweep.pairs), sweep.certified) == reference.sweep(data), data["name"]
+        expected = matches_the_reference_report(spec, data)
         wider += len(sweep) > 1
         escaped += not sweep.certified
+        violated += not expected["condition"]["holds"]
+        asymmetric += not expected["symmetry"]
     assert wider >= 6 and escaped >= 3, (wider, escaped)
+    assert violated >= 6 and asymmetric >= 3, (violated, asymmetric)
 
 
 def test_reference_imports_only_the_standard_library():

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import solvhodge as sh
-from solvhodge.exact import ComplexExact, ExactScalar, SymbolTable, TableMismatch, Value
+from solvhodge.exact import ComplexExact, ExactScalar, SymbolTable, Value
 from solvhodge.forms import Generator, TwistedForm, dw, dz
 
 
@@ -24,26 +24,22 @@ def other_table():
     return SymbolTable.base().with_symbol("u", 3.0)
 
 
-def scalar(symbols, **coeffs):
-    return ExactScalar.make(symbols, coeffs)
+def scalar(**coeffs):
+    return ExactScalar.make(coeffs)
 
 
-def cplx(t, re=0, im=0):
-    return ComplexExact.make(t, re=re, im=im)
+def character(shift=0):
+    return sh.CharacterExponent((ComplexExact.make(1 + shift, "1/2"),), (ComplexExact.make(0, -1),))
 
 
-def character(t, shift=0):
-    return sh.CharacterExponent(t, (cplx(t, 1 + shift, "1/2"),), (cplx(t, 0, -1),))
-
-
-def lattice(t, scale=1):
-    return sh.LatticeBasis(1, ((cplx(t, scale),), (cplx(t, 0, scalar(t, t=1)),)))
+def lattice(scale=1):
+    return sh.LatticeBasis(1, ((ComplexExact.make(scale),), (ComplexExact.make(0, scalar(t=1)),)))
 
 
 def spec(t, name="demo"):
     return sh.SolvManifoldSpec(
-        name=name, n=1, m=1, alphas=(character(t),), lattice=lattice(t),
-        lattice_fiber=sh.LatticeBasis(1, ((cplx(t, 1),), (cplx(t, 0, 1),))), symbols=t,
+        name=name, n=1, m=1, alphas=(character(),), lattice=lattice(),
+        lattice_fiber=sh.LatticeBasis(1, ((ComplexExact.make(1),), (ComplexExact.make(0, 1),))), symbols=t,
     )
 
 
@@ -52,21 +48,17 @@ def spec(t, name="demo"):
 VALUES = {
     "SymbolTable": (table, lambda: SymbolTable.base().with_symbol("t", 2.0), other_table),
     "ExactScalar": (
-        lambda: scalar(table(), one="1/2", t=-3),
-        lambda: ExactScalar(table(), (("one", Fraction(1, 2)), ("t", Fraction(-3)))),
-        lambda: scalar(table(), one="1/2", t=3),
+        lambda: scalar(one="1/2", t=-3),
+        lambda: ExactScalar((("one", Fraction(1, 2)), ("t", Fraction(-3)))),
+        lambda: scalar(one="1/2", t=3),
     ),
     "ComplexExact": (
-        lambda: cplx(table(), 1, scalar(table(), pi=2)),
-        lambda: ComplexExact(scalar(table(), one=1), scalar(table(), pi=2)),
-        lambda: cplx(table(), 1, scalar(table(), pi=-2)),
+        lambda: ComplexExact.make(1, scalar(pi=2)),
+        lambda: ComplexExact(scalar(one=1), scalar(pi=2)),
+        lambda: ComplexExact.make(1, scalar(pi=-2)),
     ),
-    "CharacterExponent": (
-        lambda: character(table()),
-        lambda: character(table()),
-        lambda: character(table(), shift=1),
-    ),
-    "LatticeBasis": (lambda: lattice(table()), lambda: lattice(table()), lambda: lattice(table(), 2)),
+    "CharacterExponent": (character, character, lambda: character(shift=1)),
+    "LatticeBasis": (lattice, lattice, lambda: lattice(2)),
     "SolvManifoldSpec": (
         lambda: spec(table()),
         lambda: spec(table()),
@@ -79,9 +71,9 @@ VALUES = {
         lambda: sh.BasisElement((1,), (1, 2), (2,), ()),
     ),
     "TwistedForm": (
-        lambda: TwistedForm.monomial(cplx(table(), 2), character(table()), (dz(1), dw(1))),
-        lambda: TwistedForm.monomial(cplx(table(), -2), character(table()), (dw(1), dz(1))),
-        lambda: TwistedForm.monomial(cplx(table(), 2), character(table()), (dz(1),)),
+        lambda: TwistedForm.monomial(ComplexExact.make(2), character(), (dz(1), dw(1))),
+        lambda: TwistedForm.monomial(ComplexExact.make(-2), character(), (dw(1), dz(1))),
+        lambda: TwistedForm.monomial(ComplexExact.make(2), character(), (dz(1),)),
     ),
     "PairSweep": (
         lambda: sh.PairSweep((((), ()), ((1,), (1,))), True),
@@ -97,9 +89,9 @@ VALUES = {
 
 FIELDS = {
     "SymbolTable": ("entries",),
-    "ExactScalar": ("table", "coeffs"),
+    "ExactScalar": ("coeffs",),
     "ComplexExact": ("re", "im"),
-    "CharacterExponent": ("table", "a", "b"),
+    "CharacterExponent": ("a", "b"),
     "LatticeBasis": ("n", "generators"),
     "SolvManifoldSpec": ("name", "n", "m", "alphas", "lattice", "lattice_fiber", "symbols"),
     "Generator": ("kind", "index"),
@@ -153,9 +145,22 @@ def test_pickle_and_copy_keep_the_value(kind):
 
 
 t = table()
-u = other_table()
-one = cplx(t, 1)
-alpha = character(t)
+one = ComplexExact.make(1)
+alpha = character()
+u = ComplexExact.make(scalar(u=1))  # names "u", which t does not declare
+mixed = ComplexExact.make(scalar(one=1, t=1, u=1))
+
+
+def naming_u(n, m, alphas=(alpha,), base=lattice(), fiber=None):
+    """Builds a manifold over t one of whose numbers names u; its ValueError must name u."""
+    def build():
+        try:
+            sh.SolvManifoldSpec("x", n, m, alphas, base, fiber, t)
+        except ValueError as exc:
+            assert str(exc) == "undeclared symbol 'u'", exc
+            raise
+    return build
+
 
 REFUSED = {
     "SymbolTable duplicate name": (ValueError, lambda: SymbolTable((("one", 1.0), ("pi", math.pi), ("one", 1.0)))),
@@ -166,23 +171,20 @@ REFUSED = {
     "SymbolTable non-string name": (ValueError, lambda: SymbolTable((("one", 1.0), ("pi", math.pi), (7, 2.0)))),
     "SymbolTable zero witness": (ValueError, lambda: SymbolTable((("one", 1.0), ("pi", math.pi), ("t", 0.0)))),
     "SymbolTable infinite witness": (ValueError, lambda: SymbolTable((("one", 1.0), ("pi", math.pi), ("t", math.inf)))),
-    "ExactScalar undeclared symbol": (ValueError, lambda: ExactScalar(t, (("u", Fraction(1)),))),
-    "ExactScalar zero coefficient": (ValueError, lambda: ExactScalar(t, (("one", Fraction(0)),))),
-    "ExactScalar int coefficient": (ValueError, lambda: ExactScalar(t, (("one", 1),))),
-    "ExactScalar unsorted": (ValueError, lambda: ExactScalar(t, (("pi", Fraction(1)), ("one", Fraction(1))))),
-    "ExactScalar repeated symbol": (ValueError, lambda: ExactScalar(t, (("one", Fraction(1)), ("one", Fraction(2))))),
-    "ComplexExact mixed tables": (TableMismatch, lambda: ComplexExact(scalar(t, one=1), scalar(u, one=1))),
-    "CharacterExponent lengths": (ValueError, lambda: sh.CharacterExponent(t, (one,), ())),
-    "CharacterExponent foreign entry": (TableMismatch, lambda: sh.CharacterExponent(u, (one,), (cplx(u),))),
+    "ExactScalar zero coefficient": (ValueError, lambda: ExactScalar((("one", Fraction(0)),))),
+    "ExactScalar int coefficient": (ValueError, lambda: ExactScalar((("one", 1),))),
+    "ExactScalar unsorted": (ValueError, lambda: ExactScalar((("pi", Fraction(1)), ("one", Fraction(1))))),
+    "ExactScalar repeated symbol": (ValueError, lambda: ExactScalar((("one", Fraction(1)), ("one", Fraction(2))))),
+    "CharacterExponent lengths": (ValueError, lambda: sh.CharacterExponent((one,), ())),
     "LatticeBasis generator count": (ValueError, lambda: sh.LatticeBasis(1, ((one,),))),
     "LatticeBasis generator length": (ValueError, lambda: sh.LatticeBasis(1, ((one,), (one, one)))),
     "SolvManifoldSpec name with a line break": (
         ValueError,
-        lambda: sh.SolvManifoldSpec("a\n\\end{tabular}", 1, 1, (alpha,), lattice(t), None, t),
+        lambda: sh.SolvManifoldSpec("a\n\\end{tabular}", 1, 1, (alpha,), lattice(), None, t),
     ),
     "SolvManifoldSpec negative n": (
         ValueError,
-        lambda: sh.SolvManifoldSpec("x", -1, 1, (alpha,), lattice(t), None, t),
+        lambda: sh.SolvManifoldSpec("x", -1, 1, (alpha,), lattice(), None, t),
     ),
     "SolvManifoldSpec empty": (
         ValueError,
@@ -190,15 +192,11 @@ REFUSED = {
     ),
     "SolvManifoldSpec character count": (
         ValueError,
-        lambda: sh.SolvManifoldSpec("x", 1, 2, (alpha,), lattice(t), None, t),
+        lambda: sh.SolvManifoldSpec("x", 1, 2, (alpha,), lattice(), None, t),
     ),
     "SolvManifoldSpec character dimension": (
         ValueError,
-        lambda: sh.SolvManifoldSpec("x", 1, 1, (sh.CharacterExponent.trivial(t, 2),), lattice(t), None, t),
-    ),
-    "SolvManifoldSpec foreign character": (
-        TableMismatch,
-        lambda: sh.SolvManifoldSpec("x", 1, 1, (sh.CharacterExponent.trivial(u, 1),), lattice(t), None, t),
+        lambda: sh.SolvManifoldSpec("x", 1, 1, (sh.CharacterExponent.trivial(2),), lattice(), None, t),
     ),
     "SolvManifoldSpec lattice dimension": (
         ValueError,
@@ -206,15 +204,23 @@ REFUSED = {
     ),
     "SolvManifoldSpec fiber dimension": (
         ValueError,
-        lambda: sh.SolvManifoldSpec("x", 1, 1, (alpha,), lattice(t), sh.torus(0, 2).lattice_fiber, t),
+        lambda: sh.SolvManifoldSpec("x", 1, 1, (alpha,), lattice(), sh.torus(0, 2).lattice_fiber, t),
     ),
-    "SolvManifoldSpec foreign lattice": (
-        TableMismatch,
-        lambda: sh.SolvManifoldSpec("x", 1, 1, (alpha,), sh.torus(1, 0).lattice, None, t),
+    # every number of a spec may name only the symbols its table declares
+    "SolvManifoldSpec foreign character": (ValueError, naming_u(1, 1, (sh.CharacterExponent((u,), (one,)),))),
+    "SolvManifoldSpec undeclared symbol in b": (ValueError, naming_u(1, 1, (sh.CharacterExponent((one,), (u,)),))),
+    "SolvManifoldSpec undeclared symbol in an imaginary part": (
+        ValueError,
+        naming_u(1, 1, (sh.CharacterExponent((ComplexExact.make(1, scalar(u=1)),), (one,)),)),
     ),
+    "SolvManifoldSpec undeclared symbol beside declared ones": (
+        ValueError,
+        naming_u(1, 2, (alpha, sh.CharacterExponent((mixed,), (one,)))),
+    ),
+    "SolvManifoldSpec foreign lattice": (ValueError, naming_u(1, 1, base=sh.LatticeBasis(1, ((one,), (u,))))),
     "SolvManifoldSpec foreign fiber lattice": (
-        TableMismatch,
-        lambda: sh.SolvManifoldSpec("x", 1, 1, (alpha,), lattice(t), sh.torus(0, 1).lattice_fiber, t),
+        ValueError,
+        naming_u(1, 1, fiber=sh.LatticeBasis(1, ((u,), (ComplexExact.make(0, 1),)))),
     ),
     "Generator kind": (ValueError, lambda: Generator("dx", 1)),
     "Generator index": (ValueError, lambda: Generator("dz", 0)),
@@ -235,9 +241,9 @@ def test_construction_checks_refuse(case):
 # The shared constructor of three value types whose construction checks run
 # once the fields are stored.
 SHARED = {
-    "LatticeBasis": (sh.LatticeBasis, {"n": 1, "generators": lattice(t).generators}),
+    "LatticeBasis": (sh.LatticeBasis, {"n": 1, "generators": lattice().generators}),
     "BasisElement": (sh.BasisElement, {"I": (1,), "J": (1, 2), "K": (), "L": (2,)}),
-    "CharacterExponent": (sh.CharacterExponent, {"table": t, "a": alpha.a, "b": alpha.b}),
+    "CharacterExponent": (sh.CharacterExponent, {"a": alpha.a, "b": alpha.b}),
 }
 
 

@@ -116,14 +116,14 @@ class TestSmallestSingularValue:
             for size in (2, 4, 6):
                 assert_matches_svd(gen.uniform(-3.0, 3.0, (size, size)) * 10.0**exponent)
         table = sh.SymbolTable.base()
-        big, minus_big = (sh.ExactScalar.rational(table, v) for v in (10**200, -(10**200)))
+        big, minus_big = (sh.ExactScalar.rational(v) for v in (10**200, -(10**200)))
         lattice = sh.LatticeBasis(
-            1, ((sh.ComplexExact.make(table, re=big, im=big),), (sh.ComplexExact.make(table, re=minus_big, im=big),))
+            1, ((sh.ComplexExact.make(re=big, im=big),), (sh.ComplexExact.make(re=minus_big, im=big),))
         )
         spec = sh.SolvManifoldSpec(
             name="huge_base", n=1, m=0, alphas=(), lattice=lattice, lattice_fiber=None, symbols=table
         )
-        smallest = _smallest_and_condition(real_matrix(lattice))[0]
+        smallest = _smallest_and_condition(real_matrix(lattice, table))[0]
         assert sh.validate(spec)["lattice_rank_ok"] and math.isclose(smallest, math.sqrt(2) * 1e200, rel_tol=1e-12)
         # a smallest singular value itself past the float range reads as inf
         assert _smallest_and_condition([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]])[0] == math.inf
@@ -132,7 +132,7 @@ class TestSmallestSingularValue:
         for A in HYPERBOLIC[:8]:
             spec = sh.example2_n1(A)
             assert sh.validate(spec)["lattice_rank_ok"]
-            assert assert_matches_svd(real_matrix(spec.lattice_fiber)) > RANK_TOLERANCE
+            assert assert_matches_svd(real_matrix(spec.lattice_fiber, spec.symbols)) > RANK_TOLERANCE
         # the empty base lattice of a torus over C^0 has full rank
         assert sh.validate(sh.torus(0, 1))["lattice_rank_ok"]
 
@@ -160,11 +160,11 @@ class TestFiberCoefficients:
             spec = sh.example2_n1(A)
             report = sh.validate(spec)
             assert report["fiber_preserved"] == FIBER_OK, A
-            basis_rows = real_matrix(spec.lattice_fiber)
+            basis_rows = real_matrix(spec.lattice_fiber, spec.symbols)
             basis = np.array(basis_rows).T
             for gen, detail in zip(spec.lattice.generators, report["details"]):
-                point = [c.complex_value() for c in gen]
-                values = [alpha.value_at(point) for alpha in spec.alphas]
+                point = [c.complex_value(spec.symbols) for c in gen]
+                values = [alpha.value_at(point, spec.symbols) for alpha in spec.alphas]
                 expected = np.linalg.solve(basis, realified_diagonal(values) @ basis)
                 got = np.array(_fiber_coefficients(tuple(zip(*basis_rows)), values))
                 assert np.abs(got - expected).max() < 1e-12, A
@@ -211,14 +211,14 @@ class TestFiberCoefficients:
             lattice_fiber=sh.LatticeBasis(1, (gen, gen)),
             symbols=torus.symbols,
         )
-        basis = np.array(real_matrix(spec.lattice_fiber)).T
+        basis = np.array(real_matrix(spec.lattice_fiber, spec.symbols)).T
         try:
             np.linalg.solve(basis, basis)
         except np.linalg.LinAlgError:
             pass
         else:
             raise AssertionError("numpy solved a singular system")
-        assert _fiber_coefficients(tuple(zip(*real_matrix(spec.lattice_fiber))), [1.0]) is None
+        assert _fiber_coefficients(tuple(zip(*real_matrix(spec.lattice_fiber, spec.symbols))), [1.0]) is None
         report = sh.validate(spec)
         assert report["fiber_preserved"] == FIBER_VIOLATED
         assert "base generator 1: fiber basis is numerically singular" in report["details"]
