@@ -180,6 +180,21 @@ def _cmd_version(args) -> int:
     return EXIT_OK
 
 
+def _print_error(exc: Exception) -> None:
+    """Print ``error: exc`` on stderr; a stderr that cannot take it loses the line, not the exit code.
+
+    Python sets ``sys.stderr`` to None when started with standard error closed, and print would then
+    write to stdout.  A stderr that refuses the write is pointed at devnull, as stdout is after a
+    broken pipe, so that the flush at exit cannot fail again.
+    """
+    if sys.stderr is None:
+        return
+    try:
+        print(f"error: {exc}", file=sys.stderr, flush=True)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -198,10 +213,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
     except (SpecFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         code = EXIT_MALFORMED
     except DimensionCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         code = EXIT_TOO_LARGE
     if argv is None:
         sys.exit(code)

@@ -362,16 +362,39 @@ def wedge_closure_report(
     generator is the sum of the two pairs' exponents, two elements of
     2 pi i Z, and the union is admitted.  An uncertified sweep keeps the
     literal check: the float test is not additive, since two exponents
-    within its tolerance bound their sum only by twice that tolerance.  That
-    walk costs P^2 for P admitted pairs, so it alone is held to the forms cap.
+    within its tolerance bound their sum only by twice that tolerance.
+
+    That check indexes the P admitted pairs by their (J, L) masks.  The
+    partners of a pair are the admitted pairs whose masks lie in its
+    complements, so it visits the submasks of those complements, or all P
+    pairs where there are fewer of them: at most min(P^2, 9^m) steps, and
+    only this walk is held to the forms cap.  The witness is the pair that
+    comes first in the sweep with a failing partner, and its first such
+    partner.
     """
     if sweep.certified:
         return None
     check_caps(spec.complex_dim, forms=True)
-    masked = [(_mask(J), _mask(L), J, L) for J, L in sweep]
-    admitted = {(j, l) for j, l, _, _ in masked}
-    for j1, l1, J1, L1 in masked:
-        for j2, l2, J2, L2 in masked:
-            if not (j1 & j2 or l1 & l2) and (j1 | j2, l1 | l2) not in admitted:
-                return BasisElement((), J1, (), L1), BasisElement((), J2, (), L2)
+    pairs = list(sweep)
+    index = {(_mask(J), _mask(L)): k for k, (J, L) in enumerate(pairs)}
+    full = (1 << spec.m) - 1
+    for (j1, l1), k1 in index.items():
+        free_j, free_l = full & ~j1, full & ~l1
+        if 1 << (free_j.bit_count() + free_l.bit_count()) < len(index):
+            partners = ((j2, l2) for j2 in _submasks(free_j) for l2 in _submasks(free_l) if (j2, l2) in index)
+        else:
+            partners = ((j2, l2) for j2, l2 in index if not (j1 & j2 or l1 & l2))
+        failing = [index[j2, l2] for j2, l2 in partners if (j1 | j2, l1 | l2) not in index]
+        if failing:
+            (J1, L1), (J2, L2) = pairs[k1], pairs[min(failing)]
+            return BasisElement((), J1, (), L1), BasisElement((), J2, (), L2)
     return None
+
+
+def _submasks(mask: int) -> Iterable[int]:
+    """Every submask of ``mask``, ``mask`` itself and 0 included."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+    yield 0

@@ -2,9 +2,11 @@
 
 The data model itself (characters, lattices, :class:`SolvManifoldSpec`)
 lives in ``model``.  Here :func:`validate` checks a manifold's lattices on
-float witnesses, with the witness numerics it needs, and the builders make
+their witnesses, with the witness numerics it needs, and the builders make
 the named example families; each builder refuses an n + m past the
-counting cap before it builds anything.
+counting cap before it builds anything.  A lattice's rank is certified
+from one exact inverse of its witness matrix, which also gives the
+condition number that bounds the float solve of fiber preservation.
 """
 
 from __future__ import annotations
@@ -27,57 +29,11 @@ __all__ = [
 ]
 
 INTEGRALITY_TOLERANCE = 1e-6
-RANK_TOLERANCE = 1e-9
-# one-sided Jacobi converges quadratically; small witness matrices need a few sweeps
-MAX_JACOBI_SWEEPS = 60
 
 FIBER_OK = "ok"
 FIBER_VIOLATED = "violated"
 FIBER_UNDECIDED = "undecided"
 FIBER_NOT_CHECKED = "not_checked"
-
-
-def _smallest_and_condition(rows: Sequence[Sequence[float]]) -> tuple[float, float]:
-    """Smallest singular value and condition number of a square float matrix.
-
-    One-sided (Hestenes) Jacobi: plane rotations orthogonalise the columns
-    in place, and the column norms are then the singular values.  Working on
-    the matrix itself, not on M^T M, keeps the absolute error near machine
-    precision times the norm of M, so values near ``RANK_TOLERANCE`` are
-    resolved.  The matrix is first scaled by a power of two, which is exact,
-    so that its largest entry is below 1 in magnitude and no sum of squares
-    overflows; the condition number, a ratio, is read before unscaling.
-    """
-    _, scale = math.frexp(max(abs(v) for row in rows for v in row))
-    columns = [[math.ldexp(v, -scale) for v in col] for col in zip(*rows)]
-    size = len(columns)
-    threshold = size * sys.float_info.epsilon
-    for _ in range(MAX_JACOBI_SWEEPS):
-        rotated = False
-        for i in range(size - 1):
-            for j in range(i + 1, size):
-                x, y = columns[i], columns[j]
-                alpha = math.fsum(v * v for v in x)
-                beta = math.fsum(v * v for v in y)
-                gamma = math.fsum(u * v for u, v in zip(x, y))
-                if abs(gamma) <= threshold * math.sqrt(alpha) * math.sqrt(beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                columns[i] = [c * u - s * v for u, v in zip(x, y)]
-                columns[j] = [s * u + c * v for u, v in zip(x, y)]
-        if not rotated:
-            break
-    norms = [math.hypot(*col) for col in columns]
-    smallest = min(norms)
-    condition = max(norms) / smallest if smallest else math.inf
-    try:
-        return math.ldexp(smallest, scale), condition
-    except OverflowError:  # the value itself is past the float range
-        return math.inf, condition
 
 
 def real_matrix(lattice: LatticeBasis, table: SymbolTable) -> tuple[tuple[float, ...], ...]:
@@ -86,6 +42,51 @@ def real_matrix(lattice: LatticeBasis, table: SymbolTable) -> tuple[tuple[float,
         tuple(c.re.float_value(table) for c in gen) + tuple(c.im.float_value(table) for c in gen)
         for gen in lattice.generators
     )
+
+
+def _exact_matrix(lattice: LatticeBasis, table: SymbolTable) -> tuple[list[list[Fraction]], Fraction]:
+    """``real_matrix`` computed exactly on the witnesses, and the infinity norm of a bound on its error.
+
+    Each witness but ``one``'s is its constant to within half an ulp, so an
+    entry sum c * x errs by at most sum |c| * ulp(witness of x) / 2.
+    """
+    exact = {x: Fraction(w) for x, w in table.entries}
+    half_ulp = {x: Fraction(0 if x == "one" else math.ulp(w)) / 2 for x, w in table.entries}
+    rows, error = [], Fraction(0)
+    for gen in lattice.generators:
+        scalars = [z.re for z in gen] + [z.im for z in gen]
+        rows.append([sum((c * exact[x] for x, c in s.coeffs), Fraction(0)) for s in scalars])
+        error = max(error, sum((abs(c) * half_ulp[x] for s in scalars for x, c in s.coeffs), Fraction(0)))
+    return rows, error
+
+
+def _inverse(matrix: Sequence[Sequence[Fraction]]) -> Optional[list[list[Fraction]]]:
+    """The inverse by Gauss-Jordan elimination over ``Fraction``, or None for a singular matrix."""
+    size = len(matrix)
+    zero, one = Fraction(0), Fraction(1)
+    work = [list(row) + [one if r == k else zero for k in range(size)] for r, row in enumerate(matrix)]
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if work[r][col]), None)
+        if pivot_row is None:
+            return None
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot = work[col]
+        if pivot[col] != 1:
+            pivot = work[col] = [x / pivot[col] for x in pivot]
+        for r in range(size):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [x - factor * p for x, p in zip(work[r], pivot)]
+    return [row[size:] for row in work]
+
+
+def _norm(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
+    """The infinity norm, the largest absolute row sum; 0 for the empty matrix."""
+    return max((sum(abs(x) for x in row if x) for row in matrix), default=Fraction(0))
+
+
+def _to_float(value: Fraction) -> float:
+    return float(value) if value < sys.float_info.max else math.inf
 
 
 def _fiber_coefficients(
@@ -136,8 +137,19 @@ def validate(spec: SolvManifoldSpec) -> dict:
 
     It holds ``lattice_rank_ok``, ``fiber_preserved`` (a ``FIBER_*`` value) and
     the ``details`` lines.  Failures are reported, never raised; all checks run
-    on float witnesses.  A base generator preserves the fiber lattice when the
-    action's coefficients on the fiber basis are integers and det D =
+    on the witnesses, each taken to be its constant, pi's too, to within half an
+    ulp.  Builder witnesses computed in floats can be off by more, until they
+    are computed to that precision (ROADMAP item 17): ``example2_n1``'s fiber
+    witnesses by up to about 0.3 N ulps for entries of size N.
+
+    A lattice's rank is certified full when its witness matrix W, inverted
+    exactly, and the bound E on W's error (:func:`_exact_matrix`) have
+    ||W^-1|| ||E|| < 1 in the infinity norm: every matrix within E of W is then
+    invertible (Neumann series).  Otherwise the detail names the lattice and
+    says "singular" or gives that bound.
+
+    A base generator preserves the fiber lattice when the action's
+    coefficients on the fiber basis are integers and det D =
     prod |alpha_k(g)|^2 is 1; fiber preservation is ``undecided`` where the
     witnesses are too coarse to tell whether the coefficients are integers.
     """
@@ -147,12 +159,16 @@ def validate(spec: SolvManifoldSpec) -> dict:
     for label, lattice in (("base", spec.lattice), ("fiber", spec.lattice_fiber)):
         if lattice is None:
             continue
-        rows = real_matrix(lattice, spec.symbols)  # empty for a lattice in C^0, which has full rank
-        smallest, condition = _smallest_and_condition(rows) if rows else (math.inf, 1.0)
-        if not smallest > RANK_TOLERANCE:
-            details.append(f"{label} lattice rank deficient: smallest singular value {smallest:.3e}")
+        exact, error = _exact_matrix(lattice, spec.symbols)  # empty for a lattice in C^0, which has full rank
+        inverse = _inverse(exact)
+        reach = math.inf if inverse is None else _to_float(_norm(inverse) * error)
+        if not reach < 1:
+            reason = "witness matrix singular" if inverse is None else f"error bound {reach:.3e} not below 1"
+            details.append(f"{label} lattice rank not certified: {reason}")
             rank_ok = False
         if label == "fiber":
+            condition = math.inf if inverse is None else _to_float(_norm(exact) * _norm(inverse))
+            rows = real_matrix(lattice, spec.symbols)
             fiber_status = _check_fiber_preservation(spec, rows, condition, details)
     return {"lattice_rank_ok": rank_ok, "fiber_preserved": fiber_status, "details": details}
 
@@ -176,8 +192,9 @@ def _check_fiber_preservation(
 ) -> str:
     """Per base generator, recover the integer matrix C of the action on the fiber basis W.
 
-    W has the fiber's witness ``rows`` as columns, and cond(W) is ``condition``.
-    C is computed to within about cond(W) * eps * max|C|.  A generator whose
+    W has the fiber's witness ``rows`` as columns, and ``condition`` is the
+    infinity-norm condition number of the rows, from the exact inverse.  C is
+    computed to within about condition * eps * max|C|.  A generator whose
     action has a determinant other than 1 is violated whatever the bound; one
     whose bound reaches 1/2 cannot be rounded, and is undecided.
     """
@@ -235,12 +252,14 @@ def _check_fiber_preservation(
 def _standard_lattice(n: int) -> LatticeBasis:
     """Generators e_1..e_n, i*e_1..i*e_n of the Gaussian-integer lattice."""
     zero = ComplexExact.zero()
-    generators = []
-    for j in range(n):
-        generators.append(tuple(ComplexExact.make(re=1) if k == j else zero for k in range(n)))
-    for j in range(n):
-        generators.append(tuple(ComplexExact.make(im=1) if k == j else zero for k in range(n)))
-    return LatticeBasis(n, tuple(generators))
+    units = (ComplexExact.make(re=1), ComplexExact.make(im=1))
+    generators = tuple(tuple(u if k == j else zero for k in range(n)) for u in units for j in range(n))
+    return LatticeBasis(n, generators)
+
+
+def _line_lattice(re: ExactScalar, im: ExactScalar) -> LatticeBasis:
+    """The lattice of C spanned by ``re`` and i * ``im``."""
+    return LatticeBasis(1, ((ComplexExact.make(re=re),), (ComplexExact.make(im=im),)))
 
 
 def _integer(value, name: str) -> int:
@@ -329,20 +348,13 @@ def example1(a: Sequence[int], t_mode="symbolic") -> SolvManifoldSpec:
     for v in exponents:
         alphas.append(CharacterExponent.from_real_exponent([v]))
         alphas.append(CharacterExponent.from_real_exponent([-v]))
-    lattice = LatticeBasis(
-        1,
-        (
-            (ComplexExact.make(re=ExactScalar.symbol("lambda")),),
-            (ComplexExact.make(im=t_scalar),),
-        ),
-    )
     name = "example1_" + "_".join(str(v) for v in exponents) + "_" + suffix
     return SolvManifoldSpec(
         name=name,
         n=1,
         m=2 * len(exponents),
         alphas=tuple(alphas),
-        lattice=lattice,
+        lattice=_line_lattice(ExactScalar.symbol("lambda"), t_scalar),
         lattice_fiber=None,
         symbols=table,
     )
@@ -394,23 +406,10 @@ def example2_n1(matrix: Sequence[Sequence[int]]) -> SolvManifoldSpec:
         for c in range(2):
             table = table.with_symbol(entry_names[r][c], dual[r][c])
 
-    def column(c: int, imaginary: bool) -> tuple[ComplexExact, ...]:
-        parts = []
-        for r in range(2):
-            scalar = ExactScalar.symbol(entry_names[r][c])
-            parts.append(ComplexExact.make(im=scalar) if imaginary else ComplexExact.make(re=scalar))
-        return tuple(parts)
+    def column(c: int, part: str) -> tuple[ComplexExact, ...]:
+        return tuple(ComplexExact.make(**{part: ExactScalar.symbol(entry_names[r][c])}) for r in range(2))
 
-    fiber = LatticeBasis(
-        2, (column(0, False), column(1, False), column(0, True), column(1, True))
-    )
-    lattice = LatticeBasis(
-        1,
-        (
-            (ComplexExact.make(re=ExactScalar.symbol("logeps")),),
-            (ComplexExact.make(im=ExactScalar.symbol("c1")),),
-        ),
-    )
+    fiber = LatticeBasis(2, tuple(column(c, part) for part in ("re", "im") for c in range(2)))
     alphas = (CharacterExponent.from_real_exponent([1]), CharacterExponent.from_real_exponent([-1]))
     name = f"example2_n1_{a11}_{a12}_{a21}_{a22}"
     return SolvManifoldSpec(
@@ -418,7 +417,7 @@ def example2_n1(matrix: Sequence[Sequence[int]]) -> SolvManifoldSpec:
         n=1,
         m=2,
         alphas=alphas,
-        lattice=lattice,
+        lattice=_line_lattice(ExactScalar.symbol("logeps"), ExactScalar.symbol("c1")),
         lattice_fiber=fiber,
         symbols=table,
     )

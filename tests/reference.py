@@ -27,6 +27,18 @@ admitted pair violates the condition when the product of the alpha_j over
 J and the conj(alpha_l) over L is not identically 1, which it decides on
 the exponents written out as one vector of Fractions.
 
+Unless forms are skipped, it also gives:
+
+- wedge closure: for every two admitted pairs whose J and whose L are
+  disjoint, the union pair is admitted, checked on every two pairs;
+- harmonic certification: c = b(A Abar), the antiholomorphic exponent of
+  the product of every alpha_s and conj(alpha_s), is sum_s b_s + conj(a_s),
+  and the basis is harmonic exactly when c = 0.
+
+The Kaehler record lists the 1-based indices of the characters that are
+not unitary (b != -conj a), which obstruct a Kaehler metric, and says
+whether every character is real (b = conj a).
+
 A scalar is a dict from symbol name to a nonzero Fraction, a complex
 number a pair (re, im) of scalars.
 """
@@ -126,6 +138,14 @@ def _subsets(k):
     return [S for size in range(k + 1) for S in combinations(range(1, k + 1), size)]
 
 
+def _sum(vectors, n):
+    """The entrywise sum of complex n-vectors."""
+    total = [({}, {})] * n
+    for vector in vectors:
+        total = [(_add(x[0], y[0]), _add(x[1], y[1])) for x, y in zip(total, vector)]
+    return total
+
+
 def sweep(data, force_float=False):
     """Sorted admitted pairs (J, L), 1-based subsets of the fibers, and the certified flag."""
     witness = {"one": 1.0, "pi": math.pi}
@@ -135,11 +155,7 @@ def sweep(data, force_float=False):
     subsets = _subsets(data["m"])
     pairs, certified = [], True
     for J, L in product(subsets, subsets):
-        b = [({}, {})] * data["n"]
-        for j in J:
-            b = [(_add(x[0], y[0]), _add(x[1], y[1])) for x, y in zip(b, alphas[j - 1][1])]
-        for l in L:
-            b = [(_add(x[0], y[0]), _add(x[1], y[1])) for x, y in zip(b, map(_conj, alphas[l - 1][0]))]
+        b = _sum([alphas[j - 1][1] for j in J] + [map(_conj, alphas[l - 1][0]) for l in L], data["n"])
         a = [(_neg(re), im) for re, im in b]  # -conj b
         if force_float:
             certified, accept = False, _float_gate(a, b, lattice, witness)
@@ -162,8 +178,30 @@ def _vector(a, b):
     }
 
 
-def report(data, force_float=False):
-    """The mode, hodge, betti, certified_de_rham, condition, symmetry and serre fields of the report."""
+def _wedge_closure(pairs):
+    """Every two admitted pairs with disjoint J and disjoint L have an admitted union."""
+    admitted = set(pairs)
+    return all(
+        (tuple(sorted(J1 + J2)), tuple(sorted(L1 + L2))) in admitted
+        for J1, L1 in pairs for J2, L2 in pairs
+        if not set(J1) & set(J2) and not set(L1) & set(L2)
+    )
+
+
+def _kaehler(alphas):
+    """The report's kaehler record, read off the exponent vectors."""
+    unitary = [b == [(_neg(re), im) for re, im in a] for a, b in alphas]  # b = -conj a
+    witnesses = [i for i, ok in enumerate(unitary, start=1) if not ok]
+    return {
+        "status": "obstructed" if witnesses else "inconclusive",
+        "witnesses": witnesses,
+        "completely_solvable": all(b == [_conj(z) for z in a] for a, b in alphas),
+    }
+
+
+def report(data, force_float=False, skip_forms=False):
+    """The fields of the report that the admitted pairs and the exponents decide: every one but
+    ``schema_version``, ``name``, ``validation`` and ``timings_ms``."""
     pairs, certified = sweep(data, force_float)
     n, dim = data["n"], data["n"] + data["m"]
     base = _subsets(n)
@@ -186,6 +224,11 @@ def report(data, force_float=False):
                 total[key] = total.get(key, 0) + coeff
         if any(total.values()):
             violations.append({"J": list(J), "L": list(L), "reason": VIOLATION})
+    wedge_closure = harmonic = None
+    if not skip_forms:
+        wedge_closure = _wedge_closure(pairs)
+        c = _sum([b for _, b in alphas] + [[_conj(z) for z in a] for a, _ in alphas], n)
+        harmonic = not any(re or im for re, im in c)
     return {
         "mode": "exact" if certified else "float_fallback",
         "hodge": hodge,
@@ -194,4 +237,7 @@ def report(data, force_float=False):
         "condition": {"holds": not violations, "violations": violations, "checked_pairs": len(pairs)},
         "symmetry": all((K, L, I, J) in basis for I, J, K, L in basis),
         "serre": all(row == hodge[dim - p][::-1] for p, row in enumerate(hodge)),
+        "wedge_closure": wedge_closure,
+        "harmonic_certified": harmonic,
+        "kaehler": _kaehler(alphas),
     }

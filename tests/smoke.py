@@ -39,7 +39,8 @@ so that a row reads the files earlier rows wrote. Why each group exists:
   preservation is "ok" at N = 5000 and "undecided" at N = 10^4, where the
   float witnesses cannot settle integrality; neither run fails a check. The
   doubling action z -> 2z on Z[i] exits 1: det D = 4, not a lattice
-  automorphism.
+  automorphism. The exact lattice 1e-10 * Z[i] has certified full rank at
+  any scale.
 - The README's example commands run as documented.
 """
 
@@ -129,6 +130,11 @@ DOUBLING = {
     "lattice": GAUSSIAN, "lattice_fiber": GAUSSIAN,
 }
 NEWLINE = {"name": "a\n\\end{tabular}", "n": 1, "m": 0, "alphas": [], "lattice": GAUSSIAN}
+TENTH = {"one": "1/10000000000"}
+SMALL_LATTICE = {  # 1e-10 * Z[i] in C, exact, under a standard fiber
+    "name": "small_lattice", "n": 1, "m": 1, "alphas": [{"real_exp": [{}]}],
+    "lattice": [[{"re": TENTH}], [{"im": TENTH}]], "lattice_fiber": GAUSSIAN,
+}
 
 
 def resonant(r):
@@ -196,6 +202,7 @@ ROWS = [
     row("solvhodge", "analyze", "h4.json", "--format", "json", check=fiber("undecided")),
     row("solvhodge", "analyze", "doubling.json", "--format", "json", code=1, files={"doubling.json": DOUBLING},
         check=report(lambda r: "not a lattice automorphism" in r["validation"]["details"][0])),
+    row("solvhodge", "analyze", "small.json", files={"small.json": SMALL_LATTICE}, check=says("validation: rank ok")),
     # the README's examples
     row("solvhodge", "emit-example", "torus", "--n", "2", "--m", "1", "--out", "torus.json"),
     row("solvhodge", "analyze", "torus.json", check=says("condition: holds")),

@@ -196,7 +196,7 @@ class TestValidate:
             lattice_fiber=standard.lattice_fiber, symbols=standard.symbols,
         ))
         assert not report["lattice_rank_ok"]
-        assert report["details"][0] == "base lattice rank deficient: smallest singular value 0.000e+00"
+        assert report["details"][0] == "base lattice rank not certified: witness matrix singular"
         assert report["fiber_preserved"] == FIBER_OK
 
     def test_one_deficient_lattice_as_base_and_fiber(self):
@@ -210,8 +210,8 @@ class TestValidate:
         ))
         assert not report["lattice_rank_ok"]
         assert report["details"][:2] == [
-            "base lattice rank deficient: smallest singular value 0.000e+00",
-            "fiber lattice rank deficient: smallest singular value 0.000e+00",
+            "base lattice rank not certified: witness matrix singular",
+            "fiber lattice rank not certified: witness matrix singular",
         ]
         assert report["fiber_preserved"] == FIBER_VIOLATED
 

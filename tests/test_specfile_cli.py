@@ -383,6 +383,19 @@ class TestCli:
             assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
             assert proc.stderr.read() == b""
 
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read_only"])
+    def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path, redirect):
+        # with standard error closed Python has no sys.stderr, and read-only it refuses the write;
+        # either way the diagnostic is lost, and neither the exit code nor stdout changes
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"builder": "torus", "n": 13, "m": 0}))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        for path, code in ((tmp_path / "missing.json", EXIT_MALFORMED), (big, EXIT_TOO_LARGE)):
+            command = f'exec "$@" {redirect}'
+            argv = ["sh", "-c", command, "sh", sys.executable, "-m", "solvhodge.cli", "analyze", str(path)]
+            done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+            assert (done.returncode, done.stdout) == (code, ""), (path, done.stderr)
+
     def test_analyze_ok(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         save_spec(sh.torus(1, 1), path)

@@ -1,9 +1,9 @@
-"""The float-witness linear algebra of ``manifold.validate`` against numpy.
+"""The witness linear algebra of ``manifold.validate`` against numpy.
 
-The package computes its advisory witness diagnostics (lattice rank
-certificate, fiber-lattice preservation, the eigenvector inverse of
-``example2_n1``) in pure Python and never imports numpy; numpy serves here
-only as the reference implementation.
+The package computes its witness diagnostics (the lattice rank certificate
+from an exact inverse, fiber-lattice preservation, the eigenvector inverse
+of ``example2_n1``) in pure Python and never imports numpy; numpy serves
+here only as the reference implementation.
 """
 
 import copy
@@ -12,6 +12,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,11 @@ from solvhodge.manifold import (
     FIBER_UNDECIDED,
     FIBER_VIOLATED,
     INTEGRALITY_TOLERANCE,
-    RANK_TOLERANCE,
+    _exact_matrix,
     _fiber_coefficients,
-    _smallest_and_condition,
+    _inverse,
+    _norm,
+    _to_float,
     real_matrix,
 )
 from solvhodge.cli import analyze
@@ -60,37 +63,59 @@ def random_orthogonal(gen, size):
     return q * np.sign(np.diag(r))
 
 
-def assert_matches_svd(matrix):
+def exact_inverse(matrix):
+    """``_inverse`` of the float matrix read exactly, after checking it against numpy's inverse."""
     matrix = np.asarray(matrix, dtype=float)
-    expected = float(np.linalg.svd(matrix, compute_uv=False).min())
-    got = _smallest_and_condition(matrix.tolist())[0]
-    scale = max(1.0, float(np.linalg.norm(matrix, 2)))
-    assert abs(got - expected) <= 1e-12 * scale, (got, expected)
-    assert (got > RANK_TOLERANCE) == (expected > RANK_TOLERANCE), (got, expected)
-    return got
+    inverse = _inverse([[Fraction(x) for x in row] for row in matrix.tolist()])
+    if inverse is not None:
+        got = np.array([[float(x) for x in row] for row in inverse])
+        expected = np.linalg.inv(matrix)
+        scale = np.linalg.cond(matrix, np.inf) * np.abs(expected).max()
+        assert np.abs(got - expected).max() <= 1e-13 * scale, (got, expected)
+    return inverse
+
+
+def distance_to_singular(matrix) -> float:
+    """1 / ||W^-1|| in the infinity norm: the distance from W to the nearest singular matrix in that norm."""
+    inverse = exact_inverse(matrix)
+    return 0.0 if inverse is None else float(1 / _norm(inverse))
 
 
 class TestSmallestSingularValue:
+    """The rank certificate: the smallest perturbation that makes W singular, the infinity-norm
+    counterpart of its smallest singular value, is 1 / ||W^-1|| (Gastinel-Kahan), read off the
+    exact inverse, which numpy's inverse cross-checks."""
+
     def test_random_matrices(self):
         gen = np.random.default_rng(20261018)
         for n in range(1, 7):
-            for _ in range(20):
+            for trial in range(20):
                 size = 2 * n
-                assert_matches_svd(gen.uniform(-3.0, 3.0, (size, size)))
-                assert_matches_svd(gen.integers(-4, 5, (size, size)))
+                matrix = gen.uniform(-3.0, 3.0, (size, size))
+                inverse = exact_inverse(matrix)
+                exact = [[Fraction(x) for x in row] for row in matrix.tolist()]
+                if trial == 0:  # the inverse is exact: W W^-1 is the identity, with no rounding
+                    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)] for row in exact]
+                    assert product == [[int(r == c) for c in range(size)] for r in range(size)]
+                condition = float(_norm(exact) * _norm(inverse))
+                assert math.isclose(condition, np.linalg.cond(matrix, np.inf), rel_tol=1e-9)
+                integers = gen.integers(-4, 5, (size, size))
+                assert (exact_inverse(integers) is None) == (np.linalg.matrix_rank(integers) < size)
 
     def test_near_singular_matrices(self):
         gen = np.random.default_rng(7)
         verdicts = set()
         for n in range(1, 7):
             size = 2 * n
-            # eight targets from 1e-10 to 1e-8; none sits on RANK_TOLERANCE itself,
-            # where the verdict is float noise for any SVD
+            # a W whose smallest singular value is between 1e-10 and 1e-8 has W^-1 of norm
+            # between about 1e8 and 1e10, so an error of norm 1e-9 is certified on one side only
             for target in np.logspace(-10, -8, 8):
                 sigma = np.sort(gen.uniform(0.5, 3.0, size))[::-1]
                 sigma[-1] = target
                 matrix = random_orthogonal(gen, size) @ np.diag(sigma) @ random_orthogonal(gen, size).T
-                verdicts.add(assert_matches_svd(matrix) > RANK_TOLERANCE)
+                distance = distance_to_singular(matrix)
+                assert target / math.sqrt(size) <= distance * (1 + 1e-6) and distance <= target * math.sqrt(size) * (1 + 1e-6)
+                verdicts.add(distance > 1e-9)
         assert verdicts == {True, False}
 
     def test_exactly_degenerate_matrices(self):
@@ -107,14 +132,15 @@ class TestSmallestSingularValue:
                     matrix[-1] = matrix[0] + 2.0 * matrix[1]
                 else:
                     matrix[:, -1] = 3.0 * matrix[:, 0]
-                assert assert_matches_svd(matrix) <= RANK_TOLERANCE
+                assert exact_inverse(matrix) is None
+                assert np.linalg.matrix_rank(matrix) < size
 
     def test_entries_whose_squares_overflow(self):
-        # squares of entries from about 1e155 on are past the float range
+        # entries near 1e+-300, whose squares, and whose condition products, are past the float range
         gen = np.random.default_rng(11)
-        for exponent in (155, 200, 300):
+        for exponent in (-300, -200, 155, 200, 300):
             for size in (2, 4, 6):
-                assert_matches_svd(gen.uniform(-3.0, 3.0, (size, size)) * 10.0**exponent)
+                assert exact_inverse(gen.uniform(-3.0, 3.0, (size, size)) * 10.0**exponent) is not None
         table = sh.SymbolTable.base()
         big, minus_big = (sh.ExactScalar.rational(v) for v in (10**200, -(10**200)))
         lattice = sh.LatticeBasis(
@@ -123,25 +149,23 @@ class TestSmallestSingularValue:
         spec = sh.SolvManifoldSpec(
             name="huge_base", n=1, m=0, alphas=(), lattice=lattice, lattice_fiber=None, symbols=table
         )
-        smallest = _smallest_and_condition(real_matrix(lattice, table))[0]
-        assert sh.validate(spec)["lattice_rank_ok"] and math.isclose(smallest, math.sqrt(2) * 1e200, rel_tol=1e-12)
-        # a smallest singular value itself past the float range reads as inf
-        assert _smallest_and_condition([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]])[0] == math.inf
+        assert sh.validate(spec)["lattice_rank_ok"]
+        assert math.isclose(distance_to_singular(real_matrix(lattice, table)), 1e200, rel_tol=1e-12)
+        # diag(1e300, 1e-300) is exact and certified, and its condition number 1e600 reads as inf
+        exact = [[Fraction(10**300), 0], [0, Fraction(1, 10**300)]]
+        assert _to_float(_norm(exact) * _norm(_inverse(exact))) == math.inf
 
     def test_lattice_rank_certificate(self):
         for A in HYPERBOLIC[:8]:
             spec = sh.example2_n1(A)
             assert sh.validate(spec)["lattice_rank_ok"]
-            assert assert_matches_svd(real_matrix(spec.lattice_fiber, spec.symbols)) > RANK_TOLERANCE
+            exact, error = _exact_matrix(spec.lattice_fiber, spec.symbols)
+            # half an ulp of each witness, against the distance to the nearest singular matrix
+            assert 0 < error < 1e-15
+            assert distance_to_singular(real_matrix(spec.lattice_fiber, spec.symbols)) > 1e6 * float(error)
         # the empty base lattice of a torus over C^0 has full rank
         assert sh.validate(sh.torus(0, 1))["lattice_rank_ok"]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="RANK_TOLERANCE is absolute, so the full-rank lattice 1e-10 * Z[i] reads as rank"
-        " deficient; ROADMAP item 17's computed error bound with its exact fallback mends it,"
-        " and this marker goes when it lands",
-    )
     def test_a_small_full_rank_lattice_passes(self):
         tenth = {"one": "1/10000000000"}
         data = {
@@ -151,6 +175,48 @@ class TestSmallestSingularValue:
             "lattice_fiber": [[{"re": {"one": "1"}}], [{"im": {"one": "1"}}]],
         }
         assert analyze(load_spec_dict(data), skip_forms=True)["validation"]["lattice_rank_ok"] is True
+
+    def test_scaled_gaussian_lattices(self):
+        # c * Z[i] with c = 10^k, exact rationals that name only "one", is certified at every scale
+        for k in range(-300, 301):
+            c = {"one": str(10**k) if k >= 0 else f"1/{10**-k}"}
+            data = {
+                "name": "scaled_gaussian", "n": 1, "m": 1,
+                "alphas": [{"real_exp": [{}]}],
+                "lattice": [[{"re": c}], [{"im": c}]],
+                "lattice_fiber": [[{"re": c}], [{"im": c}]],
+            }
+            report = sh.validate(load_spec_dict(data))
+            assert report["lattice_rank_ok"] and report["fiber_preserved"] == FIBER_OK, (k, report["details"])
+
+    def test_rationally_dependent_lattice_is_deficient(self):
+        # s + i and 2s + 2i span a line over R whatever s is: W is singular on any witness
+        data = {
+            "name": "dependent", "n": 1, "m": 0,
+            "symbols": [{"name": "s", "value": 1.25}],
+            "alphas": [],
+            "lattice": [[{"re": {"s": "1"}, "im": {"one": "1"}}], [{"re": {"s": "2"}, "im": {"one": "2"}}]],
+        }
+        report = sh.validate(load_spec_dict(data))
+        assert not report["lattice_rank_ok"]
+        assert report["details"] == ["base lattice rank not certified: witness matrix singular"]
+
+    def test_a_lattice_singular_within_its_witness_error_is_refused(self):
+        # W = [[r2, r6], [1, r3]] is singular, as sqrt 2 sqrt 3 = sqrt 6, but not on the witnesses;
+        # the matrices within half an ulp of each witness include the singular one, so no certificate
+        data = {
+            "name": "sqrt_relation", "n": 1, "m": 0,
+            "symbols": [{"name": f"r{k}", "value": math.sqrt(k)} for k in (2, 3, 6)],
+            "alphas": [],
+            "lattice": [[{"re": {"r2": "1"}, "im": {"r6": "1"}}], [{"re": {"one": "1"}, "im": {"r3": "1"}}]],
+        }
+        spec = load_spec_dict(data)
+        assert exact_inverse(real_matrix(spec.lattice, spec.symbols)) is not None
+        report = sh.validate(spec)
+        assert not report["lattice_rank_ok"]
+        (detail,) = report["details"]
+        assert detail.startswith("base lattice rank not certified: error bound ") and detail.endswith(" not below 1")
+        assert float(detail.split("error bound ")[1].split()[0]) >= 1
 
 
 class TestFiberCoefficients:
