@@ -7,10 +7,12 @@ indices J, L pick twisted fiber differentials, subject to one arithmetic
 gate: the unitary character attached to the fiber pair (J, L) must restrict
 to 1 on the base lattice.  Everything else is counting.
 
-Two code paths produce the Hodge numbers: a closed binomial formula over
-the admissible pairs, and literal enumeration of basis elements.  Tests
-hold them against each other, and the harmonicity and wedge-closure
-verdicts read off the admitted pairs against the forms of ``forms``.
+The Hodge numbers come from one code path, a closed binomial formula over
+the admissible pairs.  Counting them by literal enumeration of basis
+elements is done only in the tests (``test_counting_matches_enumeration``,
+on the listing ``all_basis_elements`` that ``harmonic_rows`` walks), which
+also hold the harmonicity and wedge-closure verdicts read off the admitted
+pairs against the forms of ``forms``.
 """
 
 from __future__ import annotations

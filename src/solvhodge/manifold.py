@@ -5,8 +5,9 @@ lives in ``model``.  Here :func:`validate` checks a manifold's lattices on
 their witnesses, with the witness numerics it needs, and the builders make
 the named example families; each builder refuses an n + m past the
 counting cap before it builds anything.  A lattice's rank is certified
-from one exact inverse of its witness matrix, which also gives the
-condition number that bounds the float solve of fiber preservation.
+from one exact inverse of its witness matrix.  The fiber lattice's inverse
+also gives the action of each base generator on the fiber basis, read off
+in floats, and the condition number that bounds that reading.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .model import CharacterExponent, LatticeBasis, SolvManifoldSpec, check_caps
 __all__ = [
     "example1",
     "example2_n1",
-    "real_matrix",
     "torus",
     "validate",
 ]
@@ -36,17 +36,11 @@ FIBER_UNDECIDED = "undecided"
 FIBER_NOT_CHECKED = "not_checked"
 
 
-def real_matrix(lattice: LatticeBasis, table: SymbolTable) -> tuple[tuple[float, ...], ...]:
-    """Witness matrix on ``table``, one row per generator: (Re g_1..Re g_n, Im g_1..Im g_n)."""
-    return tuple(
-        tuple(c.re.float_value(table) for c in gen) + tuple(c.im.float_value(table) for c in gen)
-        for gen in lattice.generators
-    )
-
-
 def _exact_matrix(lattice: LatticeBasis, table: SymbolTable) -> tuple[list[list[Fraction]], Fraction]:
-    """``real_matrix`` computed exactly on the witnesses, and the infinity norm of a bound on its error.
+    """The witness matrix, computed exactly, and the infinity norm of a bound on its error.
 
+    The matrix has one row per generator, (Re g_1..Re g_n, Im g_1..Im g_n):
+    it is W^T for the matrix W that has the realified generators as columns.
     Each witness but ``one``'s is its constant to within half an ulp, so an
     entry sum c * x errs by at most sum |c| * ulp(witness of x) / 2.
     """
@@ -85,51 +79,41 @@ def _norm(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     return max((sum(abs(x) for x in row if x) for row in matrix), default=Fraction(0))
 
 
+def _exponent(matrix: Sequence[Sequence[Fraction]]) -> int:
+    """The binary exponent of the largest entry, to within one, of a matrix with a nonzero entry."""
+    return max(x.numerator.bit_length() - x.denominator.bit_length() for row in matrix for x in row if x)
+
+
 def _to_float(value: Fraction) -> float:
     return float(value) if value < sys.float_info.max else math.inf
 
 
-def _fiber_coefficients(
-    basis: Sequence[Sequence[float]], values: Sequence[complex]
-) -> Optional[list[list[float]]]:
-    """Solve W C = D W for C, where W has the realified fiber generators as columns.
+def _fiber_action(
+    exact: Sequence[Sequence[Fraction]], inverse: Sequence[Sequence[Fraction]], values: Sequence[complex]
+) -> list[list[float]]:
+    """The matrix C = W^-1 D W of the action on the fiber basis W, in floats.
 
-    ``basis`` is W, in (Re..., Im...) block layout, and D is the realification
-    of diag(values), so row k of D W mixes only rows k and m + k of W.  The
-    solve is Gaussian elimination with partial pivoting; None means a pivot
-    vanished or the solution is not finite (numerically singular basis).
-    OverflowError means D W itself is past the float range.  Only C's
-    entries are read: its determinant is det D, which ``_unimodular_action``
-    decides from the values alone.
+    ``exact`` is W^T as :func:`_exact_matrix` gives it, and ``inverse`` its
+    exact inverse (W^-1)^T.  D is the realification of diag(``values``), so
+    row k of D W mixes only rows k and m + k of W.  D W is formed in floats,
+    and each entry of C is the ``math.fsum`` of its products with the rounded
+    W^-1; OverflowError means a product is past the float range.  C is the
+    same for 2^s W, whose inverse is 2^-s W^-1: where W^-1 has the larger
+    entries, s meets the two halfway, so both have floats even for a tiny W,
+    and the power of two changes no bit where they had floats already.
     """
     m = len(values)
-    size = 2 * m
-    work = [list(row) for row in basis]  # augmented [W | D W]
-    for k, v in enumerate(values):
-        top, bottom = basis[k], basis[m + k]
-        work[k] += [v.real * x - v.imag * y for x, y in zip(top, bottom)]
-        work[m + k] += [v.imag * x + v.real * y for x, y in zip(top, bottom)]
-    if not all(math.isfinite(x) for row in work for x in row):
+    shift = max(0, (_exponent(inverse) - _exponent(exact)) // 2)
+    # int / int is the correctly rounded float of the scaled Fraction
+    basis = [[(x.numerator << shift) / x.denominator for x in col] for col in zip(*exact)]
+    inverse_rows = [[x.numerator / (x.denominator << shift) for x in col] for col in zip(*inverse)]
+    top, bottom = basis[:m], basis[m:]
+    scaled = [[v.real * x - v.imag * y for x, y in zip(t, b)] for v, t, b in zip(values, top, bottom)]
+    scaled += [[v.imag * x + v.real * y for x, y in zip(t, b)] for v, t, b in zip(values, top, bottom)]
+    products = [[[a * b for a, b in zip(row, col)] for col in zip(*scaled)] for row in inverse_rows]
+    if not all(math.isfinite(p) for row in products for entry in row for p in entry):
         raise OverflowError("the action on the fiber basis is past the float range")
-    for col in range(size):
-        pivot_row = max(range(col, size), key=lambda r: abs(work[r][col]))
-        if work[pivot_row][col] == 0:
-            return None
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col]
-        for r in range(col + 1, size):
-            factor = work[r][col] / pivot[col]
-            work[r] = [x - factor * p for x, p in zip(work[r], pivot)]
-    coeff: list[list[float]] = [[] for _ in range(size)]
-    for r in range(size - 1, -1, -1):
-        row = work[r]
-        coeff[r] = [
-            (row[size + c] - sum(row[k] * coeff[k][c] for k in range(r + 1, size))) / row[r]
-            for c in range(size)
-        ]
-    if not all(math.isfinite(x) for row in coeff for x in row):
-        return None
-    return coeff
+    return [[math.fsum(entry) for entry in row] for row in products]
 
 
 def validate(spec: SolvManifoldSpec) -> dict:
@@ -152,6 +136,9 @@ def validate(spec: SolvManifoldSpec) -> dict:
     coefficients on the fiber basis are integers and det D =
     prod |alpha_k(g)|^2 is 1; fiber preservation is ``undecided`` where the
     witnesses are too coarse to tell whether the coefficients are integers.
+    Those coefficients are read off the fiber lattice's exact inverse, and the
+    base generators' float points off the base lattice's exact matrix, so each
+    lattice's witnesses are evaluated once.
     """
     details: list[str] = []
     rank_ok = True
@@ -166,10 +153,10 @@ def validate(spec: SolvManifoldSpec) -> dict:
             reason = "witness matrix singular" if inverse is None else f"error bound {reach:.3e} not below 1"
             details.append(f"{label} lattice rank not certified: {reason}")
             rank_ok = False
-        if label == "fiber":
-            condition = math.inf if inverse is None else _to_float(_norm(exact) * _norm(inverse))
-            rows = real_matrix(lattice, spec.symbols)
-            fiber_status = _check_fiber_preservation(spec, rows, condition, details)
+        if label == "base":
+            base = exact
+        else:
+            fiber_status = _check_fiber_preservation(spec, base, exact, inverse, details)
     return {"lattice_rank_ok": rank_ok, "fiber_preserved": fiber_status, "details": details}
 
 
@@ -188,27 +175,35 @@ def _unimodular_action(values: Sequence[complex]) -> bool:
 
 
 def _check_fiber_preservation(
-    spec: SolvManifoldSpec, rows: Sequence[Sequence[float]], condition: float, details: list[str]
+    spec: SolvManifoldSpec,
+    base: Sequence[Sequence[Fraction]],
+    exact: Sequence[Sequence[Fraction]],
+    inverse: Optional[Sequence[Sequence[Fraction]]],
+    details: list[str],
 ) -> str:
     """Per base generator, recover the integer matrix C of the action on the fiber basis W.
 
-    W has the fiber's witness ``rows`` as columns, and ``condition`` is the
-    infinity-norm condition number of the rows, from the exact inverse.  C is
-    computed to within about condition * eps * max|C|.  A generator whose
-    action has a determinant other than 1 is violated whatever the bound; one
-    whose bound reaches 1/2 cannot be rounded, and is undecided.
+    ``base`` and ``exact`` are the exact witness matrices of the base and
+    fiber lattices (:func:`_exact_matrix`), the latter W^T, and ``inverse``
+    is W^T's exact inverse, None where W is singular.  Each base generator's
+    float point is read off its row of ``base``, and C = W^-1 D W off
+    ``inverse`` (:func:`_fiber_action`), to within about cond(W) * eps *
+    max|C|, with cond(W) the infinity-norm condition number.  A generator
+    whose action has a determinant other than 1 is violated whatever the
+    bound; one whose bound reaches 1/2 cannot be rounded, and is undecided.
     """
     if spec.m == 0:
         details.append("fiber lattice empty; preservation holds vacuously")
         return FIBER_OK
-    basis = tuple(zip(*rows))  # columns = realified generators
+    condition = math.inf if inverse is None else _to_float(_norm(exact) * _norm(inverse))
+    n = spec.n
     status = FIBER_OK
-    for gi, gen in enumerate(spec.lattice.generators, start=1):
-        point = [c.complex_value(spec.symbols) for c in gen]
+    for gi, row in enumerate(base, start=1):
         values = None
         try:
+            point = [complex(float(x), float(y)) for x, y in zip(row[:n], row[n:])]
             values = [alpha.value_at(point, spec.symbols) for alpha in spec.alphas]
-            coeff = _fiber_coefficients(basis, values)
+            coeff = None if inverse is None else _fiber_action(exact, inverse, values)
         except OverflowError:
             past = "a fiber character's value" if values is None else "the action on the fiber basis"
             details.append(f"base generator {gi}: {past} is past the float range")

@@ -42,6 +42,15 @@ def hyperbolic_family(N, sign):
     return [[sign * N, sign], [sign * (N * (3 - N) - 1), sign * (3 - N)]]
 
 
+def witness_rows(lattice: sh.LatticeBasis, table: sh.SymbolTable) -> list[list[float]]:
+    """One row per generator, (Re g_1..Re g_n, Im g_1..Im g_n), each entry summed in floats by
+    ``float_value``: the witness matrix that numpy oracles use, apart from ``validate``'s exact one."""
+    return [
+        [c.re.float_value(table) for c in gen] + [c.im.float_value(table) for c in gen]
+        for gen in lattice.generators
+    ]
+
+
 def oversized_torus(n: int, m: int) -> sh.SolvManifoldSpec:
     """``torus(n, m)`` past the counting cap, built around the builder's own gate
     so that the gates of the pair sweep and of the commands can be reached."""

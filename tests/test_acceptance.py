@@ -23,7 +23,7 @@ from solvhodge.forms import (
     volume_form,
 )
 from solvhodge.kahler import INCONCLUSIVE, OBSTRUCTED, kaehler_obstruction
-from solvhodge.manifold import real_matrix, validate
+from solvhodge.manifold import validate
 
 from conftest import (
     basis_elements,
@@ -36,6 +36,7 @@ from conftest import (
     random_twisted_form,
     random_unitary_character,
     rational_value,
+    witness_rows,
 )
 
 EXAMPLE1_HODGE = ((1, 1, 1, 1), (1, 3, 3, 1), (1, 3, 3, 1), (1, 1, 1, 1))
@@ -240,7 +241,7 @@ def test_criterion_10_example2_validation():
     assert report["fiber_preserved"] == "ok"
 
     # independent recomputation of the integrality data
-    basis = np.array(real_matrix(spec.lattice_fiber, spec.symbols)).T
+    basis = np.array(witness_rows(spec.lattice_fiber, spec.symbols)).T
     for gen in spec.lattice.generators:
         point = [c.complex_value(spec.symbols) for c in gen]
         values = [alpha.value_at(point, spec.symbols) for alpha in spec.alphas]

@@ -1,9 +1,11 @@
 """The witness linear algebra of ``manifold.validate`` against numpy.
 
 The package computes its witness diagnostics (the lattice rank certificate
-from an exact inverse, fiber-lattice preservation, the eigenvector inverse
-of ``example2_n1``) in pure Python and never imports numpy; numpy serves
-here only as the reference implementation.
+from an exact inverse, the action on the fiber basis read off that same
+inverse, the eigenvector inverse of ``example2_n1``) in pure Python and
+never imports numpy; numpy serves here only as the reference
+implementation, on float witness matrices that ``conftest.witness_rows``
+sums apart from ``validate``'s exact ones.
 """
 
 import copy
@@ -27,16 +29,15 @@ from solvhodge.manifold import (
     FIBER_VIOLATED,
     INTEGRALITY_TOLERANCE,
     _exact_matrix,
-    _fiber_coefficients,
+    _fiber_action,
     _inverse,
     _norm,
     _to_float,
-    real_matrix,
 )
 from solvhodge.cli import analyze
 from solvhodge.specfile import load_spec_dict, spec_to_dict
 
-from conftest import hyperbolic_family
+from conftest import hyperbolic_family, witness_rows
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PINNED = Path(__file__).resolve().parent / "pinned"
@@ -150,7 +151,7 @@ class TestSmallestSingularValue:
             name="huge_base", n=1, m=0, alphas=(), lattice=lattice, lattice_fiber=None, symbols=table
         )
         assert sh.validate(spec)["lattice_rank_ok"]
-        assert math.isclose(distance_to_singular(real_matrix(lattice, table)), 1e200, rel_tol=1e-12)
+        assert math.isclose(distance_to_singular(witness_rows(lattice, table)), 1e200, rel_tol=1e-12)
         # diag(1e300, 1e-300) is exact and certified, and its condition number 1e600 reads as inf
         exact = [[Fraction(10**300), 0], [0, Fraction(1, 10**300)]]
         assert _to_float(_norm(exact) * _norm(_inverse(exact))) == math.inf
@@ -162,7 +163,7 @@ class TestSmallestSingularValue:
             exact, error = _exact_matrix(spec.lattice_fiber, spec.symbols)
             # half an ulp of each witness, against the distance to the nearest singular matrix
             assert 0 < error < 1e-15
-            assert distance_to_singular(real_matrix(spec.lattice_fiber, spec.symbols)) > 1e6 * float(error)
+            assert distance_to_singular(witness_rows(spec.lattice_fiber, spec.symbols)) > 1e6 * float(error)
         # the empty base lattice of a torus over C^0 has full rank
         assert sh.validate(sh.torus(0, 1))["lattice_rank_ok"]
 
@@ -177,8 +178,9 @@ class TestSmallestSingularValue:
         assert analyze(load_spec_dict(data), skip_forms=True)["validation"]["lattice_rank_ok"] is True
 
     def test_scaled_gaussian_lattices(self):
-        # c * Z[i] with c = 10^k, exact rationals that name only "one", is certified at every scale
-        for k in range(-300, 301):
+        # c * Z[i] with c = 10^k, exact rationals that name only "one", is certified at every scale,
+        # below 10^-308 too, where the floats of c are subnormal or 0
+        for k in range(-330, 301):
             c = {"one": str(10**k) if k >= 0 else f"1/{10**-k}"}
             data = {
                 "name": "scaled_gaussian", "n": 1, "m": 1,
@@ -211,7 +213,7 @@ class TestSmallestSingularValue:
             "lattice": [[{"re": {"r2": "1"}, "im": {"r6": "1"}}], [{"re": {"one": "1"}, "im": {"r3": "1"}}]],
         }
         spec = load_spec_dict(data)
-        assert exact_inverse(real_matrix(spec.lattice, spec.symbols)) is not None
+        assert exact_inverse(witness_rows(spec.lattice, spec.symbols)) is not None
         report = sh.validate(spec)
         assert not report["lattice_rank_ok"]
         (detail,) = report["details"]
@@ -226,13 +228,13 @@ class TestFiberCoefficients:
             spec = sh.example2_n1(A)
             report = sh.validate(spec)
             assert report["fiber_preserved"] == FIBER_OK, A
-            basis_rows = real_matrix(spec.lattice_fiber, spec.symbols)
-            basis = np.array(basis_rows).T
+            basis = np.array(witness_rows(spec.lattice_fiber, spec.symbols)).T
+            exact, _ = _exact_matrix(spec.lattice_fiber, spec.symbols)
             for gen, detail in zip(spec.lattice.generators, report["details"]):
                 point = [c.complex_value(spec.symbols) for c in gen]
                 values = [alpha.value_at(point, spec.symbols) for alpha in spec.alphas]
                 expected = np.linalg.solve(basis, realified_diagonal(values) @ basis)
-                got = np.array(_fiber_coefficients(tuple(zip(*basis_rows)), values))
+                got = np.array(_fiber_action(exact, _inverse(exact), values))
                 assert np.abs(got - expected).max() < 1e-12, A
                 nearest = np.rint(expected)
                 assert np.abs(expected - nearest).max() < 1e-12, A
@@ -252,18 +254,10 @@ class TestFiberCoefficients:
                 basis = gen.uniform(-2.0, 2.0, (2 * m, 2 * m))
                 values = [complex(*gen.uniform(-2.0, 2.0, 2)) for _ in range(m)]
                 expected = np.linalg.solve(basis, realified_diagonal(values) @ basis)
-                got = np.array(_fiber_coefficients(basis.tolist(), values))
+                exact = [[Fraction(x) for x in col] for col in basis.T.tolist()]  # W^T, as validate holds it
+                got = np.array(_fiber_action(exact, _inverse(exact), values))
                 scale = np.linalg.cond(basis) * max(1.0, np.abs(expected).max())
                 assert np.abs(got - expected).max() <= 1e-12 * scale, (m, values)
-
-    def test_pivoting(self):
-        # a zero and a tiny leading entry both need a row exchange
-        for corner in (0.0, 1e-20):
-            basis = np.array([[corner, 1.0], [1.0, 1.0]])
-            values = [2.0 + 0.5j]
-            expected = np.linalg.solve(basis, realified_diagonal(values) @ basis)
-            got = np.array(_fiber_coefficients(basis.tolist(), values))
-            assert np.abs(got - expected).max() <= 1e-14, (corner, got, expected)
 
     def test_singular_basis(self):
         torus = sh.torus(1, 1)
@@ -277,21 +271,40 @@ class TestFiberCoefficients:
             lattice_fiber=sh.LatticeBasis(1, (gen, gen)),
             symbols=torus.symbols,
         )
-        basis = np.array(real_matrix(spec.lattice_fiber, spec.symbols)).T
+        basis = np.array(witness_rows(spec.lattice_fiber, spec.symbols)).T
         try:
             np.linalg.solve(basis, basis)
         except np.linalg.LinAlgError:
             pass
         else:
             raise AssertionError("numpy solved a singular system")
-        assert _fiber_coefficients(tuple(zip(*real_matrix(spec.lattice_fiber, spec.symbols))), [1.0]) is None
+        assert _inverse(_exact_matrix(spec.lattice_fiber, spec.symbols)[0]) is None
         report = sh.validate(spec)
         assert report["fiber_preserved"] == FIBER_VIOLATED
         assert "base generator 1: fiber basis is numerically singular" in report["details"]
 
+    def test_fiber_entries_that_are_sums_of_symbols(self):
+        # W = diag(1 + s, 1 + s/3) with s = sqrt 2: each entry is a sum of two terms, which validate
+        # reads off its exact matrix; the trivial action is the identity on the fiber basis
+        s = {"one": "1", "s": "1"}
+        data = {
+            "name": "sum_fiber", "n": 1, "m": 1,
+            "symbols": [{"name": "s", "value": math.sqrt(2)}],
+            "alphas": [{"real_exp": [{}]}],
+            "lattice": [[{"re": {"one": "1"}}], [{"im": {"one": "1"}}]],
+            "lattice_fiber": [[{"re": s}], [{"im": {"one": "1", "s": "1/3"}}]],
+        }
+        spec = load_spec_dict(data)
+        report = sh.validate(spec)
+        assert report["lattice_rank_ok"] and report["fiber_preserved"] == FIBER_OK, report["details"]
+        assert report["details"][0].startswith("base generator 1: integer matrix recovered"), report["details"]
+        exact, _ = _exact_matrix(spec.lattice_fiber, spec.symbols)
+        got = np.array(_fiber_action(exact, _inverse(exact), [1.0]))
+        assert np.abs(got - np.eye(2)).max() < 1e-15
+
 
 class TestIntegralityPrecision:
-    """``validate`` judges integrality against the error bound cond(W) * eps * max|C| of its solve."""
+    """``validate`` judges integrality against the error bound cond(W) * eps * max|C| of its C."""
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(st.one_of(st.integers(-3000, 3000), st.integers(-(2**56), 2**56)), st.sampled_from([1, -1]))
