@@ -92,8 +92,22 @@ def emit_example(name: str, params: dict, out_path: Optional[Union[str, Path]]) 
     return spec
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors take the command's stderr path.
+
+    argparse prints the usage to ``sys.stdout`` when Python was started with
+    standard error closed, and 3.10 exits 1 when stderr refuses the write.
+    The same bytes go through :func:`_print_stderr` instead, and the exit
+    code stays 2.  Subparsers are made with the parser's own class.
+    """
+
+    def error(self, message):
+        _print_stderr(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        raise SystemExit(EXIT_MALFORMED)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="solvhodge",
         description="Exact Dolbeault cohomology and Hodge certificates for "
         "complex solvmanifolds with diagonal semisimple action.",
@@ -180,8 +194,8 @@ def _cmd_version(args) -> int:
     return EXIT_OK
 
 
-def _print_error(exc: Exception) -> None:
-    """Print ``error: exc`` on stderr; a stderr that cannot take it loses the line, not the exit code.
+def _print_stderr(text: str) -> None:
+    """Write ``text`` on stderr; a stderr that cannot take it loses the text, not the exit code.
 
     Python sets ``sys.stderr`` to None when started with standard error closed, and print would then
     write to stdout.  A stderr that refuses the write is pointed at devnull, as stdout is after a
@@ -190,7 +204,7 @@ def _print_error(exc: Exception) -> None:
     if sys.stderr is None:
         return
     try:
-        print(f"error: {exc}", file=sys.stderr, flush=True)
+        print(text, end="", file=sys.stderr, flush=True)
     except OSError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
@@ -213,10 +227,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
     except (SpecFileError, OSError) as exc:
-        _print_error(exc)
+        _print_stderr(f"error: {exc}\n")
         code = EXIT_MALFORMED
     except DimensionCapExceeded as exc:
-        _print_error(exc)
+        _print_stderr(f"error: {exc}\n")
         code = EXIT_TOO_LARGE
     if argv is None:
         sys.exit(code)

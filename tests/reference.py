@@ -3,8 +3,10 @@
 ``sweep(data)`` reads the dict of an explicit spec file and returns the
 sorted admitted fiber pairs (J, L) and whether the sweep is certified, and
 ``report(data)`` the fields of ``analyze --format json`` that those pairs
-decide, by literal loops over the basis; the sweep follows the package's
-rules:
+decide, by literal loops over the basis. The loops are functions of their
+own, which the pair-level tests also run on stub pair sets: ``all_pairs``,
+``basis``, ``hodge``, ``symmetric``, ``wedge_closed`` and
+``trivial_pairs``. The sweep follows the package's rules:
 
 - Exponents. A fiber character with exponent vectors (a, b) contributes
   the unitary exponent (-conj b, b), and its conjugate (-a, conj a); a
@@ -138,6 +140,12 @@ def _subsets(k):
     return [S for size in range(k + 1) for S in combinations(range(1, k + 1), size)]
 
 
+def all_pairs(m):
+    """Every fiber pair (J, L), 4^m of them, J and L 1-based subsets of the fibers, by size then entries."""
+    subsets = _subsets(m)
+    return list(product(subsets, subsets))
+
+
 def _sum(vectors, n):
     """The entrywise sum of complex n-vectors."""
     total = [({}, {})] * n
@@ -152,9 +160,8 @@ def sweep(data, force_float=False):
     witness.update((entry["name"], float(entry["value"])) for entry in data.get("symbols") or ())
     alphas = [_character(node) for node in data["alphas"]]
     lattice = [[_complex(c) for c in g] for g in data["lattice"]]
-    subsets = _subsets(data["m"])
     pairs, certified = [], True
-    for J, L in product(subsets, subsets):
+    for J, L in all_pairs(data["m"]):
         b = _sum([alphas[j - 1][1] for j in J] + [map(_conj, alphas[l - 1][0]) for l in L], data["n"])
         a = [(_neg(re), im) for re, im in b]  # -conj b
         if force_float:
@@ -178,7 +185,42 @@ def _vector(a, b):
     }
 
 
-def _wedge_closure(pairs):
+def basis(pairs, n):
+    """The basis quadruples (I, J, K, L) over the admitted pairs (J, L), I and K any subsets of the base."""
+    base = _subsets(n)
+    return {(I, J, K, L) for J, L in pairs for I in base for K in base}
+
+
+def hodge(quadruples, dim):
+    """h[p][q], the number of quadruples with |I| + |J| = p and |K| + |L| = q, as lists."""
+    table = [[0] * (dim + 1) for _ in range(dim + 1)]
+    for I, J, K, L in quadruples:
+        table[len(I) + len(J)][len(K) + len(L)] += 1
+    return table
+
+
+def symmetric(quadruples):
+    """The swap (I, J, K, L) -> (K, L, I, J) maps the quadruples onto themselves."""
+    return all((K, L, I, J) in quadruples for I, J, K, L in quadruples)
+
+
+def trivial_pairs(data):
+    """The fiber pairs (J, L) whose alpha_J conj(alpha)_L is identically 1: the exponent vectors sum to 0."""
+    alphas = [_character(node) for node in data["alphas"]]
+    vectors = [_vector(a, b) for a, b in alphas]
+    conjugates = [_vector([_conj(z) for z in b], [_conj(z) for z in a]) for a, b in alphas]
+    pairs = []
+    for J, L in all_pairs(data["m"]):
+        total = {}
+        for vector in [vectors[j - 1] for j in J] + [conjugates[l - 1] for l in L]:
+            for key, coeff in vector.items():
+                total[key] = total.get(key, 0) + coeff
+        if not any(total.values()):
+            pairs.append((J, L))
+    return pairs
+
+
+def wedge_closed(pairs):
     """Every two admitted pairs with disjoint J and disjoint L have an admitted union."""
     admitted = set(pairs)
     return all(
@@ -204,39 +246,28 @@ def report(data, force_float=False, skip_forms=False):
     ``schema_version``, ``name``, ``validation`` and ``timings_ms``."""
     pairs, certified = sweep(data, force_float)
     n, dim = data["n"], data["n"] + data["m"]
-    base = _subsets(n)
-    basis = {(I, J, K, L) for J, L in pairs for I in base for K in base}
-    hodge = [[0] * (dim + 1) for _ in range(dim + 1)]
-    for I, J, K, L in basis:
-        hodge[len(I) + len(J)][len(K) + len(L)] += 1
+    quadruples = basis(pairs, n)
+    table = hodge(quadruples, dim)
     betti = [0] * (2 * dim + 1)
-    for p, row in enumerate(hodge):
+    for p, row in enumerate(table):
         for q, h in enumerate(row):
             betti[p + q] += h
+    trivial = set(trivial_pairs(data))
+    violations = [{"J": list(J), "L": list(L), "reason": VIOLATION} for J, L in pairs if (J, L) not in trivial]
     alphas = [_character(node) for node in data["alphas"]]
-    vectors = [_vector(a, b) for a, b in alphas]
-    conjugates = [_vector([_conj(z) for z in b], [_conj(z) for z in a]) for a, b in alphas]
-    violations = []
-    for J, L in pairs:
-        total = {}
-        for vector in [vectors[j - 1] for j in J] + [conjugates[l - 1] for l in L]:
-            for key, coeff in vector.items():
-                total[key] = total.get(key, 0) + coeff
-        if any(total.values()):
-            violations.append({"J": list(J), "L": list(L), "reason": VIOLATION})
     wedge_closure = harmonic = None
     if not skip_forms:
-        wedge_closure = _wedge_closure(pairs)
+        wedge_closure = wedge_closed(pairs)
         c = _sum([b for _, b in alphas] + [[_conj(z) for z in a] for a, _ in alphas], n)
         harmonic = not any(re or im for re, im in c)
     return {
         "mode": "exact" if certified else "float_fallback",
-        "hodge": hodge,
+        "hodge": table,
         "betti": betti,
         "certified_de_rham": not violations,
         "condition": {"holds": not violations, "violations": violations, "checked_pairs": len(pairs)},
-        "symmetry": all((K, L, I, J) in basis for I, J, K, L in basis),
-        "serre": all(row == hodge[dim - p][::-1] for p, row in enumerate(hodge)),
+        "symmetry": symmetric(quadruples),
+        "serre": all(row == table[dim - p][::-1] for p, row in enumerate(table)),
         "wedge_closure": wedge_closure,
         "harmonic_certified": harmonic,
         "kaehler": _kaehler(alphas),

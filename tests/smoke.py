@@ -30,7 +30,8 @@ so that a row reads the files earlier rows wrote. Why each group exists:
 - Malformed input exits 2: a builder node without a required parameter
   names it, a spec name with a line break prints nothing (it would break
   the LaTeX table), and an example1 exponent whose half, the literal a spec
-  file stores, has no float writes no file.
+  file stores, has no float writes no file. A usage error (no file, an
+  unknown command) prints argparse's usage on stderr and nothing on stdout.
 - Every JSON output carries the schema version, and ``version`` prints the
   package's version, also as ``python -m solvhodge.cli``.
 - Verdicts. The resonant example1 at t = pi has an exact sweep whose
@@ -86,6 +87,11 @@ def says(text):
 def writes_nothing(path=None):
     """Nothing on stdout and, if ``path`` is given, no such file."""
     return lambda done, here: not done.stdout and not (path and (here / path).exists())
+
+
+def usage_error(done, here):
+    """argparse's usage on stderr and nothing on stdout."""
+    return not done.stdout and done.stderr.startswith("usage:")
 
 
 def probe(body, *args, **row_fields):
@@ -191,6 +197,8 @@ ROWS = [
         check=writes_nothing()),
     row("solvhodge", "emit-example", "example1", "--a", str(10**309), "--out", "big1.json", code=2,
         check=writes_nothing("big1.json")),
+    row("solvhodge", "analyze", code=2, check=usage_error),
+    row("solvhodge", "frobnicate", code=2, check=usage_error),
     row("solvhodge", "emit-example", "torus", "--n", "3", "--m", "4", "--out", "t34.json"),
     row("solvhodge", "analyze", "t34.json", "--format", "json", check=report(lambda r: r["wedge_closure"] is True)),
     row("solvhodge", "analyze", "t34.json", "--float", code=3, check=writes_nothing()),

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import solvhodge as sh
-from solvhodge import cli, cohomology
+from solvhodge import cli
 from solvhodge.cohomology import (
     BasisElement,
     HodgeTable,
@@ -81,9 +81,9 @@ class TestTrivialPairs:
 
     def test_cap_checked_before_any_work(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise RuntimeError("the subset tables were built before the counting cap was checked")
+            raise RuntimeError("a character was multiplied before the counting cap was checked")
 
-        monkeypatch.setattr(cohomology, "_subset_product_tables", refuse)
+        monkeypatch.setattr(sh.CharacterExponent, "__mul__", refuse)
         with pytest.raises(sh.DimensionCapExceeded):
             sweep_trivial_pairs(oversized_torus(1, 12))
 

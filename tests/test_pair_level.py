@@ -2,18 +2,18 @@
 
 Conjugation symmetry, wedge closure and the harmonicity flags are decided
 on the admitted fiber pairs alone, the Hodge table on their histogram by
-(|J|, |L|), and analyze's harmonicity verdict on one character per spec.  The literal checks below enumerate basis elements
-(building, for the wedge, every product of two basis forms and, for
-harmonicity, every basis form and its stars) or sum over every admitted
-pair; they are kept here as differential oracles, together with the 4^m
-walk behind the converse half of the condition check and the character
-product that the condition check replaces by a comparison.
+(|J|, |L|), and analyze's harmonicity verdict on one character per spec.
+Symmetry, the Hodge table and the condition are held to ``reference``,
+which shares no code with the package: its basis quadruples of a pair set,
+the table counted from them, their swap symmetry, and the 4^m walk for the
+pairs whose character product is identically 1, read off exponent vectors
+of Fractions.  Wedge closure and harmonicity are held to the form algebra
+of ``forms``: every product of two basis forms, and every basis form and
+its stars.
 """
 
 import ast
 from fractions import Fraction
-from itertools import product
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -23,8 +23,6 @@ from solvhodge import cli, cohomology, forms, report
 from solvhodge.cohomology import (
     BasisElement,
     PairSweep,
-    _subset_products,
-    _subsets,
     all_basis_elements,
     check_condition,
     conjugation_symmetry,
@@ -35,22 +33,13 @@ from solvhodge.cohomology import (
     wedge_closure_report,
 )
 from solvhodge.forms import basis_form, is_d_harmonic, is_dbar_coclosed, is_dbar_harmonic
+from solvhodge.specfile import spec_to_dict
 
-from conftest import basis_elements, corpus_specs, forms_corpus_specs, swapped
+from conftest import basis_elements, corpus_specs, forms_corpus_specs
+import reference
 import smoke
 
 FLAG_NAMES = ("co_closed", "d_harmonic")
-
-
-def literal_conjugation_symmetry(spec, sweep) -> bool:
-    """Index swap maps the basis of every bidegree onto its mirror."""
-    dim = spec.complex_dim
-    return all(
-        {swapped(el) for el in basis_elements(spec, p, q, sweep)}
-        == set(basis_elements(spec, q, p, sweep))
-        for p in range(dim + 1)
-        for q in range(dim + 1)
-    )
 
 
 def literal_wedge_closure(spec, sweep) -> bool:
@@ -79,19 +68,6 @@ def literal_harmonic_flags(spec, sweep):
     return flags
 
 
-def literal_hodge_rows(spec, sweep):
-    """h[p][q] as the sum over every admitted pair of C(n, p - |J|) C(n, q - |L|)."""
-
-    def binomial(k):
-        return comb(spec.n, k) if 0 <= k <= spec.n else 0
-
-    dim = spec.complex_dim
-    return tuple(
-        tuple(sum(binomial(p - len(J)) * binomial(q - len(L)) for J, L in sweep) for q in range(dim + 1))
-        for p in range(dim + 1)
-    )
-
-
 def row_flags(rows):
     return [
         (BasisElement(*(tuple(row[key]) for key in "IJKL")), row["co_closed"], row["d_harmonic"])
@@ -99,14 +75,9 @@ def row_flags(rows):
     ]
 
 
-def all_pairs(m):
-    subsets = _subsets(m)
-    return list(product(subsets, subsets))
-
-
 def random_stub(spec, rng):
     """A certified sweep stub: a random share of the 4^m fiber pairs, with ((), ()) always in."""
-    chosen = {pair for pair in all_pairs(spec.m) if rng.random() < 0.4} | {((), ())}
+    chosen = {pair for pair in reference.all_pairs(spec.m) if rng.random() < 0.4} | {((), ())}
     return PairSweep(tuple(sorted(chosen)), certified=True)
 
 
@@ -132,9 +103,7 @@ class TestAgainstLiteralEnumeration:
     def test_conjugation_symmetry_on_corpus(self):
         for spec in corpus_specs():
             sweep = sweep_trivial_pairs(spec)
-            assert conjugation_symmetry(sweep) == literal_conjugation_symmetry(
-                spec, sweep
-            ), spec.name
+            assert conjugation_symmetry(sweep) == reference.symmetric(reference.basis(sweep, spec.n)), spec.name
 
     def test_wedge_closure_on_corpus(self):
         for spec in corpus_specs():
@@ -147,7 +116,7 @@ class TestAgainstLiteralEnumeration:
     def test_random_stub_sweeps(self, rng):
         verdicts = {"symmetry": set(), "wedge": set()}
         for spec in (sh.torus(0, 2), sh.torus(1, 1)):
-            pairs = all_pairs(spec.m)
+            pairs = reference.all_pairs(spec.m)
             for trial in range(30):
                 chosen = {pair for pair in pairs if rng.random() < 0.4}
                 if trial % 3 == 1:
@@ -157,7 +126,7 @@ class TestAgainstLiteralEnumeration:
                 # not outputs of the exact gate, so the literal union check runs
                 stub = PairSweep(tuple(sorted(chosen)), certified=False)
                 symmetric = conjugation_symmetry(stub)
-                assert symmetric == literal_conjugation_symmetry(spec, stub), stub
+                assert symmetric == reference.symmetric(reference.basis(stub, spec.n)), stub
                 failure = wedge_closure_report(spec, sweep=stub)
                 assert (failure is None) == literal_wedge_closure(spec, stub), stub
                 if failure is not None:
@@ -176,17 +145,22 @@ class TestAgainstLiteralEnumeration:
 
 
 class TestHodgeTableAgainstPerPairSum:
+    """The closed binomial count against the basis quadruples of the reference, counted one by one."""
+
+    @staticmethod
+    def assert_counted(spec, sweep):
+        counted = reference.hodge(reference.basis(sweep, spec.n), spec.complex_dim)
+        assert list(map(list, hodge_table(spec, sweep).rows())) == counted, (spec.name, sweep)
+
     def test_corpus(self):
         for spec in corpus_specs():
             for force_float in (False, True):
-                sweep = sweep_trivial_pairs(spec, force_float)
-                assert hodge_table(spec, sweep).rows() == literal_hodge_rows(spec, sweep), spec.name
+                self.assert_counted(spec, sweep_trivial_pairs(spec, force_float))
 
     def test_random_stub_sweeps(self, rng):
         for spec in (sh.torus(0, 3), sh.torus(1, 2), sh.torus(2, 2), sh.torus(3, 1)):
             for _ in range(15):
-                stub = random_stub(spec, rng)
-                assert hodge_table(spec, stub).rows() == literal_hodge_rows(spec, stub), stub
+                self.assert_counted(spec, random_stub(spec, rng))
 
 
 class TestBasisListing:
@@ -222,7 +196,7 @@ class TestSymmetryFromSwapClosure:
 
     def test_swap_closed_stub_has_symmetric_table(self, rng):
         for spec in (sh.torus(0, 3), sh.torus(1, 2), sh.torus(2, 2), sh.torus(3, 1)):
-            pairs = all_pairs(spec.m)
+            pairs = reference.all_pairs(spec.m)
             for _ in range(15):
                 chosen = swap_closure({pair for pair in pairs if rng.random() < 0.3} | {((), ())})
                 stub = PairSweep(tuple(sorted(chosen)), certified=True)
@@ -295,7 +269,7 @@ class TestHarmonicRowsAgainstForms:
         false_flags = set()
         for trial in range(60):
             spec = specs[trial % len(specs)]
-            chosen = [pair for pair in all_pairs(spec.m) if rng.random() < 0.5]
+            chosen = [pair for pair in reference.all_pairs(spec.m) if rng.random() < 0.5]
             stub = PairSweep(tuple(sorted(chosen)), certified=True)
             rows = row_flags(harmonic_rows(spec, stub))
             assert rows == literal_harmonic_flags(spec, stub), (spec.name, stub)
@@ -380,7 +354,7 @@ class TestPairCharacterIdentities:
 
             everything = tuple(range(1, spec.m + 1))
             c = (product_over(alphas, everything) * product_over(bars, everything)).b
-            for J, L in all_pairs(spec.m):
+            for J, L in reference.all_pairs(spec.m):
                 Jc = tuple(s for s in everything if s not in J)
                 Lc = tuple(s for s in everything if s not in L)
                 chi = forms._basis_character(spec, J, L)
@@ -414,19 +388,11 @@ class TestHarmonicVerdictAgainstForms:
 class TestTrivialCharactersAdmitted:
     """The converse half of the condition: alpha_J * conj(alpha)_L = 1 implies (J, L) admitted."""
 
-    @staticmethod
-    def trivial_character_pairs(spec):
-        subsets = _subsets(spec.m)
-        trivial = sh.CharacterExponent.trivial(spec.n)
-        alpha = _subset_products(spec.alphas, subsets, trivial)
-        conj = _subset_products(tuple(a.conjugate() for a in spec.alphas), subsets, trivial)
-        return [(J, L) for J, L in product(subsets, subsets) if (alpha[J] * conj[L]).is_trivial]
-
     @pytest.mark.parametrize("force_float", [False, True])
     def test_on_corpus(self, force_float):
         for spec in corpus_specs():
             sweep = sweep_trivial_pairs(spec, force_float)
-            trivial = self.trivial_character_pairs(spec)
+            trivial = reference.trivial_pairs(spec_to_dict(spec))
             assert ((), ()) in trivial
             assert all(pair in sweep for pair in trivial), spec.name
 
@@ -442,12 +408,12 @@ def random_example1_specs(rng, count):
 
 
 class TestConditionAgainstProduct:
-    """check_condition compares A_J with the inverse of Abar_L; the oracle forms their product."""
+    """check_condition compares A_J with the inverse of Abar_L; the reference sums their exponents."""
 
     def test_corpus_and_random_example1(self, rng):
         failing = 0
         for spec in corpus_specs() + random_example1_specs(rng, 30):
-            trivial = set(TestTrivialCharactersAdmitted.trivial_character_pairs(spec))
+            trivial = set(reference.trivial_pairs(spec_to_dict(spec)))
             for force_float in (False, True):
                 sweep = sweep_trivial_pairs(spec, force_float)
                 violations = check_condition(spec, sweep)

@@ -4,7 +4,8 @@
 symbolic-scale specs, exact or on float witnesses, in plain integers,
 sharing no code with solvhodge; its :func:`check` must find no problem in
 any report ``analyze`` gives.  The float-regime and example2_n1 cases are
-drawn with the generators of ``perfbench/corpus.py``.
+drawn with the generators of ``perfbench/corpus.py``, and their reports
+must also give every field of ``reference.report``.
 ``perfbench/tracer.py`` names package functions by their qualified names;
 each name must still resolve, or its per-layer timings silently read 0.
 The three files are loaded by path, and none is edited here.
@@ -20,8 +21,9 @@ from hypothesis import strategies as st
 import solvhodge as sh
 from solvhodge.cli import analyze, emit_example
 from solvhodge.cohomology import hodge_table, sweep_trivial_pairs
-from solvhodge.specfile import load_spec_dict
+from solvhodge.specfile import load_spec_dict, spec_to_dict
 
+import reference
 from conftest import load_perfbench, scaled_draws
 
 oracle = load_perfbench("oracle")
@@ -31,8 +33,9 @@ corpus = load_perfbench("corpus")
 
 def manifest_item(
     family: str, params: dict, skip_forms: bool, force_float: bool = False, **oracle_params
-) -> tuple[dict, dict]:
-    """The spec's manifest item as the benchmark corpus writes it, and its report."""
+) -> tuple[dict, dict, tuple]:
+    """The spec's manifest item as the benchmark corpus writes it, its report, and the
+    arguments of ``reference.report`` for the same run."""
     spec = emit_example(family, params, None)
     item = {
         "name": spec.name,
@@ -41,10 +44,11 @@ def manifest_item(
         "float_mode": force_float,
         **oracle_params,
     }
-    return item, analyze(spec, skip_forms=skip_forms, force_float=force_float)
+    report = analyze(spec, skip_forms=skip_forms, force_float=force_float)
+    return item, report, (spec_to_dict(spec), force_float, skip_forms)
 
 
-def example1_item(a: list[int], t, skip_forms: bool, force_float: bool = False) -> tuple[dict, dict]:
+def example1_item(a: list[int], t, skip_forms: bool, force_float: bool = False) -> tuple[dict, dict, tuple]:
     t_mode = "symbolic" if t is None else f"rational_pi({t[0]},{t[1]})"
     return manifest_item(
         "example1", {"a": a, "t_mode": t_mode}, skip_forms, force_float,
@@ -52,7 +56,7 @@ def example1_item(a: list[int], t, skip_forms: bool, force_float: bool = False) 
     )
 
 
-def example2_item(matrix: tuple[int, int, int, int], skip_forms: bool) -> tuple[dict, dict]:
+def example2_item(matrix: tuple[int, int, int, int], skip_forms: bool) -> tuple[dict, dict, tuple]:
     a11, a12, a21, a22 = matrix
     return manifest_item(
         "example2_n1", {"A": [[a11, a12], [a21, a22]]}, skip_forms,
@@ -60,18 +64,18 @@ def example2_item(matrix: tuple[int, int, int, int], skip_forms: bool) -> tuple[
     )
 
 
-def scaled_item(a: list[int], s_witness: float, t_witness: float, skip_forms: bool) -> tuple[dict, dict]:
+def scaled_item(a: list[int], s_witness: float, t_witness: float, skip_forms: bool) -> tuple[dict, dict, tuple]:
     """A symbolic-scale spec, whose exact gate escapes to floats at every non-trivial pair."""
     name = "scaled_" + "_".join(str(v) for v in a)
-    spec = load_spec_dict(corpus._scaled_spec(name, a, s_witness, t_witness))
+    data = corpus._scaled_spec(name, a, s_witness, t_witness)
     item = {
         "name": name, "family": "scaled", "forms": not skip_forms, "float_mode": True,
         "n": 1, "m": 2 * len(a), "a": a, "t": None,
     }
-    return item, analyze(spec, skip_forms=skip_forms)
+    return item, analyze(load_spec_dict(data), skip_forms=skip_forms), (data, False, skip_forms)
 
 
-def torus_item(n: int, m: int, skip_forms: bool) -> tuple[dict, dict]:
+def torus_item(n: int, m: int, skip_forms: bool) -> tuple[dict, dict, tuple]:
     return manifest_item("torus", {"n": n, "m": m}, skip_forms, n=n, m=m)
 
 
@@ -87,7 +91,7 @@ items = st.one_of(
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(items)
 def test_integer_oracle_agrees(item_and_report):
-    item, report = item_and_report
+    item, report, _ = item_and_report
     assert oracle.check(item, oracle.expected(item), report) == []
 
 
@@ -118,12 +122,14 @@ FLOAT_REGIME = float_regime_cases()
     ids=[f"{i:02d}-{build.__name__}" for i, (build, _) in enumerate(FLOAT_REGIME)],
 )
 def test_integer_oracle_agrees_on_float_runs_and_example2(build, args):
-    item, report = build(*args)
+    item, report, reference_args = build(*args)
     assert oracle.check(item, oracle.expected(item), report) == []
+    expected = reference.report(*reference_args)
+    assert {key: report[key] for key in expected} == expected
 
 
 def test_oracle_catches_perturbed_reports():
-    item, report = example1_item([1], (1, 1), False)
+    item, report, _ = example1_item([1], (1, 1), False)
     assert report["condition"]["violations"]
     assert oracle.selftest([item], [oracle.expected(item)], [report]) == []
 

@@ -386,15 +386,24 @@ class TestCli:
     @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read_only"])
     def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path, redirect):
         # with standard error closed Python has no sys.stderr, and read-only it refuses the write;
-        # either way the diagnostic is lost, and neither the exit code nor stdout changes
+        # either way the diagnostic is lost, and neither the exit code nor stdout changes; argparse's
+        # usage errors included, whose usage text would otherwise fall back to stdout
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"builder": "torus", "n": 13, "m": 0}))
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-        for path, code in ((tmp_path / "missing.json", EXIT_MALFORMED), (big, EXIT_TOO_LARGE)):
+        cases = [
+            (["analyze", str(tmp_path / "missing.json")], EXIT_MALFORMED),
+            (["analyze", str(big)], EXIT_TOO_LARGE),
+            (["analyze"], EXIT_MALFORMED),
+            (["analyze", "--bogus", str(big)], EXIT_MALFORMED),
+            (["analyze", "--format", "yaml", str(big)], EXIT_MALFORMED),
+            (["frobnicate"], EXIT_MALFORMED),
+        ]
+        for args, code in cases:
             command = f'exec "$@" {redirect}'
-            argv = ["sh", "-c", command, "sh", sys.executable, "-m", "solvhodge.cli", "analyze", str(path)]
+            argv = ["sh", "-c", command, "sh", sys.executable, "-m", "solvhodge.cli", *args]
             done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
-            assert (done.returncode, done.stdout) == (code, ""), (path, done.stderr)
+            assert (done.returncode, done.stdout) == (code, ""), (args, done.stderr)
 
     def test_analyze_ok(self, tmp_path, capsys):
         path = tmp_path / "t.json"

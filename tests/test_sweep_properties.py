@@ -2,11 +2,11 @@
 
 The sweep matches ``reference.sweep``, a literal 4^m walk that shares no
 code with the package, on the specs below, on symbolic-scale specs that
-escape the exact gate, on example1 with m <= 4, exact and forced-float,
-and on explicit spec dicts written without the package's model. On the
-same cases a full ``analyze`` gives ``reference.report``'s mode, Hodge and
-Betti tables, condition, symmetry, Serre, wedge-closure and harmonicity
-flags and Kaehler record.
+escape the exact gate, on example1 with m <= 4 and on the corpus, both
+exact and forced-float, and on explicit spec dicts written without the
+package's model. On the same cases a full ``analyze`` gives
+``reference.report``'s mode, Hodge and Betti tables, condition, symmetry,
+Serre, wedge-closure and harmonicity flags and Kaehler record.
 
 On random specs with m <= 3 — random characters over the standard
 Gaussian lattice of C^n for n = 1 and n = 2, example1 under symbolic t
@@ -30,7 +30,7 @@ from solvhodge.model import MAX_FORMS_DIM
 from solvhodge.specfile import load_spec_dict, spec_to_dict
 
 import reference
-from conftest import HYPERBOLIC, load_perfbench, random_character, scaled_draws
+from conftest import HYPERBOLIC, corpus_specs, load_perfbench, random_character, scaled_draws
 
 corpus = load_perfbench("corpus")
 
@@ -154,10 +154,10 @@ def test_sweep_matches_the_literal_oracle():
     randoms = random_specs(rng)  # the same specs as the test above
     examples = example1_specs(rng)
     scaled = escaping_dicts()
-    # the random specs and the escaping ones exact, example1 exact and forced-float
-    cases = [(spec, spec_to_dict(spec), False) for spec in randoms + examples]
+    # the random specs and the escaping ones exact, example1 and the corpus exact and forced-float
+    cases = [(spec, spec_to_dict(spec), False) for spec in randoms + examples + corpus_specs()]
     cases += [(load_spec_dict(data), data, False) for data in scaled]
-    cases += [(spec, spec_to_dict(spec), True) for spec in examples]
+    cases += [(spec, spec_to_dict(spec), True) for spec in examples + corpus_specs()]
     wider = escaped = violated = asymmetric = 0
     for spec, data, force_float in cases:
         sweep = sweep_trivial_pairs(spec, force_float)
