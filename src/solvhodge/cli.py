@@ -14,7 +14,6 @@ from . import __version__
 from .cohomology import (
     betti_numbers,
     check_condition,
-    coclosed_mask,
     conjugation_symmetry,
     harmonic_rows,
     hodge_table,
@@ -75,7 +74,7 @@ def analyze(
     if not skip_forms:
         start = time.perf_counter()
         wedge_closure = wedge_closure_report(spec, sweep) is None
-        harmonic = not coclosed_mask(spec)
+        harmonic = spec.is_unimodular
         timings["forms"] = (time.perf_counter() - start) * 1000.0
     kaehler = clock("kaehler", kaehler_obstruction, spec)
     return run_report(

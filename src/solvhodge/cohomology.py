@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, product
-from math import comb
-from typing import Callable, Iterable, Optional
+from math import comb, prod
+from typing import Iterable, Optional
 
 from .exact import ComplexExact, SymbolProductUnrepresentable, Value
 from .characters import is_trivial_on_lattice, is_trivial_on_lattice_float
@@ -119,33 +119,18 @@ def _subsets(m: int) -> tuple[MultiIndex, ...]:
     return tuple(out)
 
 
-def _subset_products(
-    factors: tuple[CharacterExponent, ...], subsets: tuple[MultiIndex, ...], trivial: CharacterExponent
-) -> dict[MultiIndex, CharacterExponent]:
-    products = {(): trivial}
-    for subset in subsets:
-        if subset:
-            products[subset] = products[subset[:-1]] * factors[subset[-1] - 1]
-    return products
+def _subset_characters(spec: SolvManifoldSpec) -> dict[MultiIndex, CharacterExponent]:
+    """The product A_S of the alpha_s over s in S, for every S.
 
-
-def _subset_product_tables(
-    spec: SolvManifoldSpec, part: Optional[Callable[[CharacterExponent], CharacterExponent]] = None
-) -> tuple[dict[MultiIndex, CharacterExponent], dict[MultiIndex, CharacterExponent]]:
-    """The products A_S of the alpha_s and Abar_S of the conj(alpha_s) over s in S, for every S.
-
-    Every character attached to a fiber pair (J, L) is read off these two
-    tables.  With ``part`` (``CharacterExponent.unit`` or ``.hol``) the
-    tables multiply that part of each factor instead: both parts are
-    homomorphisms, so these are the parts of A_S and Abar_S.
+    Every character attached to a fiber pair (J, L) is read off this table:
+    Abar_L, the product of the conj(alpha_s) over L, is conj(A_L), and
+    conjugation, ``unit`` and ``hol`` are homomorphisms, so the parts of a
+    product are the products of the parts.
     """
-    subsets = _subsets(spec.m)
-    trivial = CharacterExponent.trivial(spec.n)
-    factors = spec.alphas
-    bars = tuple(alpha.conjugate() for alpha in factors)
-    if part is not None:
-        factors, bars = tuple(map(part, factors)), tuple(map(part, bars))
-    return _subset_products(factors, subsets, trivial), _subset_products(bars, subsets, trivial)
+    products = {(): CharacterExponent.trivial(spec.n)}
+    for subset in _subsets(spec.m)[1:]:
+        products[subset] = products[subset[:-1]] * spec.alphas[subset[-1] - 1]
+    return products
 
 
 def sweep_trivial_pairs(spec: SolvManifoldSpec, force_float: bool = False) -> PairSweep:
@@ -157,7 +142,9 @@ def sweep_trivial_pairs(spec: SolvManifoldSpec, force_float: bool = False) -> Pa
     before any work, as every command refuses it.
     """
     check_caps(spec.complex_dim)
-    units, bar_units = _subset_product_tables(spec, CharacterExponent.unit)
+    characters = _subset_characters(spec)
+    units = {S: A.unit() for S, A in characters.items()}
+    bar_units = {S: A.conjugate().unit() for S, A in characters.items()}
     pairs: list[tuple[MultiIndex, MultiIndex]] = []
     certified = True
     for J, L in product(units, bar_units):
@@ -222,8 +209,8 @@ def check_condition(
     admits.  Zero coefficients are never stored, so A_J Abar_L is trivial
     exactly when A_J equals the inverse of Abar_L: one comparison per pair.
     """
-    alpha, alpha_bar = _subset_product_tables(spec)
-    inverse_bar = {L: chi.inverse() for L, chi in alpha_bar.items()}
+    alpha = _subset_characters(spec)
+    inverse_bar = {L: chi.conjugate().inverse() for L, chi in alpha.items()}
     return tuple((J, L) for J, L in sweep if alpha[J] != inverse_bar[L])
 
 
@@ -270,17 +257,16 @@ def _support(vector: tuple[ComplexExact, ...]) -> int:
 
 
 def _coclosed_vector(spec: SolvManifoldSpec) -> tuple[ComplexExact, ...]:
-    total = CharacterExponent.trivial(spec.n)
-    for alpha in spec.alphas:
-        total = total * alpha * alpha.conjugate()
-    return total.b
+    total = prod(spec.alphas, start=CharacterExponent.trivial(spec.n))
+    return (total * total.conjugate()).b
 
 
 def coclosed_mask(spec: SolvManifoldSpec) -> int:
     """Support of c = b(A_{1..m} Abar_{1..m}), where K must miss for dbar-co-closedness.
 
     ((), ()) is always admitted and meets every K, so the basis is harmonic in
-    both senses of :func:`harmonic_rows` (d under the condition) exactly when c = 0.
+    both senses of :func:`harmonic_rows` (d under the condition) exactly when
+    c = b(P) + conj(a(P)), P = A_{1..m}, is 0: when ``spec.is_unimodular``.
     """
     return _support(_coclosed_vector(spec))
 
@@ -321,15 +307,17 @@ def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> list[dict]:
       chi = 1, so u is then d-harmonic exactly when dbar-co-closed.
 
     So supp c, and supp a(chi), supp(conj(a(chi)) + c) per admitted pair, decide every
-    row; characters only multiply (exponents add), so the flags are exact.
+    row; characters only multiply (exponents add), so the flags are exact.  A
+    character and its conjugate have one holomorphic factor, exponent
+    a + conj(b), so hol(Abar_L) is hol(A_L) and a(chi) = -a(hol(A_J) hol(A_L)).
     """
     check_caps(spec.complex_dim, forms=True)
-    hol, bar_hol = _subset_product_tables(spec, CharacterExponent.hol)
+    hol = {S: A.hol() for S, A in _subset_characters(spec).items()}
     c = _coclosed_vector(spec)
     co_b = _support(c)
     supports = {}
     for J, L in sweep:
-        a = (hol[J] * bar_hol[L]).inverse().a
+        a = (hol[J] * hol[L]).inverse().a
         supports[J, L] = _support(a), _support(tuple(x.conjugate() + y for x, y in zip(a, c)))
     rows = []
     for el in all_basis_elements(spec, sweep):

@@ -28,6 +28,7 @@ __all__ = [
     "validate",
 ]
 
+# the floor under the residual bound of _check_fiber_preservation, its one use
 INTEGRALITY_TOLERANCE = 1e-6
 
 FIBER_OK = "ok"
@@ -132,13 +133,14 @@ def validate(spec: SolvManifoldSpec) -> dict:
     invertible (Neumann series).  Otherwise the detail names the lattice and
     says "singular" or gives that bound.
 
-    A base generator preserves the fiber lattice when the action's
-    coefficients on the fiber basis are integers and det D =
-    prod |alpha_k(g)|^2 is 1; fiber preservation is ``undecided`` where the
-    witnesses are too coarse to tell whether the coefficients are integers.
-    Those coefficients are read off the fiber lattice's exact inverse, and the
-    base generators' float points off the base lattice's exact matrix, so each
-    lattice's witnesses are evaluated once.
+    The fiber lattice is preserved when the action is unimodular, decided
+    exactly by :attr:`SolvManifoldSpec.is_unimodular`, and at every base
+    generator the action's coefficients on the fiber basis are integers;
+    fiber preservation is ``undecided`` where the witnesses are too coarse to
+    tell whether the coefficients are integers.  Those coefficients are read
+    off the fiber lattice's exact inverse, and the base generators' float
+    points off the base lattice's exact matrix, so each lattice's witnesses
+    are evaluated once.
     """
     details: list[str] = []
     rank_ok = True
@@ -160,20 +162,6 @@ def validate(spec: SolvManifoldSpec) -> dict:
     return {"lattice_rank_ok": rank_ok, "fiber_preserved": fiber_status, "details": details}
 
 
-def _unimodular_action(values: Sequence[complex]) -> bool:
-    """Whether det D = prod |v_k|^2 is 1, to ``INTEGRALITY_TOLERANCE`` on sum log |v_k|.
-
-    C = W^-1 D W has the determinant of D whatever the basis W, so this is the
-    one test of C's determinant, and it holds for the true C even where the
-    computed one is too inaccurate to round.  |v_k| is taken with
-    ``math.hypot``, which gives inf where abs() of a complex past the float
-    range raises.
-    """
-    # the generator runs only after all(values) has ruled out log(0)
-    logs = (math.log(math.hypot(v.real, v.imag)) for v in values)
-    return all(values) and abs(math.fsum(logs)) <= INTEGRALITY_TOLERANCE
-
-
 def _check_fiber_preservation(
     spec: SolvManifoldSpec,
     base: Sequence[Sequence[Fraction]],
@@ -189,12 +177,21 @@ def _check_fiber_preservation(
     float point is read off its row of ``base``, and C = W^-1 D W off
     ``inverse`` (:func:`_fiber_action`), to within about cond(W) * eps *
     max|C|, with cond(W) the infinity-norm condition number.  A generator
-    whose action has a determinant other than 1 is violated whatever the
-    bound; one whose bound reaches 1/2 cannot be rounded, and is undecided.
+    whose bound reaches 1/2 cannot be rounded, and is undecided.  C has the
+    determinant |P(g)|^2 of D, P the product of the fiber characters: 1 at
+    every g where P is unitary (:attr:`SolvManifoldSpec.is_unimodular`), and
+    else not 1 at some generator of a full-rank lattice.  So a non-unimodular
+    action is violated before any generator is read.
     """
     if spec.m == 0:
         details.append("fiber lattice empty; preservation holds vacuously")
         return FIBER_OK
+    if not spec.is_unimodular:
+        details.append(
+            "the action is not unimodular (the product of the fiber characters is not unitary),"
+            " so it is not a lattice automorphism"
+        )
+        return FIBER_VIOLATED
     condition = math.inf if inverse is None else _to_float(_norm(exact) * _norm(inverse))
     n = spec.n
     status = FIBER_OK
@@ -220,14 +217,6 @@ def _check_fiber_preservation(
         if residual > max(INTEGRALITY_TOLERANCE, bound):
             details.append(
                 f"base generator {gi}: image not in the integer span, residual {residual:.3e}"
-            )
-            status = FIBER_VIOLATED
-            continue
-        if not _unimodular_action(values):
-            moduli = (math.hypot(v.real, v.imag) for v in values)
-            det = math.prod(r * r for r in moduli)  # r * r, not r ** 2: inf past the float range
-            details.append(
-                f"base generator {gi}: the action has determinant {det:.3e}, not a lattice automorphism"
             )
             status = FIBER_VIOLATED
             continue

@@ -32,6 +32,7 @@ of lattices) and the builders in ``manifold``.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -228,3 +229,11 @@ class SolvManifoldSpec(Value):
     @property
     def complex_dim(self) -> int:
         return self.n + self.m
+
+    @property
+    def is_unimodular(self) -> bool:
+        """Whether the action has det D(g) = |P(g)|^2 = 1 at every g, P the product of the alphas.
+
+        That is P unitary, which a lattice needs, decided exactly: P's exponents are sums.
+        """
+        return math.prod(self.alphas, start=CharacterExponent.trivial(self.n)).is_unitary

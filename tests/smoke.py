@@ -40,8 +40,10 @@ so that a row reads the files earlier rows wrote. Why each group exists:
   preservation is "ok" at N = 5000 and "undecided" at N = 10^4, where the
   float witnesses cannot settle integrality; neither run fails a check. The
   doubling action z -> 2z on Z[i] exits 1: det D = 4, not a lattice
-  automorphism. The exact lattice 1e-10 * Z[i] has certified full rank at
-  any scale.
+  automorphism. So does the action of e^{x / 10^9}, whose det D is within
+  any float tolerance of 1: unimodularity is decided exactly, before any
+  generator is read. The exact lattice 1e-10 * Z[i] has certified full rank
+  at any scale.
 - The README's example commands run as documented.
 """
 
@@ -135,6 +137,14 @@ DOUBLING = {
     "alphas": [{"real_exp": [{"l2": "1"}]}],  # e^{x log 2}: z -> 2z at x = 1
     "lattice": GAUSSIAN, "lattice_fiber": GAUSSIAN,
 }
+NEAR_UNIMODULAR = {  # e^{x / 10^9}
+    "name": "near_unimodular", "n": 1, "m": 1, "alphas": [{"real_exp": [{"one": "1/1000000000"}]}],
+    "lattice": GAUSSIAN, "lattice_fiber": GAUSSIAN,
+}
+NOT_UNIMODULAR = (
+    "the action is not unimodular (the product of the fiber characters is not unitary),"
+    " so it is not a lattice automorphism"
+)
 NEWLINE = {"name": "a\n\\end{tabular}", "n": 1, "m": 0, "alphas": [], "lattice": GAUSSIAN}
 TENTH = {"one": "1/10000000000"}
 SMALL_LATTICE = {  # 1e-10 * Z[i] in C, exact, under a standard fiber
@@ -210,6 +220,9 @@ ROWS = [
     row("solvhodge", "analyze", "h4.json", "--format", "json", check=fiber("undecided")),
     row("solvhodge", "analyze", "doubling.json", "--format", "json", code=1, files={"doubling.json": DOUBLING},
         check=report(lambda r: "not a lattice automorphism" in r["validation"]["details"][0])),
+    row("solvhodge", "analyze", "near.json", "--format", "json", code=1, files={"near.json": NEAR_UNIMODULAR},
+        check=report(lambda r: r["validation"]["fiber_preserved"] == "violated"
+                     and r["validation"]["details"][0] == NOT_UNIMODULAR)),
     row("solvhodge", "analyze", "small.json", files={"small.json": SMALL_LATTICE}, check=says("validation: rank ok")),
     # the README's examples
     row("solvhodge", "emit-example", "torus", "--n", "2", "--m", "1", "--out", "torus.json"),

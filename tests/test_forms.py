@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 import solvhodge as sh
+from solvhodge.cli import analyze
 from solvhodge.cohomology import (
     BasisElement,
     PairSweep,
@@ -366,6 +367,8 @@ class TestHarmonicity:
         f = monomial(spec, (dzbar(1),))
         assert f.dbar().is_zero
         assert not is_dbar_harmonic(f, spec)
+        assert not spec.is_unimodular
+        assert analyze(spec)["harmonic_certified"] is False
 
 
 class Unwalkable(PairSweep):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from solvhodge import manifold
+from solvhodge.cli import analyze
 from solvhodge.exact import ComplexExact, ExactScalar, SymbolTable
 from solvhodge.manifold import (
     FIBER_NOT_CHECKED,
@@ -19,6 +20,7 @@ from solvhodge.model import CharacterExponent, DimensionCapExceeded, LatticeBasi
 from solvhodge.specfile import load_spec_dict, spec_to_dict
 
 from conftest import corpus_specs, hyperbolic_family
+from smoke import NOT_UNIMODULAR
 
 
 def exponent_data(chi):
@@ -181,10 +183,25 @@ def scaled_fiber_spec(exponent, m=1) -> SolvManifoldSpec:
     )
 
 
+def paired_fiber_spec(exponent, lattice_fiber=None) -> SolvManifoldSpec:
+    """n = 1, m = 2 with the characters exp(+-exponent * Re z): a unimodular action, whose fiber
+    lattice, Z[i]^2 unless given, it need not preserve."""
+    standard = torus(1, 2)
+    return SolvManifoldSpec(
+        name="paired",
+        n=1,
+        m=2,
+        alphas=tuple(CharacterExponent.from_real_exponent([k]) for k in (exponent, -exponent)),
+        lattice=standard.lattice,
+        lattice_fiber=lattice_fiber or standard.lattice_fiber,
+        symbols=standard.symbols,
+    )
+
+
 class TestValidate:
     def test_violation_detected(self):
-        # irrational scaling e * w cannot stay in the Gaussian integer span
-        report = validate(scaled_fiber_spec(1))
+        # irrational scaling (e w_1, w_2 / e) cannot stay in the Gaussian integer span
+        report = validate(paired_fiber_spec(1))
         assert report["fiber_preserved"] == FIBER_VIOLATED
         assert any("residual" in line for line in report["details"])
 
@@ -217,28 +234,25 @@ class TestValidate:
 
     def test_character_value_past_the_float_range(self):
         # exp(2000) overflows a float: reported as a violation, not raised
-        report = validate(scaled_fiber_spec(2000))
+        report = validate(paired_fiber_spec(2000))
         assert report["fiber_preserved"] == FIBER_VIOLATED
         assert report["details"][0] == "base generator 1: a fiber character's value is past the float range"
         assert report["details"][1].startswith("base generator 2: integer matrix recovered")
 
     def test_action_past_the_float_range_is_not_a_singular_basis(self):
-        # e^709 is finite and the fiber basis 10 (1, i) is well-conditioned,
+        # e^709 is finite and the fiber basis 10 Z[i]^2 is well-conditioned,
         # but e^709 * 10 in D W is past the float range
-        spec = scaled_fiber_spec(709)
-        table = spec.symbols
-        fiber = LatticeBasis(1, ((ComplexExact.make(re=10),), (ComplexExact.make(im=10),)))
-        report = validate(SolvManifoldSpec(
-            name="overflowing_action", n=1, m=1, alphas=spec.alphas, lattice=spec.lattice,
-            lattice_fiber=fiber, symbols=table,
-        ))
+        ten = ComplexExact.make(re=10)
+        fiber = LatticeBasis(2, tuple(tuple(ten * c for c in gen) for gen in torus(1, 2).lattice_fiber.generators))
+        report = validate(paired_fiber_spec(709, fiber))
         assert report["lattice_rank_ok"]
         assert report["fiber_preserved"] == FIBER_VIOLATED
         assert report["details"][0] == "base generator 1: the action on the fiber basis is past the float range"
         assert report["details"][1].startswith("base generator 2: integer matrix recovered")
 
     def test_doubling_is_not_an_automorphism(self):
-        # z -> 2z maps Z[i] into itself, with index 4: integer coefficients, det D = 4
+        # z -> 2z maps Z[i] into itself, with index 4: integer coefficients, but det D = 4,
+        # decided from the characters before any generator is read
         standard = [[{"re": {"one": "1"}}], [{"im": {"one": "1"}}]]
         report = validate(load_spec_dict({
             "name": "doubling", "n": 1, "m": 1,
@@ -247,22 +261,17 @@ class TestValidate:
             "lattice": standard, "lattice_fiber": standard,
         }))
         assert report["fiber_preserved"] == FIBER_VIOLATED
-        assert report["details"] == [
-            "base generator 1: the action has determinant 4.000e+00, not a lattice automorphism",
-            "base generator 2: integer matrix recovered, residual 0.000e+00, determinant 1",
-        ]
+        assert report["details"] == [NOT_UNIMODULAR]
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_determinant_decides_where_rounding_cannot(self, sign):
-        # at N = 10^4 the rounded C is noise, but det D = eps^2 * eps^-1 = eps = 2.618
+        # at N = 10^4 the rounded C is noise, but e^x e^{-x/2} is not unitary: det D = eps = 2.618
         data = spec_to_dict(example2_n1(hyperbolic_family(10**4, sign)))
         quarter = [{"re": {"one": "-1/4"}, "im": {}}]
         data["alphas"][1] = {"a": quarter, "b": quarter}  # e^{-x/2}
         report = validate(load_spec_dict(data))
         assert report["fiber_preserved"] == FIBER_VIOLATED
-        assert report["details"][0] == (
-            "base generator 1: the action has determinant 2.618e+00, not a lattice automorphism"
-        )
+        assert report["details"] == [NOT_UNIMODULAR]
 
     def test_modulus_past_the_float_range_is_violated(self):
         # e^(710 + i pi/4) has finite parts but a modulus past the float range
@@ -274,18 +283,26 @@ class TestValidate:
             lattice=standard.lattice, lattice_fiber=standard.lattice_fiber, symbols=table,
         ))
         assert report["fiber_preserved"] == FIBER_VIOLATED
-        assert report["details"][0] == (
-            "base generator 1: the action has determinant inf, not a lattice automorphism"
-        )
+        assert report["details"] == [NOT_UNIMODULAR]
 
     @pytest.mark.parametrize("m", [1, 11])
     def test_huge_determinant_is_one_short_line(self, m):
         # exp(700) makes det D = exp(1400 m), past the float range: one short
-        # detail line reads it as inf, and nothing raises
+        # detail line, and nothing raises
         report = validate(scaled_fiber_spec(700, m))
         assert report["fiber_preserved"] == FIBER_VIOLATED
         assert "not a lattice automorphism" in report["details"][0]
         assert all(len(line) < 150 for line in report["details"])
+
+    def test_near_unimodular_action_is_violated(self):
+        # det D = exp(2 * 10^-9) at x = 1 is within any float tolerance of 1, but the product
+        # exp(x / 10^9) is not unitary: no lattice automorphism, and no harmonic basis
+        spec = scaled_fiber_spec(Fraction(1, 10**9))
+        assert not spec.is_unimodular
+        report = validate(spec)
+        assert report["fiber_preserved"] == FIBER_VIOLATED
+        assert report["details"] == [NOT_UNIMODULAR]
+        assert analyze(spec)["harmonic_certified"] is False
 
     def test_corpus_validates_clean(self):
         for spec in corpus_specs():

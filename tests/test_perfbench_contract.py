@@ -5,7 +5,8 @@ symbolic-scale specs, exact or on float witnesses, in plain integers,
 sharing no code with solvhodge; its :func:`check` must find no problem in
 any report ``analyze`` gives.  The float-regime and example2_n1 cases are
 drawn with the generators of ``perfbench/corpus.py``, and their reports
-must also give every field of ``reference.report``.
+must also give every field of ``reference.report``; each of their specs is
+unimodular exactly when its co-closed mask is empty.
 ``perfbench/tracer.py`` names package functions by their qualified names;
 each name must still resolve, or its per-layer timings silently read 0.
 The three files are loaded by path, and none is edited here.
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import solvhodge as sh
 from solvhodge.cli import analyze, emit_example
-from solvhodge.cohomology import hodge_table, sweep_trivial_pairs
+from solvhodge.cohomology import coclosed_mask, hodge_table, sweep_trivial_pairs
 from solvhodge.specfile import load_spec_dict, spec_to_dict
 
 import reference
@@ -126,6 +127,8 @@ def test_integer_oracle_agrees_on_float_runs_and_example2(build, args):
     assert oracle.check(item, oracle.expected(item), report) == []
     expected = reference.report(*reference_args)
     assert {key: report[key] for key in expected} == expected
+    spec = load_spec_dict(reference_args[0])
+    assert spec.is_unimodular == (coclosed_mask(spec) == 0)
 
 
 def test_oracle_catches_perturbed_reports():

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import solvhodge as sh
 from solvhodge import cli, cohomology, manifold, model, report
@@ -53,6 +55,32 @@ def lone_expanding_character():
         lattice_fiber=None,
         symbols=table,
     )
+
+
+DRAWN_TABLE = sh.SymbolTable.base().with_symbol("s", 1.3)
+scalars = st.dictionaries(
+    st.sampled_from(("one", "pi", "s")), st.fractions(-2, 2, max_denominator=3), max_size=3
+).map(ExactScalar.make)
+complexes = st.builds(lambda re, im: sh.ComplexExact.make(re=re, im=im), scalars, scalars)
+
+
+@st.composite
+def drawn_specs(draw):
+    """m <= 3 characters on C^n, n <= 2, with rational, pi and symbol coefficients, and whether
+    the last one was drawn to close the product to a unitary character, as it is in half the draws."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    vectors = st.lists(complexes, min_size=n, max_size=n).map(tuple)
+    alphas = [sh.CharacterExponent(draw(vectors), draw(vectors)) for _ in range(m)]
+    closed = draw(st.booleans())
+    if closed:
+        a = draw(vectors)
+        rest = math.prod(alphas[:-1], start=sh.CharacterExponent.trivial(n))
+        alphas[-1] = sh.CharacterExponent(a, tuple(-c.conjugate() for c in a)) * rest.inverse()
+    spec = sh.SolvManifoldSpec(
+        name="drawn", n=n, m=m, alphas=tuple(alphas), lattice=sh.torus(n, 0).lattice,
+        lattice_fiber=None, symbols=DRAWN_TABLE,
+    )
+    return spec, closed
 
 
 def symbolic_scale_data(**fields):
@@ -356,7 +384,16 @@ class TestAnalyze:
     def test_rows_agree_with_coclosed_mask(self):
         for spec in corpus_specs() + [lone_expanding_character()]:
             rows = harmonic_rows(spec, sweep_trivial_pairs(spec))
-            assert all(row["co_closed"] for row in rows) == (coclosed_mask(spec) == 0), spec.name
+            co_closed = all(row["co_closed"] for row in rows)
+            assert co_closed == (coclosed_mask(spec) == 0) == spec.is_unimodular, spec.name
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(drawn_specs())
+    def test_unimodular_is_coclosure_on_drawn_characters(self, drawn):
+        # c = b(P) + conj(a(P)) for the product P of the characters: 0 exactly when P is unitary
+        spec, closed = drawn
+        assert spec.is_unimodular == (coclosed_mask(spec) == 0)
+        assert spec.is_unimodular or not closed
 
     def test_rational_pi_still_passes_checks(self):
         report = analyze(sh.example1([1], "rational_pi(1,1)"))
