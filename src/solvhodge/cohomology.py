@@ -32,7 +32,6 @@ __all__ = [
     "PairSweep",
     "betti_numbers",
     "check_condition",
-    "coclosed_mask",
     "conjugation_symmetry",
     "harmonic_rows",
     "hodge_symmetry",
@@ -261,16 +260,6 @@ def _coclosed_vector(spec: SolvManifoldSpec) -> tuple[ComplexExact, ...]:
     return (total * total.conjugate()).b
 
 
-def coclosed_mask(spec: SolvManifoldSpec) -> int:
-    """Support of c = b(A_{1..m} Abar_{1..m}), where K must miss for dbar-co-closedness.
-
-    ((), ()) is always admitted and meets every K, so the basis is harmonic in
-    both senses of :func:`harmonic_rows` (d under the condition) exactly when
-    c = b(P) + conj(a(P)), P = A_{1..m}, is 0: when ``spec.is_unimodular``.
-    """
-    return _support(_coclosed_vector(spec))
-
-
 def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> list[dict]:
     """The ``check-harmonic`` schema row of every basis element, no form built.
 
@@ -301,7 +290,9 @@ def harmonic_rows(spec: SolvManifoldSpec, sweep: PairSweep) -> list[dict]:
     and J, J^c and L, L^c split 1..m, so for every element
 
     - b(chi_co) = -c and a(chi_lin) = -conj(c): u is dbar-co-closed exactly
-      when supp c misses K (:func:`coclosed_mask`), and d-harmonic implies it;
+      when supp c misses K, and d-harmonic implies it; the always admitted
+      pair ((), ()) takes every K, so every row is co-closed exactly when
+      c = b(P) + conj(a(P)), P = A_{1..m}, is 0: when ``spec.is_unimodular``;
     - b(chi_lin) = -conj(a(chi)) - c, so chi_lin is never formed;
     - A_J Abar_L = 1 (every admitted pair, once the condition holds) gives
       chi = 1, so u is then d-harmonic exactly when dbar-co-closed.

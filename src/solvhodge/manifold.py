@@ -7,7 +7,9 @@ the named example families; each builder refuses an n + m past the
 counting cap before it builds anything.  A lattice's rank is certified
 from one exact inverse of its witness matrix.  The fiber lattice's inverse
 also gives the action of each base generator on the fiber basis, read off
-in floats, and the condition number that bounds that reading.
+in floats, and the condition number that bounds that reading.  Builder
+witnesses are the nearest floats to their constants, as :func:`validate`
+assumes, all but ``example2_n1``'s ``logeps``, in the base lattice only.
 """
 
 from __future__ import annotations
@@ -123,9 +125,9 @@ def validate(spec: SolvManifoldSpec) -> dict:
     It holds ``lattice_rank_ok``, ``fiber_preserved`` (a ``FIBER_*`` value) and
     the ``details`` lines.  Failures are reported, never raised; all checks run
     on the witnesses, each taken to be its constant, pi's too, to within half an
-    ulp.  Builder witnesses computed in floats can be off by more, until they
-    are computed to that precision (ROADMAP item 17): ``example2_n1``'s fiber
-    witnesses by up to about 0.3 N ulps for entries of size N.
+    ulp.  Of the builders' witnesses only ``example2_n1``'s ``logeps`` is not
+    proved so (within 0.98 ulp on the traces measured); it enters only the base
+    lattice diag(logeps, i c1), whose rank certificate has a margin over 10^12.
 
     A lattice's rank is certified full when its witness matrix W, inverted
     exactly, and the bound E on W's error (:func:`_exact_matrix`) have
@@ -181,7 +183,8 @@ def _check_fiber_preservation(
     determinant |P(g)|^2 of D, P the product of the fiber characters: 1 at
     every g where P is unitary (:attr:`SolvManifoldSpec.is_unimodular`), and
     else not 1 at some generator of a full-rank lattice.  So a non-unimodular
-    action is violated before any generator is read.
+    action is violated before any generator is read.  A generator whose
+    character value or D W is past the float range is undecided too.
     """
     if spec.m == 0:
         details.append("fiber lattice empty; preservation holds vacuously")
@@ -204,7 +207,8 @@ def _check_fiber_preservation(
         except OverflowError:
             past = "a fiber character's value" if values is None else "the action on the fiber basis"
             details.append(f"base generator {gi}: {past} is past the float range")
-            status = FIBER_VIOLATED
+            if status == FIBER_OK:
+                status = FIBER_UNDECIDED
             continue
         if coeff is None:
             details.append(f"base generator {gi}: fiber basis is numerically singular")
@@ -347,11 +351,16 @@ def example1(a: Sequence[int], t_mode="symbolic") -> SolvManifoldSpec:
 def example2_n1(matrix: Sequence[Sequence[int]]) -> SolvManifoldSpec:
     """Hyperbolic-torus-bundle family: characters e^x, e^{-x} over C.
 
-    The input is a unimodular hyperbolic integer matrix; its eigenvector
-    basis spans the fiber lattice (four generators of a lattice in C^2,
-    entered as fresh symbols with float witnesses), and the log of the
-    leading eigenvalue modulus gives the real base generator.  The
-    imaginary base generator is a fresh irrational parameter.
+    The input is a unimodular hyperbolic integer matrix A, with eigenvector
+    matrix E = [[a12, a12], [lam - a11, mu - a11]], the dominant eigenvalue
+    lam first so that the expanding character e^x matches it.  The columns
+    of adj(E) = det(E) E^-1, and i times them, span the fiber lattice, on
+    which the real base generator, the log of |lam|, acts by A times the
+    trace's sign.  The entries are exact over ``one`` and ``sqrtD``, whose
+    witness is the nearest float to sqrt D, D = tr(A)^2 - 4, never a square.
+    No exact verdict reads a fiber symbol, so a D that is twice a square,
+    making sqrtD a multiple of c1, changes none.  The imaginary base
+    generator is a fresh irrational parameter.
     """
     rows = [list(row) for row in matrix]
     if len(rows) != 2 or any(len(row) != 2 for row in rows):
@@ -365,35 +374,32 @@ def example2_n1(matrix: Sequence[Sequence[int]]) -> SolvManifoldSpec:
         raise ValueError(f"matrix must have determinant 1, got {det}")
     if abs(trace) <= 2:
         raise ValueError(f"matrix must be hyperbolic, |trace| = {abs(trace)} <= 2")
+    disc, half = trace * trace - 4, Fraction(a22 - a11, 2)
+    shift = max(0, 55 - disc.bit_length() // 2)
     try:
-        disc = math.sqrt(trace * trace - 4)
-        # dominant eigenvalue first so the expanding character e^x matches it;
-        # for negative traces the recovered integer matrix is -A, still unimodular
-        lam_dom = (trace + disc) / 2.0 if trace > 0 else (trace - disc) / 2.0
-        lam_sub = 1.0 / lam_dom
-        # a12 != 0 for hyperbolic unimodular integer matrices, so the columns
-        # (a12, lam - a11) are honest eigenvectors
-        (e11, e12), (e21, e22) = (float(a12), float(a12)), (lam_dom - a11, lam_sub - a11)
-        eig_det = e11 * e22 - e12 * e21
-        dual = ((e22 / eig_det, -e12 / eig_det), (-e21 / eig_det, e11 / eig_det))  # closed-form inverse
-        log_eps = math.log((abs(trace) + disc) / 2.0)
-        # a zero entry is lam - a11 cancelled to 0.0, and no witness of a symbol may be 0
-        if not all(math.isfinite(v) and v for row in dual for v in row):
-            raise OverflowError
-    except (OverflowError, ZeroDivisionError):  # eig_det is 0 when both lam - a11 round to one float
-        raise ValueError("matrix entries are too large for its float eigenvectors") from None
+        # isqrt(D 4^k) < 2^k sqrt D < isqrt(D 4^k) + 1; with 55 bits no rounding midpoint lies in
+        # between, so this correctly rounded int / int is the nearest float to sqrt D
+        root = (2 * math.isqrt(disc << 2 * shift) + 1) / (2 << shift)
+        log_eps = math.acosh(abs(trace) / 2)
+        # a spec file's literals need floats: a12, and the largest fiber entry on the witnesses
+        float(a12)
+        finite = math.isfinite(abs(float(half)) + root / 2)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("matrix entries are past the float range")
 
     table = SymbolTable.base().with_symbol("logeps", log_eps)
-    table = table.with_symbol("c1", math.sqrt(2.0))
-    entry_names = (("g11", "g12"), ("g21", "g22"))
-    for r in range(2):
-        for c in range(2):
-            table = table.with_symbol(entry_names[r][c], dual[r][c])
-
-    def column(c: int, part: str) -> tuple[ComplexExact, ...]:
-        return tuple(ComplexExact.make(**{part: ExactScalar.symbol(entry_names[r][c])}) for r in range(2))
-
-    fiber = LatticeBasis(2, tuple(column(c, part) for part in ("re", "im") for c in range(2)))
+    table = table.with_symbol("c1", math.sqrt(2.0)).with_symbol("sqrtD", root)
+    # (mu - a11, a11 - lam) = (h, -h) - s sqrt(D) / 2 with h = (a22 - a11) / 2 and s the trace's sign
+    term = Fraction(-1 if trace > 0 else 1, 2)
+    columns = (
+        (ExactScalar.make({"one": half, "sqrtD": term}), ExactScalar.make({"one": -half, "sqrtD": term})),
+        (ExactScalar.rational(-a12), ExactScalar.rational(a12)),
+    )
+    fiber = LatticeBasis(
+        2, tuple(tuple(ComplexExact.make(**{part: x}) for x in col) for part in ("re", "im") for col in columns)
+    )
     alphas = (CharacterExponent.from_real_exponent([1]), CharacterExponent.from_real_exponent([-1]))
     name = f"example2_n1_{a11}_{a12}_{a21}_{a22}"
     return SolvManifoldSpec(

@@ -33,9 +33,10 @@ Unless forms are skipped, it also gives:
 
 - wedge closure: for every two admitted pairs whose J and whose L are
   disjoint, the union pair is admitted, checked on every two pairs;
-- harmonic certification: c = b(A Abar), the antiholomorphic exponent of
-  the product of every alpha_s and conj(alpha_s), is sum_s b_s + conj(a_s),
-  and the basis is harmonic exactly when c = 0.
+- harmonic certification (``harmonic_certified``): c = b(A Abar), the
+  antiholomorphic exponent of the product of every alpha_s and
+  conj(alpha_s), is sum_s b_s + conj(a_s), and the basis is harmonic
+  exactly when c = 0.
 
 The Kaehler record lists the 1-based indices of the characters that are
 not unitary (b != -conj a), which obstruct a Kaehler metric, and says
@@ -241,6 +242,13 @@ def _kaehler(alphas):
     }
 
 
+def harmonic_certified(data):
+    """Whether c = sum_s b_s + conj(a_s) over the characters is 0."""
+    alphas = [_character(node) for node in data["alphas"]]
+    c = _sum([b for _, b in alphas] + [[_conj(z) for z in a] for a, _ in alphas], data["n"])
+    return not any(re or im for re, im in c)
+
+
 def report(data, force_float=False, skip_forms=False):
     """The fields of the report that the admitted pairs and the exponents decide: every one but
     ``schema_version``, ``name``, ``validation`` and ``timings_ms``."""
@@ -258,8 +266,7 @@ def report(data, force_float=False, skip_forms=False):
     wedge_closure = harmonic = None
     if not skip_forms:
         wedge_closure = wedge_closed(pairs)
-        c = _sum([b for _, b in alphas] + [[_conj(z) for z in a] for a, _ in alphas], n)
-        harmonic = not any(re or im for re, im in c)
+        harmonic = harmonic_certified(data)
     return {
         "mode": "exact" if certified else "float_fallback",
         "hodge": table,

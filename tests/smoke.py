@@ -38,7 +38,9 @@ so that a row reads the files earlier rows wrote. Why each group exists:
   condition fails with its two violations and no de Rham certification. On
   the hyperbolic matrices A_N = [[N, 1], [N(3-N)-1, 3-N]], fiber
   preservation is "ok" at N = 5000 and "undecided" at N = 10^4, where the
-  float witnesses cannot settle integrality; neither run fails a check. The
+  float witnesses cannot settle integrality; neither run fails a check.
+  [[10^8, 1], [-1, 0]], whose fiber basis is exact over Q(sqrt D), builds
+  with a certified rank and reads "undecided" too. The
   doubling action z -> 2z on Z[i] exits 1: det D = 4, not a lattice
   automorphism. So does the action of e^{x / 10^9}, whose det D is within
   any float tolerance of 1: unimodularity is decided exactly, before any
@@ -218,6 +220,10 @@ ROWS = [
     row("solvhodge", "analyze", "h5.json", "--format", "json", check=fiber("ok")),
     row("solvhodge", "emit-example", "example2_n1", "--matrix", "10000", "1", "-99970001", "-9997", "--out", "h4.json"),
     row("solvhodge", "analyze", "h4.json", "--format", "json", check=fiber("undecided")),
+    row("solvhodge", "emit-example", "example2_n1", "--matrix", "100000000", "1", "-1", "0", "--out", "h8.json"),
+    row("solvhodge", "analyze", "h8.json", "--format", "json",
+        check=report(lambda r: (r["validation"]["lattice_rank_ok"], r["validation"]["fiber_preserved"])
+                     == (True, "undecided"))),
     row("solvhodge", "analyze", "doubling.json", "--format", "json", code=1, files={"doubling.json": DOUBLING},
         check=report(lambda r: "not a lattice automorphism" in r["validation"]["details"][0])),
     row("solvhodge", "analyze", "near.json", "--format", "json", code=1, files={"near.json": NEAR_UNIMODULAR},

@@ -10,6 +10,7 @@ from solvhodge.exact import ComplexExact, ExactScalar, SymbolTable
 from solvhodge.manifold import (
     FIBER_NOT_CHECKED,
     FIBER_OK,
+    FIBER_UNDECIDED,
     FIBER_VIOLATED,
     example1,
     example2_n1,
@@ -135,6 +136,13 @@ class TestExample2:
         with pytest.raises(ValueError, match="^expected a 2x2 integer matrix$"):
             example2_n1(matrix)
 
+    def test_sqrt_d_a_multiple_of_c1(self):
+        # D = 32, so sqrtD = 4 c1 on the witnesses too; no exact verdict reads a fiber symbol
+        spec = example2_n1([[5, 4], [1, 1]])
+        assert spec.symbols.witness("sqrtD") == 4 * spec.symbols.witness("c1")
+        report = validate(spec)
+        assert report["lattice_rank_ok"] and report["fiber_preserved"] == FIBER_OK
+
     def test_negative_trace_accepted(self):
         spec = example2_n1([[-2, 1], [1, -1]])
         assert validate(spec)["fiber_preserved"] == FIBER_OK
@@ -233,20 +241,20 @@ class TestValidate:
         assert report["fiber_preserved"] == FIBER_VIOLATED
 
     def test_character_value_past_the_float_range(self):
-        # exp(2000) overflows a float: reported as a violation, not raised
+        # exp(2000) overflows a float: reported as undecided, not raised
         report = validate(paired_fiber_spec(2000))
-        assert report["fiber_preserved"] == FIBER_VIOLATED
+        assert report["fiber_preserved"] == FIBER_UNDECIDED
         assert report["details"][0] == "base generator 1: a fiber character's value is past the float range"
         assert report["details"][1].startswith("base generator 2: integer matrix recovered")
 
     def test_action_past_the_float_range_is_not_a_singular_basis(self):
         # e^709 is finite and the fiber basis 10 Z[i]^2 is well-conditioned,
-        # but e^709 * 10 in D W is past the float range
+        # but e^709 * 10 in D W is past the float range: undecided, not violated
         ten = ComplexExact.make(re=10)
         fiber = LatticeBasis(2, tuple(tuple(ten * c for c in gen) for gen in torus(1, 2).lattice_fiber.generators))
         report = validate(paired_fiber_spec(709, fiber))
         assert report["lattice_rank_ok"]
-        assert report["fiber_preserved"] == FIBER_VIOLATED
+        assert report["fiber_preserved"] == FIBER_UNDECIDED
         assert report["details"][0] == "base generator 1: the action on the fiber basis is past the float range"
         assert report["details"][1].startswith("base generator 2: integer matrix recovered")
 

@@ -21,7 +21,7 @@ from solvhodge.cli import (
     emit_example,
     main,
 )
-from solvhodge.cohomology import coclosed_mask, harmonic_rows, sweep_trivial_pairs
+from solvhodge.cohomology import harmonic_rows, sweep_trivial_pairs
 from solvhodge.exact import ExactScalar
 from solvhodge.report import (
     failed_checks,
@@ -33,6 +33,7 @@ from solvhodge.report import (
 from solvhodge.specfile import SpecFileError, load_spec, load_spec_dict, save_spec, spec_to_dict
 
 from conftest import corpus_specs, oversized_torus
+import reference
 import smoke
 
 
@@ -95,20 +96,14 @@ def symbolic_scale_data(**fields):
 
 
 BIG = 10**400
-# the matrices have determinant 1 and |trace| > 2; 10**20 - lam rounds to 10**20, so the
-# float eigenvectors of the second one are parallel, and lam - 10**8 cancels to 0.0 in the
-# third, which would give a fiber symbol the witness -0.0
-_BIG_MATRICES = [
-    [[BIG, 1], [BIG - 1, 1]],
-    [[10**20, 1], [10**20 * (3 - 10**20) - 1, 3 - 10**20]],
-    [[10**8, 1], [-1, 0]],
-]
+# determinant 1 and |trace| > 2: in the first sqrt D, about 10**400 like the entries, is past the
+# float range, in the second, of trace 3, the entry a12 that a spec file stores
+_BIG_MATRICES = [[[BIG, 1], [BIG - 1, 1]], [[3 - 10**200, 1 - (3 - 10**200) * 10**200], [-1, 10**200]]]
 PAST_FLOAT_RANGE = [
     *(
         ({"builder": "example2_n1", "A": matrix},
          ["example2_n1", "--matrix", *(str(v) for row in matrix for v in row)],
-         "error: $: builder 'example2_n1' rejected its parameters:"
-         " matrix entries are too large for its float eigenvectors\n")
+         "error: $: builder 'example2_n1' rejected its parameters: matrix entries are past the float range\n")
         for matrix in _BIG_MATRICES
     ),
     ({"builder": "example1", "a": [1], "t_mode": [BIG, 1]},
@@ -120,10 +115,14 @@ PAST_FLOAT_RANGE = [
      ["example1", "--a", "1", str(10**309)],
      "error: $: builder 'example1' rejected its parameters: a[1] / 2 is past the float range\n"),
 ]
-PAST_FLOAT_RANGE_IDS = [
-    "example2_n1_overflow", "example2_n1_parallel_eigenvectors", "example2_n1_cancelled_eigenvector",
-    "example1_t_mode", "example1_a",
+PAST_FLOAT_RANGE_IDS = ["example2_n1_overflow", "example2_n1_entry_a12", "example1_t_mode", "example1_a"]
+# large example2_n1 matrices that build, each with its lattice rank and fiber verdicts and analyze's exit code;
+# past N = 10**16 the witness error of sqrtD can no longer certify the rank of A_N's fiber basis
+LARGE_MATRICES = [
+    ([[10**8, 1], [-1, 0]], True, "undecided", EXIT_OK),
+    ([[10**20, 1], [10**20 * (3 - 10**20) - 1, 3 - 10**20]], False, "undecided", EXIT_CHECK_FAILED),
 ]
+LARGE_MATRIX_IDS = ["example2_n1_1e8", "example2_n1_A_1e20"]
 
 
 class TestSpecFileRoundTrip:
@@ -382,17 +381,18 @@ class TestAnalyze:
         assert failed_checks(record) == failed
 
     def test_rows_agree_with_coclosed_mask(self):
+        # the co-closed mask, supp c, is empty exactly when the reference certifies the basis harmonic
         for spec in corpus_specs() + [lone_expanding_character()]:
             rows = harmonic_rows(spec, sweep_trivial_pairs(spec))
             co_closed = all(row["co_closed"] for row in rows)
-            assert co_closed == (coclosed_mask(spec) == 0) == spec.is_unimodular, spec.name
+            assert co_closed == reference.harmonic_certified(spec_to_dict(spec)) == spec.is_unimodular, spec.name
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(drawn_specs())
     def test_unimodular_is_coclosure_on_drawn_characters(self, drawn):
         # c = b(P) + conj(a(P)) for the product P of the characters: 0 exactly when P is unitary
         spec, closed = drawn
-        assert spec.is_unimodular == (coclosed_mask(spec) == 0)
+        assert spec.is_unimodular == reference.harmonic_certified(spec_to_dict(spec))
         assert spec.is_unimodular or not closed
 
     def test_rational_pi_still_passes_checks(self):
@@ -804,6 +804,18 @@ class TestCli:
         assert self.run("emit-example", *argv, "--out", str(path)) == EXIT_MALFORMED
         assert capsys.readouterr() == ("", err)
         assert not path.exists()
+
+    @pytest.mark.parametrize("matrix, rank_ok, fiber, code", LARGE_MATRICES, ids=LARGE_MATRIX_IDS)
+    def test_large_matrix_verdicts(self, tmp_path, capsys, matrix, rank_ok, fiber, code):
+        path, node = tmp_path / "out.json", tmp_path / "node.json"
+        assert self.run("emit-example", "example2_n1", "--matrix", *(str(v) for row in matrix for v in row),
+                        "--out", str(path)) == EXIT_OK
+        node.write_text(json.dumps({"builder": "example2_n1", "A": matrix}))
+        for source in (path, node):
+            capsys.readouterr()
+            assert self.run("analyze", str(source), "--format", "json") == code
+            validation = json.loads(capsys.readouterr().out)["validation"]
+            assert (validation["lattice_rank_ok"], validation["fiber_preserved"]) == (rank_ok, fiber)
 
     def test_check_harmonic_text(self, tmp_path, capsys):
         path = tmp_path / "e.json"

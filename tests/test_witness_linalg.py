@@ -1,11 +1,12 @@
 """The witness linear algebra of ``manifold.validate`` against numpy.
 
 The package computes its witness diagnostics (the lattice rank certificate
-from an exact inverse, the action on the fiber basis read off that same
-inverse, the eigenvector inverse of ``example2_n1``) in pure Python and
-never imports numpy; numpy serves here only as the reference
-implementation, on float witness matrices that ``conftest.witness_rows``
-sums apart from ``validate``'s exact ones.
+from an exact inverse, and the action on the fiber basis read off that same
+inverse) in pure Python and never imports numpy; numpy serves here only as
+the reference implementation, on float witness matrices that
+``conftest.witness_rows`` sums apart from ``validate``'s exact ones.
+``example2_n1``'s fiber basis is exact over Q(sqrt D), and is checked
+exactly there, with its one witness ``sqrtD``.
 """
 
 import copy
@@ -309,12 +310,7 @@ class TestIntegralityPrecision:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(st.one_of(st.integers(-3000, 3000), st.integers(-(2**56), 2**56)), st.sampled_from([1, -1]))
     def test_family_is_never_violated(self, N, sign):
-        try:
-            spec = sh.example2_n1(hyperbolic_family(N, sign))
-        except ValueError as exc:  # past the range of the float eigenvectors
-            assert abs(N) > 2**50 and "too large" in str(exc), (N, exc)
-            return
-        report = sh.validate(spec)
+        report = sh.validate(sh.example2_n1(hyperbolic_family(N, sign)))
         assert report["fiber_preserved"] != FIBER_VIOLATED, (N, sign, report["details"])
         if abs(N) <= 2000:
             assert report["fiber_preserved"] == FIBER_OK, (N, sign, report["details"])
@@ -333,11 +329,19 @@ class TestIntegralityPrecision:
                 assert first.startswith("base generator 1: integer matrix recovered"), first
             assert report["details"][1].startswith("base generator 2: integer matrix recovered")
 
+    def test_family_at_powers_of_ten_is_never_violated(self):
+        # N = 10^155 on, D W is past the float range: undecided, as the lattice is preserved by construction
+        for k in range(301):
+            for sign in (1, -1):
+                report = sh.validate(sh.example2_n1(hyperbolic_family(10**k, sign)))
+                assert report["fiber_preserved"] != FIBER_VIOLATED, (k, sign, report["details"])
+                assert report["lattice_rank_ok"] == (k <= 16), (k, sign, report["details"])
+
     def test_perturbed_witness_is_violated(self):
         for N in range(-10, 11):
             for sign in (1, -1):
                 data = spec_to_dict(sh.example2_n1(hyperbolic_family(N, sign)))
-                for name in ("g11", "g12", "g21", "g22"):
+                for name in ("sqrtD", "logeps"):
                     perturbed = copy.deepcopy(data)
                     next(e for e in perturbed["symbols"] if e["name"] == name)["value"] += 1e-3
                     report = sh.validate(load_spec_dict(perturbed))
@@ -354,17 +358,43 @@ class TestIntegralityPrecision:
             assert report["details"] == entry["details"], entry["matrix"]
 
 
+def root_field_times(x, y, disc):
+    """(p + q sqrt D)(u + v sqrt D), each number of Q(sqrt D) a pair (rational part, sqrt D part)."""
+    (p, q), (u, v) = x, y
+    return p * u + q * v * disc, p * v + q * u
+
+
 class TestExample2Inverse:
     def test_dual_matrix_inverts_eigenvectors(self):
+        # the fiber basis adj(E), read off the generators, times E is det(E) I, exactly over Q(sqrt D)
         for A in HYPERBOLIC:
             spec = sh.example2_n1(A)
-            dual = np.array([[spec.symbols.witness(f"g{r}{c}") for c in (1, 2)] for r in (1, 2)])
             (a11, a12), (a21, a22) = A
-            trace = a11 + a22
-            disc = math.sqrt(trace * trace - 4)
-            lam = (trace + disc) / 2.0 if trace > 0 else (trace - disc) / 2.0
-            eig = np.array([[a12, a12], [lam - a11, 1.0 / lam - a11]], dtype=float)
-            np.testing.assert_allclose(dual, np.linalg.inv(eig), rtol=1e-14, atol=1e-15)
+            trace, sign = a11 + a22, (1 if a11 + a22 > 0 else -1)
+            disc, half = trace * trace - 4, Fraction(trace, 2)
+            # E = [[a12, a12], [lam - a11, mu - a11]], lam = (tr + s sqrt D) / 2 and mu = (tr - s sqrt D) / 2
+            eig = [[(a12, 0), (a12, 0)], [(half - a11, Fraction(sign, 2)), (half - a11, Fraction(-sign, 2))]]
+            gens, i = spec.lattice_fiber.generators, sh.ComplexExact.make(im=1)
+            assert {x for gen in gens for z in gen for part in (z.re, z.im) for x, _ in part.coeffs} <= {"one", "sqrtD"}
+            assert all(z.im.is_zero for gen in gens[:2] for z in gen)
+            assert [[i * z for z in gen] for gen in gens[:2]] == [list(gen) for gen in gens[2:]]
+            adj = [[(g[r].re.coefficient("one"), g[r].re.coefficient("sqrtD")) for g in gens[:2]] for r in (0, 1)]
+            product = [
+                [tuple(map(sum, zip(*(root_field_times(eig[r][k], adj[k][c], disc) for k in (0, 1))))) for c in (0, 1)]
+                for r in (0, 1)
+            ]
+            det = (0, -sign * a12)  # a12 (mu - lam)
+            assert product == [[det, (0, 0)], [(0, 0), det]], A
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(3, 2**26), st.integers(2**27, 2**500)), st.sampled_from([1, -1]))
+    def test_sqrt_witness_is_the_nearest_float(self, trace, sign):
+        # D = trace^2 - 4 runs below and above 2^53, up to 2^1000; the midpoints from the witness to
+        # its two float neighbours bracket sqrt D, checked on exact squares
+        disc = trace * trace - 4
+        root = sh.example2_n1([[sign * trace, -1], [1, 0]]).symbols.witness("sqrtD")
+        below, above = (Fraction(root) + Fraction(math.nextafter(root, to)) for to in (0, math.inf))
+        assert (below / 2) ** 2 < disc < (above / 2) ** 2, trace
 
 
 def test_cli_never_imports_numpy(tmp_path):
