@@ -97,8 +97,15 @@ def symbolic_scale_data(**fields):
 
 BIG = 10**400
 # determinant 1 and |trace| > 2: in the first sqrt D, about 10**400 like the entries, is past the
-# float range, in the second, of trace 3, the entry a12 that a spec file stores
-_BIG_MATRICES = [[[BIG, 1], [BIG - 1, 1]], [[3 - 10**200, 1 - (3 - 10**200) * 10**200], [-1, 10**200]]]
+# float range, in the second, of trace 3, the entry a12 that a spec file stores; the last two are
+# the families of LARGE_MATRICES below, A_N (whose float eigenvectors would be parallel) and
+# [[N, 1], [-1, 0]] (whose lam - N cancels in floats), at N = 10**400, past the float range
+_BIG_MATRICES = [
+    [[BIG, 1], [BIG - 1, 1]],
+    [[3 - 10**200, 1 - (3 - 10**200) * 10**200], [-1, 10**200]],
+    [[BIG, 1], [BIG * (3 - BIG) - 1, 3 - BIG]],
+    [[BIG, 1], [-1, 0]],
+]
 PAST_FLOAT_RANGE = [
     *(
         ({"builder": "example2_n1", "A": matrix},
@@ -115,7 +122,10 @@ PAST_FLOAT_RANGE = [
      ["example1", "--a", "1", str(10**309)],
      "error: $: builder 'example1' rejected its parameters: a[1] / 2 is past the float range\n"),
 ]
-PAST_FLOAT_RANGE_IDS = ["example2_n1_overflow", "example2_n1_entry_a12", "example1_t_mode", "example1_a"]
+PAST_FLOAT_RANGE_IDS = [
+    "example2_n1_overflow", "example2_n1_entry_a12", "example2_n1_parallel_eigenvectors",
+    "example2_n1_cancelled_eigenvector", "example1_t_mode", "example1_a",
+]
 # large example2_n1 matrices that build, each with its lattice rank and fiber verdicts and analyze's exit code;
 # past N = 10**16 the witness error of sqrtD can no longer certify the rank of A_N's fiber basis
 LARGE_MATRICES = [
