@@ -6,14 +6,15 @@ their witnesses, with the witness numerics it needs, and the builders make
 the named example families; each builder refuses an n + m past the
 counting cap before it builds anything.  A lattice's rank is certified
 from one exact inverse of its witness matrix.  The fiber lattice's inverse
-also gives the action of each base generator on the fiber basis, read off
-in floats, and the condition number that bounds that reading.  Builder
-witnesses are the nearest floats to their constants, as :func:`validate`
-assumes, all but ``example2_n1``'s ``logeps``, in the base lattice only.
+also gives the action of each base generator on the fiber basis, exactly
+on the witnesses, with a bound on its error.  Builder witnesses are the
+nearest floats to their constants, as :func:`validate` assumes, all but
+``example2_n1``'s ``logeps``, in the base lattice only.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 import sys
@@ -30,31 +31,29 @@ __all__ = [
     "validate",
 ]
 
-# the floor under the residual bound of _check_fiber_preservation, its one use
-INTEGRALITY_TOLERANCE = 1e-6
-
 FIBER_OK = "ok"
 FIBER_VIOLATED = "violated"
 FIBER_UNDECIDED = "undecided"
 FIBER_NOT_CHECKED = "not_checked"
 
 
-def _exact_matrix(lattice: LatticeBasis, table: SymbolTable) -> tuple[list[list[Fraction]], Fraction]:
-    """The witness matrix, computed exactly, and the infinity norm of a bound on its error.
+def _exact_matrix(generators: Sequence[Sequence[ComplexExact]], table: SymbolTable) -> tuple[list, list]:
+    """The witness matrix of ``generators``, computed exactly, and a bound on each row's error.
 
     The matrix has one row per generator, (Re g_1..Re g_n, Im g_1..Im g_n):
-    it is W^T for the matrix W that has the realified generators as columns.
-    Each witness but ``one``'s is its constant to within half an ulp, so an
-    entry sum c * x errs by at most sum |c| * ulp(witness of x) / 2.
+    for a lattice it is W^T, W the matrix with the realified generators as
+    columns.  Each witness but ``one``'s is its constant to within half an
+    ulp, so a row's entries c * x err by at most sum |c| * ulp(witness of x)
+    / 2 in all, which bounds the row's error in the 1-norm.
     """
     exact = {x: Fraction(w) for x, w in table.entries}
     half_ulp = {x: Fraction(0 if x == "one" else math.ulp(w)) / 2 for x, w in table.entries}
-    rows, error = [], Fraction(0)
-    for gen in lattice.generators:
+    rows, errors = [], []
+    for gen in generators:
         scalars = [z.re for z in gen] + [z.im for z in gen]
         rows.append([sum((c * exact[x] for x, c in s.coeffs), Fraction(0)) for s in scalars])
-        error = max(error, sum((abs(c) * half_ulp[x] for s in scalars for x, c in s.coeffs), Fraction(0)))
-    return rows, error
+        errors.append(sum((abs(c) * half_ulp[x] for s in scalars for x, c in s.coeffs), Fraction(0)))
+    return rows, errors
 
 
 def _inverse(matrix: Sequence[Sequence[Fraction]]) -> Optional[list[list[Fraction]]]:
@@ -78,71 +77,55 @@ def _inverse(matrix: Sequence[Sequence[Fraction]]) -> Optional[list[list[Fractio
 
 
 def _norm(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """The infinity norm, the largest absolute row sum; 0 for the empty matrix."""
+    """The infinity norm, the largest absolute row sum, so the 1-norm of the transpose; 0 if empty."""
     return max((sum(abs(x) for x in row if x) for row in matrix), default=Fraction(0))
-
-
-def _exponent(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """The binary exponent of the largest entry, to within one, of a matrix with a nonzero entry."""
-    return max(x.numerator.bit_length() - x.denominator.bit_length() for row in matrix for x in row if x)
 
 
 def _to_float(value: Fraction) -> float:
     return float(value) if value < sys.float_info.max else math.inf
 
 
-def _fiber_action(
-    exact: Sequence[Sequence[Fraction]], inverse: Sequence[Sequence[Fraction]], values: Sequence[complex]
-) -> list[list[float]]:
-    """The matrix C = W^-1 D W of the action on the fiber basis W, in floats.
+def _dot(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
+    """The exact dot product, skipping zero factors: a torus's matrices are mostly zeros."""
+    return sum((x * y for x, y in zip(xs, ys) if x and y), Fraction(0))
 
-    ``exact`` is W^T as :func:`_exact_matrix` gives it, and ``inverse`` its
-    exact inverse (W^-1)^T.  D is the realification of diag(``values``), so
-    row k of D W mixes only rows k and m + k of W.  D W is formed in floats,
-    and each entry of C is the ``math.fsum`` of its products with the rounded
-    W^-1; OverflowError means a product is past the float range.  C is the
-    same for 2^s W, whose inverse is 2^-s W^-1: where W^-1 has the larger
-    entries, s meets the two halfway, so both have floats even for a tiny W,
-    and the power of two changes no bit where they had floats already.
+
+def _fiber_action(exact, inverse, values: Sequence[tuple[Fraction, Fraction]]) -> list[list[Fraction]]:
+    """C^T = W^T D^T W^-T, the transposed action C = W^-1 D W on the fiber basis W, exactly.
+
+    ``exact`` is W^T (:func:`_exact_matrix`), ``inverse`` its exact inverse,
+    and D the realification of diag(``values``), each a pair (re, im).  Row j
+    holds the coefficients of generator j times D on the fiber basis.
     """
     m = len(values)
-    shift = max(0, (_exponent(inverse) - _exponent(exact)) // 2)
-    # int / int is the correctly rounded float of the scaled Fraction
-    basis = [[(x.numerator << shift) / x.denominator for x in col] for col in zip(*exact)]
-    inverse_rows = [[x.numerator / (x.denominator << shift) for x in col] for col in zip(*inverse)]
-    top, bottom = basis[:m], basis[m:]
-    scaled = [[v.real * x - v.imag * y for x, y in zip(t, b)] for v, t, b in zip(values, top, bottom)]
-    scaled += [[v.imag * x + v.real * y for x, y in zip(t, b)] for v, t, b in zip(values, top, bottom)]
-    products = [[[a * b for a, b in zip(row, col)] for col in zip(*scaled)] for row in inverse_rows]
-    if not all(math.isfinite(p) for row in products for entry in row for p in entry):
-        raise OverflowError("the action on the fiber basis is past the float range")
-    return [[math.fsum(entry) for entry in row] for row in products]
+    columns = list(zip(*inverse))
+    first, second = [(re, -im) for re, im in values], [(im, re) for re, im in values]
+    action = []
+    for row in exact:
+        image = [_dot(v, (x, y)) for v, x, y in zip(first, row, row[m:])]
+        image += [_dot(v, (x, y)) for v, x, y in zip(second, row, row[m:])]
+        action.append([_dot(image, col) for col in columns])
+    return action
 
 
 def validate(spec: SolvManifoldSpec) -> dict:
     """The report's ``validation`` record: lattice ranks and fiber preservation.
 
     It holds ``lattice_rank_ok``, ``fiber_preserved`` (a ``FIBER_*`` value) and
-    the ``details`` lines.  Failures are reported, never raised; all checks run
-    on the witnesses, each taken to be its constant, pi's too, to within half an
-    ulp.  Of the builders' witnesses only ``example2_n1``'s ``logeps`` is not
-    proved so (within 0.98 ulp on the traces measured); it enters only the base
-    lattice diag(logeps, i c1), whose rank certificate has a margin over 10^12.
+    the ``details`` lines.  Failures are reported, never raised.  All checks
+    run on the witnesses, in 1-norms, on two assumptions: each witness is its
+    constant, pi's too, to within half an ulp, and ``cmath.exp`` is within one
+    ulp in each part.  Of the builders' witnesses only ``example2_n1``'s
+    ``logeps`` is not proved so (within 0.98 ulp on the traces measured); it
+    enters only the base lattice diag(logeps, i c1), whose rank certificate
+    has a margin over 10^12.
 
     A lattice's rank is certified full when its witness matrix W, inverted
-    exactly, and the bound E on W's error (:func:`_exact_matrix`) have
-    ||W^-1|| ||E|| < 1 in the infinity norm: every matrix within E of W is then
-    invertible (Neumann series).  Otherwise the detail names the lattice and
-    says "singular" or gives that bound.
-
-    The fiber lattice is preserved when the action is unimodular, decided
-    exactly by :attr:`SolvManifoldSpec.is_unimodular`, and at every base
-    generator the action's coefficients on the fiber basis are integers;
-    fiber preservation is ``undecided`` where the witnesses are too coarse to
-    tell whether the coefficients are integers.  Those coefficients are read
-    off the fiber lattice's exact inverse, and the base generators' float
-    points off the base lattice's exact matrix, so each lattice's witnesses
-    are evaluated once.
+    exactly, and the bound E on W's error (:func:`_exact_matrix`) reach
+    r = ||W^-1|| ||E|| < 1: every matrix within E of W is then invertible
+    (Neumann series).  Otherwise the detail names the lattice and says
+    "singular" or gives r.  Fiber preservation is checked on the fiber's
+    exact inverse (:func:`_check_fiber_preservation`).
     """
     details: list[str] = []
     rank_ok = True
@@ -150,41 +133,80 @@ def validate(spec: SolvManifoldSpec) -> dict:
     for label, lattice in (("base", spec.lattice), ("fiber", spec.lattice_fiber)):
         if lattice is None:
             continue
-        exact, error = _exact_matrix(lattice, spec.symbols)  # empty for a lattice in C^0, which has full rank
+        exact, errors = _exact_matrix(lattice.generators, spec.symbols)  # empty for C^0, which has full rank
         inverse = _inverse(exact)
-        reach = math.inf if inverse is None else _to_float(_norm(inverse) * error)
-        if not reach < 1:
-            reason = "witness matrix singular" if inverse is None else f"error bound {reach:.3e} not below 1"
+        reach = None if inverse is None else _norm(inverse) * max(errors, default=Fraction(0))
+        if reach is None or reach >= 1:
+            reason = "witness matrix singular" if reach is None else f"error bound {_to_float(reach):.3e} not below 1"
             details.append(f"{label} lattice rank not certified: {reason}")
             rank_ok = False
         if label == "base":
-            base = exact
+            base = list(zip(exact, errors))
         else:
-            fiber_status = _check_fiber_preservation(spec, base, exact, inverse, details)
+            fiber_status = _check_fiber_preservation(spec, base, exact, inverse, reach, details)
     return {"lattice_rank_ok": rank_ok, "fiber_preserved": fiber_status, "details": details}
 
 
-def _check_fiber_preservation(
-    spec: SolvManifoldSpec,
-    base: Sequence[Sequence[Fraction]],
-    exact: Sequence[Sequence[Fraction]],
-    inverse: Optional[Sequence[Sequence[Fraction]]],
-    details: list[str],
-) -> str:
+def _character_value(form, row: Sequence[Fraction], row_error: Fraction) -> tuple[tuple, float]:
+    """A character's value v~ at a base point, as a pair of Fractions, and a bound on |v~ - v|.
+
+    ``form`` holds the linear forms of Re w and Im w, w = sum a_j z_j + b_j
+    conj(z_j), on the point's exact ``row``, and the bounds e_a + e_b and
+    ||a|| + ||b||.  Summed exactly, w errs by eta = (e_a + e_b)(||z|| + e_z) +
+    (||a|| + ||b||) e_z, e_z = ``row_error``; rounding it to a float adds half
+    an ulp per part.  For eta <= 1, |exp(w~) - v| <= |exp(w~)| (e - 1) eta, so
+    with ``cmath.exp``'s ulp per part |v~ - v| <= |v~|_1 (4 eps + 2 eta), plus
+    ulp(0) per part for a subnormal result.  exp(0) = 1 is exact.
+    OverflowError means w or v~ is past the float range.
+    """
+    re_form, im_form, coeff_error, coeff_norm = form
+    eta = coeff_error * (sum(abs(x) for x in row if x) + row_error) + coeff_norm * row_error
+    re, im = _dot(re_form, row), _dot(im_form, row)
+    if not (re or im or eta):
+        return (Fraction(1), Fraction(0)), 0.0
+    w = complex(float(re), float(im))
+    eta = _to_float(eta) + (math.ulp(w.real) + math.ulp(w.imag)) / 2
+    v = cmath.exp(w)
+    error = (abs(v.real) + abs(v.imag)) * (4 * sys.float_info.epsilon + 2 * eta) + 2 * math.ulp(0.0)
+    return (Fraction(v.real), Fraction(v.imag)), error if eta <= 1 else math.inf
+
+
+def _integrality(exact, inverse, kappa, reach, values, errors) -> tuple[str, str]:
+    """One base generator's verdict and detail, from C~ = W^-1 D~ W (:func:`_fiber_action`).
+
+    The true C* has W* C* = D* W*, with W* = W + dW and D* = D~ + G, so it is
+    within beta = (kappa g + r (||D~|| + g + ||C~||)) / (1 - r) of C~, where
+    kappa = ||W|| ||W^-1||, g = 2 max |dv_k| >= ||G|| and r = ``reach`` < 1;
+    beta is infinite otherwise.  An integer C* leaves C~ a residual of at most
+    beta from its rounding: above it is violated, and a beta of 1/2 or more
+    cannot be rounded, so is undecided.
+    """
+    if inverse is None:
+        return FIBER_VIOLATED, "fiber basis is numerically singular"
+    coeff = _fiber_action(exact, inverse, values)
+    residual = max((abs(x - round(x)) for row in coeff for x in row if x.denominator != 1), default=0)
+    g, beta = 2 * max(errors), math.inf
+    if reach < 1 and g < math.inf:
+        g, size = Fraction(g), max(abs(re) + abs(im) for re, im in values)
+        beta = (kappa * g + reach * (size + g + _norm(coeff))) / (1 - reach)
+    if residual > beta:
+        return FIBER_VIOLATED, f"image not in the integer span, residual {float(residual):.3e}"
+    if beta >= 0.5:
+        return FIBER_UNDECIDED, f"integrality undecided, error bound {_to_float(beta):.3e} not below 1/2"
+    return FIBER_OK, f"integer matrix recovered, residual {float(residual):.3e}, determinant 1"
+
+
+def _check_fiber_preservation(spec: SolvManifoldSpec, base, exact, inverse, reach, details: list[str]) -> str:
     """Per base generator, recover the integer matrix C of the action on the fiber basis W.
 
-    ``base`` and ``exact`` are the exact witness matrices of the base and
-    fiber lattices (:func:`_exact_matrix`), the latter W^T, and ``inverse``
-    is W^T's exact inverse, None where W is singular.  Each base generator's
-    float point is read off its row of ``base``, and C = W^-1 D W off
-    ``inverse`` (:func:`_fiber_action`), to within about cond(W) * eps *
-    max|C|, with cond(W) the infinity-norm condition number.  A generator
-    whose bound reaches 1/2 cannot be rounded, and is undecided.  C has the
-    determinant |P(g)|^2 of D, P the product of the fiber characters: 1 at
-    every g where P is unitary (:attr:`SolvManifoldSpec.is_unimodular`), and
-    else not 1 at some generator of a full-rank lattice.  So a non-unimodular
-    action is violated before any generator is read.  A generator whose
-    character value or D W is past the float range is undecided too.
+    ``base`` pairs each base generator's exact row with its error bound,
+    ``exact`` is the fiber's W^T, ``inverse`` its exact inverse (None if W is
+    singular) and ``reach`` the rank certificate's ||W^-1|| ||E||; the
+    character values (:func:`_character_value`) give :func:`_integrality`'s
+    verdict.  det C = |P(g)|^2, P the product of the fiber characters, is 1
+    at every g where P is unitary (:attr:`SolvManifoldSpec.is_unimodular`),
+    else not 1 at some generator of a full-rank lattice, so a non-unimodular
+    action is violated at once.  A value past the float range is undecided.
     """
     if spec.m == 0:
         details.append("fiber lattice empty; preservation holds vacuously")
@@ -195,46 +217,24 @@ def _check_fiber_preservation(
             " so it is not a lattice automorphism"
         )
         return FIBER_VIOLATED
-    condition = math.inf if inverse is None else _to_float(_norm(exact) * _norm(inverse))
-    n = spec.n
-    status = FIBER_OK
-    for gi, row in enumerate(base, start=1):
-        values = None
+    n, forms = spec.n, []
+    for alpha in spec.alphas:  # Re w = (Re a + Re b) x + (Im b - Im a) y, Im w = (Im a + Im b) x + (Re a - Re b) y
+        (a, b), (a_error, b_error) = _exact_matrix((alpha.a, alpha.b), spec.symbols)
+        re_form = [p + q for p, q in zip(a, b[:n])] + [q - p for p, q in zip(a[n:], b[n:])]
+        im_form = [p + q for p, q in zip(a[n:], b[n:])] + [p - q for p, q in zip(a, b[:n])]
+        forms.append((re_form, im_form, a_error + b_error, sum(abs(x) for x in a + b if x)))
+    kappa = None if inverse is None else _norm(exact) * _norm(inverse)
+    statuses = set()
+    for gi, (row, row_error) in enumerate(base, start=1):
         try:
-            point = [complex(float(x), float(y)) for x, y in zip(row[:n], row[n:])]
-            values = [alpha.value_at(point, spec.symbols) for alpha in spec.alphas]
-            coeff = None if inverse is None else _fiber_action(exact, inverse, values)
+            values, errors = zip(*(_character_value(form, row, row_error) for form in forms))
         except OverflowError:
-            past = "a fiber character's value" if values is None else "the action on the fiber basis"
-            details.append(f"base generator {gi}: {past} is past the float range")
-            if status == FIBER_OK:
-                status = FIBER_UNDECIDED
-            continue
-        if coeff is None:
-            details.append(f"base generator {gi}: fiber basis is numerically singular")
-            status = FIBER_VIOLATED
-            continue
-        nearest = [[round(x) for x in row] for row in coeff]
-        residual = max(abs(x - k) for row, ints in zip(coeff, nearest) for x, k in zip(row, ints))
-        bound = condition * sys.float_info.epsilon * max(abs(x) for row in coeff for x in row)
-        # a rounding residual is at most 1/2, so this never fires once the bound reaches 1/2
-        if residual > max(INTEGRALITY_TOLERANCE, bound):
-            details.append(
-                f"base generator {gi}: image not in the integer span, residual {residual:.3e}"
-            )
-            status = FIBER_VIOLATED
-            continue
-        if bound >= 0.5:
-            details.append(
-                f"base generator {gi}: integrality undecided, error bound {bound:.3e} not below 1/2"
-            )
-            if status == FIBER_OK:
-                status = FIBER_UNDECIDED
-            continue
-        details.append(
-            f"base generator {gi}: integer matrix recovered, residual {residual:.3e}, determinant 1"
-        )
-    return status
+            status, text = FIBER_UNDECIDED, "a fiber character's value is past the float range"
+        else:
+            status, text = _integrality(exact, inverse, kappa, reach, values, errors)
+        statuses.add(status)
+        details.append(f"base generator {gi}: {text}")
+    return next((s for s in (FIBER_VIOLATED, FIBER_UNDECIDED) if s in statuses), FIBER_OK)
 
 
 def _standard_lattice(n: int) -> LatticeBasis:

@@ -37,8 +37,9 @@ so that a row reads the files earlier rows wrote. Why each group exists:
 - Verdicts. The resonant example1 at t = pi has an exact sweep whose
   condition fails with its two violations and no de Rham certification. On
   the hyperbolic matrices A_N = [[N, 1], [N(3-N)-1, 3-N]], fiber
-  preservation is "ok" at N = 5000 and "undecided" at N = 10^4, where the
-  float witnesses cannot settle integrality; neither run fails a check.
+  preservation is "ok" at N = 5000 and N = 10^4, and "undecided" at
+  N = 10^6, where the error bound of the exact C~ reaches 1/2 and the
+  witnesses cannot settle integrality; no run fails a check.
   [[10^8, 1], [-1, 0]], whose fiber basis is exact over Q(sqrt D), builds
   with a certified rank and reads "undecided" too. The
   doubling action z -> 2z on Z[i] exits 1: det D = 4, not a lattice
@@ -219,7 +220,10 @@ ROWS = [
     row("solvhodge", "emit-example", "example2_n1", "--matrix", "5000", "1", "-24985001", "-4997", "--out", "h5.json"),
     row("solvhodge", "analyze", "h5.json", "--format", "json", check=fiber("ok")),
     row("solvhodge", "emit-example", "example2_n1", "--matrix", "10000", "1", "-99970001", "-9997", "--out", "h4.json"),
-    row("solvhodge", "analyze", "h4.json", "--format", "json", check=fiber("undecided")),
+    row("solvhodge", "analyze", "h4.json", "--format", "json", check=fiber("ok")),
+    row("solvhodge", "emit-example", "example2_n1", "--matrix", "1000000", "1", "-999997000001", "-999997",
+        "--out", "h6.json"),
+    row("solvhodge", "analyze", "h6.json", "--format", "json", check=fiber("undecided")),
     row("solvhodge", "emit-example", "example2_n1", "--matrix", "100000000", "1", "-1", "0", "--out", "h8.json"),
     row("solvhodge", "analyze", "h8.json", "--format", "json",
         check=report(lambda r: (r["validation"]["lattice_rank_ok"], r["validation"]["fiber_preserved"])
